@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::SeedableRng;
 use tt_linalg::par::with_threads;
 use tt_linalg::{
-    blocked_qr, cholesky, eigh, golub_kahan_svd, householder_qr, householder_qr_unblocked,
+    blocked_qr, cholesky, eigh, gemm, golub_kahan_svd, householder_qr, householder_qr_unblocked,
     jacobi_svd, syrk, Matrix, Trans,
 };
 
@@ -46,6 +46,27 @@ fn bench_svd_backends(c: &mut Criterion) {
     });
     group.bench_function("golub_kahan_tall_4000x20", |b| {
         b.iter(|| golub_kahan_svd(&a).unwrap());
+    });
+    // The truncation SVD of TSQR rounding on rank-deficient bonds of the
+    // cookies Krylov trains (rank 9, formal rank 36): the R of a 108×36
+    // rank-9 product, and the R of a 9×36 leaf zero-row-padded to 36×36 as
+    // TSQR pads it. 27 of their singular values are rounding noise; the
+    // padded one is the shape that used to run out every Jacobi sweep.
+    let low_rank = gemm(
+        Trans::No,
+        &Matrix::gaussian(108, 9, &mut r),
+        Trans::No,
+        &Matrix::gaussian(9, 36, &mut r),
+        1.0,
+    );
+    let rd = householder_qr(&low_rank).r();
+    group.bench_function("jacobi_rank_deficient_r_108x36", |b| {
+        b.iter(|| jacobi_svd(&rd));
+    });
+    let leaf = Matrix::gaussian(9, 36, &mut r).vstack(&Matrix::zeros(27, 36));
+    let rp = householder_qr(&leaf).r();
+    group.bench_function("jacobi_padded_leaf_r_9x36", |b| {
+        b.iter(|| jacobi_svd(&rp));
     });
     group.finish();
 }

@@ -174,13 +174,7 @@ fn round_pass(
                     // Sketch saturated: keep the full numeric rank; the
                     // remaining gap is below the Gram floor and is recorded
                     // honestly in the certificate.
-                    let smax = svd.singular_values.first().copied().unwrap_or(0.0);
-                    let l = svd
-                        .singular_values
-                        .iter()
-                        .filter(|&&v| v > smax * f64::EPSILON)
-                        .count()
-                        .max(1);
+                    let l = svd.numerical_rank().max(1);
                     let tail2: f64 = svd.singular_values[l.min(svd.singular_values.len())..]
                         .iter()
                         .map(|v| v * v)

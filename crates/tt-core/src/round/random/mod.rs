@@ -89,12 +89,7 @@ fn lead_basis(q: Matrix, r: &Matrix, target: usize) -> Matrix {
         return q;
     }
     let svd = tt_linalg::jacobi_svd(r);
-    let smax = svd.singular_values.first().copied().unwrap_or(0.0);
-    let l = svd.singular_values[..target]
-        .iter()
-        .filter(|&&s| s > smax * f64::EPSILON)
-        .count()
-        .max(1);
+    let l = svd.numerical_rank().min(target).max(1);
     let u_lead = svd.u.truncate_cols(l);
     gemm_alloc(Trans::No, q.view(), Trans::No, u_lead.view(), 1.0)
 }

@@ -8,8 +8,12 @@
 //! diagonalize the bidiagonal. For the final diagonalization we reuse the
 //! one-sided Jacobi kernel of [`crate::svd`] rather than a bulge-chasing QR
 //! iteration — on the small post-reduction core the asymptotics match, and
-//! Jacobi is unconditionally robust. The two SVD backends cross-validate
-//! each other in the test suite, and either can back the rounding kernels.
+//! Jacobi needs no shifts or deflation logic. Its termination and range
+//! rules are the ones of [`crate::svd`]: negligible columns are not rotated
+//! and the input is prescaled by a power of two, so a rank-deficient core
+//! converges in a few sweeps and the core's SVD cannot overflow or
+//! underflow. The two SVD backends cross-validate each other in the test
+//! suite, and either can back the rounding kernels.
 
 use crate::matrix::Matrix;
 use crate::svd::Svd;
@@ -17,8 +21,9 @@ use crate::Result;
 
 /// Computes the thin SVD of `a` via Golub–Kahan bidiagonalization followed
 /// by diagonalization of the bidiagonal core. Singular values are returned
-/// descending with orthonormal `U` (`m × k`) and `V` (`n × k`),
-/// `k = min(m, n)`.
+/// descending with `U` (`m × k`) and `V` (`n × k`), `k = min(m, n)`; `V` is
+/// orthonormal, and so are the columns of `U` whose singular values lie
+/// above the core's `ε·‖A‖_F` noise level ([`crate::svd`]).
 pub fn golub_kahan_svd(a: &Matrix) -> Result<Svd> {
     crate::paranoid::check_finite("golub_kahan_svd", "A", a.as_slice());
     let (m, n) = a.shape();

@@ -47,6 +47,35 @@ proptest! {
         prop_assert!((fro2.sqrt() - a.fro_norm()).abs() <= 1e-9 * (1.0 + a.fro_norm()));
     }
 
+    /// SVD across the f64 range: scaling A by 2ᵏ scales σ by exactly 2ᵏ
+    /// and leaves U and V bit for bit unchanged, for full-rank and
+    /// rank-deficient A alike (no overflow or underflow in the kernel).
+    #[test]
+    fn svd_is_exact_under_power_of_two_scaling(rows in 1usize..16, cols in 1usize..16,
+                                               rank in 1usize..16, k in -900i32..901,
+                                               seed in any::<u64>()) {
+        let rank = rank.min(rows).min(cols);
+        let low_rank = gemm(
+            Trans::No,
+            &gaussian(rows, rank, seed),
+            Trans::No,
+            &gaussian(rank, cols, seed.wrapping_add(1)),
+            1.0,
+        );
+        let scale = 2f64.powi(k);
+        for a in [gaussian(rows, cols, seed), low_rank] {
+            let s = jacobi_svd(&a);
+            let mut scaled = a.clone();
+            scaled.scale(scale);
+            let t = jacobi_svd(&scaled);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let expect: Vec<f64> = s.singular_values.iter().map(|v| v * scale).collect();
+            prop_assert_eq!(bits(&t.singular_values), bits(&expect), "sigma at k = {}", k);
+            prop_assert_eq!(bits(t.u.as_slice()), bits(s.u.as_slice()), "U at k = {}", k);
+            prop_assert_eq!(bits(t.v.as_slice()), bits(s.v.as_slice()), "V at k = {}", k);
+        }
+    }
+
     /// Symmetric EVD on Gram matrices: nonnegative spectrum, reconstruction.
     #[test]
     fn eigh_on_gram(rows in 2usize..30, cols in 1usize..10, seed in any::<u64>()) {
