@@ -1,9 +1,9 @@
 //! Rounding-family ablation: accuracy × rank × time across every variant.
 //!
 //! One fixed graded-spectrum instance (a rank-`BASE_RANK` base plus noise
-//! `NOISE_REL` below it in norm) runs through all seven rounding paths —
+//! `NOISE_REL` below it in norm) runs through all six rounding paths —
 //! the QR baseline (Alg. 2), Gram sequence RLR (Alg. 6) and simultaneous
-//! (Alg. 5) at tolerance `TOL`, the three fixed-rank randomized variants at
+//! (Alg. 5) at tolerance `TOL`, the two fixed-rank randomized variants at
 //! the base rank, and the adaptive Khatri–Rao variant at ε = `TOL` — and
 //! reports for each: achieved relative error, the variant's accuracy bound,
 //! the maximum output rank, and mean/min wall time over `--reps` runs.
@@ -117,8 +117,7 @@ fn main() {
     // deterministic ones, matching the property-test constant; the adaptive
     // certificate needs none). Fixed-rank variants can at best reach the
     // noise floor; the constants are the usual sketch-quality factors with
-    // generous margin — one-sided ~(1 + √(r/(s−1))), two-sided paying an
-    // extra pseudo-inverse conditioning factor.
+    // generous margin, ~(1 + √(r/(s−1))) for a one-sided sketch.
     let rows = vec![
         measure(
             "rounding_qr",
@@ -163,15 +162,6 @@ fn main() {
             &x,
             xnorm,
             fixed(RandomizedVariant::OrthThenRand),
-            &capped,
-        ),
-        measure(
-            "rounding_two_sided",
-            10_000.0 * NOISE_REL,
-            reps,
-            &x,
-            xnorm,
-            fixed(RandomizedVariant::TwoSided),
             &capped,
         ),
         measure(

@@ -5,24 +5,15 @@
 //! of computing the last one, each step being a core-times-matrix (local)
 //! followed by a two-mode core contraction (local `gemm` + one allreduce).
 //! The non-symmetric update (`gemm` + `gemm`) is used, as the paper chooses
-//! empirically; see `bench/gram_sweep` for the symmetric-variant ablation.
-//!
-//! Every Gram contraction dispatches on
-//! [`RoundingOptions::gram_precision`](crate::round::RoundingOptions): the
-//! default accumulates in `f64`, while [`GramPrecision::F32`] routes the same
-//! products through the `f32` blocked kernels (`tt_linalg::block32`) — the
-//! Gram floor moves from `sqrt(eps_f64)` to `sqrt(eps_f32)`, which is free
-//! whenever the requested tolerance is looser than `~1e-3`. Cores, truncation
-//! factors, and core updates always stay `f64`.
+//! empirically; see the `gram_sweep` group in
+//! `crates/tt-bench/benches/kernels.rs` for the symmetric-variant ablation.
 
 use crate::core::TtCore;
 use crate::round::truncate::{gram_truncate, SingularSide};
-use crate::round::{GramPrecision, RoundReport, RoundingOptions};
+use crate::round::{RoundReport, RoundingOptions};
 use crate::tensor::TtTensor;
 use tt_comm::Communicator;
-use tt_linalg::{
-    gemm_alloc, gemm_f32_v, gemm_v, syrk_f32_v, syrk_v, MatMut, MatRef, Matrix, Trans,
-};
+use tt_linalg::{gemm_alloc, gemm_v, syrk_v, Matrix, Trans};
 
 /// Per-sweep buffer pool for the rounding hot path.
 ///
@@ -144,56 +135,18 @@ pub(crate) fn postmult_v_s(core: &TtCore, w: &Matrix, s: &mut SweepScratch) -> T
     TtCore::from_v(out, core.r0(), core.mode_dim(), w.cols())
 }
 
-/// Gram-product `gemm`, dispatched on the accumulation precision
-/// ([`RoundingOptions::gram_precision`]). Only the *Gram* contractions run
-/// through here — core updates (`premult_h`/`postmult_v`) always stay `f64`,
-/// since the cores themselves are never demoted.
-fn gram_gemm_v(
-    p: GramPrecision,
-    ta: Trans,
-    a: MatRef<'_>,
-    tb: Trans,
-    b: MatRef<'_>,
-    c: MatMut<'_>,
-) {
-    match p {
-        GramPrecision::F64 => gemm_v(ta, a, tb, b, 1.0, 0.0, c),
-        GramPrecision::F32 => gemm_f32_v(ta, a, tb, b, 1.0, 0.0, c),
-    }
-}
-
-/// Gram-product `syrk` (`AᵀA`), dispatched on the accumulation precision.
-fn gram_syrk_v(p: GramPrecision, a: MatRef<'_>, alpha: f64) -> Matrix {
-    match p {
-        GramPrecision::F64 => syrk_v(a, alpha),
-        GramPrecision::F32 => syrk_f32_v(a, alpha),
-    }
-}
-
 /// Two-mode contraction `H(A)·H(B)ᵀ` (local part) + allreduce.
-fn contract_h(
-    comm: &impl Communicator,
-    a: &TtCore,
-    b: &TtCore,
-    s: &mut SweepScratch,
-    p: GramPrecision,
-) -> Matrix {
+fn contract_h(comm: &impl Communicator, a: &TtCore, b: &TtCore, s: &mut SweepScratch) -> Matrix {
     let mut g = s.take(a.r0(), b.r0());
-    gram_gemm_v(p, Trans::No, a.h(), Trans::Yes, b.h(), g.view_mut());
+    gemm_v(Trans::No, a.h(), Trans::Yes, b.h(), 1.0, 0.0, g.view_mut());
     comm.allreduce_sum(g.as_mut_slice());
     g
 }
 
 /// Two-mode contraction `V(A)ᵀ·V(B)` (local part) + allreduce.
-fn contract_v(
-    comm: &impl Communicator,
-    a: &TtCore,
-    b: &TtCore,
-    s: &mut SweepScratch,
-    p: GramPrecision,
-) -> Matrix {
+fn contract_v(comm: &impl Communicator, a: &TtCore, b: &TtCore, s: &mut SweepScratch) -> Matrix {
     let mut g = s.take(a.r1(), b.r1());
-    gram_gemm_v(p, Trans::Yes, a.v(), Trans::No, b.v(), g.view_mut());
+    gemm_v(Trans::Yes, a.v(), Trans::No, b.v(), 1.0, 0.0, g.view_mut());
     comm.allreduce_sum(g.as_mut_slice());
     g
 }
@@ -236,14 +189,9 @@ impl PostedGram<'_> {
     }
 }
 
-/// Local SYRK `V(A)ᵀ·V(A)` + posted allreduce (left Gram of a bond).
-fn post_gram_syrk<'a>(
-    comm: &'a impl Communicator,
-    core: &TtCore,
-    p: GramPrecision,
-    overlap: bool,
-) -> PostedGram<'a> {
-    let g = gram_syrk_v(p, core.v(), 1.0);
+/// Posts the allreduce of a locally contracted Gram matrix, waiting for it
+/// at once unless `overlap` is on.
+fn post(comm: &impl Communicator, g: Matrix, overlap: bool) -> PostedGram<'_> {
     let (rows, cols) = (g.rows(), g.cols());
     let posted = PostedGram::InFlight {
         req: comm.iallreduce_sum(g.into_vec()),
@@ -255,6 +203,11 @@ fn post_gram_syrk<'a>(
     } else {
         PostedGram::Done(posted.wait())
     }
+}
+
+/// Local SYRK `V(A)ᵀ·V(A)` + posted allreduce (left Gram of a bond).
+fn post_gram_syrk<'a>(comm: &'a impl Communicator, core: &TtCore, overlap: bool) -> PostedGram<'a> {
+    post(comm, syrk_v(core.v(), 1.0), overlap)
 }
 
 /// Local `H(A)·H(B)ᵀ` + posted allreduce ([`contract_h`], deferred wait).
@@ -263,22 +216,11 @@ fn post_contract_h<'a>(
     a: &TtCore,
     b: &TtCore,
     s: &mut SweepScratch,
-    p: GramPrecision,
     overlap: bool,
 ) -> PostedGram<'a> {
     let mut g = s.take(a.r0(), b.r0());
-    gram_gemm_v(p, Trans::No, a.h(), Trans::Yes, b.h(), g.view_mut());
-    let (rows, cols) = (g.rows(), g.cols());
-    let posted = PostedGram::InFlight {
-        req: comm.iallreduce_sum(g.into_vec()),
-        rows,
-        cols,
-    };
-    if overlap {
-        posted
-    } else {
-        PostedGram::Done(posted.wait())
-    }
+    gemm_v(Trans::No, a.h(), Trans::Yes, b.h(), 1.0, 0.0, g.view_mut());
+    post(comm, g, overlap)
 }
 
 /// Local `V(A)ᵀ·V(B)` + posted allreduce ([`contract_v`], deferred wait).
@@ -287,22 +229,11 @@ fn post_contract_v<'a>(
     a: &TtCore,
     b: &TtCore,
     s: &mut SweepScratch,
-    p: GramPrecision,
     overlap: bool,
 ) -> PostedGram<'a> {
     let mut g = s.take(a.r1(), b.r1());
-    gram_gemm_v(p, Trans::Yes, a.v(), Trans::No, b.v(), g.view_mut());
-    let (rows, cols) = (g.rows(), g.cols());
-    let posted = PostedGram::InFlight {
-        req: comm.iallreduce_sum(g.into_vec()),
-        rows,
-        cols,
-    };
-    if overlap {
-        posted
-    } else {
-        PostedGram::Done(posted.wait())
-    }
+    gemm_v(Trans::Yes, a.v(), Trans::No, b.v(), 1.0, 0.0, g.view_mut());
+    post(comm, g, overlap)
 }
 
 /// Both Gram sweeps, ping-ponged so each chain's allreduce is in flight
@@ -314,7 +245,6 @@ fn gram_sweeps_interleaved(
     comm: &impl Communicator,
     x: &TtTensor,
     s: &mut SweepScratch,
-    p: GramPrecision,
     overlap: bool,
 ) -> (Vec<Matrix>, Vec<Matrix>) {
     let n = x.order();
@@ -325,17 +255,16 @@ fn gram_sweeps_interleaved(
         x.core(n - 1),
         x.core(n - 1),
         s,
-        p,
         overlap,
     ));
-    let mut posted_l = Some(post_gram_syrk(comm, x.core(0), p, overlap));
+    let mut posted_l = Some(post_gram_syrk(comm, x.core(0), overlap));
     let (mut kr, mut kl) = (n - 1, 1);
     while posted_r.is_some() || posted_l.is_some() {
         if let Some(pr) = posted_r.take() {
             gr[kr] = pr.wait();
             if kr > 0 {
                 let c = postmult_v_s(x.core(kr - 1), &gr[kr], s);
-                posted_r = Some(post_contract_h(comm, &c, x.core(kr - 1), s, p, overlap));
+                posted_r = Some(post_contract_h(comm, &c, x.core(kr - 1), s, overlap));
                 s.recycle_core(c);
                 kr -= 1;
             }
@@ -344,7 +273,7 @@ fn gram_sweeps_interleaved(
             gl[kl] = pl.wait();
             if kl < n {
                 let e = premult_h_s(x.core(kl), &gl[kl], s);
-                posted_l = Some(post_contract_v(comm, x.core(kl), &e, s, p, overlap));
+                posted_l = Some(post_contract_v(comm, x.core(kl), &e, s, overlap));
                 s.recycle_core(e);
                 kl += 1;
             }
@@ -358,21 +287,16 @@ fn gram_sweeps_interleaved(
 /// Returns `g` with `g[b] = G_b^R` for `0 ≤ b ≤ N-1`; `g[0]` is the `1×1`
 /// matrix `‖X‖²`.
 pub fn gram_sweep_right(comm: &impl Communicator, x: &TtTensor) -> Vec<Matrix> {
-    gram_sweep_right_s(comm, x, &mut SweepScratch::new(), GramPrecision::F64)
+    gram_sweep_right_s(comm, x, &mut SweepScratch::new())
 }
 
-fn gram_sweep_right_s(
-    comm: &impl Communicator,
-    x: &TtTensor,
-    s: &mut SweepScratch,
-    p: GramPrecision,
-) -> Vec<Matrix> {
+fn gram_sweep_right_s(comm: &impl Communicator, x: &TtTensor, s: &mut SweepScratch) -> Vec<Matrix> {
     let n = x.order();
     let mut g = vec![Matrix::identity(1); n];
-    g[n - 1] = contract_h(comm, x.core(n - 1), x.core(n - 1), s, p);
+    g[n - 1] = contract_h(comm, x.core(n - 1), x.core(n - 1), s);
     for k in (0..n - 1).rev() {
         let c = postmult_v_s(x.core(k), &g[k + 1], s);
-        g[k] = contract_h(comm, &c, x.core(k), s, p);
+        g[k] = contract_h(comm, &c, x.core(k), s);
         s.recycle_core(c);
     }
     g
@@ -384,23 +308,18 @@ fn gram_sweep_right_s(
 /// Returns `g` with `g[b] = G_b^L` for `1 ≤ b ≤ N`; `g[N]` is the `1×1`
 /// matrix `‖X‖²`. (`g[0]` is unused and left as the `1×1` identity.)
 pub fn gram_sweep_left(comm: &impl Communicator, x: &TtTensor) -> Vec<Matrix> {
-    gram_sweep_left_s(comm, x, &mut SweepScratch::new(), GramPrecision::F64)
+    gram_sweep_left_s(comm, x, &mut SweepScratch::new())
 }
 
-fn gram_sweep_left_s(
-    comm: &impl Communicator,
-    x: &TtTensor,
-    s: &mut SweepScratch,
-    p: GramPrecision,
-) -> Vec<Matrix> {
+fn gram_sweep_left_s(comm: &impl Communicator, x: &TtTensor, s: &mut SweepScratch) -> Vec<Matrix> {
     let n = x.order();
     let mut g = vec![Matrix::identity(1); n + 1];
-    let mut g1 = gram_syrk_v(p, x.core(0).v(), 1.0);
+    let mut g1 = syrk_v(x.core(0).v(), 1.0);
     comm.allreduce_sum(g1.as_mut_slice());
     g[1] = g1;
     for k in 1..n {
         let e = premult_h_s(x.core(k), &g[k], s);
-        g[k + 1] = contract_v(comm, x.core(k), &e, s, p);
+        g[k + 1] = contract_v(comm, x.core(k), &e, s);
         s.recycle_core(e);
     }
     g
@@ -469,7 +388,7 @@ pub(crate) fn round_gram_rlr_dist(
     let n = y.order();
     let ranks_before = y.ranks();
     let mut truncations = Vec::with_capacity(n - 1);
-    let gr = gram_sweep_right_s(comm, &y, scratch, opts.gram_precision);
+    let gr = gram_sweep_right_s(comm, &y, scratch);
     let norm = gr[0][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
     // Left-to-right truncation; left cores stay orthonormal, the singular
@@ -477,7 +396,7 @@ pub(crate) fn round_gram_rlr_dist(
     // after its premult update but never the postmultiplied core b-1, so
     // the allreduce is posted right after the premult and the postmult runs
     // in its shadow.
-    let mut posted = post_gram_syrk(comm, y.core(0), opts.gram_precision, opts.overlap);
+    let mut posted = post_gram_syrk(comm, y.core(0), opts.overlap);
     for (b, gr_b) in gr.iter().enumerate().take(n).skip(1) {
         let gl = posted.take_wait();
         let upd = gram_truncate(b, &gl, gr_b, eps0, opts.max_rank, SingularSide::Right);
@@ -485,7 +404,7 @@ pub(crate) fn round_gram_rlr_dist(
         let right = premult_h_s(y.core(b), &upd.w_right, scratch);
         let retired = std::mem::replace(y.core_mut(b), right);
         if b + 1 < n {
-            posted = post_gram_syrk(comm, y.core(b), opts.gram_precision, opts.overlap);
+            posted = post_gram_syrk(comm, y.core(b), opts.overlap);
         }
         let left = postmult_v_s(y.core(b - 1), &upd.w_left, scratch);
         scratch.recycle_core(std::mem::replace(y.core_mut(b - 1), left));
@@ -511,7 +430,7 @@ pub(crate) fn round_gram_lrl_dist(
     let n = y.order();
     let ranks_before = y.ranks();
     let mut truncations = Vec::with_capacity(n - 1);
-    let gl = gram_sweep_left_s(comm, &y, scratch, opts.gram_precision);
+    let gl = gram_sweep_left_s(comm, &y, scratch);
     let norm = gl[n][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
     // Right-to-left truncation; right cores stay orthonormal, the singular
@@ -519,14 +438,7 @@ pub(crate) fn round_gram_lrl_dist(
     // after its postmult update but never the premultiplied core b, so the
     // allreduce is posted right after the postmult and the premult runs in
     // its shadow.
-    let mut posted = post_contract_h(
-        comm,
-        y.core(n - 1),
-        y.core(n - 1),
-        scratch,
-        opts.gram_precision,
-        opts.overlap,
-    );
+    let mut posted = post_contract_h(comm, y.core(n - 1), y.core(n - 1), scratch, opts.overlap);
     for b in (1..n).rev() {
         let gr = posted.take_wait();
         let upd = gram_truncate(b, &gl[b], &gr, eps0, opts.max_rank, SingularSide::Left);
@@ -534,14 +446,7 @@ pub(crate) fn round_gram_lrl_dist(
         let left = postmult_v_s(y.core(b - 1), &upd.w_left, scratch);
         let retired = std::mem::replace(y.core_mut(b - 1), left);
         if b > 1 {
-            posted = post_contract_h(
-                comm,
-                y.core(b - 1),
-                y.core(b - 1),
-                scratch,
-                opts.gram_precision,
-                opts.overlap,
-            );
+            posted = post_contract_h(comm, y.core(b - 1), y.core(b - 1), scratch, opts.overlap);
         }
         let right = premult_h_s(y.core(b), &upd.w_right, scratch);
         scratch.recycle_core(std::mem::replace(y.core_mut(b), right));
@@ -570,7 +475,7 @@ pub(crate) fn round_gram_sim_dist(
     let ranks_before = y.ranks();
     // The two sweeps are mutually independent chains: ping-pong them so one
     // chain's allreduce flies while the other runs its local contraction.
-    let (gl, gr) = gram_sweeps_interleaved(comm, &y, scratch, opts.gram_precision, opts.overlap);
+    let (gl, gr) = gram_sweeps_interleaved(comm, &y, scratch, opts.overlap);
     let norm = gr[0][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
 
@@ -833,65 +738,6 @@ mod tests {
             scratch.fresh,
             scratch.reuses
         );
-    }
-
-    #[test]
-    fn f32_gram_rounding_recovers_ranks_at_loose_tolerance() {
-        // With f32 Gram accumulation the attainable floor is
-        // sqrt(eps_f32) ≈ 3.4e-4; at a 3e-3 tolerance the redundant ranks
-        // must still be recovered exactly and the value reproduced within
-        // the requested bound.
-        let (base, doubled) = redundant(&[5, 4, 6, 5], &[3, 2, 4], 40);
-        let mut expect = base.clone();
-        expect.scale(2.0);
-        let comm = SelfComm::new();
-        let tol = 3e-3;
-        let opts = RoundingOptions::with_tolerance(tol).gram_f32();
-        let run = |method| round(&comm, doubled.clone(), method, &opts);
-        for (name, (y, report)) in [
-            ("rlr", run(RoundingMethod::GramRlr)),
-            ("lrl", run(RoundingMethod::GramLrl)),
-            ("sim", run(RoundingMethod::GramSim)),
-        ] {
-            assert_eq!(y.ranks(), vec![1, 3, 2, 4, 1], "{name}: ranks");
-            let err = y.sub(&expect).norm();
-            assert!(
-                err <= tol * expect.norm() * 1.5 + 1e-12,
-                "{name}: err {err:e} vs tol {tol:e}"
-            );
-            // The norm estimate comes out of the f32 Gram sweep; it must
-            // still agree with the true norm to f32 accuracy.
-            let nrm = doubled.norm();
-            assert!(
-                (report.norm - nrm).abs() < 1e-5 * (1.0 + nrm),
-                "{name}: norm {} vs {}",
-                report.norm,
-                nrm
-            );
-        }
-    }
-
-    #[test]
-    fn f32_gram_error_scales_with_sqrt_eps_f32() {
-        // Componentwise agreement with the f64 oracle at a tolerance well
-        // above both floors: the two precisions must produce the same rank
-        // decisions and tensors within a sqrt(eps_f32)-scaled bound.
-        let (_, doubled) = redundant(&[4, 6, 3, 5], &[2, 3, 2], 41);
-        let comm = SelfComm::new();
-        let tol = 1e-2;
-        let opts64 = RoundingOptions::with_tolerance(tol);
-        let opts32 = RoundingOptions::with_tolerance(tol).gram_f32();
-        let floor = (f32::EPSILON as f64).sqrt(); // ≈ 3.4e-4
-        for order in [RoundingMethod::GramRlr, RoundingMethod::GramLrl] {
-            let (y64, _) = round(&comm, doubled.clone(), order, &opts64);
-            let (y32, _) = round(&comm, doubled.clone(), order, &opts32);
-            assert_eq!(y64.ranks(), y32.ranks(), "{order:?}: rank decisions");
-            let err = y32.sub(&y64).norm();
-            assert!(
-                err < 8.0 * floor * (1.0 + y64.norm()),
-                "{order:?}: f32-vs-f64 err {err:e} above sqrt(eps_f32) scale"
-            );
-        }
     }
 
     #[test]

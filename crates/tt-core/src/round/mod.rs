@@ -33,26 +33,6 @@ use crate::tensor::TtTensor;
 use gram::SweepScratch;
 use tt_comm::Communicator;
 
-/// Precision in which the Gram matrices of the Gram-SVD variants are
-/// accumulated.
-///
-/// The Gram approach already concedes `sqrt(eps)` accuracy (§II-B):
-/// singular values below `sqrt(eps)·‖X‖` are unrecoverable from `GᵀG`
-/// regardless of accumulation precision. [`GramPrecision::F32`] trades the
-/// floor up from `sqrt(eps_f64) ≈ 1.5e-8` to `sqrt(eps_f32) ≈ 3.4e-4`
-/// in exchange for half the Gram-product memory traffic and twice the
-/// SIMD lane width — free accuracy-wise whenever the requested rounding
-/// tolerance is looser than `~1e-3`. Truncation, orthogonalization, and
-/// the cores themselves always stay `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GramPrecision {
-    /// Accumulate Gram matrices in `f64` (default).
-    #[default]
-    F64,
-    /// Accumulate Gram matrices in `f32` (opt-in, loose tolerances only).
-    F32,
-}
-
 /// Options controlling a rounding call.
 #[derive(Debug, Clone)]
 pub struct RoundingOptions {
@@ -66,9 +46,6 @@ pub struct RoundingOptions {
     /// target rank of the fixed-rank randomized variants (`None` keeps each
     /// bond's current rank); the adaptive variant ignores it.
     pub max_rank: Option<usize>,
-    /// Gram-matrix accumulation precision (Gram-SVD variants only; the
-    /// other methods ignore it).
-    pub gram_precision: GramPrecision,
     /// Overlap each bond's Gram allreduce with the next bond's local work
     /// (post with `iallreduce_sum`, wait only when the truncation decision
     /// needs the reduced matrix). On by default; `serial_waits()` restores
@@ -84,7 +61,6 @@ impl RoundingOptions {
         RoundingOptions {
             tolerance,
             max_rank: None,
-            gram_precision: GramPrecision::F64,
             overlap: true,
         }
     }
@@ -92,13 +68,6 @@ impl RoundingOptions {
     /// Adds a hard rank cap.
     pub fn max_rank(mut self, r: usize) -> Self {
         self.max_rank = Some(r);
-        self
-    }
-
-    /// Accumulates the Gram matrices in reduced (`f32`) precision — see
-    /// [`GramPrecision`] for the accuracy trade.
-    pub fn gram_f32(mut self) -> Self {
-        self.gram_precision = GramPrecision::F32;
         self
     }
 
@@ -174,8 +143,8 @@ pub struct RoundReport {
     /// `‖X‖` as computed by the algorithm (from `G₀ᴿ`/`G_Nᴸ` for the Gram
     /// variants and adaptive randomized rounding, from the orthogonalized
     /// end core for QR and orthogonalize-then-randomize). `f64::NAN` for
-    /// the two sketch-only randomized variants (randomize-then-orthogonalize
-    /// and two-sided) on trains of two or more cores: they never form ‖X‖.
+    /// the sketch-only randomize-then-orthogonalize variant on trains of two
+    /// or more cores: it never forms ‖X‖.
     pub norm: f64,
     /// Rank chain before rounding.
     pub ranks_before: Vec<usize>,
@@ -262,7 +231,6 @@ pub fn round(
                 RandomizedVariant::OrthThenRand => {
                     random::round_orth_then_rand_dist(comm, x, opts, sketch)
                 }
-                RandomizedVariant::TwoSided => random::round_two_sided_dist(comm, x, opts, sketch),
                 RandomizedVariant::AdaptiveKr => {
                     random::round_adaptive_kr_dist(comm, x, opts, sketch)
                 }

@@ -14,18 +14,13 @@
 //!   with small replicated Gaussians. One extra TSQR sweep buys a
 //!   *computable* per-bond error bound ([`RoundReport::certified_error`](crate::round::RoundReport::certified_error))
 //!   because the trailing cores stay row-orthonormal while truncating.
-//! * [`RandomizedVariant::TwoSided`] — *two-sided sketching* (the
-//!   generalized-Nyström / streaming-TT-approximation scheme of arXiv
-//!   2110.04393 §3.4): independent left and right random TT sketches, no
-//!   orthogonalization pass at all; cores are recovered through pseudo-
-//!   inverses of the small cross matrices `Ψ_b = U_b W_b`.
 //! * [`RandomizedVariant::AdaptiveKr`] — *adaptive Khatri–Rao rounding*
 //!   (arXiv 2511.03598): Khatri–Rao-structured sketch matrices whose column
 //!   count grows geometrically until a posterior ε estimate certifies
 //!   `‖X − Y‖ ≤ ε‖X‖`, removing the fixed-target-rank limitation of the
-//!   other three; it certifies [`RoundingOptions::tolerance`].
+//!   other two; it certifies [`RoundingOptions::tolerance`].
 //!
-//! The three fixed-rank variants round every bond to the
+//! The two fixed-rank variants round every bond to the
 //! [`RoundingOptions::max_rank`] target (plus oversampling in the sketch).
 //!
 //! Every variant is written once against [`tt_comm::Communicator`] and
@@ -38,12 +33,10 @@ mod adaptive;
 mod orth_then_rand;
 mod rand_then_orth;
 pub(crate) mod sketch;
-mod two_sided;
 
 pub(crate) use adaptive::round_adaptive_kr_dist;
 pub(crate) use orth_then_rand::round_orth_then_rand_dist;
 pub(crate) use rand_then_orth::round_rand_then_orth_dist;
-pub(crate) use two_sided::round_two_sided_dist;
 
 use crate::round::RoundingOptions;
 use crate::tensor::TtTensor;
@@ -58,8 +51,6 @@ pub enum RandomizedVariant {
     RandThenOrth,
     /// Orthogonalize-then-randomize (Alg. 3.2); computable error bound.
     OrthThenRand,
-    /// Two-sided sketching (generalized Nyström, §3.4); no orthogonalization.
-    TwoSided,
     /// Adaptive Khatri–Rao sketching with an ε certificate (arXiv
     /// 2511.03598); ignores the rank cap.
     AdaptiveKr,
@@ -137,10 +128,9 @@ mod tests {
     }
 
     /// The fixed-rank variants, for matrix-style tests.
-    pub(super) const FIXED_RANK: [RandomizedVariant; 3] = [
+    pub(super) const FIXED_RANK: [RandomizedVariant; 2] = [
         RandomizedVariant::RandThenOrth,
         RandomizedVariant::OrthThenRand,
-        RandomizedVariant::TwoSided,
     ];
 
     #[test]
@@ -181,13 +171,7 @@ mod tests {
         for variant in FIXED_RANK {
             let (y, _) = round_seq(&x, method(variant, 5, 0x5eed), &capped(3));
             let err = y.to_dense().fro_dist(&x.to_dense()) / x.norm();
-            // Two-sided pays an extra pseudo-inverse conditioning factor on
-            // top of the sketch constant; the one-sided variants don't.
-            let bound = match variant {
-                RandomizedVariant::TwoSided => 1e-3,
-                _ => 1e-4,
-            };
-            assert!(err < bound, "{variant:?}: err {err}");
+            assert!(err < 1e-4, "{variant:?}: err {err}");
         }
     }
 

@@ -22,11 +22,11 @@ const MIX_TAG: u64 = 0x94d049bb133111eb;
 const MIX_COL: u64 = 0xbf58476d1ce4e5b9;
 
 /// Stream namespaces, one per consumer (`tag = 0` reproduces the original
-/// randomize-then-orthogonalize sketch bit-for-bit).
+/// randomize-then-orthogonalize sketch bit-for-bit). Tags 2 and 3 are
+/// unused: renumbering the Khatri–Rao tag would change every adaptive
+/// sketch.
 pub(crate) const TAG_TT_SKETCH: u64 = 0;
 pub(crate) const TAG_ORTH_RAND: u64 = 1;
-pub(crate) const TAG_TWO_SIDED_RIGHT: u64 = 2;
-pub(crate) const TAG_TWO_SIDED_LEFT: u64 = 3;
 pub(crate) const TAG_KHATRI_RAO: u64 = 4;
 
 fn base_seed(seed: u64, tag: u64) -> u64 {
@@ -170,7 +170,7 @@ mod tests {
         let dims = [5usize, 4];
         let ranks = [2usize];
         let a = gaussian_tt_sketch(&dims, &ranks, 1, 0, 7, false, TAG_TT_SKETCH);
-        let b = gaussian_tt_sketch(&dims, &ranks, 1, 0, 7, false, TAG_TWO_SIDED_RIGHT);
+        let b = gaussian_tt_sketch(&dims, &ranks, 1, 0, 7, false, TAG_ORTH_RAND);
         assert_ne!(a, b, "different tags must not alias");
         let g1 = replicated_gaussian(4, 3, 7, TAG_ORTH_RAND, 0);
         let g2 = replicated_gaussian(4, 3, 7, TAG_ORTH_RAND, 1);

@@ -69,7 +69,6 @@ fn randomized_family_bitwise_identical_across_thread_counts() {
     let variants = [
         RandomizedVariant::RandThenOrth,
         RandomizedVariant::OrthThenRand,
-        RandomizedVariant::TwoSided,
         RandomizedVariant::AdaptiveKr,
     ];
     for variant in variants {

@@ -19,10 +19,9 @@ use tt_core::{
     TtTensor,
 };
 
-const ALL_VARIANTS: [RandomizedVariant; 4] = [
+const ALL_VARIANTS: [RandomizedVariant; 3] = [
     RandomizedVariant::RandThenOrth,
     RandomizedVariant::OrthThenRand,
-    RandomizedVariant::TwoSided,
     RandomizedVariant::AdaptiveKr,
 ];
 
@@ -189,13 +188,9 @@ fn sketch_seed_determinism_and_independence() {
         // results stay within the variant's error bound — randomness moves
         // the sketch, not the guarantee.
         let c = run_dist(&x, 2, &opts_for(variant, 3, 1234));
-        let slack = match variant {
-            RandomizedVariant::TwoSided => 1e-5,
-            _ => 1e-7,
-        };
         for (name, out) in [("seed 99", &a[0]), ("seed 1234", &c[0])] {
             let err = out.to_dense().fro_dist(&expect);
-            assert!(err <= slack * (1.0 + norm), "{variant:?} {name}: err {err}");
+            assert!(err <= 1e-7 * (1.0 + norm), "{variant:?} {name}: err {err}");
         }
     }
 }

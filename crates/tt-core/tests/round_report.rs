@@ -1,20 +1,19 @@
 //! The one `RoundReport` every rounding method returns: a table test over
-//! all eight methods (four deterministic, four randomized) at p ∈ {1, 2}.
+//! all seven methods (four deterministic, three randomized) at p ∈ {1, 2}.
 
 use rand::SeedableRng;
-use tt_core::RandomizedVariant::{AdaptiveKr, OrthThenRand, RandThenOrth, TwoSided};
+use tt_core::RandomizedVariant::{AdaptiveKr, OrthThenRand, RandThenOrth};
 use tt_core::RoundingMethod::{self, GramLrl, GramRlr, GramSim, Qr};
 use tt_core::{gather_tensor, round, scatter_tensor, RoundReport, RoundingOptions, TtTensor};
 
 /// Every method, with whether it is sketch-only (never forms ‖X‖).
-const METHODS: [(RoundingMethod, bool); 8] = [
+const METHODS: [(RoundingMethod, bool); 7] = [
     (Qr, false),
     (GramRlr, false),
     (GramLrl, false),
     (GramSim, false),
     (randomized(RandThenOrth), true),
     (randomized(OrthThenRand), false),
-    (randomized(TwoSided), true),
     (randomized(AdaptiveKr), false),
 ];
 

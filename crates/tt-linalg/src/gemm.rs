@@ -203,87 +203,6 @@ pub fn syrk_nt_v(a: MatRef<'_>, alpha: f64) -> Matrix {
     }
 }
 
-/// `C = alpha * op(A) * op(B) + beta * C` with the multiply accumulated in
-/// **f32** (see [`crate::block32`]). Same dispatcher policy as [`gemm_v`]:
-/// sub-threshold problems run the naive f32 loops, larger ones the blocked
-/// f32 engine; paranoid sampling verifies against f64 dot products with
-/// f32-epsilon-scaled tolerances. Opt-in via the rounding options — the
-/// accuracy floor is `sqrt(eps_f32) ≈ 3.4e-4` relative.
-pub fn gemm_f32_v(
-    ta: Trans,
-    a: MatRef<'_>,
-    tb: Trans,
-    b: MatRef<'_>,
-    alpha: f64,
-    beta: f64,
-    mut c: MatMut<'_>,
-) {
-    let (m, ka) = ta.dims(&a);
-    let (kb, n) = tb.dims(&b);
-    assert_eq!(
-        ka, kb,
-        "gemm_f32 inner dimensions must agree ({ka} vs {kb})"
-    );
-    assert_eq!(c.shape(), (m, n), "gemm_f32 output shape mismatch");
-    crate::paranoid::check_finite("gemm_f32", "A", a.as_slice());
-    crate::paranoid::check_finite("gemm_f32", "B", b.as_slice());
-    crate::paranoid::check_finite_scalar("gemm_f32", "alpha", alpha);
-    crate::paranoid::check_finite_scalar("gemm_f32", "beta", beta);
-    let k = ka;
-
-    let samples = sample_entries_before(m, n, beta, &c);
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        c.scale(beta);
-    }
-    if alpha != 0.0 && m > 0 && n > 0 && k > 0 {
-        match kernel_choice(m, n, k) {
-            Kernel::Reference => crate::block32::gemm_ref_f32(ta, a, tb, b, alpha, &mut c),
-            Kernel::Blocked => crate::block32::gemm_accumulate_f32(ta, a, tb, b, alpha, &mut c),
-        }
-    }
-    verify_samples_eps(ta, a, tb, b, alpha, beta, &c, k, &samples, F32_ACC_EPS);
-}
-
-/// View-based symmetric rank-k update `C = alpha * Aᵀ A` accumulated in
-/// **f32** — the reduced-precision twin of [`syrk_v`] for the Gram path.
-pub fn syrk_f32_v(a: MatRef<'_>, alpha: f64) -> Matrix {
-    crate::paranoid::check_finite("syrk_f32", "A", a.as_slice());
-    crate::paranoid::check_finite_scalar("syrk_f32", "alpha", alpha);
-    let (k, _n) = a.shape();
-    let c = crate::block32::syrk_f32(a, alpha, block::SyrkShape::TransposeA);
-    verify_syrk_samples_eps(
-        "syrk_f32",
-        &c,
-        |i, j| alpha * reference::dot(a.col(i), a.col(j)),
-        (k as f64 + 8.0) * F32_ACC_EPS,
-    );
-    c
-}
-
-/// View-based `C = alpha * A Aᵀ` accumulated in **f32** — the
-/// reduced-precision twin of [`syrk_nt_v`] for the symmetric Gram sweep.
-pub fn syrk_nt_f32_v(a: MatRef<'_>, alpha: f64) -> Matrix {
-    crate::paranoid::check_finite("syrk_nt_f32", "A", a.as_slice());
-    crate::paranoid::check_finite_scalar("syrk_nt_f32", "alpha", alpha);
-    let (_m, k) = a.shape();
-    let c = crate::block32::syrk_f32(a, alpha, block::SyrkShape::TransposeB);
-    verify_syrk_samples_eps(
-        "syrk_nt_f32",
-        &c,
-        |i, j| {
-            let mut s = 0.0;
-            for l in 0..k {
-                s += a.at(i, l) * a.at(j, l);
-            }
-            alpha * s
-        },
-        (k as f64 + 8.0) * F32_ACC_EPS,
-    );
-    c
-}
-
 /// Flop count of a `gemm` with these dimensions (2·m·n·k), used by the
 /// performance-model instrumentation and the γ calibration. By construction
 /// this is the flop count of the *blocked* kernel [`kernel_choice`] selects
@@ -326,14 +245,10 @@ fn sample_entries_before(
         .collect()
 }
 
-/// The unit roundoff the paranoid checks assume for the f32-accumulation
-/// path: every partial sum lives in `f32`, so its epsilon bounds the
-/// componentwise error, not `f64`'s.
-const F32_ACC_EPS: f64 = f32::EPSILON as f64;
-
 /// Verifies the sampled entries of a blocked GEMM against dot products
 /// computed directly from the unpacked operands — the reference oracle at
-/// O(samples·k) cost. Panics with a kernel-naming diagnostic on mismatch.
+/// O(samples·k) cost. Panics with a kernel-naming diagnostic on mismatch,
+/// including a non-finite result where the oracle's value is finite.
 #[allow(clippy::too_many_arguments)]
 fn verify_samples(
     ta: Trans,
@@ -346,27 +261,6 @@ fn verify_samples(
     k: usize,
     samples: &[(usize, usize, f64)],
 ) {
-    verify_samples_eps(ta, a, tb, b, alpha, beta, c, k, samples, crate::EPS);
-}
-
-/// [`verify_samples`] parameterized by the accumulation unit roundoff, so
-/// the same oracle covers the f64 and f32 engines.
-#[allow(clippy::too_many_arguments)]
-fn verify_samples_eps(
-    ta: Trans,
-    a: MatRef<'_>,
-    tb: Trans,
-    b: MatRef<'_>,
-    alpha: f64,
-    beta: f64,
-    c: &MatMut<'_>,
-    k: usize,
-    samples: &[(usize, usize, f64)],
-    eps: f64,
-) {
-    if samples.is_empty() {
-        return;
-    }
     for &(i, j, c0) in samples {
         let mut s = 0.0;
         let mut abs = 0.0;
@@ -384,9 +278,9 @@ fn verify_samples_eps(
         }
         let expect = alpha * s + beta * c0;
         let scale = alpha.abs() * abs + (beta * c0).abs() + 1.0;
-        let tol = (k as f64 + 8.0) * 8.0 * eps * scale;
+        let tol = (k as f64 + 8.0) * 8.0 * crate::EPS * scale;
         let got = c.as_ref().at(i, j);
-        if (got - expect).abs() > tol {
+        if disagrees(got, expect, tol) {
             // analyze::allow(panic_surface): paranoid-mode oracle check — a wrong kernel result must abort, continuing would corrupt every downstream factorization
             panic!(
                 "gemm: paranoid check failed: blocked kernel disagrees with the \
@@ -400,18 +294,6 @@ fn verify_samples_eps(
 /// SYRK analogue of [`verify_samples`]: checks diagonal-adjacent samples of
 /// the symmetric result against directly computed entries.
 fn verify_syrk_samples(kernel: &str, c: &Matrix, entry: impl Fn(usize, usize) -> f64) {
-    verify_syrk_samples_eps(kernel, c, entry, 1e-10);
-}
-
-/// [`verify_syrk_samples`] parameterized by the relative tolerance, so the
-/// same oracle covers the f64 (1e-10) and f32-accumulation (k·eps_f32)
-/// engines.
-fn verify_syrk_samples_eps(
-    kernel: &str,
-    c: &Matrix,
-    entry: impl Fn(usize, usize) -> f64,
-    rel: f64,
-) {
     if !crate::paranoid::enabled() {
         return;
     }
@@ -425,9 +307,9 @@ fn verify_syrk_samples_eps(
         let flat = s * stride;
         let (i, j) = (flat % n, flat / n);
         let expect = entry(i, j);
-        let tol = rel * (1.0 + expect.abs()) + 1e-12;
+        let tol = 1e-10 * (1.0 + expect.abs()) + 1e-12;
         let got = c[(i, j)];
-        if (got - expect).abs() > tol {
+        if disagrees(got, expect, tol) {
             // analyze::allow(panic_surface): paranoid-mode oracle check — a wrong kernel result must abort, continuing would corrupt every downstream factorization
             panic!(
                 "{kernel}: paranoid check failed: blocked kernel disagrees with \
@@ -436,6 +318,13 @@ fn verify_syrk_samples_eps(
             );
         }
     }
+}
+
+/// Whether a kernel result fails its oracle: off by more than `tol`, or
+/// non-finite where the oracle is finite (`NaN - x > tol` is false, so the
+/// distance test alone would let a NaN through).
+fn disagrees(got: f64, expect: f64, tol: f64) -> bool {
+    (got - expect).abs() > tol || (!got.is_finite() && expect.is_finite())
 }
 
 #[cfg(test)]
@@ -584,6 +473,38 @@ mod tests {
         assert_eq!(crate::par::with_threads(4, || parallel_threads(8, 8, 8)), 4);
         // Without an override, big multiplies are capped by configuration.
         assert!(parallel_threads(512, 512, 512) <= crate::par::configured_threads());
+    }
+
+    #[test]
+    #[should_panic(expected = "paranoid check failed")]
+    fn gemm_oracle_rejects_nan_from_finite_inputs() {
+        let a = Matrix::identity(2);
+        let b = Matrix::identity(2);
+        // C = A·B is the identity, except one entry is NaN.
+        let mut c = Matrix::identity(2);
+        c[(1, 0)] = f64::NAN;
+        let samples = [(0, 0, 0.0), (1, 0, 0.0)];
+        let c = c.view_mut();
+        verify_samples(
+            Trans::No,
+            a.view(),
+            Trans::No,
+            b.view(),
+            1.0,
+            0.0,
+            &c,
+            2,
+            &samples,
+        );
+    }
+
+    #[test]
+    #[cfg(any(debug_assertions, feature = "paranoid"))]
+    #[should_panic(expected = "paranoid check failed")]
+    fn syrk_oracle_rejects_nan_from_finite_inputs() {
+        let mut c = Matrix::identity(2);
+        c[(0, 0)] = f64::NAN;
+        verify_syrk_samples("syrk", &c, |i, j| if i == j { 1.0 } else { 0.0 });
     }
 
     #[test]

@@ -34,7 +34,6 @@
 #![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod block;
-pub mod block32;
 pub mod chol;
 pub mod eig;
 pub mod gemm;
@@ -54,8 +53,8 @@ pub use block::SyrkShape;
 pub use chol::{cholesky, pivoted_cholesky, PivotedCholesky};
 pub use eig::{eigh, EigH};
 pub use gemm::{
-    gemm, gemm_alloc, gemm_f32_v, gemm_flops, gemm_into, gemm_v, kernel_choice, parallel_threads,
-    syrk, syrk_f32_v, syrk_nt_f32_v, syrk_nt_v, syrk_v, Kernel, Trans,
+    gemm, gemm_alloc, gemm_flops, gemm_into, gemm_v, kernel_choice, parallel_threads, syrk,
+    syrk_nt_v, syrk_v, Kernel, Trans,
 };
 pub use matrix::Matrix;
 pub use qr::{blocked_qr, householder_qr, householder_qr_unblocked, qr_stacked_pair, QrFactors};

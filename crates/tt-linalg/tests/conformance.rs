@@ -14,9 +14,7 @@
 //! `--features simd` the same properties run against the `std::simd`
 //! microkernels (the bounds already cover FMA's different rounding), so CI's
 //! simd job replays every shape/transpose/edge-slab case here against the
-//! same f64 oracle. The `f32_*` properties at the bottom hold the reduced-
-//! precision Gram-accumulation kernels (`block32`) to the analogous
-//! componentwise bound with `eps_f32` in place of `eps_f64`.
+//! same f64 oracle.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -206,101 +204,6 @@ proptest! {
         let tol = C_BOUND * (k as f64 + 2.0) * EPS
             * (1.0 + alpha.abs() * (a.max_abs() * b.max_abs()).max(1.0) * k as f64);
         prop_assert!(got.max_abs_diff(&expect) <= tol);
-    }
-}
-
-/// `f64::from(f32::EPSILON)`: the unit roundoff governing the reduced-
-/// precision Gram-accumulation path.
-const EPS32: f64 = f32::EPSILON as f64;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The f32-accumulation GEMM against the f64 oracle: all four transpose
-    /// combos, edge slabs (shape ranges straddle the MR/NR/KC boundaries),
-    /// non-unit alpha/beta — the f64 componentwise bound with `eps_f32` in
-    /// place of `eps_f64` (demotion of each operand entry is absorbed by
-    /// the same constant).
-    #[test]
-    fn f32_gemm_tracks_f64_oracle_componentwise(
-        m in 1usize..150,
-        n in 1usize..60,
-        k in 1usize..200,
-        ta in any::<bool>(),
-        tb in any::<bool>(),
-        alpha in -2.0f64..2.0,
-        beta in -1.5f64..1.5,
-        seed in any::<u64>(),
-    ) {
-        let (ta, tb) = (trans_from(ta), trans_from(tb));
-        let a = match ta { Trans::No => gaussian(m, k, seed), Trans::Yes => gaussian(k, m, seed) };
-        let b = match tb { Trans::No => gaussian(k, n, seed ^ 11), Trans::Yes => gaussian(n, k, seed ^ 11) };
-        let c0 = gaussian(m, n, seed ^ 22);
-
-        let mut got = c0.clone();
-        tt_linalg::gemm_f32_v(ta, a.view(), tb, b.view(), alpha, beta, got.view_mut());
-        let mut expect = c0.clone();
-        reference::gemm_v(ta, a.view(), tb, b.view(), alpha, beta, expect.view_mut());
-
-        let mut absprod = Matrix::zeros(m, n);
-        reference::gemm_v(
-            ta, abs_matrix(&a).view(), tb, abs_matrix(&b).view(),
-            alpha.abs(), 0.0, absprod.view_mut(),
-        );
-        let kf = k as f64 + 4.0;
-        for i in 0..m {
-            for j in 0..n {
-                let tol = C_BOUND * kf * EPS32 * (absprod[(i, j)] + 1.0)
-                    + C_BOUND * EPS32 * (beta * c0[(i, j)]).abs();
-                prop_assert!(
-                    (got[(i, j)] - expect[(i, j)]).abs() <= tol,
-                    "f32 gemm {}x{}x{} C[{},{}]", m, n, k, i, j
-                );
-            }
-        }
-    }
-
-    /// The f32-accumulation SYRK in both orientations against the f64
-    /// oracle, exact symmetry included (the property the Gram sweeps rely
-    /// on when feeding the symmetric eigensolver).
-    #[test]
-    fn f32_syrk_tracks_f64_oracle_componentwise(
-        rows in 1usize..180,
-        cols in 1usize..48,
-        alpha in -2.0f64..2.0,
-        seed in any::<u64>(),
-    ) {
-        let a = gaussian(rows, cols, seed);
-        let cases = [
-            (
-                "TN",
-                tt_linalg::syrk_f32_v(a.view(), alpha),
-                reference::syrk_v(a.view(), alpha),
-                rows,
-                cols,
-            ),
-            (
-                "NT",
-                tt_linalg::syrk_nt_f32_v(a.view(), alpha),
-                reference::syrk_nt_v(a.view(), alpha),
-                cols,
-                rows,
-            ),
-        ];
-        for (label, got, oracle, kdepth, dim) in cases {
-            let kf = kdepth as f64 + 4.0;
-            let scale = a.max_abs().max(1.0);
-            let tol = C_BOUND * kf * EPS32 * alpha.abs().max(1.0) * scale * scale;
-            for i in 0..dim {
-                for j in 0..dim {
-                    prop_assert!(
-                        (got[(i, j)] - oracle[(i, j)]).abs() <= tol,
-                        "f32 syrk {} {}x{} C[{},{}]", label, rows, cols, i, j
-                    );
-                    prop_assert_eq!(got[(i, j)], got[(j, i)]);
-                }
-            }
-        }
     }
 }
 

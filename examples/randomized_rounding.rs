@@ -1,6 +1,6 @@
 //! The paper's future-work direction (§VI), realized: randomized
 //! TT-Rounding. Compares accuracy and speed of all rounding methods —
-//! deterministic and the four randomized variants — on a tensor with
+//! deterministic and the three randomized variants — on a tensor with
 //! redundant ranks.
 //!
 //! Run with: `cargo run --release --example randomized_rounding`
@@ -65,11 +65,6 @@ fn main() {
         randomized(RandomizedVariant::OrthThenRand),
         &rank10,
     );
-    timed(
-        "Two-sided (Nystrom)",
-        randomized(RandomizedVariant::TwoSided),
-        &rank10,
-    );
     let akr = RoundingOptions::with_tolerance(1e-7);
     timed(
         "Adaptive KR (eps)",
@@ -81,8 +76,7 @@ fn main() {
     println!("expected ordering (paper §IV-E + §VI): QR slowest; sequence Gram variants");
     println!("beat the simultaneous one; rand-then-orth cheapest of all, at the price");
     println!("of a fixed target rank. Orth-then-rand pays one extra sweep for a");
-    println!("computable error certificate; two-sided skips orthogonalization but its");
-    println!("pseudo-inverse costs accuracy; adaptive KR needs no target rank — it");
+    println!("computable error certificate; adaptive KR needs no target rank — it");
     println!("grows the sketch until the eps-certificate holds.");
     println!("(rel errors sit at the sqrt(eps) TT-inner-product floor, ~1e-8)");
 }

@@ -649,7 +649,8 @@ fn rounding_retryable(failures: &[String]) -> bool {
     failures.iter().all(|f| f.contains("regressed"))
 }
 
-/// Applies the three rounding gates, returning the failure list.
+/// Applies the three rounding gates, and outside `record` requires a result
+/// for every baseline row, returning the failure list.
 fn evaluate_rounding(
     current: &[RoundingEntry],
     baseline: Option<&[RoundingEntry]>,
@@ -701,6 +702,16 @@ fn evaluate_rounding(
                 (REGRESSION_FACTOR - 1.0) * 100.0,
                 prev.mean_ns
             ));
+        }
+    }
+    // A baseline row no run produced means its variant was deleted or
+    // renamed: that changes what the gate covers, so it never passes
+    // silently. Re-recording the baseline is how a deletion is accepted.
+    if !record {
+        for prev in baseline.unwrap_or_default() {
+            if !current.iter().any(|cur| cur.id == prev.id) {
+                failures.push(format!("missing bench results for {}", prev.id));
+            }
         }
     }
     failures
@@ -1317,7 +1328,7 @@ mod tests {
     fn rounding_rank_and_timing_gates_use_the_baseline() {
         let base = vec![
             rounding_entry("rounding_qr", 100, 1e-6, 1.5e-4, 12),
-            rounding_entry("rounding_two_sided", 100, 1e-4, 1e-2, 12),
+            rounding_entry("rounding_gram_sim", 100, 1e-6, 1.5e-4, 12),
         ];
         // Identical run: clean.
         assert!(evaluate_rounding(&base, Some(&base), false, false).is_empty());
@@ -1344,9 +1355,27 @@ mod tests {
         // An entry with no baseline row is a new variant, not a failure.
         let extra = vec![
             base[0].clone(),
+            base[1].clone(),
             rounding_entry("rounding_new", 50, 1e-9, 1e-4, 3),
         ];
         assert!(evaluate_rounding(&extra, Some(&base), false, false).is_empty());
+    }
+
+    #[test]
+    fn rounding_baseline_row_without_results_is_a_structural_failure() {
+        let base = vec![
+            rounding_entry("rounding_qr", 100, 1e-6, 1.5e-4, 12),
+            rounding_entry("rounding_deleted", 100, 1e-6, 1.5e-4, 12),
+        ];
+        let run = vec![base[0].clone()];
+        let failures = evaluate_rounding(&run, Some(&base), false, false);
+        assert_eq!(
+            failures,
+            vec!["missing bench results for rounding_deleted".to_string()]
+        );
+        assert!(!rounding_retryable(&failures));
+        // Recording a new baseline is how a deleted variant is accepted.
+        assert!(evaluate_rounding(&run, Some(&base), true, false).is_empty());
     }
 
     #[test]

@@ -13,14 +13,13 @@ use xtask::scanner::CodeModel;
 use xtask::skeleton::{check_entry, is_dist_entry, Verdict};
 
 /// The protocols that must stay individually model-checked.
-const PINNED: [&str; 10] = [
+const PINNED: [&str; 9] = [
     "round_qr_dist",
     "round_gram_rlr_dist",
     "round_gram_lrl_dist",
     "round_gram_sim_dist",
     "round_rand_then_orth_dist",
     "round_orth_then_rand_dist",
-    "round_two_sided_dist",
     "round_adaptive_kr_dist",
     "round_single_core_dist",
     "tt_dist_gmres",
