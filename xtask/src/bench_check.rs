@@ -1480,4 +1480,246 @@ mod tests {
         assert!(failures[0].contains("missing bench results for par gemm 512^3"));
         assert!(!retryable(&failures));
     }
+
+    // -----------------------------------------------------------------------
+    // Golden verdicts over the committed baselines.
+    // -----------------------------------------------------------------------
+
+    /// A committed baseline file under `results/`, by stem.
+    fn committed(stem: &str) -> String {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../results/{stem}.json"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// Runs one gate's evaluator on the `current` JSONL run against the
+    /// committed baselines, returning its failures and whether the retry
+    /// loop would re-measure them; `None` when the gate does not run in
+    /// this mode.
+    fn gate_verdict(
+        gate: &str,
+        current: &str,
+        record: bool,
+        hw: bool,
+        simd: bool,
+    ) -> Option<(Vec<String>, bool)> {
+        let sfx = if simd { "_simd" } else { "" };
+        match gate {
+            "kernels" => {
+                let serial = parse_entries(&committed(&format!("BENCH_kernels{sfx}")));
+                let par = parse_entries(&committed(&format!("BENCH_kernels_par{sfx}")));
+                let scalar = parse_entries(&committed("BENCH_kernels"));
+                let scalar_ref = find(&scalar, "kernels_gemm_reference/256").map(|e| e.min_ns);
+                let current = parse_entries(current);
+                let f = evaluate(
+                    &current,
+                    Some(&serial),
+                    Some(&par),
+                    record,
+                    hw,
+                    simd,
+                    scalar_ref.filter(|_| simd),
+                    false,
+                );
+                let retry = retryable(&f);
+                Some((f, retry))
+            }
+            "rounding_ablation" if !simd => {
+                let base = parse_rounding_entries(&committed("BENCH_rounding_ablation"));
+                let f =
+                    evaluate_rounding(&parse_rounding_entries(current), Some(&base), record, false);
+                let retry = rounding_retryable(&f);
+                Some((f, retry))
+            }
+            "dist_overlap" if !simd => {
+                let base = parse_entries(&committed("BENCH_dist_overlap"));
+                let f = evaluate_overlap(&parse_entries(current), Some(&base), record, hw, false);
+                let retry = retryable(&f);
+                Some((f, retry))
+            }
+            _ => None,
+        }
+    }
+
+    /// The ids of a JSONL text's rows, in order.
+    fn ids(text: &str) -> Vec<String> {
+        text.lines().filter_map(|l| extract_str(l, "id")).collect()
+    }
+
+    /// Rewrites field `key` of row `id` with `f(old value)`.
+    fn set_field(text: &str, id: &str, key: &str, f: impl Fn(&str) -> String) -> String {
+        let row = format!("\"id\":\"{id}\"");
+        let pat = format!("\"{key}\":");
+        let mut out = String::new();
+        for line in text.lines() {
+            let mut line = line.to_string();
+            if let (true, Some(at)) = (line.contains(&row), line.find(&pat)) {
+                let start = at + pat.len();
+                let end = start + line[start..].find([',', '}']).unwrap_or(0);
+                let new = f(&line[start..end]);
+                line.replace_range(start..end, &new);
+            }
+            out.push_str(&line);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Perturbed copies of a gate's committed run, by case name; `None`
+    /// where the case does not apply to the gate (no floor, no accuracy
+    /// fields). Cases touch the first or the last row.
+    fn perturb(case: &str, text: &str, floor: Option<(&str, &str)>) -> Option<String> {
+        let ids = ids(text);
+        let (first, last) = (ids.first()?.as_str(), ids.last()?.as_str());
+        let accuracy = text.contains("\"rel_err\"");
+        match case {
+            "base" => Some(text.to_string()),
+            "mean+20%" => Some(set_field(text, last, "mean_ns", |v| {
+                (v.parse::<u128>().unwrap_or(0) * 6 / 5).to_string()
+            })),
+            "under-floor" => floor.map(|(num, den)| {
+                let den_min = text
+                    .lines()
+                    .filter(|l| extract_str(l, "id").as_deref() == Some(den))
+                    .find_map(|l| extract_u128(l, "min_ns"))
+                    .unwrap_or(0);
+                set_field(text, num, "min_ns", |_| (2 * den_min).to_string())
+            }),
+            "row-deleted" => {
+                let row = format!("\"id\":\"{first}\"");
+                Some(
+                    text.lines()
+                        .filter(|l| !l.contains(&row))
+                        .map(|l| format!("{l}\n"))
+                        .collect(),
+                )
+            }
+            "rel_err-NaN" if accuracy => Some(set_field(text, first, "rel_err", |_| "NaN".into())),
+            "max_rank-changed" if accuracy => Some(set_field(text, last, "max_rank", |v| {
+                (v.parse::<u64>().unwrap_or(0) + 1).to_string()
+            })),
+            _ => None,
+        }
+    }
+
+    /// Every committed baseline fed through its gate as both the run and the
+    /// baseline, plus perturbed runs, under every (record, hardware gate,
+    /// simd) combination: the failure lists and retry decisions are
+    /// snapshotted in `tests/fixtures/bench_check_verdicts.golden`.
+    /// Re-recording a committed baseline changes this snapshot; the assert
+    /// prints the new one.
+    #[test]
+    fn golden_verdicts_on_committed_baselines() {
+        // (gate, simd, committed run files, floor pair pushed under its floor)
+        type Scenario = (
+            &'static str,
+            bool,
+            &'static [&'static str],
+            Option<(&'static str, &'static str)>,
+        );
+        let scenarios: [Scenario; 6] = [
+            (
+                "kernels",
+                false,
+                &["BENCH_kernels", "BENCH_kernels_par"],
+                Some(("kernels_gemm_blocked/256", "kernels_gemm_reference/256")),
+            ),
+            (
+                "kernels",
+                true,
+                &["BENCH_kernels_simd", "BENCH_kernels_par_simd"],
+                Some(("kernels_gemm_blocked/256", "kernels_gemm_reference/256")),
+            ),
+            (
+                "rounding_ablation",
+                false,
+                &["BENCH_rounding_ablation"],
+                None,
+            ),
+            (
+                "rounding_ablation",
+                true,
+                &["BENCH_rounding_ablation"],
+                None,
+            ),
+            (
+                "dist_overlap",
+                false,
+                &["BENCH_dist_overlap"],
+                Some(("dist_overlap_pipelined/p4", "dist_overlap_serial/p4")),
+            ),
+            (
+                "dist_overlap",
+                true,
+                &["BENCH_dist_overlap"],
+                Some(("dist_overlap_pipelined/p4", "dist_overlap_serial/p4")),
+            ),
+        ];
+        let cases = [
+            "base",
+            "mean+20%",
+            "under-floor",
+            "row-deleted",
+            "rel_err-NaN",
+            "max_rank-changed",
+        ];
+        let mut lines = Vec::new();
+        for (gate, simd, files, floor) in scenarios {
+            let run: String = files.iter().map(|f| committed(f)).collect();
+            for case in cases {
+                let Some(current) = perturb(case, &run, floor) else {
+                    continue;
+                };
+                for record in [false, true] {
+                    for hw in [false, true] {
+                        let line = match gate_verdict(gate, &current, record, hw, simd) {
+                            None => format!("{gate} simd={simd}: not run"),
+                            Some((f, _)) if f.is_empty() => {
+                                format!("{gate} simd={simd} {case} record={record} hw={hw}: pass")
+                            }
+                            Some((f, retry)) => format!(
+                                "{gate} simd={simd} {case} record={record} hw={hw}: fail ({}): {}",
+                                if retry { "retry" } else { "final" },
+                                f.join(" | ")
+                            ),
+                        };
+                        lines.push(line);
+                    }
+                }
+            }
+        }
+        lines.dedup();
+        let actual = lines.join("\n") + "\n";
+        let expected = include_str!("../tests/fixtures/bench_check_verdicts.golden");
+        assert!(
+            actual == expected,
+            "bench-check verdicts changed; new snapshot:\n{actual}"
+        );
+    }
+
+    /// Re-writing every committed baseline from its parsed entries gives the
+    /// committed bytes back.
+    #[test]
+    fn committed_baselines_rewrite_byte_identically() {
+        let dir = std::env::temp_dir().join(format!("bench-check-g-{}", std::process::id()));
+        for stem in [
+            "BENCH_kernels",
+            "BENCH_kernels_par",
+            "BENCH_kernels_simd",
+            "BENCH_kernels_par_simd",
+            "BENCH_rounding_ablation",
+            "BENCH_dist_overlap",
+        ] {
+            let text = committed(stem);
+            let path = dir.join(format!("{stem}.json"));
+            let written = if stem == "BENCH_rounding_ablation" {
+                write_rounding_baseline(&path, &parse_rounding_entries(&text))
+            } else {
+                write_baseline(&path, &parse_entries(&text))
+            };
+            assert!(written.is_ok(), "{stem}: {written:?}");
+            let back = std::fs::read_to_string(&path).unwrap_or_default();
+            assert_eq!(back, text, "{stem}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
