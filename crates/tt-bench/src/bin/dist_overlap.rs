@@ -13,16 +13,9 @@
 //! modeled vs measured speedup side by side (EXPERIMENTS.md carries the
 //! table).
 //!
-//! With `--json <path>` the timing rows are emitted as JSONL entries
-//!
-//! ```text
-//! {"id":"dist_overlap_pipelined/p4","mean_ns":…,"min_ns":…,"samples":…}
-//! ```
-//!
-//! which `cargo xtask bench-check` consumes: on a box with ≥ 4 hardware
-//! threads the pipelined schedule must beat serial by the overlap floor,
-//! and both rows ride the usual 15% mean-regression gate against
-//! `results/BENCH_dist_overlap.json` everywhere.
+//! With `--json <path>` the timing rows are also written as
+//! [`tt_bench::GateRow`] JSONL, which the `dist overlap` row of
+//! `cargo xtask bench-check`'s gate table consumes.
 //!
 //! Usage: `cargo run --release -p tt-bench --bin dist_overlap
 //!         [-- --reps N --ranks P --json PATH]`
@@ -32,7 +25,7 @@
 use std::time::Instant;
 
 use rand::SeedableRng;
-use tt_bench::{fmt_secs, Args};
+use tt_bench::{fmt_secs, write_gate_jsonl, Args, GateRow};
 use tt_comm::{Communicator, CostModel, ModelComm, ThreadComm};
 use tt_core::{block_range, round, scatter_tensor, RoundingMethod, RoundingOptions, TtTensor};
 
@@ -46,17 +39,9 @@ const TOL: f64 = 1e-8;
 /// Seed for instance generation.
 const SEED: u64 = 712;
 
-/// One timing row of the pipelined/serial pair.
-struct Row {
-    id: String,
-    mean_ns: u128,
-    min_ns: u128,
-    samples: u64,
-}
-
 /// Times `reps` distributed RLR sweeps under `opts` on `p` ranks; each
 /// rep's time is the slowest rank's (scatter excluded, one warm-up run).
-fn measure(id: String, x: &TtTensor, p: usize, opts: &RoundingOptions, reps: usize) -> Row {
+fn measure(id: String, x: &TtTensor, p: usize, opts: &RoundingOptions, reps: usize) -> GateRow {
     let mut min_ns = u128::MAX;
     let mut total_ns: u128 = 0;
     for rep in 0..=reps {
@@ -73,11 +58,12 @@ fn measure(id: String, x: &TtTensor, p: usize, opts: &RoundingOptions, reps: usi
         min_ns = min_ns.min(dt);
         total_ns += dt;
     }
-    Row {
+    GateRow {
         id,
         mean_ns: total_ns / reps as u128,
         min_ns,
         samples: reps as u64,
+        accuracy: None,
     }
 }
 
@@ -171,14 +157,7 @@ fn main() {
     );
 
     if let Some(path) = args.get::<String>("json") {
-        let mut text = String::new();
-        for r in &rows {
-            text.push_str(&format!(
-                "{{\"id\":\"{}\",\"mean_ns\":{},\"min_ns\":{},\"samples\":{}}}\n",
-                r.id, r.mean_ns, r.min_ns, r.samples
-            ));
-        }
-        if let Err(e) = std::fs::write(&path, text) {
+        if let Err(e) = write_gate_jsonl(&path, &rows) {
             eprintln!("dist_overlap: could not write {path}: {e}");
             std::process::exit(1);
         }

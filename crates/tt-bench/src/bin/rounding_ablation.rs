@@ -8,16 +8,9 @@
 //! reports for each: achieved relative error, the variant's accuracy bound,
 //! the maximum output rank, and mean/min wall time over `--reps` runs.
 //!
-//! With `--json <path>` each row is also emitted as a JSONL entry
-//!
-//! ```text
-//! {"id":"rounding_qr","mean_ns":…,"min_ns":…,"samples":…,
-//!  "rel_err":…,"bound":…,"max_rank":…}
-//! ```
-//!
-//! which `cargo xtask bench-check` consumes: it gates `rel_err ≤ bound`
-//! unconditionally, and rank drift plus >15% mean-time regressions against
-//! the recorded `results/BENCH_rounding_ablation.json` baseline.
+//! With `--json <path>` the rows are also written as [`tt_bench::GateRow`]
+//! JSONL, which the `rounding ablation` row of `cargo xtask bench-check`'s
+//! gate table consumes.
 //!
 //! Usage: `cargo run --release -p tt-bench --bin rounding_ablation
 //!         [-- --reps N --json PATH]`
@@ -27,7 +20,7 @@
 use std::time::Instant;
 
 use rand::SeedableRng;
-use tt_bench::{fmt_secs, Args};
+use tt_bench::{fmt_secs, write_gate_jsonl, Accuracy, Args, GateRow};
 use tt_comm::SelfComm;
 use tt_core::{round, RandomizedVariant, RoundingMethod, RoundingOptions, TtTensor};
 
@@ -45,17 +38,6 @@ const TOL: f64 = 1e-4;
 const OVERSAMPLING: usize = 8;
 /// Seed for instance generation and all sketches.
 const SEED: u64 = 2022;
-
-/// One ablation row, in both the printed table and the JSONL stream.
-struct Row {
-    id: &'static str,
-    rel_err: f64,
-    bound: f64,
-    max_rank: usize,
-    mean_ns: u128,
-    min_ns: u128,
-    samples: u64,
-}
 
 /// Graded-spectrum instance: base + NOISE_REL·noise, both random TT.
 fn instance() -> TtTensor {
@@ -76,7 +58,7 @@ fn measure(
     xnorm: f64,
     method: RoundingMethod,
     opts: &RoundingOptions,
-) -> Row {
+) -> GateRow {
     let run = || round(&SelfComm::new(), x.clone(), method, opts).0;
     let mut min_ns = u128::MAX;
     let mut total_ns: u128 = 0;
@@ -88,15 +70,16 @@ fn measure(
         min_ns = min_ns.min(dt);
         total_ns += dt;
     }
-    let rel_err = y.sub(x).norm() / xnorm;
-    Row {
-        id,
-        rel_err,
-        bound,
-        max_rank: y.max_rank(),
+    GateRow {
+        id: id.to_string(),
         mean_ns: total_ns / reps as u128,
         min_ns,
         samples: reps as u64,
+        accuracy: Some(Accuracy {
+            rel_err: y.sub(x).norm() / xnorm,
+            bound,
+            max_rank: y.max_rank(),
+        }),
     }
 }
 
@@ -184,29 +167,23 @@ fn main() {
         "variant", "rel error", "bound", "max rank", "mean", "min"
     );
     for r in &rows {
+        let Some(a) = r.accuracy else { continue };
         println!(
             "{:<26} {:>10.2e} {:>10.2e} {:>9} {:>12} {:>12}",
             r.id,
-            r.rel_err,
-            r.bound,
-            r.max_rank,
+            a.rel_err,
+            a.bound,
+            a.max_rank,
             fmt_secs(r.mean_ns as f64 * 1e-9),
             fmt_secs(r.min_ns as f64 * 1e-9)
         );
-        if r.rel_err > r.bound {
+        if a.violated() {
             println!("  ^ WARNING: accuracy bound violated");
         }
     }
 
     if let Some(path) = args.get::<String>("json") {
-        let mut text = String::new();
-        for r in &rows {
-            text.push_str(&format!(
-                "{{\"id\":\"{}\",\"mean_ns\":{},\"min_ns\":{},\"samples\":{},\"rel_err\":{:e},\"bound\":{:e},\"max_rank\":{}}}\n",
-                r.id, r.mean_ns, r.min_ns, r.samples, r.rel_err, r.bound, r.max_rank
-            ));
-        }
-        if let Err(e) = std::fs::write(&path, text) {
+        if let Err(e) = write_gate_jsonl(&path, &rows) {
             eprintln!("rounding_ablation: could not write {path}: {e}");
             std::process::exit(1);
         }

@@ -250,6 +250,67 @@ impl Args {
     }
 }
 
+/// Accuracy of one gated row: the achieved relative error, the bound it
+/// must not exceed, and the largest output rank.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Accuracy {
+    /// Achieved relative error.
+    pub rel_err: f64,
+    /// The variant's accuracy bound.
+    pub bound: f64,
+    /// Largest TT rank of the output.
+    pub max_rank: usize,
+}
+
+impl Accuracy {
+    /// Whether the error misses its bound; a NaN error does, as in the
+    /// `cargo xtask bench-check` accuracy gate.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must count as a miss
+    pub fn violated(&self) -> bool {
+        !(self.rel_err <= self.bound)
+    }
+}
+
+/// One timed row of a bench bin that `cargo xtask bench-check` gates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateRow {
+    /// Benchmark id, the key of the row in the gate's baseline file.
+    pub id: String,
+    /// Mean wall time per run.
+    pub mean_ns: u128,
+    /// Best wall time per run.
+    pub min_ns: u128,
+    /// Timed runs.
+    pub samples: u64,
+    /// Set on rows the gate also checks for accuracy.
+    pub accuracy: Option<Accuracy>,
+}
+
+impl GateRow {
+    /// The row as one JSONL line, the shape `cargo xtask bench-check` parses.
+    pub fn jsonl(&self) -> String {
+        let mut line = format!(
+            "{{\"id\":\"{}\",\"mean_ns\":{},\"min_ns\":{},\"samples\":{}",
+            self.id, self.mean_ns, self.min_ns, self.samples
+        );
+        if let Some(a) = &self.accuracy {
+            line.push_str(&format!(
+                ",\"rel_err\":{:e},\"bound\":{:e},\"max_rank\":{}",
+                a.rel_err, a.bound, a.max_rank
+            ));
+        }
+        line + "}"
+    }
+}
+
+/// Writes `rows` as the JSONL a gated bin's `--json <path>` produces.
+pub fn write_gate_jsonl(path: &str, rows: &[GateRow]) -> std::io::Result<()> {
+    std::fs::write(
+        path,
+        rows.iter().map(|r| r.jsonl() + "\n").collect::<String>(),
+    )
+}
+
 /// Formats seconds compactly.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
@@ -325,6 +386,41 @@ mod tests {
             q.comm_s,
             g.comm_s
         );
+    }
+
+    #[test]
+    fn gate_rows_render_the_bench_check_jsonl_shape() {
+        let mut row = GateRow {
+            id: "dist_overlap_serial/p4".into(),
+            mean_ns: 6247813,
+            min_ns: 6014381,
+            samples: 8,
+            accuracy: None,
+        };
+        assert_eq!(
+            row.jsonl(),
+            r#"{"id":"dist_overlap_serial/p4","mean_ns":6247813,"min_ns":6014381,"samples":8}"#
+        );
+        row.accuracy = Some(Accuracy {
+            rel_err: 9.974152922148776e-7,
+            bound: 1.5 * 1e-4,
+            max_rank: 12,
+        });
+        assert!(row.jsonl().ends_with(
+            r#","samples":8,"rel_err":9.974152922148776e-7,"bound":1.5000000000000001e-4,"max_rank":12}"#
+        ));
+    }
+
+    #[test]
+    fn nan_error_violates_its_bound() {
+        let acc = |rel_err| Accuracy {
+            rel_err,
+            bound: 1e-4,
+            max_rank: 12,
+        };
+        assert!(!acc(1e-6).violated());
+        assert!(acc(2e-4).violated());
+        assert!(acc(f64::NAN).violated());
     }
 
     #[test]

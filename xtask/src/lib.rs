@@ -9,8 +9,9 @@
 //! * [`analyze`] — the SPMD collective-safety and numeric-discipline
 //!   analyzer: the [`scanner`] token model plus the [`passes`] registry,
 //!   with in-source suppressions (DESIGN.md §8);
-//! * [`bench_check`] — the kernel performance gate against the recorded
-//!   `results/BENCH_kernels.json` baseline.
+//! * [`bench_check`] — the benchmark regression gates (kernels, rounding
+//!   ablation, comm/compute overlap) against the recorded
+//!   `results/BENCH_*.json` baselines, one row of its gate table each.
 
 #![forbid(unsafe_code)]
 

@@ -37,8 +37,8 @@ fn usage() {
          --changed-only[=REF], --fix-suppressions [--apply],\n                         \
          --no-check-suppressions; suppress with `// analyze::allow(<pass>): reason`)\n  \
          bench-check [--record] [--simd]\n                         \
-         run kernels_* benches; gate blocked-GEMM speedup (min-time floors) and >15% mean-time\n                         \
-         regressions vs results/BENCH_kernels*.json; --simd gates the `simd` feature build\n                         \
-         against `_simd`-suffixed baselines with a 3x GEMM floor"
+         run the gates of the GATES table in xtask/src/bench_check.rs (kernels,\n                         \
+         rounding ablation, dist overlap) against results/BENCH_*.json; --record\n                         \
+         rewrites the baselines; --simd gates the `simd` feature build"
     );
 }
