@@ -91,7 +91,7 @@ fn rounding_matches_tt_svd_ranks() {
     }
 }
 
-/// The cookies pipeline end-to-end with both QR and Gram rounding: same
+/// The cookies pipeline end-to-end with QR and every Gram variant: same
 /// convergence, same (small) ranks, correct solution.
 #[test]
 fn cookies_tt_gmres_end_to_end() {
@@ -101,7 +101,12 @@ fn cookies_tt_gmres_end_to_end() {
     let pre = problem.mean_preconditioner();
 
     let mut results = Vec::new();
-    for method in [RoundingMethod::Qr, RoundingMethod::GramLrl] {
+    for method in [
+        RoundingMethod::Qr,
+        RoundingMethod::GramLrl,
+        RoundingMethod::GramRlr,
+        RoundingMethod::GramSim,
+    ] {
         let opts = GmresOptions {
             tolerance: 1e-6,
             max_iters: 50,
@@ -115,27 +120,29 @@ fn cookies_tt_gmres_end_to_end() {
         assert!(trace.true_relative_residual < 1e-5, "{method:?}");
         results.push((method, u, trace));
     }
-    // Same iteration counts within 1 and same max Krylov ranks within 2
-    // (the Fig. 5b/6a–b observation at tolerances above √ε).
-    let (qr, gram) = (&results[0], &results[1]);
-    assert!(
-        qr.2.iterations.len().abs_diff(gram.2.iterations.len()) <= 1,
-        "iteration counts diverged: {} vs {}",
-        qr.2.iterations.len(),
-        gram.2.iterations.len()
-    );
-    assert!(
-        qr.2.max_krylov_rank().abs_diff(gram.2.max_krylov_rank()) <= 2,
-        "ranks diverged: {} vs {}",
-        qr.2.max_krylov_rank(),
-        gram.2.max_krylov_rank()
-    );
-    // The two solutions agree.
-    let gap = qr.1.to_dense().fro_dist(&gram.1.to_dense());
-    assert!(
-        gap < 1e-4 * (1.0 + qr.1.norm()),
-        "solutions diverged: {gap}"
-    );
+    // Every Gram variant matches QR: iteration counts within 1 and max
+    // Krylov ranks within 2 (the Fig. 5b/6a–b observation at tolerances
+    // above √ε), and the solutions agree.
+    let (qr, grams) = (&results[0], &results[1..]);
+    for (method, u, trace) in grams {
+        assert!(
+            qr.2.iterations.len().abs_diff(trace.iterations.len()) <= 1,
+            "{method:?}: iteration counts diverged: {} vs {}",
+            qr.2.iterations.len(),
+            trace.iterations.len()
+        );
+        assert!(
+            qr.2.max_krylov_rank().abs_diff(trace.max_krylov_rank()) <= 2,
+            "{method:?}: ranks diverged: {} vs {}",
+            qr.2.max_krylov_rank(),
+            trace.max_krylov_rank()
+        );
+        let gap = qr.1.to_dense().fro_dist(&u.to_dense());
+        assert!(
+            gap < 1e-4 * (1.0 + qr.1.norm()),
+            "{method:?}: solutions diverged: {gap}"
+        );
+    }
 }
 
 /// Solving the tensorized system must agree with solving one parameter
