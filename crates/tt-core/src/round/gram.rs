@@ -464,7 +464,11 @@ pub(crate) fn round_gram_lrl_dist(
 ///
 /// Both Gram sweeps are precomputed from the original cores; every bond is
 /// then truncated independently with the singular values split evenly
-/// between the adjacent cores. Same contract as [`round_gram_rlr_dist`].
+/// between the adjacent cores. Unlike the sequence variants it never drops
+/// the unresolvable eigendirections before the small SVD: each bond's
+/// `W_L·W_R` must act as the identity on both of its interfaces, which are
+/// truncated from the same original Grams. Same contract as
+/// [`round_gram_rlr_dist`].
 pub(crate) fn round_gram_sim_dist(
     comm: &impl Communicator,
     mut y: TtTensor,

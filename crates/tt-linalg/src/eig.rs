@@ -27,11 +27,10 @@ impl EigH {
     pub fn descending(mut self) -> EigH {
         let n = self.values.len();
         self.values.reverse();
-        let mut vecs = Matrix::zeros(n, n);
-        for j in 0..n {
-            vecs.col_mut(j).copy_from_slice(self.vectors.col(n - 1 - j));
+        for j in 0..n / 2 {
+            let (a, b) = self.vectors.cols_mut_pair(j, n - 1 - j);
+            a.swap_with_slice(b);
         }
-        self.vectors = vecs;
         self
     }
 }
@@ -342,9 +341,15 @@ mod tests {
     #[test]
     fn descending_reorders() {
         let a = random_symmetric(6, 42);
-        let e = eigh(&a).unwrap().descending();
+        let asc = eigh(&a).unwrap();
+        let e = asc.clone().descending();
         for w in e.values.windows(2) {
             assert!(w[0] >= w[1] - 1e-14);
+        }
+        // A pure reordering: every eigenpair keeps its bits.
+        for j in 0..6 {
+            assert_eq!(e.values[j].to_bits(), asc.values[5 - j].to_bits());
+            assert_eq!(e.vectors.col(j), asc.vectors.col(5 - j));
         }
         let za = gemm(Trans::No, &a, Trans::No, &e.vectors, 1.0);
         let mut zl = e.vectors.clone();

@@ -586,7 +586,9 @@ fn extract_u128(line: &str, key: &str) -> Option<u128> {
 }
 
 /// Extracts a `"key":number` float field (scientific notation included)
-/// from a single JSON line.
+/// from a single JSON line. The non-finite spellings Rust prints (`NaN`,
+/// `inf`, `-inf`) parse too, so such a row reaches the accuracy check
+/// instead of vanishing.
 fn extract_f64(line: &str, key: &str) -> Option<f64> {
     numeric_token(line, key, true)?.parse().ok()
 }
@@ -594,8 +596,9 @@ fn extract_f64(line: &str, key: &str) -> Option<f64> {
 fn numeric_token(line: &str, key: &str, float: bool) -> Option<String> {
     let pat = format!("\"{key}\":");
     let rest = &line[line.find(&pat)? + pat.len()..];
-    let numeric =
-        |c: &char| c.is_ascii_digit() || float && matches!(c, '.' | '-' | '+' | 'e' | 'E');
+    let numeric = |c: &char| {
+        c.is_ascii_digit() || float && (c.is_ascii_alphabetic() || matches!(c, '.' | '-' | '+'))
+    };
     Some(rest.chars().take_while(numeric).collect())
 }
 
@@ -1010,6 +1013,36 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].max_rank, Some(12));
         assert_eq!(entries[0].rel_err, Some(9.97e-7));
+    }
+
+    #[test]
+    fn non_finite_errors_parse_and_fail_in_every_mode() {
+        let row = |rel_err: &str| {
+            let line = format!(
+                "{{\"id\":\"rounding_qr\",\"mean_ns\":100,\"min_ns\":90,\"samples\":5,\"rel_err\":{rel_err},\"bound\":1.5e-4,\"max_rank\":12}}"
+            );
+            parse_entries(&line, true)
+        };
+        for (text, want) in [
+            ("NaN", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("-inf", f64::NEG_INFINITY),
+        ] {
+            let entries = row(text);
+            assert_eq!(entries.len(), 1, "{text} row dropped");
+            let rel_err = entries[0].rel_err.unwrap_or(0.0);
+            assert_eq!(rel_err.to_bits(), want.to_bits(), "{text}");
+            assert_eq!(entries[0].max_rank, Some(12));
+        }
+        // A NaN or infinite error fails the accuracy check, recording or not,
+        // so it never reaches a baseline file.
+        for text in ["NaN", "inf"] {
+            for record in [false, true] {
+                let failures = rounding(&row(text), None, record);
+                assert_eq!(failures.len(), 1, "{text} record={record}");
+                assert!(failures[0].msg.contains("exceeds its accuracy bound"));
+            }
+        }
     }
 
     #[test]
