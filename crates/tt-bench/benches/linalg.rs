@@ -6,8 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::SeedableRng;
 use tt_linalg::par::with_threads;
 use tt_linalg::{
-    blocked_qr, cholesky, eigh, gemm, golub_kahan_svd, householder_qr, householder_qr_unblocked,
-    jacobi_svd, syrk, Matrix, Trans,
+    blocked_qr, cholesky, eigh, gemm, householder_qr, householder_qr_unblocked, jacobi_svd, syrk,
+    Matrix, Trans,
 };
 
 fn rng() -> rand::rngs::StdRng {
@@ -27,7 +27,7 @@ fn bench_eigh(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_svd_backends(c: &mut Criterion) {
+fn bench_svd(c: &mut Criterion) {
     let mut group = c.benchmark_group("svd");
     let mut r = rng();
     for n in [20usize, 40, 80] {
@@ -35,17 +35,11 @@ fn bench_svd_backends(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("jacobi", n), &a, |b, a| {
             b.iter(|| jacobi_svd(a));
         });
-        group.bench_with_input(BenchmarkId::new("golub_kahan", n), &a, |b, a| {
-            b.iter(|| golub_kahan_svd(a).unwrap());
-        });
     }
-    // Tall-skinny case, where bidiagonalization's O(mn²) pays off.
+    // Tall-skinny case: the shape of an unfolding rather than a bond matrix.
     let a = Matrix::gaussian(4000, 20, &mut r);
     group.bench_function("jacobi_tall_4000x20", |b| {
         b.iter(|| jacobi_svd(&a));
-    });
-    group.bench_function("golub_kahan_tall_4000x20", |b| {
-        b.iter(|| golub_kahan_svd(&a).unwrap());
     });
     // The truncation SVD of TSQR rounding on rank-deficient bonds of the
     // cookies Krylov trains (rank 9, formal rank 36): the R of a 108×36
@@ -262,7 +256,7 @@ fn bench_kernels_par(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_eigh,
-    bench_svd_backends,
+    bench_svd,
     bench_qr,
     bench_kernels,
     bench_kernels_par

@@ -391,15 +391,15 @@ mod tests {
     #[test]
     fn gate_rows_render_the_bench_check_jsonl_shape() {
         let mut row = GateRow {
-            id: "dist_overlap_serial/p4".into(),
-            mean_ns: 6247813,
-            min_ns: 6014381,
-            samples: 8,
+            id: "rounding_qr".into(),
+            mean_ns: 4581678,
+            min_ns: 4091487,
+            samples: 12,
             accuracy: None,
         };
         assert_eq!(
             row.jsonl(),
-            r#"{"id":"dist_overlap_serial/p4","mean_ns":6247813,"min_ns":6014381,"samples":8}"#
+            r#"{"id":"rounding_qr","mean_ns":4581678,"min_ns":4091487,"samples":12}"#
         );
         row.accuracy = Some(Accuracy {
             rel_err: 9.974152922148776e-7,
@@ -407,7 +407,7 @@ mod tests {
             max_rank: 12,
         });
         assert!(row.jsonl().ends_with(
-            r#","samples":8,"rel_err":9.974152922148776e-7,"bound":1.5000000000000001e-4,"max_rank":12}"#
+            r#","samples":12,"rel_err":9.974152922148776e-7,"bound":1.5000000000000001e-4,"max_rank":12}"#
         ));
     }
 

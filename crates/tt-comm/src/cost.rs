@@ -121,12 +121,6 @@ pub struct CostModel {
     pub congestion_knee: Option<usize>,
     /// Latency inflation per doubling past the knee (e.g. 2.0).
     pub congestion_factor: f64,
-    /// Fraction of communication that a pipelined sweep hides behind
-    /// independent local compute, in `[0, 1]`. 1.0 is perfect overlap
-    /// (`max(compute, comm)`); 0.0 degenerates to the serial sum. The
-    /// default 0.8 reflects that posting/progression and the final wait are
-    /// never free on real transports.
-    pub overlap_efficiency: f64,
 }
 
 impl Default for CostModel {
@@ -137,7 +131,6 @@ impl Default for CostModel {
             gamma: 5.0e-10,
             congestion_knee: None,
             congestion_factor: 2.0,
-            overlap_efficiency: 0.8,
         }
     }
 }
@@ -213,18 +206,6 @@ impl CostModel {
     /// Modeled compute time for a given flop count.
     pub fn compute_time(&self, flops: f64) -> f64 {
         flops * self.gamma
-    }
-
-    /// Modeled time of a pipelined stage that runs `compute` seconds of
-    /// local work concurrently with `comm` seconds of posted communication:
-    /// `max + (1 − e)·min`, where `e` is [`overlap_efficiency`]. At `e = 1`
-    /// the shorter leg vanishes behind the longer; at `e = 0` the legs
-    /// serialize and the serial sum is recovered.
-    ///
-    /// [`overlap_efficiency`]: CostModel::overlap_efficiency
-    pub fn pipelined_time(&self, compute: f64, comm: f64) -> f64 {
-        let eff = self.overlap_efficiency.clamp(0.0, 1.0);
-        compute.max(comm) + (1.0 - eff) * compute.min(comm)
     }
 
     /// Modeled time of a full TSQR factorization tree on `p` ranks with `n`
@@ -314,36 +295,6 @@ mod tests {
         assert!(t_ib < t_hpc && t_hpc < t_eth);
         let knee = CostModel::hpc_with_knee();
         assert!(knee.effective_alpha(2048) > knee.alpha);
-    }
-
-    #[test]
-    fn pipelined_time_interpolates_between_serial_and_perfect_overlap() {
-        let serial = CostModel {
-            overlap_efficiency: 0.0,
-            ..Default::default()
-        };
-        let perfect = CostModel {
-            overlap_efficiency: 1.0,
-            ..Default::default()
-        };
-        let partial = CostModel {
-            overlap_efficiency: 0.75,
-            ..Default::default()
-        };
-        let (c, m) = (3.0e-3, 1.0e-3);
-        assert_eq!(serial.pipelined_time(c, m), c + m);
-        assert_eq!(perfect.pipelined_time(c, m), c);
-        let t = partial.pipelined_time(c, m);
-        assert!(c < t && t < c + m, "partial overlap lands between: {t}");
-        assert!((t - (c + 0.25 * m)).abs() < 1e-18);
-        // Symmetric in its arguments: which leg is longer doesn't matter.
-        assert_eq!(partial.pipelined_time(m, c), t);
-        // Out-of-range efficiencies clamp instead of extrapolating.
-        let wild = CostModel {
-            overlap_efficiency: 7.0,
-            ..Default::default()
-        };
-        assert_eq!(wild.pipelined_time(c, m), c);
     }
 
     #[test]

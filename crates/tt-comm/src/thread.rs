@@ -733,7 +733,7 @@ impl Communicator for ThreadComm {
     /// waiting on a later request first simply drags the earlier ones to
     /// completion ahead of it (their results are held for their own waits).
     /// This pins the byte-consumption order to the post order, which is the
-    /// determinism contract the pipelined sweeps rely on (DESIGN.md §14).
+    /// determinism contract the nonblocking callers rely on (DESIGN.md §14).
     fn req_wait(&self, id: u64) -> Vec<f64> {
         loop {
             if let Some(v) = self.completed.borrow_mut().remove(&id) {

@@ -151,137 +151,6 @@ fn contract_v(comm: &impl Communicator, a: &TtCore, b: &TtCore, s: &mut SweepScr
     g
 }
 
-/// A bond Gram matrix whose allreduce may still be in flight.
-///
-/// The pipelined truncation loops post each bond's reduction as soon as the
-/// contributing core reaches its final local value, keep computing the
-/// current bond's independent core updates, and rebuild the reduced matrix
-/// only when the next truncation decision needs it. With `overlap` off the
-/// post site waits immediately, which is the serial-wait schedule — both
-/// consume identical bytes in identical order, so they are bitwise equal.
-enum PostedGram<'a> {
-    InFlight {
-        req: tt_comm::Request<'a>,
-        rows: usize,
-        cols: usize,
-    },
-    Done(Matrix),
-    /// Placeholder left behind by [`take_wait`](Self::take_wait); every
-    /// loop iteration repopulates the slot before the next wait reads it.
-    Taken,
-}
-
-impl PostedGram<'_> {
-    fn wait(self) -> Matrix {
-        match self {
-            PostedGram::InFlight { req, rows, cols } => {
-                Matrix::from_col_major(rows, cols, req.wait())
-            }
-            PostedGram::Done(m) => m,
-            PostedGram::Taken => unreachable!("PostedGram waited twice"),
-        }
-    }
-
-    /// [`wait`](Self::wait) through a `&mut` binding (for loop-carried
-    /// posts), leaving the non-allocating placeholder behind.
-    fn take_wait(&mut self) -> Matrix {
-        std::mem::replace(self, PostedGram::Taken).wait()
-    }
-}
-
-/// Posts the allreduce of a locally contracted Gram matrix, waiting for it
-/// at once unless `overlap` is on.
-fn post(comm: &impl Communicator, g: Matrix, overlap: bool) -> PostedGram<'_> {
-    let (rows, cols) = (g.rows(), g.cols());
-    let posted = PostedGram::InFlight {
-        req: comm.iallreduce_sum(g.into_vec()),
-        rows,
-        cols,
-    };
-    if overlap {
-        posted
-    } else {
-        PostedGram::Done(posted.wait())
-    }
-}
-
-/// Local SYRK `V(A)ᵀ·V(A)` + posted allreduce (left Gram of a bond).
-fn post_gram_syrk<'a>(comm: &'a impl Communicator, core: &TtCore, overlap: bool) -> PostedGram<'a> {
-    post(comm, syrk_v(core.v(), 1.0), overlap)
-}
-
-/// Local `H(A)·H(B)ᵀ` + posted allreduce ([`contract_h`], deferred wait).
-fn post_contract_h<'a>(
-    comm: &'a impl Communicator,
-    a: &TtCore,
-    b: &TtCore,
-    s: &mut SweepScratch,
-    overlap: bool,
-) -> PostedGram<'a> {
-    let mut g = s.take(a.r0(), b.r0());
-    gemm_v(Trans::No, a.h(), Trans::Yes, b.h(), 1.0, 0.0, g.view_mut());
-    post(comm, g, overlap)
-}
-
-/// Local `V(A)ᵀ·V(B)` + posted allreduce ([`contract_v`], deferred wait).
-fn post_contract_v<'a>(
-    comm: &'a impl Communicator,
-    a: &TtCore,
-    b: &TtCore,
-    s: &mut SweepScratch,
-    overlap: bool,
-) -> PostedGram<'a> {
-    let mut g = s.take(a.r1(), b.r1());
-    gemm_v(Trans::Yes, a.v(), Trans::No, b.v(), 1.0, 0.0, g.view_mut());
-    post(comm, g, overlap)
-}
-
-/// Both Gram sweeps, ping-ponged so each chain's allreduce is in flight
-/// while the *other* chain runs its local contraction (Alg. 5's two sweeps
-/// are mutually independent). Produces exactly the matrices of
-/// [`gram_sweep_left_s`] and [`gram_sweep_right_s`] — each chain performs
-/// the same local ops on the same inputs, only the wait sites move.
-fn gram_sweeps_interleaved(
-    comm: &impl Communicator,
-    x: &TtTensor,
-    s: &mut SweepScratch,
-    overlap: bool,
-) -> (Vec<Matrix>, Vec<Matrix>) {
-    let n = x.order();
-    let mut gl = vec![Matrix::identity(1); n + 1];
-    let mut gr = vec![Matrix::identity(1); n];
-    let mut posted_r = Some(post_contract_h(
-        comm,
-        x.core(n - 1),
-        x.core(n - 1),
-        s,
-        overlap,
-    ));
-    let mut posted_l = Some(post_gram_syrk(comm, x.core(0), overlap));
-    let (mut kr, mut kl) = (n - 1, 1);
-    while posted_r.is_some() || posted_l.is_some() {
-        if let Some(pr) = posted_r.take() {
-            gr[kr] = pr.wait();
-            if kr > 0 {
-                let c = postmult_v_s(x.core(kr - 1), &gr[kr], s);
-                posted_r = Some(post_contract_h(comm, &c, x.core(kr - 1), s, overlap));
-                s.recycle_core(c);
-                kr -= 1;
-            }
-        }
-        if let Some(pl) = posted_l.take() {
-            gl[kl] = pl.wait();
-            if kl < n {
-                let e = premult_h_s(x.core(kl), &gl[kl], s);
-                posted_l = Some(post_contract_v(comm, x.core(kl), &e, s, overlap));
-                s.recycle_core(e);
-                kl += 1;
-            }
-        }
-    }
-    (gl, gr)
-}
-
 /// Right-to-left Gram sweep (Alg. 6 lines 2–6 / Alg. 5 lines 7–11).
 ///
 /// Returns `g` with `g[b] = G_b^R` for `0 ≤ b ≤ N-1`; `g[0]` is the `1×1`
@@ -392,20 +261,15 @@ pub(crate) fn round_gram_rlr_dist(
     let norm = gr[0][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
     // Left-to-right truncation; left cores stay orthonormal, the singular
-    // values ride on the right factor. Bond b+1's left Gram reads core b
-    // after its premult update but never the postmultiplied core b-1, so
-    // the allreduce is posted right after the premult and the postmult runs
-    // in its shadow.
-    let mut posted = post_gram_syrk(comm, y.core(0), opts.overlap);
+    // values ride on the right factor. Bond b's left Gram reads core b-1,
+    // which the previous bond premultiplied but this bond has not touched.
     for (b, gr_b) in gr.iter().enumerate().take(n).skip(1) {
-        let gl = posted.take_wait();
+        let mut gl = syrk_v(y.core(b - 1).v(), 1.0);
+        comm.allreduce_sum(gl.as_mut_slice());
         let upd = gram_truncate(b, &gl, gr_b, eps0, opts.max_rank, SingularSide::Right);
         scratch.recycle(gl);
         let right = premult_h_s(y.core(b), &upd.w_right, scratch);
         let retired = std::mem::replace(y.core_mut(b), right);
-        if b + 1 < n {
-            posted = post_gram_syrk(comm, y.core(b), opts.overlap);
-        }
         let left = postmult_v_s(y.core(b - 1), &upd.w_left, scratch);
         scratch.recycle_core(std::mem::replace(y.core_mut(b - 1), left));
         scratch.recycle_core(retired);
@@ -434,20 +298,14 @@ pub(crate) fn round_gram_lrl_dist(
     let norm = gl[n][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
     // Right-to-left truncation; right cores stay orthonormal, the singular
-    // values ride on the left factor. Bond b-1's right Gram reads core b-1
-    // after its postmult update but never the premultiplied core b, so the
-    // allreduce is posted right after the postmult and the premult runs in
-    // its shadow.
-    let mut posted = post_contract_h(comm, y.core(n - 1), y.core(n - 1), scratch, opts.overlap);
+    // values ride on the left factor. Bond b's right Gram reads core b,
+    // which the previous bond postmultiplied but this bond has not touched.
     for b in (1..n).rev() {
-        let gr = posted.take_wait();
+        let gr = contract_h(comm, y.core(b), y.core(b), scratch);
         let upd = gram_truncate(b, &gl[b], &gr, eps0, opts.max_rank, SingularSide::Left);
         scratch.recycle(gr);
         let left = postmult_v_s(y.core(b - 1), &upd.w_left, scratch);
         let retired = std::mem::replace(y.core_mut(b - 1), left);
-        if b > 1 {
-            posted = post_contract_h(comm, y.core(b - 1), y.core(b - 1), scratch, opts.overlap);
-        }
         let right = premult_h_s(y.core(b), &upd.w_right, scratch);
         scratch.recycle_core(std::mem::replace(y.core_mut(b), right));
         scratch.recycle_core(retired);
@@ -477,9 +335,8 @@ pub(crate) fn round_gram_sim_dist(
 ) -> (TtTensor, RoundReport) {
     let n = y.order();
     let ranks_before = y.ranks();
-    // The two sweeps are mutually independent chains: ping-pong them so one
-    // chain's allreduce flies while the other runs its local contraction.
-    let (gl, gr) = gram_sweeps_interleaved(comm, &y, scratch, opts.overlap);
+    let gl = gram_sweep_left_s(comm, &y, scratch);
+    let gr = gram_sweep_right_s(comm, &y, scratch);
     let norm = gr[0][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
 

@@ -46,13 +46,6 @@ pub struct RoundingOptions {
     /// target rank of the fixed-rank randomized variants (`None` keeps each
     /// bond's current rank); the adaptive variant ignores it.
     pub max_rank: Option<usize>,
-    /// Overlap each bond's Gram allreduce with the next bond's local work
-    /// (post with `iallreduce_sum`, wait only when the truncation decision
-    /// needs the reduced matrix). On by default; `serial_waits()` restores
-    /// the post-and-immediately-wait schedule for A/B benchmarking. Both
-    /// schedules consume identical bytes in identical order, so they are
-    /// bitwise identical — pinned by the agreement suites.
-    pub overlap: bool,
 }
 
 impl RoundingOptions {
@@ -61,21 +54,12 @@ impl RoundingOptions {
         RoundingOptions {
             tolerance,
             max_rank: None,
-            overlap: true,
         }
     }
 
     /// Adds a hard rank cap.
     pub fn max_rank(mut self, r: usize) -> Self {
         self.max_rank = Some(r);
-        self
-    }
-
-    /// Disables comm/compute overlap: every Gram allreduce is waited
-    /// immediately at its post site. The result is bitwise identical to the
-    /// pipelined schedule; only the wall-clock differs.
-    pub fn serial_waits(mut self) -> Self {
-        self.overlap = false;
         self
     }
 }

@@ -44,7 +44,6 @@ pub mod qr;
 pub mod reference;
 pub mod rng;
 pub mod svd;
-pub mod svd_gk;
 pub mod tri;
 pub mod tune;
 pub mod view;
@@ -59,7 +58,6 @@ pub use gemm::{
 pub use matrix::Matrix;
 pub use qr::{blocked_qr, householder_qr, householder_qr_unblocked, qr_stacked_pair, QrFactors};
 pub use svd::{jacobi_svd, truncation_rank, tsvd, Svd, TruncatedSvd};
-pub use svd_gk::golub_kahan_svd;
 pub use tri::{solve_lower, solve_upper, tri_invert_upper, trmm_right_lower, trmm_upper_left};
 pub use view::{MatMut, MatRef};
 

@@ -55,7 +55,7 @@ struct Pair {
     /// `slow` time from the scalar baseline recorded on the same machine.
     simd_min: Option<f64>,
     /// Enforced only with [`PAR_MIN_HW_THREADS`] hardware threads: forcing
-    /// 4 threads or ranks onto fewer cores measures oversubscription.
+    /// 4 threads onto fewer cores measures oversubscription.
     hw_gated: bool,
     /// Failure message; `{x}` is the measured ratio, `{min}` the floor.
     fail: &'static str,
@@ -89,7 +89,7 @@ const SERIAL_PAIR: Pair = Pair {
     hw_gated: false,
     fail: "",
 };
-/// Defaults of a pair that runs 4 threads or thread ranks: hardware-gated.
+/// Defaults of a pair that runs 4 threads: hardware-gated.
 const THREAD_PAIR: Pair = Pair {
     tags: ["4t", "1t"],
     hw_gated: true,
@@ -161,22 +161,6 @@ const GATES: &[GateSpec] = &[
         baselines: &[("BENCH_rounding_ablation", "")],
         pairs: &[],
         accuracy: true,
-        simd: false,
-    },
-    GateSpec {
-        name: "dist overlap",
-        cmd: Cmd::Bin("dist_overlap"),
-        baselines: &[("BENCH_dist_overlap", "")],
-        pairs: &[Pair {
-            label: "dist overlap",
-            fast: "dist_overlap_pipelined/p4",
-            slow: "dist_overlap_serial/p4",
-            tags: ["pipelined", "serial"],
-            min: Some(1.15),
-            fail: "pipelined distributed sweep is {x}x the serial-wait schedule (below the {min}x overlap floor at 4 ranks)",
-            ..THREAD_PAIR
-        }],
-        accuracy: false,
         simd: false,
     },
 ];
@@ -633,9 +617,6 @@ fn write_baseline(path: &Path, entries: &[Entry]) -> Result<(), std::io::Error> 
 mod tests {
     use super::*;
 
-    const OVERLAP_PIPELINED_ID: &str = "dist_overlap_pipelined/p4";
-    const OVERLAP_SERIAL_ID: &str = "dist_overlap_serial/p4";
-
     /// Evaluates gate `i` of [`GATES`] quietly against in-memory baselines.
     fn eval(
         i: usize,
@@ -676,20 +657,6 @@ mod tests {
             hw: false,
         };
         eval(1, current, &[baseline], None, mode)
-    }
-
-    fn overlap(
-        current: &[Entry],
-        baseline: Option<&[Entry]>,
-        record: bool,
-        hw: bool,
-    ) -> Vec<Failure> {
-        let mode = Mode {
-            record,
-            simd: false,
-            hw,
-        };
-        eval(2, current, &[baseline], None, mode)
     }
 
     #[test]
@@ -1157,60 +1124,6 @@ mod tests {
         assert_eq!(back[0].max_rank, Some(12));
     }
 
-    /// A passing overlap pair: 1.25x pipelined-over-serial on best times.
-    fn overlap_current() -> Vec<Entry> {
-        vec![
-            entry(OVERLAP_PIPELINED_ID, 900, 800),
-            entry(OVERLAP_SERIAL_ID, 1100, 1000),
-        ]
-    }
-
-    #[test]
-    fn overlap_floor_is_hardware_gated() {
-        let current = overlap_current();
-        assert!(overlap(&current, None, true, true).is_empty());
-        // Pipelined no faster than serial: fails the floor on a big box...
-        let mut flat = current.clone();
-        if let Some(e) = flat.iter_mut().find(|e| e.id == OVERLAP_PIPELINED_ID) {
-            e.min_ns = 1000;
-        }
-        let failures = overlap(&flat, None, true, true);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].msg.contains("below the 1.15x overlap floor"));
-        assert!(retryable(&failures));
-        // ...and is skipped on a machine without the threads to overlap.
-        assert!(overlap(&flat, None, true, false).is_empty());
-    }
-
-    #[test]
-    fn overlap_regression_gate_uses_mean_and_respects_record() {
-        let base = overlap_current();
-        // Identical run: clean even with the floor enforced.
-        assert!(overlap(&base, Some(&base), false, true).is_empty());
-        // A fattened pipelined mean regresses against the baseline even
-        // though its best time still clears the floor.
-        let mut slow = base.clone();
-        if let Some(e) = slow.iter_mut().find(|e| e.id == OVERLAP_PIPELINED_ID) {
-            e.mean_ns = 1100; // baseline mean 900, min unchanged
-        }
-        let failures = overlap(&slow, Some(&base), false, true);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].msg.contains("regressed"));
-        // Recording skips the regression gate.
-        assert!(overlap(&slow, Some(&base), true, true).is_empty());
-    }
-
-    #[test]
-    fn missing_overlap_results_are_structural_failures() {
-        let current = vec![entry(OVERLAP_PIPELINED_ID, 900, 800)];
-        let failures = overlap(&current, None, true, false);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0]
-            .msg
-            .contains("missing bench results for dist overlap"));
-        assert!(!retryable(&failures));
-    }
-
     #[test]
     fn missing_par_results_are_structural_failures() {
         let current: Vec<Entry> = full_current()
@@ -1333,7 +1246,7 @@ mod tests {
             &'static [&'static str],
             Option<(&'static str, &'static str)>,
         );
-        let scenarios: [Scenario; 6] = [
+        let scenarios: [Scenario; 4] = [
             (
                 "kernels",
                 false,
@@ -1357,18 +1270,6 @@ mod tests {
                 true,
                 &["BENCH_rounding_ablation"],
                 None,
-            ),
-            (
-                "dist_overlap",
-                false,
-                &["BENCH_dist_overlap"],
-                Some(("dist_overlap_pipelined/p4", "dist_overlap_serial/p4")),
-            ),
-            (
-                "dist_overlap",
-                true,
-                &["BENCH_dist_overlap"],
-                Some(("dist_overlap_pipelined/p4", "dist_overlap_serial/p4")),
             ),
         ];
         let cases = [
@@ -1424,7 +1325,6 @@ mod tests {
             "BENCH_kernels_simd",
             "BENCH_kernels_par_simd",
             "BENCH_rounding_ablation",
-            "BENCH_dist_overlap",
         ] {
             let text = committed(stem);
             let path = dir.join(format!("{stem}.json"));

@@ -9,9 +9,9 @@
 //! * [`analyze`] — the SPMD collective-safety and numeric-discipline
 //!   analyzer: the [`scanner`] token model plus the [`passes`] registry,
 //!   with in-source suppressions (DESIGN.md §8);
-//! * [`bench_check`] — the benchmark regression gates (kernels, rounding
-//!   ablation, comm/compute overlap) against the recorded
-//!   `results/BENCH_*.json` baselines, one row of its gate table each.
+//! * [`bench_check`] — the benchmark regression gates (kernels and the
+//!   rounding ablation) against the recorded `results/BENCH_*.json`
+//!   baselines, one row of its gate table each.
 
 #![forbid(unsafe_code)]
 

@@ -38,7 +38,7 @@ fn usage() {
          --no-check-suppressions; suppress with `// analyze::allow(<pass>): reason`)\n  \
          bench-check [--record] [--simd]\n                         \
          run the gates of the GATES table in xtask/src/bench_check.rs (kernels,\n                         \
-         rounding ablation, dist overlap) against results/BENCH_*.json; --record\n                         \
-         rewrites the baselines; --simd gates the `simd` feature build"
+         rounding ablation) against results/BENCH_*.json; --record rewrites the\n                         \
+         baselines; --simd gates the `simd` feature build"
     );
 }
