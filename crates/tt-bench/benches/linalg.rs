@@ -158,7 +158,8 @@ fn bench_kernels(c: &mut Criterion) {
         |bch| bch.iter(|| black_box(tt_linalg::reference::syrk_v(ts.view(), 1.0))),
     );
 
-    // QR on a TSQR-leaf-like panel: compact-WY vs rank-1 reflector loop.
+    // QR on a TSQR-leaf-like panel: one compact-WY panel (with its `T` and
+    // WY thin Q) vs the one-panel reflector kernel.
     let q_in = Matrix::gaussian(4000, 32, &mut r);
     group.bench_function(BenchmarkId::new("kernels_qr_blocked", "4000x32"), |bch| {
         bch.iter(|| {
@@ -169,6 +170,16 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("kernels_qr_unblocked", "4000x32"), |bch| {
         bch.iter(|| {
             let f = householder_qr_unblocked(&q_in);
+            black_box((f.thin_q(), f.r()))
+        });
+    });
+
+    // The dispatched QR at `round_tall`'s TSQR leaf shape (a 20000×20
+    // unfolding): factor, thin Q and R, as `tsqr` runs them.
+    let leaf = Matrix::gaussian(20_000, 20, &mut r);
+    group.bench_function(BenchmarkId::new("kernels_qr", "20000x20"), |bch| {
+        bch.iter(|| {
+            let f = householder_qr(&leaf);
             black_box((f.thin_q(), f.r()))
         });
     });

@@ -8,9 +8,10 @@
 //! Bandwidth is `O(R² log P)` — the `log P` factor the Gram-SVD approach
 //! eliminates.
 //!
-//! The leaf factorizations go through `tt_linalg::householder_qr`, which
-//! routes tall-skinny local blocks to the compact-WY blocked QR — the leaves
-//! dominate TSQR's arithmetic, so their panel updates run as packed GEMMs.
+//! The leaf factorizations dominate TSQR's arithmetic. They go through
+//! `tt_linalg::householder_qr`, which factors a local block of at most 64
+//! columns (every TT unfolding) with its one-panel reflector kernel and
+//! forms the thin Q without ever building a compact-WY `T`.
 
 use tt_comm::{CollectiveKind, Communicator};
 use tt_linalg::{gemm, householder_qr, qr_stacked_pair, Matrix, Trans};

@@ -5,8 +5,8 @@
 //!
 //! Runs under `run_verified` (every rank's communicator wrapped in
 //! `VerifyComm`), so it also certifies that the TSQR combine tree issues a
-//! well-matched SPMD collective stream now that the leaf factorizations run
-//! through the compact-WY blocked QR.
+//! well-matched SPMD collective stream, with leaves on either side of the
+//! QR dispatch: the one-panel kernel up to 64 columns, compact-WY above.
 
 use rand::SeedableRng;
 use tt_comm::{run_verified, Communicator};
@@ -82,10 +82,21 @@ fn tsqr_matches_sequential_qr_more_ranks() {
 
 #[test]
 fn tsqr_matches_sequential_qr_blocked_leaves() {
-    // Local blocks large enough that every leaf QR takes the compact-WY
-    // blocked path (m_local*n >= 2048, n >= 4).
+    // Large local blocks of TT-rank width: every leaf QR runs the one-panel
+    // kernel (at most 64 columns).
+    assert!(!householder_qr(&Matrix::zeros(300, 12)).is_blocked());
     check_tsqr_agreement(600, 12, 2, 5);
     check_tsqr_agreement(900, 8, 3, 6);
+}
+
+#[test]
+fn tsqr_matches_sequential_qr_wide_blocked_leaves() {
+    // The wide twin: 300×80 and 200×72 leaves cross the 64-column bound, so
+    // every leaf QR takes the compact-WY blocked path.
+    assert!(householder_qr(&Matrix::zeros(300, 80)).is_blocked());
+    assert!(householder_qr(&Matrix::zeros(200, 72)).is_blocked());
+    check_tsqr_agreement(600, 80, 2, 8);
+    check_tsqr_agreement(600, 72, 3, 9);
 }
 
 #[test]

@@ -10,9 +10,9 @@
 //!   (the workhorses of the Gram-SVD rounding path), dispatched between the
 //!   packed cache-blocked engine in [`block`] and the naive-loop oracle in
 //!   [`reference`],
-//! * [`qr`] — Householder QR (compact-WY blocked above a size threshold) with
-//!   explicit thin-Q recovery and the stacked-R combine step used by TSQR
-//!   (the workhorse of the baseline rounding path),
+//! * [`qr`] — Householder QR (one-panel kernel up to 64 columns, compact-WY
+//!   blocked above) with explicit thin-Q recovery and the stacked-R combine
+//!   step used by TSQR (the workhorse of the baseline rounding path),
 //! * [`eig`] — symmetric eigendecomposition (Householder tridiagonalization +
 //!   implicit-shift QL), used for the Gram eigenproblems,
 //! * [`svd`] — one-sided Jacobi SVD and the ε-truncated TSVD rule used by all

@@ -6,9 +6,10 @@
 //! pure-Rust stand-in: a fork/join layer the packed blocked engine in
 //! [`crate::block`] uses to data-parallelize the GEMM macro-kernel over
 //! output column blocks and the SYRK triangle update over block-columns.
-//! The compact-WY QR trailing updates and every TT hot path (Gram products,
-//! truncation applies, TSQR leaves) inherit the threading through the
-//! [`crate::gemm`] dispatcher.
+//! The compact-WY QR trailing updates (matrices wider than 64 columns) and
+//! every TT Gram and truncation product inherit the threading through the
+//! [`crate::gemm`] dispatcher; TSQR leaves of TT-rank width run the
+//! single-threaded one-panel QR kernel.
 //!
 //! # Determinism contract
 //!

@@ -6,16 +6,25 @@
 //! stacked-R combine step used by the Tall-Skinny QR reduction tree
 //! [Demmel et al.].
 //!
-//! Above a size threshold the factorization runs *blocked* in compact-WY
-//! form (LAPACK `geqrt`-style): each `NB`-column panel is factored with the
-//! classic rank-1 reflector loop, its reflectors are aggregated into an
-//! upper-triangular `T` with `Q_panel = I − V T Vᵀ` (forward columnwise
-//! convention, `larft`), and the trailing matrix is updated with two GEMMs
-//! and a tiny triangular multiply — so nearly all QR flops run through the
-//! packed blocked engine in [`crate::block`]. The stored `T` factors also
-//! turn [`QrFactors::thin_q`]/[`QrFactors::apply_q`]/[`QrFactors::apply_qt`]
-//! into GEMM-rich WY applications, which is what makes the TSQR leaf
-//! factorizations in `tt-core::round::tsqr` fast.
+//! A matrix with at most `ONE_PANEL_MAX_COLS` = 64 columns is factored by
+//! one slice-based reflector kernel. That covers every QR this repository
+//! runs on a TT unfolding (TSQR leaves, orthogonalization, `matprod`, the
+//! TT-GMRES least-squares solve): their widths are TT ranks. Each
+//! reflector is applied to a column as one dot product with four
+//! independent accumulators and one axpy, which vectorize and stream the
+//! column once each. Such a matrix is a single panel, so there is no
+//! trailing matrix for a compact-WY `T` to update: building `T` would only
+//! add work. `Q` is formed by applying the stored reflectors backwards,
+//! skipping the columns each one cannot touch (LAPACK `org2r`).
+//!
+//! Wider matrices run *blocked* in compact-WY form (LAPACK `geqrt`-style):
+//! each `NB`-column panel is factored by the same kernel, its reflectors
+//! are aggregated into an upper-triangular `T` with `Q_panel = I − V T Vᵀ`
+//! (forward columnwise convention, `larft`), and the trailing matrix is
+//! updated with two GEMMs and a tiny triangular multiply on the packed,
+//! threaded engine in [`crate::block`]. The stored `T` factors also turn
+//! [`QrFactors::thin_q`]/[`QrFactors::apply_q`]/[`QrFactors::apply_qt`]
+//! into WY (GEMM) applications.
 
 use crate::gemm::{gemm, gemm_into, Trans};
 use crate::matrix::Matrix;
@@ -24,10 +33,11 @@ use crate::matrix::Matrix;
 /// workspace tiny while making the trailing update a `KC`-deep GEMM.
 const NB: usize = 32;
 
-/// Below this many elements (or for very few columns) the rank-1 loop wins:
-/// there is no trailing matrix worth aggregating.
-const BLOCKED_MIN_ELEMS: usize = 2048;
-const BLOCKED_MIN_COLS: usize = 4;
+/// Up to this many columns, [`householder_qr`] runs the one-panel kernel:
+/// single-threaded it matches or beats compact-WY at every width up to
+/// 128, and only the trailing-update GEMMs of wider matrices gain from
+/// threads.
+const ONE_PANEL_MAX_COLS: usize = 64;
 
 /// One compact-WY panel: columns `j0 .. j0 + t.cols()` of the factored
 /// matrix, with `Q_panel = I − V T Vᵀ` where `V` is the unit-lower-
@@ -54,42 +64,30 @@ pub struct QrFactors {
     factors: Matrix,
     /// Householder scalars, one per reflector.
     tau: Vec<f64>,
-    /// Compact-WY panel factors; empty for the unblocked factorization.
+    /// Compact-WY panel factors; empty for the one-panel factorization.
     panels: Vec<Panel>,
 }
 
-/// Computes the Householder QR factorization of `a`, dispatching to the
-/// compact-WY blocked algorithm when the problem is large enough for the
-/// GEMM-based trailing update to pay.
+/// Computes the Householder QR factorization of `a`: the one-panel kernel
+/// for at most 64 columns, the compact-WY blocked algorithm above that.
 pub fn householder_qr(a: &Matrix) -> QrFactors {
-    let (m, n) = a.shape();
-    if m * n >= BLOCKED_MIN_ELEMS && n >= BLOCKED_MIN_COLS {
-        blocked_qr(a, NB)
-    } else {
+    if a.cols() <= ONE_PANEL_MAX_COLS {
         householder_qr_unblocked(a)
+    } else {
+        blocked_qr(a, NB)
     }
 }
 
-/// The classic one-reflector-at-a-time factorization: the conformance oracle
-/// for [`blocked_qr`] and the small-size fast path.
+/// The one-panel factorization: every reflector is applied to all trailing
+/// columns as soon as it is built, and no `T` is formed. The conformance
+/// oracle for [`blocked_qr`].
 pub fn householder_qr_unblocked(a: &Matrix) -> QrFactors {
     crate::paranoid::check_finite("householder_qr", "A", a.as_slice());
     let mut f = a.clone();
     let (m, n) = f.shape();
     let k = m.min(n);
     let mut tau = vec![0.0; k];
-    let mut work = vec![0.0; n];
-
-    for j in 0..k {
-        // Build the reflector annihilating f[j+1.., j].
-        let (t, beta) = make_householder(&mut f, j);
-        tau[j] = t;
-        // Apply H_j to the trailing columns: A := (I - τ v vᵀ) A.
-        if t != 0.0 && j + 1 < n {
-            apply_reflector_left(&mut f, j, t, n, &mut work);
-        }
-        f[(j, j)] = beta;
-    }
+    factor_panel(&mut f, &mut tau, 0..k, n);
     QrFactors {
         factors: f,
         tau,
@@ -110,22 +108,13 @@ pub fn blocked_qr(a: &Matrix, nb: usize) -> QrFactors {
     let (m, n) = f.shape();
     let k = m.min(n);
     let mut tau = vec![0.0; k];
-    let mut work = vec![0.0; n];
     let mut twork = vec![0.0; nb.min(k)];
     let mut panels = Vec::with_capacity(k.div_ceil(nb));
 
     for j0 in (0..k).step_by(nb) {
         let jb = nb.min(k - j0);
-        // Panel factorization: the rank-1 loop restricted to the panel's own
-        // columns (the trailing matrix is untouched until the WY update).
-        for j in j0..j0 + jb {
-            let (t, beta) = make_householder(&mut f, j);
-            tau[j] = t;
-            if t != 0.0 && j + 1 < j0 + jb {
-                apply_reflector_left(&mut f, j, t, j0 + jb, &mut work);
-            }
-            f[(j, j)] = beta;
-        }
+        // The trailing matrix is untouched until the WY update.
+        factor_panel(&mut f, &mut tau, j0..j0 + jb, j0 + jb);
         // Aggregate the panel's reflectors: Q_panel = I − V T Vᵀ.
         let t = build_t(&f, j0, jb, &tau[j0..j0 + jb], &mut twork[..jb]);
         // Trailing update with Qᵀ_panel = I − V Tᵀ Vᵀ:
@@ -175,8 +164,10 @@ impl QrFactors {
     }
 
     /// Explicit thin Q (`m × k`), by backward accumulation of the reflectors
-    /// (unblocked) or backward WY panel application (blocked) onto the
-    /// leading columns of the identity.
+    /// (one-panel) or backward WY panel application (blocked) onto the
+    /// leading columns of the identity. The one-panel form applies `H_j`
+    /// only to columns `j..k`: columns `c < j` are still `e_c` there, which
+    /// `H_j` leaves unchanged.
     pub fn thin_q(&self) -> Matrix {
         let (m, n) = self.factors.shape();
         let k = m.min(n);
@@ -185,12 +176,8 @@ impl QrFactors {
             q[(j, j)] = 1.0;
         }
         if self.panels.is_empty() {
-            let mut work = vec![0.0; k];
             for j in (0..k).rev() {
-                let t = self.tau[j];
-                if t != 0.0 {
-                    apply_stored_reflector(&self.factors, j, t, &mut q, &mut work);
-                }
+                self.reflect_cols(j, &mut q.as_mut_slice()[j * m..]);
             }
         } else {
             self.apply_wy(&mut q, false);
@@ -200,16 +187,10 @@ impl QrFactors {
 
     /// Applies `Qᵀ` to `b` in place (`b` has `m` rows).
     pub fn apply_qt(&self, b: &mut Matrix) {
-        let (m, n) = self.factors.shape();
-        assert_eq!(b.rows(), m, "apply_qt: row mismatch");
+        assert_eq!(b.rows(), self.rows(), "apply_qt: row mismatch");
         if self.panels.is_empty() {
-            let k = m.min(n);
-            let mut work = vec![0.0; b.cols()];
-            for j in 0..k {
-                let t = self.tau[j];
-                if t != 0.0 {
-                    apply_stored_reflector(&self.factors, j, t, b, &mut work);
-                }
+            for j in 0..self.tau.len() {
+                self.reflect_cols(j, b.as_mut_slice());
             }
         } else {
             self.apply_wy(b, true);
@@ -218,19 +199,25 @@ impl QrFactors {
 
     /// Applies `Q` to `b` in place (`b` has `m` rows).
     pub fn apply_q(&self, b: &mut Matrix) {
-        let (m, n) = self.factors.shape();
-        assert_eq!(b.rows(), m, "apply_q: row mismatch");
+        assert_eq!(b.rows(), self.rows(), "apply_q: row mismatch");
         if self.panels.is_empty() {
-            let k = m.min(n);
-            let mut work = vec![0.0; b.cols()];
-            for j in (0..k).rev() {
-                let t = self.tau[j];
-                if t != 0.0 {
-                    apply_stored_reflector(&self.factors, j, t, b, &mut work);
-                }
+            for j in (0..self.tau.len()).rev() {
+                self.reflect_cols(j, b.as_mut_slice());
             }
         } else {
             self.apply_wy(b, false);
+        }
+    }
+
+    /// Applies stored reflector `j` to every `m`-row column of the
+    /// column-major block `cols`.
+    fn reflect_cols(&self, j: usize, cols: &mut [f64]) {
+        let tau = self.tau[j];
+        if tau != 0.0 {
+            let tail = &self.factors.col(j)[j + 1..];
+            for col in cols.chunks_exact_mut(self.rows()) {
+                reflect(tail, tau, j, col);
+            }
         }
     }
 
@@ -281,75 +268,70 @@ pub fn qr_stacked_pair(r1: &Matrix, r2: &Matrix) -> (Matrix, Matrix) {
     (f.thin_q(), f.r())
 }
 
-/// Builds the reflector for column `j`; returns `(tau, beta)` where `beta`
-/// is the new diagonal entry. The vector tail is written below the diagonal.
-fn make_householder(f: &mut Matrix, j: usize) -> (f64, f64) {
+/// The reflector kernel: factors columns `js` of `f` one reflector at a
+/// time, applying each to the columns after it up to `jend` (`n` for the
+/// one-panel factorization, the panel edge for a blocked panel).
+fn factor_panel(f: &mut Matrix, tau: &mut [f64], js: std::ops::Range<usize>, jend: usize) {
     let m = f.rows();
-    let alpha = f[(j, j)];
-    let mut xnorm2 = 0.0;
-    for i in j + 1..m {
-        let v = f[(i, j)];
-        xnorm2 += v * v;
+    for j in js {
+        let (left, right) = f.as_mut_slice().split_at_mut((j + 1) * m);
+        let col = &mut left[j * m..];
+        let (t, beta) = make_householder(col, j);
+        tau[j] = t;
+        if t != 0.0 {
+            for c in right[..(jend - j - 1) * m].chunks_exact_mut(m) {
+                reflect(&col[j + 1..], t, j, c);
+            }
+        }
+        col[j] = beta;
     }
+}
+
+/// Builds the reflector for column `col` at diagonal row `j`; returns
+/// `(tau, beta)` where `beta` is the new diagonal entry. The vector tail is
+/// written below the diagonal.
+fn make_householder(col: &mut [f64], j: usize) -> (f64, f64) {
+    let alpha = col[j];
+    let tail = &mut col[j + 1..];
+    let xnorm2 = dot(tail, tail);
     if xnorm2 == 0.0 {
         // Column already zero below the diagonal: H = I.
         return (0.0, alpha);
     }
     let norm = (alpha * alpha + xnorm2).sqrt();
     let beta = if alpha >= 0.0 { -norm } else { norm };
-    let tau = (beta - alpha) / beta;
     let scale = 1.0 / (alpha - beta);
-    for i in j + 1..m {
-        f[(i, j)] *= scale;
+    for x in tail {
+        *x *= scale;
     }
-    (tau, beta)
+    ((beta - alpha) / beta, beta)
 }
 
-/// Applies the reflector stored in column `j` of `f` to columns
-/// `j+1 .. jend` of `f` itself (used during factorization; the blocked
-/// algorithm passes the panel edge as `jend`).
-fn apply_reflector_left(f: &mut Matrix, j: usize, tau: f64, jend: usize, work: &mut [f64]) {
-    let m = f.rows();
-    // w = vᵀ A[j.., j+1..jend]  where v = [1, f[j+1.., j]]
-    for c in j + 1..jend {
-        let mut s = f[(j, c)];
-        for i in j + 1..m {
-            s += f[(i, j)] * f[(i, c)];
-        }
-        work[c] = s;
-    }
-    // A -= τ v wᵀ
-    for c in j + 1..jend {
-        let tw = tau * work[c];
-        f[(j, c)] -= tw;
-        for i in j + 1..m {
-            let vij = f[(i, j)];
-            f[(i, c)] -= tw * vij;
-        }
+/// `col := (I − τ v vᵀ) col` for `v = [0…0, 1, tail]` with its unit entry
+/// at row `j`: a dot product and an axpy over rows `j..`.
+fn reflect(tail: &[f64], tau: f64, j: usize, col: &mut [f64]) {
+    let (head, rest) = col[j..].split_at_mut(1);
+    let s = tau * (head[0] + dot(tail, rest));
+    head[0] -= s;
+    for (x, &v) in rest.iter_mut().zip(tail) {
+        *x -= s * v;
     }
 }
 
-/// Applies reflector `j` (stored in `stored`) to every column of `b`.
-fn apply_stored_reflector(stored: &Matrix, j: usize, tau: f64, b: &mut Matrix, work: &mut [f64]) {
-    let m = stored.rows();
-    let n = b.cols();
-    debug_assert!(work.len() >= n);
-    for (c, w) in work.iter_mut().enumerate().take(n) {
-        let bcol = b.col(c);
-        let mut s = bcol[j];
-        for i in j + 1..m {
-            s += stored[(i, j)] * bcol[i];
-        }
-        *w = s;
-    }
-    for (c, &w) in work.iter().enumerate().take(n) {
-        let tw = tau * w;
-        let bcol = b.col_mut(c);
-        bcol[j] -= tw;
-        for i in j + 1..m {
-            bcol[i] -= tw * stored[(i, j)];
+/// `xᵀy` with four independent accumulators, so the loop vectorizes
+/// without reassociation by the compiler.
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    debug_assert_eq!(x.len(), y.len());
+    let (xc, xr) = x.as_chunks::<4>();
+    let (yc, yr) = y.as_chunks::<4>();
+    let mut acc = [0.0; 4];
+    for (a, b) in xc.iter().zip(yc) {
+        for ((s, x), y) in acc.iter_mut().zip(a).zip(b) {
+            *s += x * y;
         }
     }
+    let tail: f64 = xr.iter().zip(yr).map(|(a, b)| a * b).sum();
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
 /// `larft`-style forward-columnwise `T` recurrence for one panel:
@@ -492,19 +474,27 @@ mod tests {
 
     #[test]
     fn qr_blocked_sizes() {
-        // Sizes that route to the compact-WY path, straddling panel edges.
-        check_qr(200, 40, 21); // multi-panel tall
-        check_qr(100, NB, 22); // exactly one panel
-        check_qr(90, NB + 3, 23); // one full + one ragged panel
-        check_qr(70, 70, 24); // square, panels hit the bottom
-        check_qr(40, 90, 25); // wide: trailing update past k
+        // Sizes on both sides of the 64-column dispatch bound; the wide ones
+        // route to the compact-WY path and straddle its panel edges.
+        check_qr(200, 40, 21); // one-panel kernel, 40 columns
+        check_qr(100, NB, 22); // one-panel kernel, exactly NB columns
+        check_qr(90, NB + 3, 23); // one-panel kernel, NB + 3 columns
+        check_qr(70, 70, 24); // blocked: square, panels hit the bottom
+        check_qr(40, 90, 25); // blocked: wide, trailing update past k
+        check_qr(300, 80, 26); // blocked: two full panels + a ragged one
     }
 
     #[test]
     fn blocked_dispatch_engages() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(30);
-        let big = Matrix::gaussian(200, 40, &mut rng);
-        assert!(householder_qr(&big).is_blocked());
+        // At most 64 columns: one panel, no T.
+        let tall = Matrix::gaussian(200, 40, &mut rng);
+        assert!(!householder_qr(&tall).is_blocked());
+        let edge = Matrix::gaussian(100, ONE_PANEL_MAX_COLS, &mut rng);
+        assert!(!householder_qr(&edge).is_blocked());
+        // The wide twin crosses the bound and takes compact-WY.
+        let wide = Matrix::gaussian(300, 80, &mut rng);
+        assert!(householder_qr(&wide).is_blocked());
         let small = Matrix::gaussian(10, 3, &mut rng);
         assert!(!householder_qr(&small).is_blocked());
     }
@@ -548,7 +538,14 @@ mod tests {
     #[test]
     fn apply_q_and_qt_are_inverses() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        for (m, n) in [(20usize, 5usize), (150, 40)] {
+        // One-panel up to the TSQR leaf shape of 20000×20, then compact-WY.
+        for (m, n) in [
+            (20usize, 5usize),
+            (150, 40),
+            (108, 36),
+            (20000, 20),
+            (300, 80),
+        ] {
             let a = Matrix::gaussian(m, n, &mut rng);
             let f = householder_qr(&a);
             let b0 = Matrix::gaussian(m, 4, &mut rng);
@@ -562,17 +559,56 @@ mod tests {
     #[test]
     fn apply_qt_matches_explicit_q() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-        let a = Matrix::gaussian(130, 48, &mut rng);
-        let f = householder_qr(&a);
-        assert!(f.is_blocked());
-        let b = Matrix::gaussian(130, 3, &mut rng);
-        // Qᵀb via WY vs via explicit thin Q (leading k rows agree).
-        let mut wy = b.clone();
-        f.apply_qt(&mut wy);
-        let q = f.thin_q();
-        let explicit = gemm(Trans::Yes, &q, Trans::No, &b, 1.0);
-        let lead = wy.sub_matrix(0, 0, 48, 3);
-        assert!(lead.max_abs_diff(&explicit) < 1e-11);
+        // 130×48 runs the one-panel kernel, its 300×80 twin compact-WY.
+        for (m, n, blocked) in [(130usize, 48usize, false), (300, 80, true)] {
+            let a = Matrix::gaussian(m, n, &mut rng);
+            let f = householder_qr(&a);
+            assert_eq!(f.is_blocked(), blocked, "{m}x{n}");
+            let b = Matrix::gaussian(m, 3, &mut rng);
+            // Qᵀb applied vs via explicit thin Q (leading k rows agree).
+            let mut applied = b.clone();
+            f.apply_qt(&mut applied);
+            let q = f.thin_q();
+            let explicit = gemm(Trans::Yes, &q, Trans::No, &b, 1.0);
+            let lead = applied.sub_matrix(0, 0, n, 3);
+            assert!(lead.max_abs_diff(&explicit) < 1e-11, "{m}x{n}");
+        }
+    }
+
+    #[test]
+    fn thin_q_skip_is_bitwise_full_application() {
+        // thin_q applies H_j only to columns j..k; apply_q on the identity
+        // embedding applies every reflector to every column. The skipped
+        // products are exact zeros, so the two agree bit for bit, including
+        // through the τ = 0 reflectors of zero and repeated columns.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        let g = Matrix::gaussian(60, 12, &mut rng);
+        let zero_cols = Matrix::from_fn(60, 12, |i, j| if j % 3 == 1 { 0.0 } else { g[(i, j)] });
+        let repeated = Matrix::from_fn(60, 12, |i, _| g[(i, 0)]);
+        let cases = [
+            (g.clone(), "gaussian"),
+            (zero_cols, "zero columns"),
+            (repeated, "repeated columns"),
+            (Matrix::zeros(40, 9), "zero matrix"),
+            (Matrix::identity(20), "identity"),
+            (Matrix::gaussian(20000, 20, &mut rng), "tsqr leaf"),
+        ];
+        for (a, label) in &cases {
+            let f = householder_qr(a);
+            assert!(!f.is_blocked(), "{label}");
+            let (m, k) = (a.rows(), a.rows().min(a.cols()));
+            let mut full = Matrix::from_fn(m, k, |i, j| if i == j { 1.0 } else { 0.0 });
+            f.apply_q(&mut full);
+            let bits = |q: &Matrix| q.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&f.thin_q()), bits(&full), "{label}");
+        }
+        // The zero-column and degenerate cases really produce τ = 0.
+        for (a, label) in &cases[1..5] {
+            assert!(
+                householder_qr(a).tau.contains(&0.0),
+                "{label}: no τ = 0 reflector"
+            );
+        }
     }
 
     #[test]

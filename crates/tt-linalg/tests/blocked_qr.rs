@@ -145,22 +145,33 @@ fn qr_adversarial_cases() {
     assert_qr_invariants(&wide, &blocked_qr(&wide, 8), "wide");
 }
 
-/// The WY `apply_qt`/`apply_q` agree with the explicit-Q matrix products.
+/// `apply_qt`/`apply_q` agree with the explicit-Q matrix products, both
+/// reflector by reflector (150×40, one panel) and in WY form (its 300×80
+/// twin, past the 64-column dispatch bound).
 #[test]
 fn wy_applications_match_explicit_q() {
-    let a = gaussian(150, 40, 9);
-    let f = householder_qr(&a);
-    assert!(f.is_blocked(), "dispatch should choose the blocked path");
-    let q = f.thin_q();
-    let b = gaussian(150, 6, 10);
+    for (m, n, blocked, seed) in [(150usize, 40usize, false, 9u64), (300, 80, true, 11)] {
+        let a = gaussian(m, n, seed);
+        let f = householder_qr(&a);
+        assert_eq!(
+            f.is_blocked(),
+            blocked,
+            "{m}x{n}: dispatch chose the wrong path"
+        );
+        let q = f.thin_q();
+        let b = gaussian(m, 6, seed + 1);
 
-    let mut qtb = b.clone();
-    f.apply_qt(&mut qtb);
-    let expect = gemm(Trans::Yes, &q, Trans::No, &b, 1.0);
-    assert!(qtb.sub_matrix(0, 0, 40, 6).max_abs_diff(&expect) < 1e-11);
+        let mut qtb = b.clone();
+        f.apply_qt(&mut qtb);
+        let expect = gemm(Trans::Yes, &q, Trans::No, &b, 1.0);
+        assert!(
+            qtb.sub_matrix(0, 0, n, 6).max_abs_diff(&expect) < 1e-11,
+            "{m}x{n}"
+        );
 
-    let mut roundtrip = b.clone();
-    f.apply_qt(&mut roundtrip);
-    f.apply_q(&mut roundtrip);
-    assert!(roundtrip.max_abs_diff(&b) < 1e-11);
+        let mut roundtrip = b.clone();
+        f.apply_qt(&mut roundtrip);
+        f.apply_q(&mut roundtrip);
+        assert!(roundtrip.max_abs_diff(&b) < 1e-11, "{m}x{n}");
+    }
 }

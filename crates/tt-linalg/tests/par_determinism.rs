@@ -151,8 +151,10 @@ fn syrk_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn qr_bitwise_identical_across_thread_counts() {
-    // The compact-WY trailing updates ride on the threaded gemm; the whole
+    // The compact-WY trailing updates of the 65-column case and of the
+    // explicit `blocked_qr` below ride on the threaded gemm; the whole
     // factorization (packed reflectors, tau, thin Q, R) must be unchanged.
+    // The ≤ 64-column cases run the single-threaded one-panel kernel.
     let cases: Vec<(Matrix, &str)> = vec![
         (Matrix::gaussian(600, 64, &mut rng(30)), "tall"),
         (Matrix::gaussian(257, 65, &mut rng(31)), "edge-slab"),
