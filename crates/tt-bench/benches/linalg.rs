@@ -157,6 +157,11 @@ fn bench_kernels(c: &mut Criterion) {
         BenchmarkId::new("kernels_syrk_reference", "40000x20"),
         |bch| bch.iter(|| black_box(tt_linalg::reference::syrk_v(ts.view(), 1.0))),
     );
+    // The dispatched SYRK on the same shape: the unpacked tall-skinny
+    // engine, as the Gram sweeps run it. Read against the reference row.
+    group.bench_function(BenchmarkId::new("kernels_syrk", "40000x20"), |bch| {
+        bch.iter(|| black_box(tt_linalg::syrk_v(ts.view(), 1.0)));
+    });
 
     // QR on a TSQR-leaf-like panel: one compact-WY panel (with its `T` and
     // WY thin Q) vs the one-panel reflector kernel.

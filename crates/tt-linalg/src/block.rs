@@ -35,6 +35,13 @@
 //! register tiles intersecting the upper triangle are computed, halving the
 //! arithmetic; the strict lower triangle is mirrored at the end.
 //!
+//! This engine serves problems with at least two of `m`, `n`, `k` above 32.
+//! The tall-skinny ones TT rounding runs (one dimension `R₀I`, the others
+//! TT ranks) go to the unpacked engine in [`crate::skinny`], for which
+//! copying the tall operand into slabs costs more than the multiply. That
+//! engine sums each output element exactly as this one does, with `madd`,
+//! so which engine serves a shape never changes its bits.
+//!
 //! # Parallel packing discipline
 //!
 //! When a kernel fans out, the packed `op(A)` buffer is built **once** in a
@@ -216,6 +223,20 @@ fn microkernel_simd(pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
     for (q, vq) in v.iter().enumerate() {
         vq[0].copy_to_slice(&mut acc[q][0..4]);
         vq[1].copy_to_slice(&mut acc[q][4..8]);
+    }
+}
+
+/// The microkernel's multiply-add on one lane, `acc + a·b`: fused exactly
+/// as `microkernel_simd`'s `mul_add` under `simd` + `fma`, separately
+/// rounded as in [`microkernel_scalar`] otherwise. The unpacked engine
+/// ([`crate::skinny`]) accumulates with it, which is what keeps its sums
+/// bitwise equal to this engine's.
+#[inline(always)]
+pub(crate) fn madd(a: f64, b: f64, acc: f64) -> f64 {
+    if cfg!(all(feature = "simd", target_feature = "fma")) {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
     }
 }
 

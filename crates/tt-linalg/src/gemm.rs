@@ -4,18 +4,28 @@
 //! observation is that casting all heavy work as `gemm`/`syrk` both reduces
 //! flops and runs at higher machine efficiency than Householder-based
 //! orthogonalization. This module is the *dispatcher*: it validates shapes,
-//! applies `beta`, and routes each call to one of two engines:
+//! applies `beta`, and routes each call by shape ([`kernel_choice`]) to one
+//! of three engines:
 //!
+//! * [`crate::reference`] — the original straightforward column-major loops,
+//!   used below the blocking threshold and kept as the conformance oracle;
+//! * [`crate::skinny`] — the unpacked tall-skinny engine, for every larger
+//!   problem with at most one of `m`, `n`, `k` above 32: every sweep,
+//!   truncation and self-Gram product of TT rounding, where one dimension
+//!   is `R₀I` and the others are TT ranks. It streams the tall operand in
+//!   place, since packing it would cost more than the multiply. With two
+//!   dimensions ≤ 32 the arithmetic intensity is below the parallel
+//!   layer's default floor, so these shapes never fanned out and the
+//!   engine is sequential. Its results are bitwise equal to the packed
+//!   engine's (the same `kc`-slice sums in the same order);
 //! * [`crate::block`] — the packed, cache-blocked, register-tiled engine
 //!   (Goto/BLIS-style `MC`/`KC`/`NC` blocking over an `MR × NR` microkernel),
-//!   used whenever the problem is large enough to amortize packing;
-//! * [`crate::reference`] — the original straightforward column-major loops,
-//!   used below the blocking threshold and kept as the conformance oracle.
+//!   for the rest.
 //!
 //! Under the `paranoid` feature (or any debug build) the dispatcher
-//! spot-checks sampled entries of every blocked result against dot products
-//! computed directly from the unpacked operands, so a packing or tiling bug
-//! is caught at the call site that triggered it.
+//! spot-checks sampled entries of every blocked or tall-skinny result
+//! against dot products computed directly from the operands, so a packing
+//! or tiling bug is caught at the call site that triggered it.
 //!
 //! The primary entry points ([`gemm_v`], [`syrk_v`]) take borrowed
 //! [`MatRef`]/[`MatMut`] views so TT-core buffers can be multiplied under
@@ -25,6 +35,7 @@
 use crate::block;
 use crate::matrix::Matrix;
 use crate::reference;
+use crate::skinny;
 use crate::view::{MatMut, MatRef};
 
 /// Transposition flag for [`gemm`] operands, mirroring BLAS conventions.
@@ -52,24 +63,30 @@ pub enum Kernel {
     Reference,
     /// Packed blocked engine ([`crate::block`]).
     Blocked,
+    /// Unpacked tall-skinny engine ([`crate::skinny`]).
+    TallSkinny,
 }
 
 /// Flop threshold (2·m·n·k) above which packing pays for itself.
 ///
 /// Below ~32³ the packed panels cost as much to fill as the multiply; the
 /// rounding algorithms' small `R × R` bond updates stay on the reference
-/// loops while every unfolding contraction (tall-skinny `R₀I × R₁`) and the
-/// γ-calibration GEMM route to the blocked engine.
+/// loops while every unfolding contraction (tall-skinny `R₀I × R₁`) routes
+/// to the tall-skinny engine and the γ-calibration GEMM to the blocked one.
 const BLOCK_FLOP_THRESHOLD: f64 = 2.0 * 32.0 * 32.0 * 32.0;
 
 /// Selects the engine for a `m × n × k` multiply. Single source of truth:
 /// the dispatcher itself, the γ-calibration pin test, and the benches all
-/// consult this.
+/// consult this. Above the blocking threshold, a shape with at most one
+/// dimension above 32 (`skinny::SMALL_DIM`) takes the tall-skinny engine and
+/// any other the packed one.
 pub fn kernel_choice(m: usize, n: usize, k: usize) -> Kernel {
-    if gemm_flops(m, n, k) >= BLOCK_FLOP_THRESHOLD && k >= 2 {
-        Kernel::Blocked
-    } else {
+    if gemm_flops(m, n, k) < BLOCK_FLOP_THRESHOLD || k < 2 {
         Kernel::Reference
+    } else if [m, n, k].iter().filter(|&&d| d > skinny::SMALL_DIM).count() <= 1 {
+        Kernel::TallSkinny
+    } else {
+        Kernel::Blocked
     }
 }
 
@@ -135,21 +152,26 @@ pub fn gemm_v(
     crate::paranoid::check_finite_scalar("gemm", "beta", beta);
     let k = ka;
 
-    match kernel_choice(m, n, k) {
-        Kernel::Reference => reference::gemm_v(ta, a, tb, b, alpha, beta, c),
-        Kernel::Blocked => {
-            let samples = sample_entries_before(m, n, beta, &c);
-            if beta == 0.0 {
-                c.fill(0.0);
-            } else if beta != 1.0 {
-                c.scale(beta);
-            }
-            if alpha != 0.0 {
-                block::gemm_accumulate(ta, a, tb, b, alpha, &mut c);
-            }
-            verify_samples(ta, a, tb, b, alpha, beta, &c, k, &samples);
+    let kernel = kernel_choice(m, n, k);
+    if kernel == Kernel::Reference {
+        reference::gemm_v(ta, a, tb, b, alpha, beta, c);
+        return;
+    }
+    let samples = sample_entries_before(m, n, beta, &c);
+    if kernel == Kernel::TallSkinny && alpha != 0.0 {
+        // Applies `beta` with the first depth slice.
+        skinny::gemm(ta, a, tb, b, alpha, beta, &mut c);
+    } else {
+        if beta == 0.0 {
+            c.fill(0.0);
+        } else if beta != 1.0 {
+            c.scale(beta);
+        }
+        if alpha != 0.0 {
+            block::gemm_accumulate(ta, a, tb, b, alpha, &mut c);
         }
     }
+    verify_samples(ta, a, tb, b, alpha, beta, &c, k, &samples);
 }
 
 /// Symmetric rank-k update `C = alpha * Aᵀ A` (full symmetric result).
@@ -166,16 +188,15 @@ pub fn syrk_v(a: MatRef<'_>, alpha: f64) -> Matrix {
     crate::paranoid::check_finite("syrk", "A", a.as_slice());
     crate::paranoid::check_finite_scalar("syrk", "alpha", alpha);
     let (k, n) = a.shape();
-    match kernel_choice(n, n, k) {
-        Kernel::Reference => reference::syrk_v(a, alpha),
-        Kernel::Blocked => {
-            let c = block::syrk(a, alpha, block::SyrkShape::TransposeA);
-            verify_syrk_samples("syrk", &c, |i, j| {
-                alpha * reference::dot(a.col(i), a.col(j))
-            });
-            c
-        }
-    }
+    let c = match kernel_choice(n, n, k) {
+        Kernel::Reference => return reference::syrk_v(a, alpha),
+        Kernel::TallSkinny => skinny::syrk(a, alpha, block::SyrkShape::TransposeA),
+        Kernel::Blocked => block::syrk(a, alpha, block::SyrkShape::TransposeA),
+    };
+    verify_syrk_samples("syrk", &c, |i, j| {
+        alpha * reference::dot(a.col(i), a.col(j))
+    });
+    c
 }
 
 /// View-based symmetric rank-k update in the other orientation:
@@ -187,20 +208,19 @@ pub fn syrk_nt_v(a: MatRef<'_>, alpha: f64) -> Matrix {
     crate::paranoid::check_finite("syrk_nt", "A", a.as_slice());
     crate::paranoid::check_finite_scalar("syrk_nt", "alpha", alpha);
     let (m, k) = a.shape();
-    match kernel_choice(m, m, k) {
-        Kernel::Reference => reference::syrk_nt_v(a, alpha),
-        Kernel::Blocked => {
-            let c = block::syrk(a, alpha, block::SyrkShape::TransposeB);
-            verify_syrk_samples("syrk_nt", &c, |i, j| {
-                let mut s = 0.0;
-                for l in 0..k {
-                    s += a.at(i, l) * a.at(j, l);
-                }
-                alpha * s
-            });
-            c
+    let c = match kernel_choice(m, m, k) {
+        Kernel::Reference => return reference::syrk_nt_v(a, alpha),
+        Kernel::TallSkinny => skinny::syrk(a, alpha, block::SyrkShape::TransposeB),
+        Kernel::Blocked => block::syrk(a, alpha, block::SyrkShape::TransposeB),
+    };
+    verify_syrk_samples("syrk_nt", &c, |i, j| {
+        let mut s = 0.0;
+        for l in 0..k {
+            s += a.at(i, l) * a.at(j, l);
         }
-    }
+        alpha * s
+    });
+    c
 }
 
 /// Flop count of a `gemm` with these dimensions (2·m·n·k), used by the
@@ -245,8 +265,8 @@ fn sample_entries_before(
         .collect()
 }
 
-/// Verifies the sampled entries of a blocked GEMM against dot products
-/// computed directly from the unpacked operands — the reference oracle at
+/// Verifies the sampled entries of a blocked or tall-skinny GEMM against
+/// dot products computed directly from the operands — the reference oracle at
 /// O(samples·k) cost. Panics with a kernel-naming diagnostic on mismatch,
 /// including a non-finite result where the oracle's value is finite.
 #[allow(clippy::too_many_arguments)]
@@ -285,7 +305,8 @@ fn verify_samples(
             panic!(
                 "gemm: paranoid check failed: blocked kernel disagrees with the \
                  reference oracle at C[{i},{j}]: blocked {got} vs reference \
-                 {expect} (tol {tol}) — packing/tiling bug in tt-linalg::block"
+                 {expect} (tol {tol}) — packing/tiling bug in tt-linalg::block \
+                 or tt-linalg::skinny"
             );
         }
     }
@@ -314,7 +335,8 @@ fn verify_syrk_samples(kernel: &str, c: &Matrix, entry: impl Fn(usize, usize) ->
             panic!(
                 "{kernel}: paranoid check failed: blocked kernel disagrees with \
                  the reference oracle at C[{i},{j}]: blocked {got} vs reference \
-                 {expect} — packing/tiling bug in tt-linalg::block"
+                 {expect} — packing/tiling bug in tt-linalg::block or \
+                 tt-linalg::skinny"
             );
         }
     }
@@ -513,8 +535,31 @@ mod tests {
         assert_eq!(kernel_choice(0, 5, 5), Kernel::Reference);
         assert_eq!(kernel_choice(8, 8, 8), Kernel::Reference);
         assert_eq!(kernel_choice(1000, 1000, 1), Kernel::Reference);
-        // …while calibration-sized and tall-skinny unfolding GEMMs block.
+        // …calibration-sized GEMMs block…
         assert_eq!(kernel_choice(256, 256, 256), Kernel::Blocked);
-        assert_eq!(kernel_choice(40_000, 20, 20), Kernel::Blocked);
+        // …and tall-skinny unfolding GEMMs take the unpacked engine, in
+        // each of the three positions of the tall dimension.
+        assert_eq!(kernel_choice(40_000, 20, 20), Kernel::TallSkinny);
+        assert_eq!(kernel_choice(20, 40_000, 10), Kernel::TallSkinny);
+        assert_eq!(kernel_choice(20, 20, 40_000), Kernel::TallSkinny);
+        // Their wide twins, with two dimensions above 32, still block.
+        assert_eq!(kernel_choice(40_000, 64, 64), Kernel::Blocked);
+        assert_eq!(kernel_choice(8000, 96, 32), Kernel::Blocked);
+        assert_eq!(kernel_choice(64, 40_000, 64), Kernel::Blocked);
+    }
+
+    #[test]
+    fn tall_skinny_class_boundary_is_32() {
+        for tall in [33usize, 1000, 40_000] {
+            assert_eq!(kernel_choice(tall, 32, 32), Kernel::TallSkinny);
+            assert_eq!(kernel_choice(32, tall, 32), Kernel::TallSkinny);
+            assert_eq!(kernel_choice(32, 32, tall), Kernel::TallSkinny);
+            assert_eq!(kernel_choice(tall, 33, 32), Kernel::Blocked);
+            assert_eq!(kernel_choice(tall, 32, 33), Kernel::Blocked);
+            assert_eq!(kernel_choice(33, 32, tall), Kernel::Blocked);
+        }
+        // All three at most 32: the class, once above the blocking threshold.
+        assert_eq!(kernel_choice(32, 32, 32), Kernel::TallSkinny);
+        assert_eq!(kernel_choice(33, 33, 33), Kernel::Blocked);
     }
 }

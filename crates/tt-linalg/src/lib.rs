@@ -8,8 +8,8 @@
 //!
 //! * [`gemm`]/[`syrk`] — general and symmetric matrix multiplication
 //!   (the workhorses of the Gram-SVD rounding path), dispatched between the
-//!   packed cache-blocked engine in [`block`] and the naive-loop oracle in
-//!   [`reference`],
+//!   packed cache-blocked engine in [`block`], the unpacked tall-skinny
+//!   engine in [`skinny`] and the naive-loop oracle in [`reference`],
 //! * [`qr`] — Householder QR (one-panel kernel up to 64 columns, compact-WY
 //!   blocked above) with explicit thin-Q recovery and the stacked-R combine
 //!   step used by TSQR (the workhorse of the baseline rounding path),
@@ -43,6 +43,7 @@ pub mod paranoid;
 pub mod qr;
 pub mod reference;
 pub mod rng;
+pub mod skinny;
 pub mod svd;
 pub mod tri;
 pub mod tune;

@@ -456,6 +456,36 @@ mod tests {
     }
 
     #[test]
+    fn intensity_gate_rejects_tall_skinny_shapes() {
+        // The unpacked tall-skinny engine is sequential; that loses no
+        // threaded path only while no shape of its class clears the
+        // default floors.
+        use crate::gemm::{kernel_choice, Kernel};
+        let ff = tune::DEFAULT_PAR_FLOP_FLOOR;
+        let fi = tune::DEFAULT_PAR_INTENSITY_FLOOR;
+        let small = [1usize, 2, 7, 8, 13, 20, 31, 32];
+        let tall = [33usize, 100, 1000, 20_000, 1_000_000];
+        let mut sampled = 0;
+        for &t in &tall {
+            for &s1 in &small {
+                for &s2 in &small {
+                    for (m, n, k) in [(t, s1, s2), (s1, t, s2), (s1, s2, t)] {
+                        if kernel_choice(m, n, k) != Kernel::TallSkinny {
+                            continue;
+                        }
+                        sampled += 1;
+                        assert!(!admits(Work::gemm(m, n, k), ff, fi), "({m},{n},{k})");
+                    }
+                    if kernel_choice(s1, s1, t) == Kernel::TallSkinny {
+                        assert!(!admits(Work::syrk(s1, t), ff, fi), "syrk {s1}x{t}");
+                    }
+                }
+            }
+        }
+        assert!(sampled > 100, "only {sampled} class shapes sampled");
+    }
+
+    #[test]
     fn work_profiles_match_hand_counts() {
         let g = Work::gemm(10, 20, 30);
         assert_eq!(g.flops, 2.0 * 10.0 * 20.0 * 30.0);

@@ -127,9 +127,7 @@ pub fn syrk_nt_v(a: MatRef<'_>, alpha: f64) -> Matrix {
             if s == 0.0 {
                 continue;
             }
-            for i in 0..=j {
-                c[(i, j)] += s * col[i];
-            }
+            axpy(s, &col[..=j], &mut c.col_mut(j)[..=j]);
         }
     }
     for j in 0..m {

@@ -1,8 +1,10 @@
-//! Kernel-conformance suite: the packed blocked GEMM/SYRK engine against the
-//! naive-loop reference oracle, over randomized shapes and the edge cases
-//! the blocking scheme must absorb (empty operands, single-row/column
-//! problems, sub-microkernel tiles, tall-skinny `R₀I × R₁` unfoldings, all
-//! four transpose combinations, non-unit `alpha`/`beta`).
+//! Kernel-conformance suite: the packed blocked GEMM/SYRK engine and the
+//! unpacked tall-skinny engine against the naive-loop reference oracle,
+//! over randomized shapes and the edge cases the tiling must absorb (empty
+//! operands, single-row/column problems, sub-microkernel tiles, tall-skinny
+//! `R₀I × R₁` unfoldings, all four transpose combinations, non-unit
+//! `alpha`/`beta`), plus the tall-skinny engine's bit parity with the
+//! packed one.
 //!
 //! Error bounds are componentwise and scaled by the contraction depth:
 //! both engines compute each entry as a length-`k` inner product, so
@@ -19,8 +21,8 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tt_linalg::block::{self, SyrkShape, MR, NR};
-use tt_linalg::reference;
-use tt_linalg::view::MatMut;
+use tt_linalg::view::{MatMut, MatRef};
+use tt_linalg::{reference, skinny, tune};
 use tt_linalg::{Matrix, Trans, EPS};
 
 /// Componentwise bound constant: generous but tight enough to catch any
@@ -36,10 +38,39 @@ fn abs_matrix(m: &Matrix) -> Matrix {
     Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)].abs())
 }
 
-/// Runs the blocked engine and checks it entry-by-entry against the
-/// reference oracle under the componentwise k·ε bound.
+/// `C = alpha·op(A)·op(B) + beta·C` through one engine.
+type Engine = fn(Trans, MatRef<'_>, Trans, MatRef<'_>, f64, f64, &mut MatMut<'_>);
+
+/// The packed engine, with the `beta` pre-scaling exactly as the
+/// dispatcher performs it.
+fn packed(
+    ta: Trans,
+    a: MatRef<'_>,
+    tb: Trans,
+    b: MatRef<'_>,
+    alpha: f64,
+    beta: f64,
+    c: &mut MatMut<'_>,
+) {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        c.scale(beta);
+    }
+    let k = match ta {
+        Trans::No => a.cols(),
+        Trans::Yes => a.rows(),
+    };
+    if alpha != 0.0 && c.rows() > 0 && c.cols() > 0 && k > 0 {
+        block::gemm_accumulate(ta, a, tb, b, alpha, c);
+    }
+}
+
+/// Runs `engine` and checks it entry-by-entry against the reference oracle
+/// under the componentwise k·ε bound.
 #[allow(clippy::too_many_arguments)]
 fn assert_gemm_conforms(
+    engine: Engine,
     m: usize,
     n: usize,
     k: usize,
@@ -59,13 +90,16 @@ fn assert_gemm_conforms(
     };
     let c0 = gaussian(m, n, seed ^ 0x51ed);
 
-    // Blocked: beta pre-scaling exactly as the dispatcher performs it.
     let mut blocked = c0.clone();
-    blocked.scale(beta);
-    if alpha != 0.0 && m > 0 && n > 0 && k > 0 {
-        let mut bv: MatMut<'_> = blocked.view_mut();
-        block::gemm_accumulate(ta, a.view(), tb, b.view(), alpha, &mut bv);
-    }
+    engine(
+        ta,
+        a.view(),
+        tb,
+        b.view(),
+        alpha,
+        beta,
+        &mut blocked.view_mut(),
+    );
 
     // Reference oracle.
     let mut expect = c0.clone();
@@ -120,7 +154,7 @@ proptest! {
         beta in -2.0f64..2.0,
         seed in any::<u64>(),
     ) {
-        assert_gemm_conforms(m, n, k, trans_from(ta), trans_from(tb), alpha, beta, seed);
+        assert_gemm_conforms(packed, m, n, k, trans_from(ta), trans_from(tb), alpha, beta, seed);
     }
 
     /// Tall-skinny unfolding shapes (`R₀·I × R₁` with small ranks): the
@@ -134,9 +168,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // op(A): (r0*dim) x r1 unfolding against its own transpose partner.
-        assert_gemm_conforms(r1, r1, r0 * dim, Trans::Yes, Trans::No, 1.0, 0.0, seed);
+        assert_gemm_conforms(packed, r1, r1, r0 * dim, Trans::Yes, Trans::No, 1.0, 0.0, seed);
         // And the application GEMM: unfolding times a small square factor.
-        assert_gemm_conforms(r0 * dim, r1, r1, trans_from(ta), Trans::No, 1.0, 0.0, seed ^ 1);
+        assert_gemm_conforms(
+            packed, r0 * dim, r1, r1, trans_from(ta), Trans::No, 1.0, 0.0, seed ^ 1,
+        );
     }
 
     /// SYRK in both orientations vs the reference, including exact-symmetry.
@@ -179,6 +215,78 @@ proptest! {
                 prop_assert!((nt[(i, j)] - nt_ref[(i, j)]).abs() <= tol,
                     "NT {rows}x{cols} C[{i},{j}]");
                 prop_assert_eq!(nt[(i, j)], nt[(j, i)]);
+            }
+        }
+    }
+
+    /// The tall-skinny engine on its class: one dimension up to past two
+    /// `kc` slices, the other two at most 32 (every `m mod 8` and
+    /// `n mod 4` edge), all four op combinations, alpha ≠ 1 and beta in
+    /// {0, 1, other}.
+    #[test]
+    fn tall_skinny_conforms_on_class_shapes(
+        which in 0usize..3,
+        tall in 33usize..1100,
+        s1 in 1usize..=32,
+        s2 in 1usize..=32,
+        ta in any::<bool>(),
+        tb in any::<bool>(),
+        alpha in -3.0f64..3.0,
+        beta_kind in 0usize..3,
+        beta_value in -2.0f64..2.0,
+        seed in any::<u64>(),
+    ) {
+        // The engine's contract excludes alpha = 0 (the dispatcher
+        // handles it with a beta pass).
+        let alpha = if alpha == 0.0 { 1.0 } else { alpha };
+        let (m, n, k) = match which {
+            0 => (tall, s1, s2),
+            1 => (s1, tall, s2),
+            _ => (s1, s2, tall),
+        };
+        // The three cases the first depth slice distinguishes.
+        let beta = match beta_kind {
+            0 => 0.0,
+            1 => 1.0,
+            _ => beta_value,
+        };
+        assert_gemm_conforms(
+            skinny::gemm, m, n, k, trans_from(ta), trans_from(tb), alpha, beta, seed,
+        );
+    }
+
+    /// Tall-skinny SYRK in both orientations vs the reference, with exact
+    /// symmetry: `tall × small` for `AᵀA`, `small × tall` for `A Aᵀ`.
+    #[test]
+    fn tall_skinny_syrk_conforms(
+        tall in 1usize..1100,
+        small in 1usize..=32,
+        alpha in -3.0f64..3.0,
+        seed in any::<u64>(),
+    ) {
+        for (a, shape) in [
+            (gaussian(tall, small, seed), SyrkShape::TransposeA),
+            (gaussian(small, tall, seed), SyrkShape::TransposeB),
+        ] {
+            let got = skinny::syrk(a.view(), alpha, shape);
+            let (expect, abs) = match shape {
+                SyrkShape::TransposeA => (
+                    reference::syrk_v(a.view(), alpha),
+                    reference::syrk_v(abs_matrix(&a).view(), alpha.abs()),
+                ),
+                SyrkShape::TransposeB => (
+                    reference::syrk_nt_v(a.view(), alpha),
+                    reference::syrk_nt_v(abs_matrix(&a).view(), alpha.abs()),
+                ),
+            };
+            let kf = tall as f64 + 2.0;
+            for i in 0..small {
+                for j in 0..small {
+                    let tol = C_BOUND * kf * EPS * (abs[(i, j)] + 1.0);
+                    prop_assert!((got[(i, j)] - expect[(i, j)]).abs() <= tol,
+                        "{shape:?} {tall}x{small} C[{i},{j}]");
+                    prop_assert_eq!(got[(i, j)], got[(j, i)]);
+                }
             }
         }
     }
@@ -230,7 +338,17 @@ fn gemm_edge_cases() {
             (Trans::No, Trans::Yes),
             (Trans::Yes, Trans::Yes),
         ] {
-            assert_gemm_conforms(m, n, k, ta, tb, -1.75, 0.5, 1000 + m as u64 + n as u64);
+            assert_gemm_conforms(
+                packed,
+                m,
+                n,
+                k,
+                ta,
+                tb,
+                -1.75,
+                0.5,
+                1000 + m as u64 + n as u64,
+            );
         }
     }
 }
@@ -278,5 +396,90 @@ fn syrk_edge_cases() {
                 <= C_BOUND * (cols as f64 + 2.0) * EPS * (1.0 + nt_ref.max_abs()),
             "NT {rows}x{cols}"
         );
+    }
+}
+
+fn assert_bits_eq(got: &Matrix, expect: &Matrix, what: &str) {
+    assert_eq!(got.shape(), expect.shape(), "{what}");
+    for (x, y) in got.as_slice().iter().zip(expect.as_slice()) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: {x} vs {y}");
+    }
+}
+
+/// The tall-skinny engine is bitwise equal to the packed one: the same
+/// `kc`-slice sums, added in the same order, with the same multiply-add.
+/// Covers the tall dimension in every position, edge tiles in both
+/// directions, depth crossing `kc`, all four op combinations and every
+/// `beta` case; then SYRK in both orientations.
+#[test]
+fn tall_skinny_bitwise_equals_packed() {
+    let kc = tune::tuning().kc;
+    let mut seed = 0u64;
+    for &(m, n, k) in &[
+        (2005usize, 13usize, 20usize),
+        (4000, 32, 31),
+        (20, 20, 2 * kc + 7),
+        (31, 7, kc + 1),
+        (10, 1003, 20),
+        (9, 32, 500),
+        (32, 32, 32),
+    ] {
+        for ta in [Trans::No, Trans::Yes] {
+            for tb in [Trans::No, Trans::Yes] {
+                for (alpha, beta) in [(1.0, 0.0), (-1.5, 1.0), (0.75, -0.5)] {
+                    seed += 1;
+                    let a = match ta {
+                        Trans::No => gaussian(m, k, seed),
+                        Trans::Yes => gaussian(k, m, seed),
+                    };
+                    let b = match tb {
+                        Trans::No => gaussian(k, n, seed ^ 3),
+                        Trans::Yes => gaussian(n, k, seed ^ 3),
+                    };
+                    let c0 = gaussian(m, n, seed ^ 5);
+                    let mut fast = c0.clone();
+                    skinny::gemm(
+                        ta,
+                        a.view(),
+                        tb,
+                        b.view(),
+                        alpha,
+                        beta,
+                        &mut fast.view_mut(),
+                    );
+                    let mut slow = c0.clone();
+                    packed(
+                        ta,
+                        a.view(),
+                        tb,
+                        b.view(),
+                        alpha,
+                        beta,
+                        &mut slow.view_mut(),
+                    );
+                    let what = format!("gemm ({m},{n},{k}) {ta:?} {tb:?} beta={beta}");
+                    assert_bits_eq(&fast, &slow, &what);
+                }
+            }
+        }
+    }
+    for &(rows, cols) in &[
+        (5000usize, 20usize),
+        (3 * kc + 5, 13),
+        (kc, 32),
+        (37, 1),
+        (1, 7),
+        (20, 3000),
+        (13, kc + 9),
+    ] {
+        seed += 1;
+        let a = gaussian(rows, cols, seed);
+        for shape in [SyrkShape::TransposeA, SyrkShape::TransposeB] {
+            for alpha in [1.0, -0.5] {
+                let fast = skinny::syrk(a.view(), alpha, shape);
+                let slow = block::syrk(a.view(), alpha, shape);
+                assert_bits_eq(&fast, &slow, &format!("syrk {rows}x{cols} {shape:?}"));
+            }
+        }
     }
 }
