@@ -1,22 +1,17 @@
 //! `cargo xtask analyze` — the SPMD collective-safety and numeric-discipline
 //! static analyzer (DESIGN.md §8 and §10).
 //!
-//! The analysis runs in two stages:
+//! One serial run over every library source, in two stages:
 //!
-//! 1. **Per-file** (parallel, cached): each source file is read, scanned
-//!    into a [`CodeModel`], run through every per-file [`Pass`], its
-//!    suppressions parsed, and its call-graph [`FileSummary`] extracted.
-//!    The result is a [`FileRecord`] that depends only on the file's bytes,
-//!    so it is cached under `target/analyze-cache/` keyed by content hash
-//!    ([`crate::cache`]) and the stage fans out over scoped worker threads
-//!    with a static chunk partition — no locks, deterministic merge order,
-//!    the same discipline `tt_linalg::par` imposes on the kernels.
-//! 2. **Workspace** (serial, cheap): the summaries merge into a
-//!    [`CallGraph`], facts propagate to a fixpoint, and the interprocedural
-//!    [`GraphPass`]es (`collective_order`, `determinism`, `alloc_hot_path`)
-//!    run over the whole graph. Their findings join the per-file ones
-//!    before suppression reconciliation, so one suppression syntax covers
-//!    both kinds.
+//! 1. **Per-file**: each source file is read, scanned into a [`CodeModel`],
+//!    run through every per-file [`Pass`], its suppressions parsed, and its
+//!    call-graph [`FileSummary`] extracted.
+//! 2. **Workspace**: the summaries merge into a [`CallGraph`], facts
+//!    propagate to a fixpoint, and the interprocedural [`GraphPass`]es
+//!    (`collective_order`, `protocol_match`, `deadlock_check`,
+//!    `determinism`, `alloc_hot_path`) run over the whole graph. Their
+//!    findings join the per-file ones before suppression reconciliation,
+//!    so one suppression syntax covers both kinds.
 //!
 //! Suppressions:
 //!
@@ -29,33 +24,22 @@
 //! stacked above one statement). The reason is mandatory — an accepted
 //! finding must be documented at the site — and the pass name must exist.
 //! Suppressions that match no diagnostic are themselves errors (on by
-//! default; nightly CI passes `--check-suppressions` explicitly, local
-//! triage can pass `--no-check-suppressions` while iterating), so stale
-//! annotations cannot accumulate. `--fix-suppressions` prints a removal
-//! plan for the stale annotations; add `--apply` to edit them out of the
-//! source (whole line for standalone comments, the comment portion for
-//! trailing ones).
-//!
-//! `--changed-only[=REF]` scopes the run to files changed vs a git ref
-//! (default `HEAD`, tracked diff + untracked) for fast pre-commit checks;
-//! because the call graph then only sees part of the workspace, it turns
-//! unused-suppression checking off unless explicitly requested.
+//! default; local triage can pass `--no-check-suppressions` while
+//! iterating), so stale annotations cannot accumulate: the gate prints each
+//! one's `file:line`.
 //!
 //! Exit code is non-zero on any unsuppressed diagnostic, malformed
-//! suppression, or (when checking) unused suppression. `--format json`
-//! emits the full report as a single JSON object on stdout; `--format
-//! sarif` emits SARIF 2.1.0 for GitHub code scanning ([`crate::sarif`]).
-//! `--stats` prints scan/cache/graph counters to stderr — the CI lint job
-//! logs it so analyzer precision regressions (unresolved-call growth,
-//! cache collapse) are visible in history.
+//! suppression, or (when checking) unused suppression. `--format sarif`
+//! emits SARIF 2.1.0 for GitHub code scanning ([`crate::sarif`]). `--stats`
+//! prints scan/graph counters and the wall time to stderr — the CI lint job
+//! logs it so analyzer precision regressions (unresolved-call growth, lost
+//! skeleton coverage) are visible in history.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::cache::{self, FileRecord};
 use crate::callgraph::{hot_reachability, propagate, CallGraph, FileSummary};
 use crate::library_src_files;
 use crate::passes::{all_graph_passes, all_pass_names, all_passes, Diagnostic, GraphContext};
@@ -75,18 +59,6 @@ pub struct Suppression {
     pub comment_line: usize,
 }
 
-/// One unused suppression, located precisely enough to auto-remove it
-/// (`--fix-suppressions`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnusedSite {
-    /// Repo-relative path of the file carrying the annotation.
-    pub file: String,
-    /// 1-based line of the comment itself.
-    pub comment_line: usize,
-    /// Pass the annotation names.
-    pub pass: String,
-}
-
 /// Full result of one analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -98,8 +70,6 @@ pub struct Report {
     pub errors: Vec<String>,
     /// Suppressions that silenced nothing, as `file:line: pass` strings.
     pub unused: Vec<String>,
-    /// The same unused suppressions, structured (drives `--fix-suppressions`).
-    pub unused_sites: Vec<UnusedSite>,
     /// Number of files analyzed.
     pub files: usize,
 }
@@ -113,38 +83,11 @@ impl Report {
     }
 }
 
-/// Tuning knobs for one analysis run (the CLI maps flags onto this; the
-/// fixture tests use [`AnalysisOptions::serial_uncached`] so goldens never
-/// depend on the cache or thread count).
-#[derive(Debug, Clone)]
-pub struct AnalysisOptions {
-    /// Worker threads for the per-file stage (`1` = fully serial).
-    pub jobs: usize,
-    /// Cache directory; `None` disables the cache.
-    pub cache_dir: Option<PathBuf>,
-}
-
-impl AnalysisOptions {
-    /// Serial, uncached: the reference configuration every other one must
-    /// match bit-for-bit (property-tested in `tests/scanner_props.rs`).
-    pub fn serial_uncached() -> AnalysisOptions {
-        AnalysisOptions {
-            jobs: 1,
-            cache_dir: None,
-        }
-    }
-}
-
-/// Counters from one analysis run, surfaced by `--stats` (and asserted on
-/// by the cache tests: a warm run must show hits).
+/// Counters from one analysis run, surfaced by `--stats`.
 #[derive(Debug, Default, Clone)]
 pub struct AnalysisStats {
     /// Files analyzed.
     pub files: usize,
-    /// Per-file records served from the content-hash cache.
-    pub cache_hits: usize,
-    /// Per-file records computed fresh (includes cache-disabled runs).
-    pub cache_misses: usize,
     /// Call-graph nodes (functions).
     pub graph_nodes: usize,
     /// Call-graph edges (call sites).
@@ -166,20 +109,12 @@ pub struct AnalysisStats {
 impl AnalysisStats {
     /// The `--stats` line (also what CI logs).
     pub fn render(&self) -> String {
-        let total = self.cache_hits + self.cache_misses;
-        let rate = if total == 0 {
-            0.0
-        } else {
-            100.0 * self.cache_hits as f64 / total as f64
-        };
         let dist_total = self.dist_covered + self.dist_uncovered;
         format!(
-            "{} files scanned (cache: {} hits / {} misses, {rate:.1}% hit rate), \
+            "{} files scanned, \
              call graph: {} nodes / {} edges ({} resolved, {} ambiguous, {} external calls), \
              skeletons: {}/{dist_total} public _dist entry points covered ({} uncovered)",
             self.files,
-            self.cache_hits,
-            self.cache_misses,
             self.graph_nodes,
             self.graph_edges,
             self.resolved_calls,
@@ -193,69 +128,27 @@ impl AnalysisStats {
 
 /// CLI entry point for `cargo xtask analyze`.
 pub fn analyze(repo: &Path, args: &[String]) -> ExitCode {
-    #[derive(PartialEq)]
-    enum Format {
-        Text,
-        Json,
-        Sarif,
-    }
-    let mut format = Format::Text;
+    let mut sarif = false;
     let mut check_suppressions = true;
-    let mut check_explicit = false;
     let mut show_stats = false;
-    let mut fix_suppressions = false;
-    let mut fix_apply = false;
-    let mut changed_only: Option<String> = None;
-    let mut opts = AnalysisOptions {
-        jobs: default_jobs(),
-        cache_dir: Some(cache::default_cache_dir(repo)),
-    };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--format" => match it.next().map(String::as_str) {
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                Some("text") => format = Format::Text,
+                Some("sarif") => sarif = true,
+                Some("text") => sarif = false,
                 other => {
                     eprintln!(
-                        "analyze: --format expects `text`, `json`, or `sarif`, got {:?}",
+                        "analyze: --format expects `text` or `sarif`, got {:?}",
                         other.unwrap_or("<nothing>")
                     );
                     return ExitCode::FAILURE;
                 }
             },
-            "--format=json" => format = Format::Json,
-            "--format=sarif" => format = Format::Sarif,
-            "--format=text" => format = Format::Text,
-            "--check-suppressions" => {
-                check_suppressions = true;
-                check_explicit = true;
-            }
-            "--no-check-suppressions" => {
-                check_suppressions = false;
-                check_explicit = true;
-            }
+            "--format=sarif" => sarif = true,
+            "--format=text" => sarif = false,
+            "--no-check-suppressions" => check_suppressions = false,
             "--stats" => show_stats = true,
-            "--fix-suppressions" => fix_suppressions = true,
-            "--apply" => fix_apply = true,
-            "--changed-only" => changed_only = Some("HEAD".to_string()),
-            flag if flag.starts_with("--changed-only=") => {
-                let gitref = &flag["--changed-only=".len()..];
-                if gitref.is_empty() {
-                    eprintln!("analyze: --changed-only= expects a git ref");
-                    return ExitCode::FAILURE;
-                }
-                changed_only = Some(gitref.to_string());
-            }
-            "--no-cache" => opts.cache_dir = None,
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.jobs = n,
-                _ => {
-                    eprintln!("analyze: --jobs expects a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--list-passes" => {
                 for p in all_passes() {
                     eprintln!("{:18} {}", p.name(), p.description());
@@ -274,59 +167,23 @@ pub fn analyze(repo: &Path, args: &[String]) -> ExitCode {
             other => {
                 eprintln!(
                     "analyze: unknown flag `{other}`\n\
-                     usage: cargo xtask analyze [--format text|json|sarif] \
-                     [--no-check-suppressions] [--check-suppressions] [--stats] \
-                     [--jobs N] [--no-cache] [--changed-only[=REF]] \
-                     [--fix-suppressions [--apply]] [--list-passes]"
+                     usage: cargo xtask analyze [--format text|sarif] \
+                     [--no-check-suppressions] [--stats] [--list-passes]"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
-    if fix_apply && !fix_suppressions {
-        eprintln!("analyze: --apply only makes sense with --fix-suppressions");
-        return ExitCode::FAILURE;
-    }
-    // A partial file set cannot judge suppressions of interprocedural
-    // findings (their evidence may live in out-of-scope files), so
-    // `--changed-only` defaults unused-suppression checking off unless the
-    // caller asked for it explicitly.
-    if changed_only.is_some() && !check_explicit {
-        check_suppressions = false;
-    }
 
-    let mut files = match library_src_files(repo) {
+    let files = match library_src_files(repo) {
         Ok(files) => files,
         Err(e) => {
             eprintln!("analyze: could not walk the library sources: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(gitref) = &changed_only {
-        let changed = match changed_files(repo, gitref) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("analyze: --changed-only: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let before = files.len();
-        files.retain(|f| {
-            let rel = f
-                .strip_prefix(repo)
-                .unwrap_or(f)
-                .to_string_lossy()
-                .replace('\\', "/");
-            changed.contains(&rel)
-        });
-        eprintln!(
-            "analyze: --changed-only {gitref}: {} of {before} files in scope",
-            files.len()
-        );
-    }
-
     let started = std::time::Instant::now();
-    let (mut report, stats) = match analyze_files_with(repo, &files, &opts) {
+    let (report, stats) = match analyze_files_with(repo, &files) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("analyze: {e}");
@@ -335,71 +192,39 @@ pub fn analyze(repo: &Path, args: &[String]) -> ExitCode {
     };
     let elapsed_ms = started.elapsed().as_millis();
 
-    if fix_suppressions {
-        match apply_suppression_fixes(repo, &report.unused_sites, fix_apply) {
-            Ok(fixed) => {
-                if fix_apply {
-                    // The annotations are gone from disk, so the gate judges
-                    // the post-fix tree: drop the fixed entries.
-                    report.unused.retain(|u| {
-                        !fixed
-                            .iter()
-                            .any(|s| u.starts_with(&format!("{}:{}:", s.file, s.comment_line)))
-                    });
-                    report
-                        .unused_sites
-                        .retain(|s| !fixed.iter().any(|f| f == s));
-                }
-            }
-            Err(e) => {
-                eprintln!("analyze: --fix-suppressions: {e}");
-                return ExitCode::FAILURE;
+    if sarif {
+        // stdout on purpose (the machine-readable surface); the clippy
+        // print_stdout deny is satisfied by writing the handle directly.
+        let mut stdout = std::io::stdout();
+        let sarif = crate::sarif::report_to_sarif(&report, check_suppressions);
+        if writeln!(stdout, "{sarif}").is_err() {
+            return ExitCode::FAILURE;
+        }
+    } else {
+        for d in &report.diagnostics {
+            eprintln!("analyze: {}:{}: [{}] {}", d.file, d.line, d.pass, d.message);
+        }
+        for e in &report.errors {
+            eprintln!("analyze: {e}");
+        }
+        if check_suppressions {
+            for u in &report.unused {
+                eprintln!("analyze: {u}: suppression matches no diagnostic — remove it");
             }
         }
-    }
-
-    match format {
-        Format::Json => {
-            // stdout on purpose (the machine-readable surface); the clippy
-            // print_stdout deny is satisfied by writing the handle directly.
-            let mut stdout = std::io::stdout();
-            if writeln!(stdout, "{}", report_to_json(&report, check_suppressions)).is_err() {
-                return ExitCode::FAILURE;
-            }
-        }
-        Format::Sarif => {
-            let mut stdout = std::io::stdout();
-            let sarif = crate::sarif::report_to_sarif(&report, check_suppressions);
-            if writeln!(stdout, "{sarif}").is_err() {
-                return ExitCode::FAILURE;
-            }
-        }
-        Format::Text => {
-            for d in &report.diagnostics {
-                eprintln!("analyze: {}:{}: [{}] {}", d.file, d.line, d.pass, d.message);
-            }
-            for e in &report.errors {
-                eprintln!("analyze: {e}");
-            }
+        eprintln!(
+            "analyze: {} files, {} passes, {} diagnostics ({} suppressed), {} suppression errors{}",
+            report.files,
+            all_pass_names().len(),
+            report.diagnostics.len(),
+            report.suppressed,
+            report.errors.len(),
             if check_suppressions {
-                for u in &report.unused {
-                    eprintln!("analyze: {u}: suppression matches no diagnostic — remove it");
-                }
-            }
-            eprintln!(
-                "analyze: {} files, {} passes, {} diagnostics ({} suppressed), {} suppression errors{}",
-                report.files,
-                all_pass_names().len(),
-                report.diagnostics.len(),
-                report.suppressed,
-                report.errors.len(),
-                if check_suppressions {
-                    format!(", {} unused suppressions", report.unused.len())
-                } else {
-                    String::new()
-                },
-            );
-        }
+                format!(", {} unused suppressions", report.unused.len())
+            } else {
+                String::new()
+            },
+        );
     }
     if show_stats {
         eprintln!(
@@ -415,16 +240,17 @@ pub fn analyze(repo: &Path, args: &[String]) -> ExitCode {
     }
 }
 
-/// Default per-file-stage parallelism: the machine width, capped — past a
-/// handful of workers the stage is I/O- and merge-bound.
-fn default_jobs() -> usize {
-    // Tooling-only parallelism knob (xtask is on the determinism pass
-    // allowlist): the report is merge-order deterministic for any worker
-    // count, property-tested in tests/scanner_props.rs.
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
+/// What the per-file stage produces for one source file: exactly what the
+/// workspace stage (graph build + reconciliation) consumes.
+struct FileRecord {
+    /// Call-graph summary (carries the repo-relative path).
+    summary: FileSummary,
+    /// Per-file pass findings (pre-suppression).
+    findings: Vec<Diagnostic>,
+    /// Parsed suppression annotations.
+    suppressions: Vec<Suppression>,
+    /// Malformed-suppression errors.
+    errors: Vec<String>,
 }
 
 /// Runs the full two-stage analysis over `files` (paths made repo-relative
@@ -433,12 +259,14 @@ fn default_jobs() -> usize {
 pub fn analyze_files_with(
     repo: &Path,
     files: &[PathBuf],
-    opts: &AnalysisOptions,
 ) -> Result<(Report, AnalysisStats), std::io::Error> {
     let mut stats = AnalysisStats::default();
 
-    // ---- Stage 1: per-file records (parallel, cached) ----
-    let records = collect_records(repo, files, opts, &mut stats)?;
+    // ---- Stage 1: per-file records ----
+    let records = files
+        .iter()
+        .map(|file| file_record(repo, file))
+        .collect::<Result<Vec<_>, _>>()?;
     stats.files = records.len();
 
     // ---- Stage 2: workspace call graph + interprocedural passes ----
@@ -518,222 +346,21 @@ pub fn analyze_files_with(
                     "{rel}:{}: analyze::allow({})",
                     s.comment_line, s.pass
                 ));
-                report.unused_sites.push(UnusedSite {
-                    file: rel.to_string(),
-                    comment_line: s.comment_line,
-                    pass: s.pass,
-                });
             }
         }
     }
     Ok((report, stats))
 }
 
-/// Backwards-compatible serial entry point (the fixture goldens predate the
-/// two-stage pipeline and must stay cache- and thread-independent).
-pub fn analyze_files(repo: &Path, files: &[PathBuf]) -> Result<Report, std::io::Error> {
-    analyze_files_with(repo, files, &AnalysisOptions::serial_uncached()).map(|(r, _)| r)
-}
-
-/// Repo-relative paths changed vs `gitref` (tracked diff + untracked files),
-/// for `--changed-only`. Shells out to git; any failure is an error rather
-/// than a silent full run, so a bad ref cannot masquerade as a clean gate.
-fn changed_files(
-    repo: &Path,
-    gitref: &str,
-) -> Result<std::collections::BTreeSet<String>, std::io::Error> {
-    let mut out = std::collections::BTreeSet::new();
-    for argset in [
-        &["diff", "--name-only", gitref, "--"][..],
-        &["ls-files", "--others", "--exclude-standard"][..],
-    ] {
-        let run = std::process::Command::new("git")
-            .arg("-C")
-            .arg(repo)
-            .args(argset)
-            .output()?;
-        if !run.status.success() {
-            return Err(std::io::Error::other(format!(
-                "git {} failed: {}",
-                argset.join(" "),
-                String::from_utf8_lossy(&run.stderr).trim()
-            )));
-        }
-        for line in String::from_utf8_lossy(&run.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                out.insert(line.replace('\\', "/"));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Removes unused `// analyze::allow(...)` annotations from their files —
-/// the whole line when the comment stands alone, just the trailing-comment
-/// portion when code precedes it. Dry-run (`apply == false`) only prints
-/// what would change. Returns the sites actually (or would-be) removed;
-/// sites whose line no longer carries the marker (e.g. a block comment or a
-/// stale report) are skipped with a note rather than guessed at.
-pub fn apply_suppression_fixes(
-    repo: &Path,
-    sites: &[UnusedSite],
-    apply: bool,
-) -> Result<Vec<UnusedSite>, std::io::Error> {
-    let mut by_file: BTreeMap<&str, Vec<&UnusedSite>> = BTreeMap::new();
-    for s in sites {
-        by_file.entry(s.file.as_str()).or_default().push(s);
-    }
-    let mut fixed = Vec::new();
-    for (rel, file_sites) in by_file {
-        let path = repo.join(rel);
-        let src = std::fs::read_to_string(&path)?;
-        let had_final_newline = src.ends_with('\n');
-        let mut lines: Vec<String> = src.lines().map(str::to_string).collect();
-        // Edit bottom-up so earlier removals don't shift later line numbers.
-        let mut ordered: Vec<&UnusedSite> = file_sites;
-        ordered.sort_by_key(|s| std::cmp::Reverse(s.comment_line));
-        let mut touched = false;
-        for s in ordered {
-            let Some(line) = lines.get(s.comment_line - 1) else {
-                eprintln!(
-                    "analyze: fix-suppressions: {rel}:{}: line out of range, skipped",
-                    s.comment_line
-                );
-                continue;
-            };
-            let Some(at) = line.find("// analyze::allow(") else {
-                eprintln!(
-                    "analyze: fix-suppressions: {rel}:{}: no `// analyze::allow(` \
-                     marker on the line, skipped",
-                    s.comment_line
-                );
-                continue;
-            };
-            if apply {
-                if line[..at].trim().is_empty() {
-                    lines.remove(s.comment_line - 1);
-                } else {
-                    let code = line[..at].trim_end().to_string();
-                    lines[s.comment_line - 1] = code;
-                }
-                touched = true;
-                eprintln!(
-                    "analyze: fix-suppressions: removed {rel}:{}: analyze::allow({})",
-                    s.comment_line, s.pass
-                );
-            } else {
-                eprintln!(
-                    "analyze: fix-suppressions: would remove {rel}:{}: \
-                     analyze::allow({}) (re-run with --apply)",
-                    s.comment_line, s.pass
-                );
-            }
-            fixed.push(s.clone());
-        }
-        if apply && touched {
-            let mut text = lines.join("\n");
-            if had_final_newline {
-                text.push('\n');
-            }
-            std::fs::write(&path, text)?;
-        }
-    }
-    Ok(fixed)
-}
-
-/// Stage 1: produces one [`FileRecord`] per file, fanning out over scoped
-/// threads in contiguous chunks (lock-free: each worker owns its slice and
-/// its output; merge order is file order, so the result is identical for
-/// any `jobs`).
-fn collect_records(
-    repo: &Path,
-    files: &[PathBuf],
-    opts: &AnalysisOptions,
-    stats: &mut AnalysisStats,
-) -> Result<Vec<FileRecord>, std::io::Error> {
-    let jobs = opts.jobs.max(1).min(files.len().max(1));
-    let cache_dir = opts.cache_dir.as_deref();
-
-    if jobs == 1 {
-        let mut out = Vec::with_capacity(files.len());
-        for file in files {
-            let (rec, hit) = file_record(repo, file, cache_dir)?;
-            if hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            out.push(rec);
-        }
-        return Ok(out);
-    }
-
-    // Contiguous chunk partition, one worker per chunk; workers return
-    // their chunk's records in order and the merge concatenates chunks in
-    // order — the same static-partition discipline as `tt_linalg::par`.
-    let chunk = files.len().div_ceil(jobs);
-    let chunks: Vec<&[PathBuf]> = files.chunks(chunk).collect();
-    let results: Vec<Result<Vec<(FileRecord, bool)>, std::io::Error>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|slice| {
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(slice.len());
-                        for file in *slice {
-                            out.push(file_record(repo, file, cache_dir)?);
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        // A worker panic (pass bug on some input) degrades
-                        // to an I/O-style error instead of tearing down the
-                        // whole process with a second panic.
-                        Err(std::io::Error::other("analysis worker panicked"))
-                    })
-                })
-                .collect()
-        });
-
-    let mut out = Vec::with_capacity(files.len());
-    for r in results {
-        for (rec, hit) in r? {
-            if hit {
-                stats.cache_hits += 1;
-            } else {
-                stats.cache_misses += 1;
-            }
-            out.push(rec);
-        }
-    }
-    Ok(out)
-}
-
-/// The per-file unit of work: cache lookup, else scan + per-file passes +
-/// suppression parse + summary extraction (then cache store). Returns the
-/// record and whether it was a cache hit.
-fn file_record(
-    repo: &Path,
-    file: &Path,
-    cache_dir: Option<&Path>,
-) -> Result<(FileRecord, bool), std::io::Error> {
+/// The per-file unit of work: scan, per-file passes, suppression parse and
+/// summary extraction.
+fn file_record(repo: &Path, file: &Path) -> Result<FileRecord, std::io::Error> {
     let rel = file
         .strip_prefix(repo)
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/");
     let src = std::fs::read_to_string(file)?;
-    if let Some(dir) = cache_dir {
-        if let Some(rec) = cache::load(dir, &rel, &src) {
-            return Ok((rec, true));
-        }
-    }
 
     let model = CodeModel::build(&src);
     let mut errors = Vec::new();
@@ -748,18 +375,12 @@ fn file_record(
         pass.run(&rel, &model, &mut findings);
     }
     let summary = FileSummary::extract(&rel, &model);
-    let rec = FileRecord {
+    Ok(FileRecord {
         summary,
         findings,
         suppressions,
         errors,
-    };
-    if let Some(dir) = cache_dir {
-        // Best-effort: a full disk or unwritable target/ slows the next
-        // run down, it must not fail this one.
-        let _ = cache::store(dir, &rel, &src, &rec);
-    }
-    Ok((rec, false))
+    })
 }
 
 /// Extracts `analyze::allow` annotations from a file's comments, recording
@@ -837,67 +458,6 @@ pub(crate) fn parse_suppressions(
     out
 }
 
-/// Serializes the report as one JSON object (no serde in-tree; the escape
-/// set covers everything `Diagnostic` messages can contain).
-fn report_to_json(report: &Report, check_suppressions: bool) -> String {
-    let mut s = String::from("{\"diagnostics\":[");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"pass\":{},\"file\":{},\"line\":{},\"message\":{}}}",
-            json_str(d.pass),
-            json_str(&d.file),
-            d.line,
-            json_str(&d.message)
-        );
-    }
-    let _ = write!(s, "],\"suppressed\":{},\"errors\":[", report.suppressed);
-    for (i, e) in report.errors.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&json_str(e));
-    }
-    s.push_str("],\"unused_suppressions\":[");
-    for (i, u) in report.unused.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&json_str(u));
-    }
-    let _ = write!(
-        s,
-        "],\"files\":{},\"clean\":{}}}",
-        report.files,
-        report.is_clean(check_suppressions)
-    );
-    s
-}
-
-/// Minimal JSON string escaping (shared with the SARIF writer).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -954,16 +514,9 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_is_valid() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn stats_render_reports_hit_rate() {
+    fn stats_render_reports_graph_and_coverage() {
         let stats = AnalysisStats {
             files: 4,
-            cache_hits: 3,
-            cache_misses: 1,
             graph_nodes: 10,
             graph_edges: 20,
             resolved_calls: 15,
@@ -974,7 +527,6 @@ mod tests {
         };
         let line = stats.render();
         assert!(line.contains("4 files"));
-        assert!(line.contains("75.0% hit rate"));
         assert!(line.contains("10 nodes / 20 edges"));
         assert!(line.contains("2 ambiguous"));
         assert!(line.contains("skeletons: 5/6 public _dist entry points covered (1 uncovered)"));

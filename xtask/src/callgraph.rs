@@ -26,9 +26,9 @@
 //!    and "transitively allocates" become queryable per function, each with
 //!    a human-readable call-chain witness for diagnostics.
 //!
-//! The interprocedural passes (`collective_order`, `determinism`,
-//! `alloc_hot_path`) are consumers of this module; see
-//! [`crate::passes::GraphPass`].
+//! The interprocedural passes (`collective_order`, `protocol_match`,
+//! `deadlock_check`, `determinism`, `alloc_hot_path`) are consumers of this
+//! module; see [`crate::passes::GraphPass`].
 
 use std::collections::BTreeMap;
 
@@ -131,8 +131,8 @@ pub struct Evidence {
 }
 
 /// Everything the workspace analysis needs to know about one `fn`, with no
-/// reference back into the token stream (so summaries serialize into the
-/// content-hash cache and the `CodeModel` can be dropped after extraction).
+/// reference back into the token stream (so the `CodeModel` can be dropped
+/// after extraction).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSummary {
     /// Function name.
@@ -160,7 +160,7 @@ pub struct FnSummary {
 
 /// Summary of one source file: its `use`-path import map plus all fn
 /// summaries.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSummary {
     /// Repo-relative path.
     pub path: String,
@@ -288,8 +288,8 @@ impl FileSummary {
             };
 
             // Rank-guarded early-return regions in this fn: past `end`,
-            // calls are `after_rank_return` (same shape `rank_collective`
-            // detects for direct collectives).
+            // calls are `after_rank_return` (what `collective_order` flags
+            // when the call reaches a collective).
             let mut guard_ends: Vec<(usize, usize)> = Vec::new(); // (end tok, ret line)
             {
                 let mut i = body_start;
@@ -382,9 +382,9 @@ impl FileSummary {
                 let after_ret = guard_ends.iter().find(|(end, _)| *end < i).map(|(_, l)| *l);
 
                 if prev_dot {
-                    // Method call. (The site below is still recorded for a
-                    // collective so `collective_order` reasons about direct
-                    // calls uniformly.)
+                    // Method call. (The site below is recorded for a
+                    // collective too: `collective_order` reports direct
+                    // primitives from the same sites as helper calls.)
                     if (COLLECTIVES.contains(&t.text.as_str()) || t.text == "iallreduce_sum")
                         && fs.collective.is_none()
                     {

@@ -7,8 +7,10 @@
 //! * [`lint`] — the always-on gate: rustfmt check, clippy deny-list,
 //!   scanner-based unwrap/expect source lint, `forbid(unsafe_code)` audit;
 //! * [`analyze`] — the SPMD collective-safety and numeric-discipline
-//!   analyzer: the [`scanner`] token model plus the [`passes`] registry,
-//!   with in-source suppressions (DESIGN.md §8);
+//!   analyzer: the [`scanner`] token model, the per-file and
+//!   interprocedural [`passes`] over the [`callgraph`] and its
+//!   [`skeleton`]s, with in-source suppressions (DESIGN.md §8) and
+//!   [`sarif`] output;
 //! * [`bench_check`] — the benchmark regression gates (kernels and the
 //!   rounding ablation) against the recorded `results/BENCH_*.json`
 //!   baselines, one row of its gate table each.
@@ -17,7 +19,6 @@
 
 pub mod analyze;
 pub mod bench_check;
-pub mod cache;
 pub mod callgraph;
 pub mod lint;
 pub mod passes;

@@ -33,9 +33,8 @@ fn usage() {
          analyze [flags]        SPMD collective-safety + numeric-discipline passes over library sources,\n                         \
          including the interprocedural call-graph passes (collective_order, protocol_match,\n                         \
          deadlock_check, determinism, alloc_hot_path)\n                         \
-         (--format text|json|sarif, --list-passes, --stats, --jobs N, --no-cache,\n                         \
-         --changed-only[=REF], --fix-suppressions [--apply],\n                         \
-         --no-check-suppressions; suppress with `// analyze::allow(<pass>): reason`)\n  \
+         (--format text|sarif, --no-check-suppressions, --stats, --list-passes;\n                         \
+         suppress with `// analyze::allow(<pass>): reason`)\n  \
          bench-check [--record] [--simd]\n                         \
          run the gates of the GATES table in xtask/src/bench_check.rs (kernels,\n                         \
          rounding ablation) against results/BENCH_*.json; --record rewrites the\n                         \

@@ -19,7 +19,6 @@ pub mod float_discipline;
 pub mod p2p_pairing;
 pub mod panic_surface;
 pub mod protocol_match;
-pub mod rank_collective;
 pub mod request_pairing;
 pub mod thread_discipline;
 
@@ -59,7 +58,6 @@ pub trait Pass {
 /// The full registry, in reporting order.
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(rank_collective::RankCollective),
         Box::new(p2p_pairing::P2pPairing),
         Box::new(request_pairing::RequestPairing),
         Box::new(float_discipline::FloatCmp),

@@ -11,10 +11,10 @@
 //! provably emit different non-empty sequences.
 //!
 //! Scope discipline against double-reporting: an *empty* arm opposite a
-//! collective-emitting one is already `rank_collective`'s finding (direct)
-//! or `collective_order`'s (through a call), so this pass only fires when
-//! at least two arms each reach a collective and their sequences differ —
-//! the case neither of those passes can see. Arms whose sequence cannot be
+//! collective-emitting one is already `collective_order`'s finding (direct
+//! or through a call), so this pass only fires when at least two arms each
+//! reach a collective and their sequences differ — the case
+//! `collective_order` cannot see. Arms whose sequence cannot be
 //! proven (unknown-iteration loops over collectives, ambiguous call
 //! resolution, early `return`) are conservatively skipped: like the
 //! runtime it shadows, the pass reports only provable divergence.

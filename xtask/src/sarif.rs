@@ -6,9 +6,8 @@
 //! rank-dependent conditional" on the line that introduced it, without
 //! opening the job log.
 //!
-//! The writer is hand-rolled JSON over the same escaping helper as the
-//! `--format json` report (no serde in-tree) and emits the minimal
-//! conforming document: one run, the tool driver with one reporting rule
+//! The writer is hand-rolled JSON over [`json_str`] (no serde in-tree) and
+//! emits the minimal conforming document: one run, the tool driver with one reporting rule
 //! per registered pass (per-file and interprocedural), one `result` per
 //! unsuppressed diagnostic, and suppression errors / unused suppressions as
 //! tool-execution notifications so they surface in the code-scanning UI
@@ -16,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use crate::analyze::{json_str, Report};
+use crate::analyze::Report;
 use crate::passes::{all_graph_passes, all_passes};
 
 /// Schema the document declares (code scanning validates against it).
@@ -100,6 +99,28 @@ pub fn report_to_sarif(report: &Report, check_suppressions: bool) -> String {
     s
 }
 
+/// Minimal JSON string escaping (the escape set covers everything
+/// `Diagnostic` messages can contain).
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// `(id, description)` for every registered pass.
 fn rule_table() -> Vec<(&'static str, &'static str)> {
     let mut out: Vec<(&'static str, &'static str)> = all_passes()
@@ -130,13 +151,13 @@ mod tests {
             suppressed: 1,
             errors: vec!["x.rs:1: malformed suppression".to_string()],
             unused: vec!["y.rs:2: analyze::allow(determinism)".to_string()],
-            unused_sites: vec![crate::analyze::UnusedSite {
-                file: "y.rs".to_string(),
-                comment_line: 2,
-                pass: "determinism".to_string(),
-            }],
             files: 3,
         }
+    }
+
+    #[test]
+    fn json_escaping_is_valid() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

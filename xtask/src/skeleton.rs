@@ -1198,462 +1198,6 @@ fn parse_if(model: &CodeModel, i: usize, hi: usize, depth: usize) -> (Option<Ske
 }
 
 // ---------------------------------------------------------------------------
-// Wire format (content-hash cache)
-// ---------------------------------------------------------------------------
-//
-// Single-line s-expression serialization. All string atoms are Rust
-// identifiers or `::`-joined paths (never contain spaces or parens), so
-// atoms need no escaping; any anomaly while parsing yields `None`, which
-// the cache treats as a miss.
-
-fn expr_wire(e: &Expr, out: &mut String) {
-    use std::fmt::Write as _;
-    match e {
-        Expr::Int(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Expr::Var(n) => {
-            let _ = write!(out, "${n}");
-        }
-        Expr::Rank => out.push_str("@r"),
-        Expr::Size => out.push_str("@p"),
-        Expr::RankUnknown => out.push_str("?r"),
-        Expr::Unknown => out.push('?'),
-        Expr::Un(op, a) => {
-            out.push('(');
-            out.push_str(match op {
-                UnOp::Neg => "neg",
-                UnOp::Not => "not",
-            });
-            out.push(' ');
-            expr_wire(a, out);
-            out.push(')');
-        }
-        Expr::Bin(op, a, b) => {
-            out.push('(');
-            out.push_str(bin_sym(*op));
-            out.push(' ');
-            expr_wire(a, out);
-            out.push(' ');
-            expr_wire(b, out);
-            out.push(')');
-        }
-        Expr::Opaque(ops) => {
-            out.push_str("(o");
-            for o in ops {
-                out.push(' ');
-                expr_wire(o, out);
-            }
-            out.push(')');
-        }
-    }
-}
-
-fn bin_sym(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Rem => "%",
-        BinOp::Shl => "<<",
-        BinOp::Shr => ">>",
-        BinOp::BitAnd => "&",
-        BinOp::BitOr => "|",
-        BinOp::BitXor => "^",
-        BinOp::Eq => "==",
-        BinOp::Ne => "!=",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::And => "&&",
-        BinOp::Or => "||",
-    }
-}
-
-fn sym_bin(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "+" => BinOp::Add,
-        "-" => BinOp::Sub,
-        "*" => BinOp::Mul,
-        "/" => BinOp::Div,
-        "%" => BinOp::Rem,
-        "<<" => BinOp::Shl,
-        ">>" => BinOp::Shr,
-        "&" => BinOp::BitAnd,
-        "|" => BinOp::BitOr,
-        "^" => BinOp::BitXor,
-        "==" => BinOp::Eq,
-        "!=" => BinOp::Ne,
-        "<" => BinOp::Lt,
-        "<=" => BinOp::Le,
-        ">" => BinOp::Gt,
-        ">=" => BinOp::Ge,
-        "&&" => BinOp::And,
-        "||" => BinOp::Or,
-        _ => return None,
-    })
-}
-
-fn skel_wire(s: &Skel, out: &mut String) {
-    use std::fmt::Write as _;
-    match s {
-        Skel::Seq(xs) => {
-            out.push_str("(q");
-            for x in xs {
-                out.push(' ');
-                skel_wire(x, out);
-            }
-            out.push(')');
-        }
-        Skel::Coll { kind, tag, line } => {
-            let _ = write!(out, "(c {kind} {line} ");
-            expr_wire(tag, out);
-            out.push(')');
-        }
-        Skel::Send { peer, line } => {
-            let _ = write!(out, "(s {line} ");
-            expr_wire(peer, out);
-            out.push(')');
-        }
-        Skel::Recv { peer, line } => {
-            let _ = write!(out, "(r {line} ");
-            expr_wire(peer, out);
-            out.push(')');
-        }
-        Skel::Post { kind, arg, line } => {
-            let _ = write!(out, "(p {kind} {line} ");
-            expr_wire(arg, out);
-            out.push(')');
-        }
-        Skel::Wait { line } => {
-            let _ = write!(out, "(v {line})");
-        }
-        Skel::Call {
-            callee,
-            qualifier,
-            is_method,
-            line,
-        } => {
-            let _ = write!(
-                out,
-                "(k {callee} {} {} {line})",
-                qualifier.as_deref().unwrap_or("!"),
-                if *is_method { "m" } else { "f" },
-            );
-        }
-        Skel::If {
-            rank_cond,
-            cond,
-            then,
-            els,
-            line,
-        } => {
-            let _ = write!(out, "(i {} {line} ", u8::from(*rank_cond));
-            expr_wire(cond, out);
-            out.push(' ');
-            skel_wire(then, out);
-            out.push(' ');
-            skel_wire(els, out);
-            out.push(')');
-        }
-        Skel::Match {
-            rank_cond,
-            cond,
-            arms,
-            line,
-        } => {
-            let _ = write!(out, "(m {} {line} ", u8::from(*rank_cond));
-            expr_wire(cond, out);
-            for a in arms {
-                out.push(' ');
-                skel_wire(a, out);
-            }
-            out.push(')');
-        }
-        Skel::While { cond, body, line } => {
-            let _ = write!(out, "(w {line} ");
-            expr_wire(cond, out);
-            out.push(' ');
-            skel_wire(body, out);
-            out.push(')');
-        }
-        Skel::Loop { body, line } => {
-            let _ = write!(out, "(l {line} ");
-            skel_wire(body, out);
-            out.push(')');
-        }
-        Skel::For {
-            var,
-            range,
-            body,
-            line,
-        } => {
-            let _ = write!(out, "(f {line} {} ", var.as_deref().unwrap_or("!"));
-            match range {
-                ForRange::Range { lo, hi, inclusive } => {
-                    let _ = write!(out, "R {} ", u8::from(*inclusive));
-                    expr_wire(lo, out);
-                    out.push(' ');
-                    expr_wire(hi, out);
-                }
-                ForRange::Iter(e) => {
-                    out.push_str("I ");
-                    expr_wire(e, out);
-                }
-            }
-            out.push(' ');
-            skel_wire(body, out);
-            out.push(')');
-        }
-        Skel::Let { var, value, line } => {
-            let _ = write!(out, "(a {var} {line} ");
-            expr_wire(value, out);
-            out.push(')');
-        }
-        Skel::Mut { var, line } => {
-            let _ = write!(out, "(u {var} {line})");
-        }
-        Skel::Brk => out.push_str("(b)"),
-        Skel::Cont => out.push_str("(n)"),
-        Skel::Ret => out.push_str("(t)"),
-    }
-}
-
-/// Serializes a skeleton to its single-line wire form.
-pub fn to_wire(s: &Skel) -> String {
-    let mut out = String::new();
-    skel_wire(s, &mut out);
-    out
-}
-
-/// One lexed wire token: `(`, `)`, or an atom.
-fn wire_lex(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' | ')' => {
-                if !cur.is_empty() {
-                    out.push(std::mem::take(&mut cur));
-                }
-                out.push(c.to_string());
-            }
-            c if c.is_whitespace() => {
-                if !cur.is_empty() {
-                    out.push(std::mem::take(&mut cur));
-                }
-            }
-            c => cur.push(c),
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-struct WireParser<'a> {
-    toks: &'a [String],
-    pos: usize,
-}
-
-impl WireParser<'_> {
-    fn next(&mut self) -> Option<&str> {
-        let t = self.toks.get(self.pos)?;
-        self.pos += 1;
-        Some(t)
-    }
-
-    fn eat(&mut self, s: &str) -> Option<()> {
-        (self.next()? == s).then_some(())
-    }
-
-    fn atom(&mut self) -> Option<String> {
-        let t = self.next()?;
-        if t == "(" || t == ")" {
-            return None;
-        }
-        Some(t.to_string())
-    }
-
-    fn num(&mut self) -> Option<usize> {
-        self.atom()?.parse().ok()
-    }
-
-    fn expr(&mut self) -> Option<Expr> {
-        let t = self.next()?;
-        match t {
-            "@r" => Some(Expr::Rank),
-            "@p" => Some(Expr::Size),
-            "?r" => Some(Expr::RankUnknown),
-            "?" => Some(Expr::Unknown),
-            "(" => {
-                let head = self.atom()?;
-                let e = match head.as_str() {
-                    "neg" | "not" => {
-                        let a = self.expr()?;
-                        Expr::Un(
-                            if head == "neg" { UnOp::Neg } else { UnOp::Not },
-                            Box::new(a),
-                        )
-                    }
-                    "o" => {
-                        let mut ops = Vec::new();
-                        while self.toks.get(self.pos).is_some_and(|t| t != ")") {
-                            ops.push(self.expr()?);
-                        }
-                        let out = Expr::Opaque(ops);
-                        self.eat(")")?;
-                        return Some(out);
-                    }
-                    sym => {
-                        let op = sym_bin(sym)?;
-                        let a = self.expr()?;
-                        let b = self.expr()?;
-                        Expr::Bin(op, Box::new(a), Box::new(b))
-                    }
-                };
-                self.eat(")")?;
-                Some(e)
-            }
-            t => {
-                if let Some(name) = t.strip_prefix('$') {
-                    return Some(Expr::Var(name.to_string()));
-                }
-                t.parse().ok().map(Expr::Int)
-            }
-        }
-    }
-
-    fn skel(&mut self) -> Option<Skel> {
-        self.eat("(")?;
-        let head = self.atom()?;
-        let node = match head.as_str() {
-            "q" => {
-                let mut xs = Vec::new();
-                while self.toks.get(self.pos).is_some_and(|t| t != ")") {
-                    xs.push(self.skel()?);
-                }
-                Skel::Seq(xs)
-            }
-            "c" => Skel::Coll {
-                kind: self.atom()?,
-                line: self.num()?,
-                tag: self.expr()?,
-            },
-            "s" => Skel::Send {
-                line: self.num()?,
-                peer: self.expr()?,
-            },
-            "r" => Skel::Recv {
-                line: self.num()?,
-                peer: self.expr()?,
-            },
-            "p" => Skel::Post {
-                kind: self.atom()?,
-                line: self.num()?,
-                arg: self.expr()?,
-            },
-            "v" => Skel::Wait { line: self.num()? },
-            "k" => {
-                let callee = self.atom()?;
-                let q = self.atom()?;
-                let m = self.atom()?;
-                Skel::Call {
-                    callee,
-                    qualifier: (q != "!").then_some(q),
-                    is_method: m == "m",
-                    line: self.num()?,
-                }
-            }
-            "i" => Skel::If {
-                rank_cond: self.atom()? == "1",
-                line: self.num()?,
-                cond: self.expr()?,
-                then: Box::new(self.skel()?),
-                els: Box::new(self.skel()?),
-            },
-            "m" => {
-                let rank_cond = self.atom()? == "1";
-                let line = self.num()?;
-                let cond = self.expr()?;
-                let mut arms = Vec::new();
-                while self.toks.get(self.pos).is_some_and(|t| t != ")") {
-                    arms.push(self.skel()?);
-                }
-                Skel::Match {
-                    rank_cond,
-                    cond,
-                    arms,
-                    line,
-                }
-            }
-            "w" => Skel::While {
-                line: self.num()?,
-                cond: self.expr()?,
-                body: Box::new(self.skel()?),
-            },
-            "l" => Skel::Loop {
-                line: self.num()?,
-                body: Box::new(self.skel()?),
-            },
-            "f" => {
-                let line = self.num()?;
-                let v = self.atom()?;
-                let var = (v != "!").then_some(v);
-                let range = match self.atom()?.as_str() {
-                    "R" => {
-                        let inclusive = self.atom()? == "1";
-                        ForRange::Range {
-                            inclusive,
-                            lo: self.expr()?,
-                            hi: self.expr()?,
-                        }
-                    }
-                    "I" => ForRange::Iter(self.expr()?),
-                    _ => return None,
-                };
-                Skel::For {
-                    var,
-                    range,
-                    body: Box::new(self.skel()?),
-                    line,
-                }
-            }
-            "a" => Skel::Let {
-                var: self.atom()?,
-                line: self.num()?,
-                value: self.expr()?,
-            },
-            "u" => Skel::Mut {
-                var: self.atom()?,
-                line: self.num()?,
-            },
-            "b" => Skel::Brk,
-            "n" => Skel::Cont,
-            "t" => Skel::Ret,
-            _ => return None,
-        };
-        self.eat(")")?;
-        Some(node)
-    }
-}
-
-/// Parses the wire form back into a skeleton; `None` on any anomaly (the
-/// cache degrades to a miss).
-pub fn from_wire(s: &str) -> Option<Skel> {
-    let toks = wire_lex(s);
-    let mut p = WireParser {
-        toks: &toks,
-        pos: 0,
-    };
-    let out = p.skel()?;
-    (p.pos == toks.len()).then_some(out)
-}
-
-// ---------------------------------------------------------------------------
 // Bounded interpretation: per-rank traces
 // ---------------------------------------------------------------------------
 
@@ -3032,31 +2576,6 @@ mod tests {
             matches!(&b[0], Skel::Mut { var, .. } if var == "mask"),
             "pattern idents havocked first: {b:?}"
         );
-    }
-
-    #[test]
-    fn wire_round_trips_extracted_skeletons() {
-        for src in [
-            "fn f(comm: &C) { comm.allreduce_sum(&mut x); }",
-            "fn f(comm: &C) {\n    let rank = comm.rank();\n    let mut mask = 1;\n    while mask < p {\n        if rank & mask != 0 {\n            comm.send(rank - mask, b);\n            break;\n        }\n        mask <<= 1;\n    }\n}\n",
-            "fn f(c: &C) {\n    match c.rank() {\n        0 => c.broadcast(0, b),\n        _ => { let q = c.recv(0); }\n    }\n}\n",
-            "fn f(c: &C) {\n    for i in 0..=7 { c.barrier(); }\n    for (a, b) in it { c.send(a, x); }\n    loop { if done { break; } }\n}\n",
-            "fn f(c: &C) {\n    let req = c.iallreduce_sum(buf);\n    c.isend(1, buf).wait();\n    let r = c.irecv(0);\n    let g = req.wait();\n    let q = r.wait();\n}\n",
-        ] {
-            let s = skel_of(src);
-            let w = to_wire(&s);
-            let back = from_wire(&w).unwrap_or_else(|| panic!("wire parse: {w}"));
-            assert_eq!(back, s, "round trip for {src}");
-            assert!(!w.contains('\n'), "single line: {w}");
-        }
-    }
-
-    #[test]
-    fn wire_rejects_garbage() {
-        assert_eq!(from_wire(""), None);
-        assert_eq!(from_wire("(q"), None);
-        assert_eq!(from_wire("(zz 1)"), None);
-        assert_eq!(from_wire("(q) trailing"), None);
     }
 
     #[test]

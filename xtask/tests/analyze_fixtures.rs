@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::analyze::{analyze_files, Report};
+use xtask::analyze::{analyze_files_with, Report};
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -13,7 +13,9 @@ fn fixtures_dir() -> PathBuf {
 
 fn run(fixture: &str) -> Report {
     let dir = fixtures_dir();
-    analyze_files(&dir, &[dir.join(fixture)]).expect("fixture must be readable")
+    analyze_files_with(&dir, &[dir.join(fixture)])
+        .expect("fixture must be readable")
+        .0
 }
 
 /// Parses a `.expected` golden file of `line:pass` rows (`#` comments and
@@ -51,8 +53,8 @@ fn assert_matches_golden(fixture: &str) {
 }
 
 #[test]
-fn rank_collective_fires_on_fixture() {
-    assert_matches_golden("rank_collective_fires.rs");
+fn collective_order_direct_fires_on_fixture() {
+    assert_matches_golden("collective_order_direct_fires.rs");
 }
 
 #[test]
@@ -163,9 +165,9 @@ fn whole_fixture_directory_aggregates() {
         .filter(|p| p.extension().is_some_and(|e| e == "rs"))
         .collect();
     files.sort();
-    let report = analyze_files(&dir, &files).expect("fixtures readable");
+    let (report, _) = analyze_files_with(&dir, &files).expect("fixtures readable");
     let expected_diags: usize = [
-        "rank_collective_fires.rs",
+        "collective_order_direct_fires.rs",
         "p2p_pairing_fires.rs",
         "request_pairing_fires.rs",
         "float_cmp_fires.rs",

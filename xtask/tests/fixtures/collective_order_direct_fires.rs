@@ -1,4 +1,4 @@
-//! Fixture: `rank_collective` fires on rank-guarded collectives.
+//! Fixture: `collective_order` fires on rank-guarded collectives.
 
 fn guarded_broadcast(comm: &C) {
     let rank = comm.rank();

@@ -1,7 +1,7 @@
 //! `collective_order` positives: calls to transitively-collective helpers
-//! from rank-divergent control flow. The per-file `rank_collective` pass is
-//! blind to all of these — no collective *name* appears near the `rank`
-//! tests — which is exactly why the interprocedural pass exists.
+//! from rank-divergent control flow. No collective *name* appears near the
+//! `rank` tests: only the call graph's transitive facts tie these calls to
+//! a collective.
 
 /// Same-file helper: both the guarded call and the call in the
 /// rank-guarded-return shadow must fire.

@@ -1,8 +1,8 @@
 //! `protocol_match` / `deadlock_check` positives: a rank-conditional branch
 //! whose arms emit different collective sequences, reached only through
-//! helpers — the per-file `rank_collective` pass never sees a collective
-//! name near the `rank` test, and the count mismatch (barrier + broadcast
-//! vs broadcast alone) is exactly the shape that hangs a real job.
+//! helpers — no collective name appears near the `rank` test — and the
+//! count mismatch (barrier + broadcast vs broadcast alone) is exactly the
+//! shape that hangs a real job.
 
 pub fn sweep_report_dist(comm: &Communicator, x: f64) -> f64 {
     let rank = comm.rank();

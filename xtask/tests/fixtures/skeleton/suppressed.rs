@@ -23,9 +23,9 @@ pub fn staged_bcast_dist(comm: &Communicator, y: f64) -> f64 {
     // analyze::allow(protocol_match): fixture — asymmetry documented above.
     if rank == 0 {
         lead_sync(comm); // analyze::allow(collective_order): fixture — see above.
-        comm.broadcast(0, y); // analyze::allow(rank_collective): fixture — see above.
+        comm.broadcast(0, y); // analyze::allow(collective_order): fixture — see above.
     } else {
-        comm.broadcast(0, y); // analyze::allow(rank_collective): fixture — see above.
+        comm.broadcast(0, y); // analyze::allow(collective_order): fixture — see above.
     }
     y
 }

@@ -1,7 +1,7 @@
 //! Unused-suppression fixture: both annotations name real skeleton passes
-//! but match no diagnostic, so `--check-suppressions` (the default) must
-//! report them and `--fix-suppressions --apply` must remove them — the
-//! standalone comment as a whole line, the trailing one back to bare code.
+//! but match no diagnostic, so the default suppression check must report
+//! them — the standalone comment (targeting the next code line) and the
+//! trailing one (targeting its own line) alike.
 
 pub fn quiet_dist(comm: &Communicator, x: f64) -> f64 {
     // analyze::allow(deadlock_check): fixture — nothing deadlocks here.

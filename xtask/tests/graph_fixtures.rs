@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::analyze::{analyze_files, Report};
+use xtask::analyze::{analyze_files_with, Report};
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/interproc")
@@ -28,7 +28,9 @@ fn corpus_files() -> Vec<PathBuf> {
 
 /// One full-corpus run: every test slices this report per file.
 fn run_corpus() -> Report {
-    analyze_files(&corpus_dir(), &corpus_files()).expect("fixtures readable")
+    analyze_files_with(&corpus_dir(), &corpus_files())
+        .expect("fixtures readable")
+        .0
 }
 
 /// Parses a `.expected` golden file of `line:pass` rows (`#` comments and
@@ -116,7 +118,8 @@ fn helpers_and_clean_fixtures_are_silent() {
     let report = run_corpus();
     assert_eq!(diags_for(&report, "helpers.rs"), vec![]);
     // clean.rs exercises the sanctioned pool surface (`take`/`recycle` in a
-    // hot loop) and an unconditional collective through a helper.
+    // hot loop), an unconditional collective through a helper, and a
+    // backend's `broadcast` branching on rank around its own barrier.
     assert_eq!(diags_for(&report, "clean.rs"), vec![]);
 }
 

@@ -4,7 +4,6 @@
 //! do not parse.
 
 use proptest::prelude::*;
-use xtask::analyze::{analyze_files_with, AnalysisOptions};
 use xtask::callgraph::FileSummary;
 use xtask::passes::all_passes;
 use xtask::scanner::CodeModel;
@@ -185,16 +184,10 @@ proptest! {
     ) {
         let src = String::from_utf8_lossy(&bytes);
         let model = CodeModel::build(&src);
-        // Extraction must be total on arbitrary token streams, and the
-        // wire encoding must round-trip every skeleton it produces (the
-        // cache depends on this: a non-identity round-trip would make warm
-        // runs diverge from cold ones).
+        // Extraction must be total on arbitrary token streams.
         for f in &model.fns {
             if let Some((open, close)) = f.body {
-                let skel = xtask::skeleton::extract_fn(&model, open, close);
-                let wire = xtask::skeleton::to_wire(&skel);
-                prop_assert!(!wire.contains('\n'), "wire format is single-line");
-                prop_assert_eq!(xtask::skeleton::from_wire(&wire), Some(skel));
+                let _ = xtask::skeleton::extract_fn(&model, open, close);
             }
         }
     }
@@ -212,22 +205,10 @@ proptest! {
         for f in &model.fns {
             if let Some((open, close)) = f.body {
                 let skel = xtask::skeleton::extract_fn(&model, open, close);
-                // Deterministic (no hidden state) and wire-stable.
-                prop_assert_eq!(&skel, &xtask::skeleton::extract_fn(&model, open, close));
-                let wire = xtask::skeleton::to_wire(&skel);
-                prop_assert_eq!(xtask::skeleton::from_wire(&wire), Some(skel));
+                // Deterministic (no hidden state).
+                prop_assert_eq!(skel, xtask::skeleton::extract_fn(&model, open, close));
             }
         }
-    }
-
-    #[test]
-    fn wire_parse_is_total_on_byte_soup(
-        bytes in proptest::collection::vec(0u8..=255u8, 0usize..256),
-    ) {
-        // The cache feeds `from_wire` whatever is on disk: it must never
-        // panic, only decode or miss.
-        let text = String::from_utf8_lossy(&bytes);
-        let _ = xtask::skeleton::from_wire(&text);
     }
 
     #[test]
@@ -243,98 +224,5 @@ proptest! {
             prop_assert!(t.line <= max_line, "token line past end of input");
             prev = t.line;
         }
-    }
-}
-
-/// Writes one fragment-soup corpus under `target/` (inside the repo) and
-/// returns `(repo_dir, files)`. Each test uses its own subdirectory so
-/// parallel test threads never collide.
-fn write_corpus(
-    subdir: &str,
-    file_picks: &[Vec<usize>],
-) -> (std::path::PathBuf, Vec<std::path::PathBuf>) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../target/analyze-props")
-        .join(subdir);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create corpus dir");
-    let mut files = Vec::new();
-    for (i, picks) in file_picks.iter().enumerate() {
-        let src = picks
-            .iter()
-            .map(|&p| FRAGMENTS[p % FRAGMENTS.len()])
-            .collect::<Vec<_>>()
-            .join("\n");
-        let path = dir.join(format!("soup{i}.rs"));
-        std::fs::write(&path, src).expect("write corpus file");
-        files.push(path);
-    }
-    (dir, files)
-}
-
-/// `(line, pass, file, message)` projection for report equality.
-fn flat(report: &xtask::analyze::Report) -> Vec<(usize, String, String, String)> {
-    report
-        .diagnostics
-        .iter()
-        .map(|d| {
-            (
-                d.line,
-                d.pass.to_string(),
-                d.file.clone(),
-                d.message.clone(),
-            )
-        })
-        .collect()
-}
-
-proptest! {
-    // End-to-end properties run the whole pipeline with file IO: keep the
-    // case count low — each case is a full multi-file analysis.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn report_is_independent_of_worker_count(
-        file_picks in proptest::collection::vec(
-            proptest::collection::vec(0usize..FRAGMENTS.len(), 0usize..48),
-            1usize..6,
-        ),
-    ) {
-        let (dir, files) = write_corpus("jobs", &file_picks);
-        let serial = analyze_files_with(&dir, &files, &AnalysisOptions::serial_uncached())
-            .expect("serial run");
-        for jobs in [2usize, 4, 7] {
-            let opts = AnalysisOptions { jobs, cache_dir: None };
-            let par = analyze_files_with(&dir, &files, &opts).expect("parallel run");
-            prop_assert_eq!(flat(&serial.0), flat(&par.0), "jobs={}", jobs);
-            prop_assert_eq!(serial.0.suppressed, par.0.suppressed);
-            prop_assert_eq!(&serial.0.errors, &par.0.errors);
-            prop_assert_eq!(&serial.0.unused, &par.0.unused);
-            prop_assert_eq!(serial.1.graph_nodes, par.1.graph_nodes);
-            prop_assert_eq!(serial.1.graph_edges, par.1.graph_edges);
-        }
-    }
-
-    #[test]
-    fn cached_rerun_reproduces_the_uncached_report(
-        file_picks in proptest::collection::vec(
-            proptest::collection::vec(0usize..FRAGMENTS.len(), 0usize..48),
-            1usize..5,
-        ),
-    ) {
-        let (dir, files) = write_corpus("cache", &file_picks);
-        let uncached = analyze_files_with(&dir, &files, &AnalysisOptions::serial_uncached())
-            .expect("uncached run");
-        let cache_dir = dir.join("cache");
-        let opts = AnalysisOptions { jobs: 1, cache_dir: Some(cache_dir) };
-        let cold = analyze_files_with(&dir, &files, &opts).expect("cold run");
-        let warm = analyze_files_with(&dir, &files, &opts).expect("warm run");
-        prop_assert_eq!(cold.1.cache_hits, 0, "cold run must miss everywhere");
-        prop_assert_eq!(warm.1.cache_hits, files.len(), "warm run must hit everywhere");
-        prop_assert_eq!(flat(&uncached.0), flat(&cold.0));
-        prop_assert_eq!(flat(&uncached.0), flat(&warm.0));
-        prop_assert_eq!(uncached.0.suppressed, warm.0.suppressed);
-        prop_assert_eq!(&uncached.0.errors, &warm.0.errors);
-        prop_assert_eq!(&uncached.0.unused, &warm.0.unused);
     }
 }

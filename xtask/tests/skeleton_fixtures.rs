@@ -1,7 +1,5 @@
 //! Golden-diagnostic tests for the skeleton passes (`protocol_match`,
-//! `deadlock_check`) over the `fixtures/skeleton/` corpus, plus the
-//! `--fix-suppressions` removal logic on a scratch copy of the
-//! unused-suppression fixture.
+//! `deadlock_check`) over the `fixtures/skeleton/` corpus.
 //!
 //! Like the interproc corpus, the whole directory is analyzed at once —
 //! the cross-file recv-recv cycle (deadlock_fires.rs + peers.rs) is part
@@ -10,14 +8,14 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::analyze::{analyze_files, Report};
+use xtask::analyze::{analyze_files_with, Report};
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/skeleton")
 }
 
-fn corpus_files_in(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+fn corpus_files() -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
         .expect("skeleton fixtures dir")
         .flatten()
         .map(|e| e.path())
@@ -29,7 +27,9 @@ fn corpus_files_in(dir: &Path) -> Vec<PathBuf> {
 
 /// One full-corpus run: every test slices this report per file.
 fn run_corpus() -> Report {
-    analyze_files(&corpus_dir(), &corpus_files_in(&corpus_dir())).expect("fixtures readable")
+    analyze_files_with(&corpus_dir(), &corpus_files())
+        .expect("fixtures readable")
+        .0
 }
 
 /// Parses a `.expected` golden file of `line:pass` rows (`#` comments and
@@ -126,84 +126,11 @@ fn skeleton_pass_suppressions_are_consumed_and_unused_reported() {
     let report = run_corpus();
     assert_eq!(diags_for(&report, "suppressed.rs"), vec![]);
     // suppressed.rs consumes 7 (2 deadlock_check, 1 protocol_match,
-    // 1 collective_order, 2 rank_collective, 1 p2p_pairing) and peers.rs 2.
+    // 3 collective_order, 1 p2p_pairing) and peers.rs 2.
     assert_eq!(report.suppressed, 9, "unused: {:?}", report.unused);
     assert_eq!(report.unused.len(), 2, "unused: {:?}", report.unused);
     assert!(report.unused[0].contains("unused.rs"));
     assert!(report.unused[0].contains("deadlock_check"));
     assert!(report.unused[1].contains("protocol_match"));
     assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
-}
-
-#[test]
-fn corpus_report_is_identical_across_worker_counts() {
-    let dir = corpus_dir();
-    let files = corpus_files_in(&dir);
-    let serial = xtask::analyze::analyze_files_with(
-        &dir,
-        &files,
-        &xtask::analyze::AnalysisOptions::serial_uncached(),
-    )
-    .expect("serial run");
-    for jobs in [2usize, 4] {
-        let opts = xtask::analyze::AnalysisOptions {
-            jobs,
-            cache_dir: None,
-        };
-        let par = xtask::analyze::analyze_files_with(&dir, &files, &opts).expect("parallel run");
-        let flat = |r: &Report| {
-            r.diagnostics
-                .iter()
-                .map(|d| (d.line, d.pass, d.file.clone(), d.message.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(flat(&serial.0), flat(&par.0), "jobs={jobs}");
-        assert_eq!(serial.0.suppressed, par.0.suppressed);
-        assert_eq!(serial.0.unused, par.0.unused);
-    }
-}
-
-#[test]
-fn fix_suppressions_dry_run_then_apply_removes_unused() {
-    // Scratch copy of the unused-suppression fixture so the corpus itself
-    // is never edited (and parallel test threads cannot collide).
-    let scratch = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../target/analyze-props")
-        .join("fix-suppressions");
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let original = std::fs::read_to_string(corpus_dir().join("unused.rs")).expect("fixture");
-    let target = scratch.join("unused.rs");
-    std::fs::write(&target, &original).expect("copy fixture");
-
-    let files = vec![target.clone()];
-    let before = analyze_files(&scratch, &files).expect("pre-fix run");
-    assert!(before.diagnostics.is_empty());
-    assert_eq!(before.unused_sites.len(), 2, "{:?}", before.unused);
-
-    // Dry run: reports both sites, touches nothing.
-    let planned = xtask::analyze::apply_suppression_fixes(&scratch, &before.unused_sites, false)
-        .expect("dry run");
-    assert_eq!(planned.len(), 2);
-    assert_eq!(
-        std::fs::read_to_string(&target).expect("re-read"),
-        original,
-        "dry run must not edit the file"
-    );
-
-    // Apply: the standalone comment line disappears, the trailing comment
-    // is stripped back to bare code, and a re-run reports nothing unused.
-    let fixed = xtask::analyze::apply_suppression_fixes(&scratch, &before.unused_sites, true)
-        .expect("apply");
-    assert_eq!(fixed.len(), 2);
-    let after_src = std::fs::read_to_string(&target).expect("re-read");
-    assert!(!after_src.contains("analyze::allow"), "{after_src}");
-    assert!(
-        after_src.contains("    let y = comm.allreduce_sum(x);\n"),
-        "trailing comment must strip to bare code: {after_src}"
-    );
-    let after = analyze_files(&scratch, &files).expect("post-fix run");
-    assert!(after.unused.is_empty(), "{:?}", after.unused);
-    assert!(after.diagnostics.is_empty());
-    assert!(after.errors.is_empty());
 }
