@@ -95,6 +95,56 @@ pub fn householder_qr_unblocked(a: &Matrix) -> QrFactors {
     }
 }
 
+/// Householder QR with column pivoting, `A·P = Q·R` (LAPACK `laqp2`): step
+/// `j` first moves the remaining column of largest norm below row `j` to
+/// position `j`, so `|r₀₀| ≥ |r₁₁| ≥ …` and the rows of `R` are graded.
+/// The trailing norms are downdated after each reflector and recomputed
+/// once cancellation has eaten half their digits. Returns the one-panel
+/// factors and the permutation: column `j` of `A·P` is column `perm[j]` of
+/// `A`.
+pub(crate) fn householder_qr_pivoted(a: Matrix) -> (QrFactors, Vec<usize>) {
+    let mut f = a;
+    let (m, n) = f.shape();
+    let k = m.min(n);
+    let mut tau = vec![0.0; k];
+    let mut perm: Vec<usize> = (0..n).collect();
+    // The downdated norms, and the last exactly computed ones.
+    let mut norms: Vec<f64> = (0..n).map(|j| dot(f.col(j), f.col(j)).sqrt()).collect();
+    let mut exact = norms.clone();
+    let recompute = f64::EPSILON.sqrt();
+    for j in 0..k {
+        let p = (j..n).fold(j, |best, c| if norms[c] > norms[best] { c } else { best });
+        if p != j {
+            let (cj, cp) = f.cols_mut_pair(j, p);
+            cj.swap_with_slice(cp);
+            perm.swap(j, p);
+            norms.swap(j, p);
+            exact.swap(j, p);
+        }
+        factor_panel(&mut f, &mut tau, j..j + 1, n);
+        for c in j + 1..n {
+            if norms[c] == 0.0 {
+                continue;
+            }
+            let ratio = f[(j, c)].abs() / norms[c];
+            let left = (1.0 - ratio * ratio).max(0.0);
+            if left * (norms[c] / exact[c]).powi(2) <= recompute {
+                let tail = &f.col(c)[j + 1..];
+                norms[c] = dot(tail, tail).sqrt();
+                exact[c] = norms[c];
+            } else {
+                norms[c] *= left.sqrt();
+            }
+        }
+    }
+    let qr = QrFactors {
+        factors: f,
+        tau,
+        panels: Vec::new(),
+    };
+    (qr, perm)
+}
+
 /// Compact-WY blocked Householder QR with panel width `nb`.
 ///
 /// Identical `factors`/`tau` semantics to [`householder_qr_unblocked`] (the
@@ -320,7 +370,7 @@ fn reflect(tail: &[f64], tau: f64, j: usize, col: &mut [f64]) {
 
 /// `xᵀy` with four independent accumulators, so the loop vectorizes
 /// without reassociation by the compiler.
-fn dot(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     let (xc, xr) = x.as_chunks::<4>();
     let (yc, yr) = y.as_chunks::<4>();

@@ -2,10 +2,23 @@
 //!
 //! The rounding algorithms only ever take SVDs of *small* `R × R` matrices
 //! (the combined Gram factor `Λ_L^{1/2} V_Lᵀ V_R Λ_R^{1/2}` or the triangular
-//! `R_A R_Bᵀ`), so a one-sided Jacobi SVD is used: it is simple, very
+//! `R_A R_Bᵀ`), so a one-sided Jacobi SVD is used: it is simple and very
 //! accurate (it computes small singular values above the `ε·‖A‖_F` noise
 //! level to high relative accuracy, which matters for the truncation-rank
-//! decision), and entirely `gemm`-class arithmetic.
+//! decision). On the Krylov trains of TT-GMRES these `R × R` problems, not
+//! the tall-skinny kernels, are most of a rounding's time, so the Jacobi
+//! iteration is preconditioned (Drmač–Veselić, LAPACK `dgejsv`):
+//!
+//! 1. `A·P = Q·R` by column-pivoted Householder QR. The rows of `R` are
+//!    graded, so the columns of `Rᵀ` are much closer to orthogonal than
+//!    those of `A`, and a rank-deficient `A` leaves its noise in trailing
+//!    rows that are negligible from the start.
+//! 2. One-sided Jacobi on the columns of `Rᵀ`, accumulating the rotations
+//!    in `X`: `Rᵀ·X = Y·Σ`. Column norms are carried through the rotations
+//!    (one dot product per pair instead of three) and recomputed exactly at
+//!    each sweep and after cancellation; de Rijk's pivoting moves the
+//!    largest remaining column to the front of each row of pairs.
+//! 3. `U = Q·X` and `V = P·Y`.
 //!
 //! Two rules keep the Jacobi iteration finite and exact over the whole f64
 //! range:
@@ -16,34 +29,40 @@
 //!   `2ᵏ·σ` with the same `U` and `V`, and the pair test's `app·aqq` can
 //!   neither overflow (which made every pair look converged) nor underflow.
 //! - **Negligible columns.** A rotation involving a column whose norm is
-//!   `≤ ε·‖A‖_F` is skipped. Such a column is numerically zero: rotating it
-//!   cannot move any singular value above the kernel's backward error
-//!   `ε·‖A‖`, yet the relative pair test never accepts rounding noise, so
-//!   without this rule the R factor of a rank-deficient product (the
-//!   TSQR-rounding truncation SVD) ran out every sweep. The skipped columns
-//!   come back as singular values `≤ ε·‖A‖_F` whose `U` columns are not
-//!   orthogonalized; `V` stays orthogonal and `A = UΣVᵀ` holds to `O(ε‖A‖)`.
+//!   `≤ ε·‖A‖_F` is skipped, decided on the carried norms before any dot
+//!   product. Such a column is numerically zero: rotating it cannot move
+//!   any singular value above the kernel's backward error `ε·‖A‖`, yet the
+//!   relative pair test never accepts rounding noise, so without this rule
+//!   the R factor of a rank-deficient product (the TSQR-rounding truncation
+//!   SVD) ran out every sweep. The skipped columns come back as singular
+//!   values `≤ ε·‖A‖_F`. Their columns of `Y` were never orthogonalized, so
+//!   their `V` columns are an orthonormal complement of the others instead.
+//!   `U` and `V` are orthonormal on every column and `A = UΣVᵀ` holds to
+//!   `O(ε‖A‖)`.
 
 use crate::matrix::Matrix;
+use crate::qr::{dot, householder_qr_pivoted, householder_qr_unblocked};
 
 /// A full (thin) singular value decomposition `A = U Σ Vᵀ`.
 #[derive(Debug, Clone)]
 pub struct Svd {
-    /// Left singular vectors, `m × k` with `k = min(m, n)`; the leading
-    /// [`Svd::numerical_rank`] columns are orthonormal.
+    /// Left singular vectors, `m × k` with `k = min(m, n)`, orthonormal.
     pub u: Matrix,
     /// Singular values, descending, length `k`.
     pub singular_values: Vec<f64>,
-    /// Right singular vectors, `n × k` (columns, not transposed).
+    /// Right singular vectors, `n × k` (columns, not transposed),
+    /// orthonormal.
     pub v: Matrix,
 }
 
 impl Svd {
-    /// The number of singular values above `ε·‖A‖_F`, the level at or below
-    /// which [`jacobi_svd`] treats a column as numerically zero. The
-    /// singular values past this rank are rounding noise and their `U`
-    /// columns are not orthogonalized, so a caller that keeps directions by
-    /// numerical rank stops here.
+    /// The number of singular values above `k·ε·‖A‖_F` (`k = min(m, n)`).
+    /// The rounding noise of this SVD, and of the QR or product that formed
+    /// `A`, lands a small multiple of `ε·‖A‖_F` deep, so the singular values
+    /// past this rank carry no direction of `A`, and a caller that keeps
+    /// directions by numerical rank stops here. A cut at `ε·‖A‖_F` itself
+    /// sat inside that noise: the TSQR factors of one input on one rank and
+    /// on three differed in rank.
     pub fn numerical_rank(&self) -> usize {
         let smax = self.singular_values.first().copied().unwrap_or(0.0);
         if smax == 0.0 {
@@ -57,9 +76,10 @@ impl Svd {
                 .map(|s| (s / smax) * (s / smax))
                 .sum::<f64>()
                 .sqrt();
+        let k = self.singular_values.len() as f64;
         self.singular_values
             .iter()
-            .filter(|&&s| s > f64::EPSILON * fro)
+            .filter(|&&s| s > k * f64::EPSILON * fro)
             .count()
     }
 }
@@ -110,6 +130,11 @@ const MAX_SWEEPS: usize = 60;
 /// `|aₚᵀa_q| ≤ TOL·‖aₚ‖‖a_q‖`.
 const TOL: f64 = 1e-15;
 
+/// A carried squared column norm that falls below this fraction of the
+/// larger squared norm of its pair has lost at least four bits to
+/// cancellation and is recomputed from the column.
+const CANCELLATION: f64 = 1.0 / 16.0;
+
 /// One-sided Jacobi SVD of an arbitrary dense matrix.
 ///
 /// Stops after the first sweep that rotates no pair. A pair is skipped when
@@ -142,21 +167,49 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
     for x in w.as_mut_slice() {
         *x = scale_pow2(*x, -exp);
     }
-    let mut v = Matrix::identity(n);
     let fro2: f64 = w.as_slice().iter().map(|x| x * x).sum();
     let negligible2 = f64::EPSILON * f64::EPSILON * fro2;
+
+    // W·P = Q·R, then one-sided Jacobi on the columns of B = Rᵀ:
+    // Rᵀ·X = B with X orthogonal, so W·P = (Q·X)·Bᵀ. B and X are stacked
+    // as one `2n × n` matrix, so a rotation is one pass over both.
+    let (qr, perm) = householder_qr_pivoted(w);
+    let r = qr.r();
+    let mut bx = Matrix::from_fn(2 * n, n, |i, j| {
+        if i < n {
+            r[(j, i)]
+        } else if i - n == j {
+            1.0
+        } else {
+            0.0
+        }
+    });
+    let mut norms2 = vec![0.0; n];
 
     let mut sweeps = 0;
     let mut rotated = true;
     while rotated && sweeps < MAX_SWEEPS {
         sweeps += 1;
         rotated = false;
+        // Exact squared column norms at the start of every sweep; within
+        // it they are carried through the rotations.
+        for (j, s) in norms2.iter_mut().enumerate() {
+            *s = norm2(&bx, n, j);
+        }
         for p in 0..n {
+            // de Rijk's pivoting: the largest remaining column goes first.
+            let big = (p..n).fold(p, |best, c| if norms2[c] > norms2[best] { c } else { best });
+            if big != p {
+                let (cp, cb) = bx.cols_mut_pair(p, big);
+                cp.swap_with_slice(cb);
+                norms2.swap(p, big);
+            }
             for q in p + 1..n {
-                let (app, aqq, apq) = column_grams(&w, p, q);
+                let (app, aqq) = (norms2[p], norms2[q]);
                 if app <= negligible2 || aqq <= negligible2 {
                     continue;
                 }
+                let apq = dot(&bx.col(p)[..n], &bx.col(q)[..n]);
                 if apq.abs() <= TOL * (app * aqq).sqrt() || apq == 0.0 {
                     continue;
                 }
@@ -167,13 +220,22 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
                 let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                rotate_cols(&mut w, p, q, c, s);
-                rotate_cols(&mut v, p, q, c, s);
+                rotate_cols(&mut bx, p, q, c, s);
+                // The rotated Gram diagonal is [app − t·apq, aqq + t·apq].
+                // The smaller norm shrinks; once it has lost more than
+                // `CANCELLATION` of its square, recompute it.
+                for (j, carried) in [(p, app - t * apq), (q, aqq + t * apq)] {
+                    norms2[j] = if carried < CANCELLATION * app.max(aqq) {
+                        norm2(&bx, n, j)
+                    } else {
+                        carried
+                    };
+                }
             }
         }
     }
     if rotated && crate::paranoid::enabled() {
-        let worst = worst_coupling(&w, negligible2);
+        let worst = worst_coupling(&bx, n, negligible2);
         // analyze::allow(panic_surface): the paranoid layer's whole job is to abort instead of returning an unconverged factorization as if it were one
         panic!(
             "jacobi_svd: paranoid check failed: no convergence on a {m}x{n} input \
@@ -182,26 +244,43 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
         );
     }
 
-    // Extract singular values and normalize the left vectors.
-    let sigma: Vec<f64> = (0..n).map(|j| norm2(w.col(j))).collect();
+    // Singular values are the column norms of B and the right vectors its
+    // normalized columns; the negligible columns were never orthogonalized,
+    // so their directions are replaced by an orthonormal complement of the
+    // others.
+    let sigma: Vec<f64> = (0..n).map(|j| norm2(&bx, n, j).sqrt()).collect();
+    let kept: Vec<bool> = sigma.iter().map(|s| s * s > negligible2).collect();
+    for j in (0..n).filter(|&j| kept[j]) {
+        let inv = 1.0 / sigma[j];
+        for y in &mut bx.col_mut(j)[..n] {
+            *y *= inv;
+        }
+    }
+    let complement = orthonormal_complement(&bx, &kept);
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| sigma[j].total_cmp(&sigma[i]));
 
+    // U = Q·X (every column orthonormal), V = P·Y.
     let mut u = Matrix::zeros(m, n);
     let mut vs = Matrix::zeros(n, n);
     let mut svals = vec![0.0; n];
+    let mut next = 0;
     for (dst, &src) in order.iter().enumerate() {
         svals[dst] = scale_pow2(sigma[src], exp);
-        vs.col_mut(dst).copy_from_slice(v.col(src));
-        let ucol = u.col_mut(dst);
-        ucol.copy_from_slice(w.col(src));
-        if sigma[src] > 0.0 {
-            let inv = 1.0 / sigma[src];
-            for x in ucol {
-                *x *= inv;
-            }
+        let (y, x) = bx.col(src).split_at(n);
+        u.col_mut(dst)[..n].copy_from_slice(x);
+        let y = if kept[src] {
+            y
+        } else {
+            next += 1;
+            complement.col(next - 1)
+        };
+        let vcol = vs.col_mut(dst);
+        for (&row, &yi) in perm.iter().zip(y) {
+            vcol[row] = yi;
         }
     }
+    qr.apply_q(&mut u);
 
     let svd = Svd {
         u,
@@ -211,16 +290,40 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
     (svd, sweeps)
 }
 
-/// The largest `|aₚᵀa_q| / (‖aₚ‖‖a_q‖)` over the pairs of non-negligible
-/// columns of `w`: how far an unconverged iterate is from orthogonal.
-fn worst_coupling(w: &Matrix, negligible2: f64) -> f64 {
-    let n = w.cols();
+/// An orthonormal basis (`n × (n − k)`) of the orthogonal complement of
+/// the `k` orthonormal vectors `y.col(j)[..n]` with `kept[j]`: the trailing
+/// columns of the full `Q` of their Householder QR.
+fn orthonormal_complement(y: &Matrix, kept: &[bool]) -> Matrix {
+    let n = y.cols();
+    let cols: Vec<usize> = (0..n).filter(|&j| kept[j]).collect();
+    let k = cols.len();
+    if k == n {
+        return Matrix::zeros(n, 0);
+    }
+    let basis = Matrix::from_fn(n, k, |i, j| y.col(cols[j])[i]);
+    let qr = householder_qr_unblocked(&basis);
+    let mut c = Matrix::from_fn(n, n - k, |i, j| if i == k + j { 1.0 } else { 0.0 });
+    qr.apply_q(&mut c);
+    c
+}
+
+/// `‖b_j‖²` for the `B` block (rows `..n`) of column `j` of `bx`.
+fn norm2(bx: &Matrix, n: usize, j: usize) -> f64 {
+    let b = &bx.col(j)[..n];
+    dot(b, b)
+}
+
+/// The largest `|bₚᵀb_q| / (‖bₚ‖‖b_q‖)` over the pairs of non-negligible
+/// columns of the `B` block of `bx`: how far an unconverged iterate is
+/// from orthogonal.
+fn worst_coupling(bx: &Matrix, n: usize, negligible2: f64) -> f64 {
+    let norms2: Vec<f64> = (0..n).map(|j| norm2(bx, n, j)).collect();
     let mut worst = 0.0f64;
     for p in 0..n {
         for q in p + 1..n {
-            let (app, aqq, apq) = column_grams(w, p, q);
-            if app > negligible2 && aqq > negligible2 {
-                worst = worst.max(apq.abs() / (app.sqrt() * aqq.sqrt()));
+            if norms2[p] > negligible2 && norms2[q] > negligible2 {
+                let apq = dot(&bx.col(p)[..n], &bx.col(q)[..n]);
+                worst = worst.max(apq.abs() / (norms2[p].sqrt() * norms2[q].sqrt()));
             }
         }
     }
@@ -303,32 +406,13 @@ pub fn tsvd(a: &Matrix, threshold: f64) -> TruncatedSvd {
     }
 }
 
-fn column_grams(w: &Matrix, p: usize, q: usize) -> (f64, f64, f64) {
-    let cp = w.col(p);
-    let cq = w.col(q);
-    let mut app = 0.0;
-    let mut aqq = 0.0;
-    let mut apq = 0.0;
-    for i in 0..cp.len() {
-        app += cp[i] * cp[i];
-        aqq += cq[i] * cq[i];
-        apq += cp[i] * cq[i];
-    }
-    (app, aqq, apq)
-}
-
 fn rotate_cols(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     let (cp, cq) = m.cols_mut_pair(p, q);
-    for i in 0..cp.len() {
-        let a = cp[i];
-        let b = cq[i];
-        cp[i] = c * a - s * b;
-        cq[i] = s * a + c * b;
+    for (x, y) in cp.iter_mut().zip(cq.iter_mut()) {
+        let (a, b) = (*x, *y);
+        *x = c * a - s * b;
+        *y = s * a + c * b;
     }
-}
-
-fn norm2(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
