@@ -3,12 +3,14 @@
 //! The Gram-SVD rounding algorithms need eigendecompositions of the small
 //! symmetric positive semi-definite Gram matrices `G_n^L`, `G_n^R`
 //! (Algs. 4–6, lines `EIG(G)`), for which we implement the classic dense
-//! symmetric solver: Householder tridiagonalization (`tred2`) followed by
-//! the implicit-shift QL iteration (`tql2`), both EISPACK-lineage
-//! algorithms. Eigenvalues are returned in ascending order with an
+//! symmetric solver: a bottom-up Householder tridiagonalization (LAPACK
+//! `dsytd2`/`dorg2l`) followed by the implicit-shift QL iteration (EISPACK
+//! `tql2`). Every inner loop runs down a column slice of the column-major
+//! storage. Eigenvalues are returned in ascending order with an
 //! orthonormal eigenvector matrix.
 
 use crate::matrix::Matrix;
+use crate::qr::dot;
 use crate::{LinalgError, Result};
 
 /// Eigendecomposition `A = Z Λ Zᵀ` of a symmetric matrix.
@@ -52,10 +54,10 @@ pub fn eigh(a: &Matrix) -> Result<EigH> {
         });
     }
 
-    let mut z = a.clone();
+    let mut work = a.clone();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
-    tred2(&mut z, &mut d, &mut e);
+    let mut z = tridiagonalize(&mut work, &mut d, &mut e);
     tql2(&mut d, &mut e, &mut z)?;
     Ok(EigH {
         values: d,
@@ -64,82 +66,102 @@ pub fn eigh(a: &Matrix) -> Result<EigH> {
 }
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form,
-/// accumulating the orthogonal transformation in `z` (EISPACK `tred2`).
-fn tred2(z: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
-    let n = z.rows();
-    for i in (1..n).rev() {
-        let l = i - 1;
-        let mut h = 0.0;
-        let mut scale = 0.0;
-        if l > 0 {
-            for k in 0..=l {
-                scale += z[(i, k)].abs();
-            }
-            if scale == 0.0 {
-                e[i] = z[(i, l)];
-            } else {
-                for k in 0..=l {
-                    let v = z[(i, k)] / scale;
-                    z[(i, k)] = v;
-                    h += v * v;
-                }
-                let f = z[(i, l)];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                z[(i, l)] = f - g;
-                let mut ff = 0.0;
-                for j in 0..=l {
-                    z[(j, i)] = z[(i, j)] / h;
-                    let mut g = 0.0;
-                    for k in 0..=j {
-                        g += z[(j, k)] * z[(i, k)];
-                    }
-                    for k in j + 1..=l {
-                        g += z[(k, j)] * z[(i, k)];
-                    }
-                    e[j] = g / h;
-                    ff += e[j] * z[(i, j)];
-                }
-                let hh = ff / (h + h);
-                for j in 0..=l {
-                    let f = z[(i, j)];
-                    let g = e[j] - hh * f;
-                    e[j] = g;
-                    for k in 0..=j {
-                        let delta = f * e[k] + g * z[(i, k)];
-                        z[(j, k)] -= delta;
-                    }
-                }
-            }
-        } else {
-            e[i] = z[(i, l)];
+/// bottom-up on the upper triangle (LAPACK `dsytd2` with `'U'`), returning
+/// the orthogonal factor `Z` (formed as in `dorg2l`) with `A = Z·T·Zᵀ`.
+/// `d` receives the diagonal of `T` and `e[i]` its coupling of rows
+/// `i − 1` and `i` (`e[0] = 0`). Every inner loop runs down a column slice.
+///
+/// The reduction runs from the last column up, as EISPACK `tred2` did, so
+/// the QL iteration meets the same grading: a top-down reduction was faster
+/// to form but slowed `tql2` down by more than it saved.
+fn tridiagonalize(a: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Matrix {
+    let n = a.rows();
+    // Only the lower triangle is referenced: mirror it into the upper one.
+    for j in 1..n {
+        for i in 0..j {
+            a[(i, j)] = a[(j, i)];
         }
-        d[i] = h;
     }
-    d[0] = 0.0;
+    // Reflector H_c = I − τ_c·v·vᵀ (c = n−1, …, 1) annihilates a[..c−1, c]
+    // against a[c−1, c]. Its vector (v[c−1] = 1) stays in a[..c, c].
+    let mut tau = vec![0.0; n];
+    let mut w = vec![0.0; n];
+    for c in (1..n).rev() {
+        let (block, rest) = a.as_mut_slice().split_at_mut(c * n);
+        let v = &mut rest[..c];
+        let (t, beta) = householder(v);
+        tau[c] = t;
+        e[c] = beta;
+        if t != 0.0 {
+            v[c - 1] = 1.0;
+            // w = τ·A·v over the leading c × c block, from its upper triangle.
+            let w = &mut w[..c];
+            w.fill(0.0);
+            for j in 0..c {
+                let col = &block[j * n..j * n + j];
+                let tvj = t * v[j];
+                for (wi, &aij) in w.iter_mut().zip(col) {
+                    *wi += tvj * aij;
+                }
+                w[j] += t * (dot(col, &v[..j]) + block[j * n + j] * v[j]);
+            }
+            // w −= ½·τ·(wᵀv)·v, then A −= v·wᵀ + w·vᵀ.
+            let alpha = -0.5 * t * dot(w, v);
+            for (wi, &vi) in w.iter_mut().zip(v.iter()) {
+                *wi += alpha * vi;
+            }
+            for j in 0..c {
+                let (vj, wj) = (v[j], w[j]);
+                let col = &mut block[j * n..=j * n + j];
+                for ((aij, &vi), &wi) in col.iter_mut().zip(&v[..=j]).zip(&w[..=j]) {
+                    *aij -= vi * wj + wi * vj;
+                }
+            }
+        }
+        d[c] = rest[c];
+    }
+    d[0] = a[(0, 0)];
     e[0] = 0.0;
-    for i in 0..n {
-        let l = i;
-        if d[i] != 0.0 {
-            for j in 0..l {
-                let mut g = 0.0;
-                for k in 0..l {
-                    g += z[(i, k)] * z[(k, j)];
-                }
-                for k in 0..l {
-                    let delta = g * z[(k, i)];
-                    z[(k, j)] -= delta;
-                }
+
+    // Z = H_{n−1}⋯H_1·I, applied right to left. Before H_c only the
+    // leading (c−1) × (c−1) block differs from I, so H_c changes rows ..c
+    // of columns ..c and nothing else.
+    let mut z = Matrix::identity(n);
+    for c in 1..n {
+        if tau[c] == 0.0 {
+            continue;
+        }
+        let v = &a.col(c)[..c];
+        for j in 0..c {
+            let zj = &mut z.col_mut(j)[..c];
+            let s = tau[c] * dot(v, zj);
+            for (x, &vi) in zj.iter_mut().zip(v) {
+                *x -= s * vi;
             }
         }
-        d[i] = z[(i, i)];
-        z[(i, i)] = 1.0;
-        for j in 0..l {
-            z[(j, i)] = 0.0;
-            z[(i, j)] = 0.0;
-        }
     }
+    z
+}
+
+/// Builds the reflector `H = I − τ·v·vᵀ` with `H·x = β·e_last` for the
+/// vector `x` in `v` (LAPACK `dlarfg` with the pivot last); returns
+/// `(τ, β)` and leaves `v[..len−1]` scaled so that `v[len−1] = 1` completes
+/// the reflector vector. The norm is taken on a scaled copy, so it cannot
+/// overflow.
+fn householder(v: &mut [f64]) -> (f64, f64) {
+    let (x, alpha) = v.split_at_mut(v.len() - 1);
+    let alpha = alpha[0];
+    let scale = x.iter().fold(0.0f64, |m, &xi| m.max(xi.abs()));
+    if scale == 0.0 {
+        return (0.0, alpha);
+    }
+    let xnorm = scale * x.iter().map(|&xi| (xi / scale) * (xi / scale)).sum::<f64>().sqrt();
+    let beta = -alpha.signum() * alpha.hypot(xnorm);
+    let inv = 1.0 / (alpha - beta);
+    for xi in x.iter_mut() {
+        *xi *= inv;
+    }
+    ((beta - alpha) / beta, beta)
 }
 
 /// Implicit-shift QL iteration on a symmetric tridiagonal matrix with
@@ -207,10 +229,11 @@ fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<()> {
                 d[i + 1] = g + p;
                 g = c * r - b;
                 // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
+                let (zi, zi1) = z.cols_mut_pair(i, i + 1);
+                for (x, y) in zi.iter_mut().zip(zi1.iter_mut()) {
+                    f = *y;
+                    *y = s * *x + c * f;
+                    *x = c * *x - s * f;
                 }
             }
             if underflow_break {
@@ -232,11 +255,8 @@ fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<()> {
         }
         if k != i {
             d.swap(i, k);
-            for row in 0..n {
-                let tmp = z[(row, i)];
-                z[(row, i)] = z[(row, k)];
-                z[(row, k)] = tmp;
-            }
+            let (zi, zk) = z.cols_mut_pair(i, k);
+            zi.swap_with_slice(zk);
         }
     }
     Ok(())
