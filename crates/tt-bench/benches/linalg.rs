@@ -14,6 +14,47 @@ fn rng() -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(7)
 }
 
+/// The Gram matrix `AᵀA` of a `3r × r` unfolding of true rank `k` whose
+/// singular values fall over eight decades, as a Krylov-train bond gives
+/// it: `r − k` of its eigenvalues are rounding noise.
+fn bond_gram(r: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
+    let mut c = Matrix::gaussian(k, r, rng);
+    for j in 0..r {
+        for i in 0..k {
+            c[(i, j)] *= 10f64.powf(-8.0 * i as f64 / k as f64);
+        }
+    }
+    let a = gemm(
+        Trans::No,
+        &Matrix::gaussian(3 * r, k, rng),
+        Trans::No,
+        &c,
+        1.0,
+    );
+    syrk(&a, 1.0)
+}
+
+/// The Gram-Sim truncation matrix `M = Λ_L^{1/2} V_Lᵀ V_R Λ_R^{1/2}` of a
+/// bond of rank `r` whose Gram pair has true ranks `kl` and `kr`, with the
+/// eigenvalues clamped at `λ_max·ε` as the rounding clamps them.
+fn sim_gram_pair_m(r: usize, kl: usize, kr: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
+    let mut side = |k: usize| {
+        let e = eigh(&bond_gram(r, k, rng)).unwrap().descending();
+        let floor = e.values[0] * f64::EPSILON;
+        let s: Vec<f64> = e.values.iter().map(|&l| l.max(floor).sqrt()).collect();
+        (e.vectors, s)
+    };
+    let (vl, sl) = side(kl);
+    let (vr, sr) = side(kr);
+    let mut m = gemm(Trans::Yes, &vl, Trans::No, &vr, 1.0);
+    for j in 0..r {
+        for i in 0..r {
+            m[(i, j)] *= sl[i] * sr[j];
+        }
+    }
+    m
+}
+
 fn bench_eigh(c: &mut Criterion) {
     let mut group = c.benchmark_group("eigh");
     let mut r = rng();
@@ -21,6 +62,15 @@ fn bench_eigh(c: &mut Criterion) {
         let a = Matrix::gaussian(n + 10, n, &mut r);
         let g = syrk(&a, 1.0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
+            b.iter(|| eigh(g).unwrap());
+        });
+    }
+    // The Gram matrices of the Gram roundings on the cookies Krylov trains:
+    // a rank-36 bond after the operator, and the ~100 of the final solution
+    // assembly, both rank-deficient.
+    for (n, k) in [(36usize, 12usize), (100, 30)] {
+        let g = bond_gram(n, k, &mut r);
+        group.bench_with_input(BenchmarkId::new("bond_gram", n), &g, |b, g| {
             b.iter(|| eigh(g).unwrap());
         });
     }
@@ -62,6 +112,14 @@ fn bench_svd(c: &mut Criterion) {
     group.bench_function("jacobi_padded_leaf_r_9x36", |b| {
         b.iter(|| jacobi_svd(&rp));
     });
+    // The Gram-Sim truncation matrix at the same two bond ranks as the
+    // `eigh` group's Gram rows.
+    for (n, kl, kr) in [(36usize, 12usize, 15usize), (100, 30, 40)] {
+        let m = sim_gram_pair_m(n, kl, kr, &mut r);
+        group.bench_with_input(BenchmarkId::new("jacobi_sim_gram_pair_m", n), &m, |b, m| {
+            b.iter(|| jacobi_svd(m));
+        });
+    }
     group.finish();
 }
 
