@@ -127,14 +127,14 @@ fn tridiagonalize(a: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Matrix {
     // leading (c−1) × (c−1) block differs from I, so H_c changes rows ..c
     // of columns ..c and nothing else.
     let mut z = Matrix::identity(n);
-    for c in 1..n {
-        if tau[c] == 0.0 {
+    for (c, &t) in tau.iter().enumerate().skip(1) {
+        if t == 0.0 {
             continue;
         }
         let v = &a.col(c)[..c];
         for j in 0..c {
             let zj = &mut z.col_mut(j)[..c];
-            let s = tau[c] * dot(v, zj);
+            let s = t * dot(v, zj);
             for (x, &vi) in zj.iter_mut().zip(v) {
                 *x -= s * vi;
             }
@@ -155,7 +155,11 @@ fn householder(v: &mut [f64]) -> (f64, f64) {
     if scale == 0.0 {
         return (0.0, alpha);
     }
-    let xnorm = scale * x.iter().map(|&xi| (xi / scale) * (xi / scale)).sum::<f64>().sqrt();
+    let xnorm = scale
+        * x.iter()
+            .map(|&xi| (xi / scale) * (xi / scale))
+            .sum::<f64>()
+            .sqrt();
     let beta = -alpha.signum() * alpha.hypot(xnorm);
     let inv = 1.0 / (alpha - beta);
     for xi in x.iter_mut() {

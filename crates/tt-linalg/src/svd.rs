@@ -584,7 +584,13 @@ mod tests {
                     c[(i, j)] *= 10f64.powf(-8.0 * i as f64 / k as f64);
                 }
             }
-            let a = gemm(Trans::No, &Matrix::gaussian(3 * r, k, &mut rng), Trans::No, &c, 1.0);
+            let a = gemm(
+                Trans::No,
+                &Matrix::gaussian(3 * r, k, &mut rng),
+                Trans::No,
+                &c,
+                1.0,
+            );
             let e = crate::eig::eigh(&crate::gemm::syrk(&a, 1.0))
                 .expect("a Gram matrix has an EVD")
                 .descending();
