@@ -135,7 +135,8 @@ const TOL: f64 = 1e-15;
 /// cancellation and is recomputed from the column.
 const CANCELLATION: f64 = 1.0 / 16.0;
 
-/// One-sided Jacobi SVD of an arbitrary dense matrix.
+/// One-sided Jacobi SVD of an arbitrary dense matrix, preconditioned by a
+/// column-pivoted QR (see the module docs).
 ///
 /// Stops after the first sweep that rotates no pair. A pair is skipped when
 /// it is orthogonal to [`TOL`] or when either column is negligible
