@@ -7,7 +7,9 @@
 //!   (sequence variants fastest, QR slowest).
 //! * `gram_sweep` — §IV-B ablation: non-symmetric (`gemm`+`gemm`) vs
 //!   symmetric (`chol`+`trmm`+`syrk`) structured Gram sweeps.
-//! * `gemm`      — the raw multiply kernel at rounding-typical shapes.
+//! * `gemm`      — the raw multiply kernel at rounding-typical shapes, and
+//!   the packed engine against the unpacked register tile on the shapes
+//!   the dispatcher sends to the packed one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -95,6 +97,54 @@ fn bench_gemm(c: &mut Criterion) {
     group.bench_function("vxw_40000x20x20", |bench| {
         bench.iter(|| gemm(Trans::No, &a, Trans::No, &b, 1.0));
     });
+
+    // Packed engine vs the unpacked register tile on shapes the dispatcher
+    // sends to the packed one: the γ-calibration cubes, the compact-WY
+    // trailing update, and a cookies Krylov Gram (R = 36). Both are
+    // sequential here, and their results are bitwise equal.
+    for (ta, m, n, k) in [
+        (Trans::No, 256usize, 256usize, 256usize),
+        (Trans::No, 512, 512, 512),
+        (Trans::No, 8000, 96, 32),
+        (Trans::Yes, 36, 36, 108),
+    ] {
+        let op = if ta == Trans::No { "nn" } else { "tn" };
+        let shape = format!("{op}_{m}x{n}x{k}");
+        let a = match ta {
+            Trans::No => Matrix::gaussian(m, k, &mut r),
+            Trans::Yes => Matrix::gaussian(k, m, &mut r),
+        };
+        let b = Matrix::gaussian(k, n, &mut r);
+        group.bench_function(BenchmarkId::new("packed", &shape), |bench| {
+            bench.iter(|| {
+                let mut c = Matrix::zeros(m, n);
+                tt_linalg::block::gemm_accumulate(
+                    ta,
+                    a.view(),
+                    Trans::No,
+                    b.view(),
+                    1.0,
+                    &mut c.view_mut(),
+                );
+                c
+            });
+        });
+        group.bench_function(BenchmarkId::new("tile", &shape), |bench| {
+            bench.iter(|| {
+                let mut c = Matrix::zeros(m, n);
+                tt_linalg::skinny::gemm(
+                    ta,
+                    a.view(),
+                    Trans::No,
+                    b.view(),
+                    1.0,
+                    0.0,
+                    &mut c.view_mut(),
+                );
+                c
+            });
+        });
+    }
     group.finish();
 }
 

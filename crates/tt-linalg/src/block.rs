@@ -12,9 +12,10 @@
 //! * **Cache blocks** — `MC × KC` panels of `op(A)` packed into an
 //!   `MR`-row-slab layout (L2-resident) and `KC × NC` panels of `op(B)`
 //!   packed into an `NR`-column-slab layout (L1-streamed), so the microkernel
-//!   only ever touches unit-stride, aligned, zero-padded buffers. The
-//!   `MC`/`KC`/`NC` values are autotuned once per process from the probed
-//!   cache hierarchy ([`crate::tune`]) instead of hardcoded;
+//!   only ever touches unit-stride, aligned, zero-padded buffers. [`MC`],
+//!   [`KC`] and [`NC`] are compile-time constants sized by the Goto rules
+//!   for a 48 KiB L1d / 2 MiB L2 core, so the `KC` grouping of every sum,
+//!   and with it every result bit, is the same on every machine;
 //! * **Transpose handling** — all four `op` combinations are absorbed by the
 //!   packing routines, so callers ([`crate::gemm::gemm_v`] and friends) are
 //!   untouched and pay zero per-element dispatch cost.
@@ -27,8 +28,9 @@
 //! vectors with fused multiply-add when the build enables the `fma`
 //! target feature. Both accumulate each output element in the identical
 //! `k` order, and [`crate::reference`] remains the conformance oracle for
-//! either; results are bitwise reproducible per (feature, thread-count)
-//! configuration (DESIGN.md §11).
+//! either; results are bitwise reproducible per (feature set, target
+//! flags) configuration and identical at every thread count (DESIGN.md
+//! §11).
 //!
 //! [`syrk`] specializes the same machinery for `C = alpha·AᵀA` /
 //! `C = alpha·A Aᵀ`: the `B` panel is packed once per `KC` slice and only
@@ -58,13 +60,27 @@
 use crate::gemm::Trans;
 use crate::matrix::Matrix;
 use crate::par;
-use crate::tune;
 use crate::view::{MatMut, MatRef};
 
 /// Microkernel tile rows. Two 4-wide f64 vectors per accumulator column.
 pub const MR: usize = 8;
 /// Microkernel tile columns. `MR × NR` accumulators fill 8 vector registers.
 pub const NR: usize = 4;
+
+/// Row cache block: the `MC × KC` packed `A` panel (1 MiB) fills half of
+/// a 2 MiB L2.
+pub const MC: usize = 512;
+/// Depth cache block: one `MR × KC` sliver of packed `A` plus one
+/// `KC × NR` sliver of packed `B` (24 KiB) fill half of a 48 KiB L1d.
+/// The one blocking value that sets result bits: every output element is
+/// summed in `KC`-deep slices, each accumulated from zero and then added
+/// to `C` (DESIGN.md §11).
+pub const KC: usize = 256;
+/// Column cache block: the packed `B` panel (`KC × NC`, 16 MiB) stays
+/// within a quarter of a 64 MiB or larger L3.
+pub const NC: usize = 8192;
+
+const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
 
 /// Ceiling on the shared pre-packed `op(A)` buffer (bytes). Operands whose
 /// full packed panel would exceed it fall back to per-worker block packing
@@ -363,20 +379,19 @@ fn gemm_parallel(
 /// per-block packing produces — compute workers reading it emit exactly
 /// the sequential instruction stream, preserving bitwise determinism.
 fn pack_a_full(ta: Trans, a: &MatRef<'_>, m: usize, k: usize, threads: usize) -> Vec<f64> {
-    let t = tune::tuning();
     let slabs = m.div_ceil(MR);
     let mut buf = vec![0.0; slabs * MR * k];
-    let slice_ranges = par::split_even(k.div_ceil(t.kc), threads, 1);
+    let slice_ranges = par::split_even(k.div_ceil(KC), threads, 1);
     let mut jobs = Vec::with_capacity(slice_ranges.len());
     let mut rest: &mut [f64] = &mut buf;
     for (slo, shi) in slice_ranges {
-        let (k_lo, k_hi) = ((slo * t.kc).min(k), (shi * t.kc).min(k));
+        let (k_lo, k_hi) = ((slo * KC).min(k), (shi * KC).min(k));
         let (seg, tail) = rest.split_at_mut(slabs * MR * (k_hi - k_lo));
         rest = tail;
         jobs.push(move || {
             let mut off = 0usize;
-            for k0 in (k_lo..k_hi).step_by(t.kc) {
-                let kc = t.kc.min(k_hi - k0);
+            for k0 in (k_lo..k_hi).step_by(KC) {
+                let kc = KC.min(k_hi - k0);
                 pack_a(ta, a, 0, m, k0, kc, &mut seg[off..off + slabs * MR * kc]);
                 off += slabs * MR * kc;
             }
@@ -401,20 +416,19 @@ fn gemm_sweep(
     c: &mut MatMut<'_>,
     col_off: usize,
 ) {
-    let t = tune::tuning();
     let (m, k) = ta.dims(&a);
     let n = c.cols();
 
-    let mut pa = vec![0.0; m.min(t.mc).div_ceil(MR) * MR * k.min(t.kc)];
-    let mut pb = vec![0.0; n.min(t.nc).div_ceil(NR) * NR * k.min(t.kc)];
+    let mut pa = vec![0.0; m.min(MC).div_ceil(MR) * MR * k.min(KC)];
+    let mut pb = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
 
-    for j0 in (0..n).step_by(t.nc) {
-        let nc = t.nc.min(n - j0);
-        for k0 in (0..k).step_by(t.kc) {
-            let kc = t.kc.min(k - k0);
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
             pack_b(tb, &b, k0, kc, col_off + j0, nc, &mut pb);
-            for i0 in (0..m).step_by(t.mc) {
-                let mc = t.mc.min(m - i0);
+            for i0 in (0..m).step_by(MC) {
+                let mc = MC.min(m - i0);
                 pack_a(ta, &a, i0, mc, k0, kc, &mut pa);
                 multiply_panels(&pa, &pb, mc, nc, kc, alpha, c, i0, j0, 0, false);
             }
@@ -441,27 +455,25 @@ fn sweep_prepacked(
     col_off: usize,
     triangle_only: bool,
 ) {
-    let t = tune::tuning();
     let n = c.cols();
     let slabs = m.div_ceil(MR);
     debug_assert_eq!(pa_full.len(), slabs * MR * k);
-    debug_assert_eq!(t.mc % MR, 0);
 
-    let mut pb = vec![0.0; n.min(t.nc).div_ceil(NR) * NR * k.min(t.kc)];
+    let mut pb = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
 
-    for j0 in (0..n).step_by(t.nc) {
-        let nc = t.nc.min(n - j0);
-        for k0 in (0..k).step_by(t.kc) {
-            let kc = t.kc.min(k - k0);
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
             pack_b(tb, &b, k0, kc, col_off + j0, nc, &mut pb);
             let slice_base = slabs * MR * k0;
-            for i0 in (0..m).step_by(t.mc) {
+            for i0 in (0..m).step_by(MC) {
                 // Row blocks entirely below this column block contribute
                 // only strictly-lower tiles; skip them wholesale.
                 if triangle_only && i0 > col_off + j0 + nc {
                     continue;
                 }
-                let mc = t.mc.min(m - i0);
+                let mc = MC.min(m - i0);
                 let a_off = slice_base + (i0 / MR) * MR * kc;
                 let a_len = mc.div_ceil(MR) * MR * kc;
                 multiply_panels(
@@ -639,25 +651,24 @@ fn syrk_parallel(
 /// per-tile work (and therefore the bits produced) is independent of how the
 /// columns were partitioned.
 fn syrk_sweep(ta: Trans, a: MatRef<'_>, tb: Trans, alpha: f64, c: &mut MatMut<'_>, col_off: usize) {
-    let t = tune::tuning();
     let (n, k) = ta.dims(&a);
     let ncols = c.cols();
 
-    let mut pa = vec![0.0; n.min(t.mc).div_ceil(MR) * MR * k.min(t.kc)];
-    let mut pb = vec![0.0; ncols.min(t.nc).div_ceil(NR) * NR * k.min(t.kc)];
+    let mut pa = vec![0.0; n.min(MC).div_ceil(MR) * MR * k.min(KC)];
+    let mut pb = vec![0.0; ncols.min(NC).div_ceil(NR) * NR * k.min(KC)];
 
-    for j0 in (0..ncols).step_by(t.nc) {
-        let nc = t.nc.min(ncols - j0);
-        for k0 in (0..k).step_by(t.kc) {
-            let kc = t.kc.min(k - k0);
+    for j0 in (0..ncols).step_by(NC) {
+        let nc = NC.min(ncols - j0);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
             pack_b(tb, &a, k0, kc, col_off + j0, nc, &mut pb);
-            for i0 in (0..n).step_by(t.mc) {
+            for i0 in (0..n).step_by(MC) {
                 // Row blocks entirely below this column block contribute
                 // only strictly-lower tiles; skip them wholesale.
                 if i0 > col_off + j0 + nc {
                     continue;
                 }
-                let mc = t.mc.min(n - i0);
+                let mc = MC.min(n - i0);
                 pack_a(ta, &a, i0, mc, k0, kc, &mut pa);
                 multiply_panels(&pa, &pb, mc, nc, kc, alpha, c, i0, j0, col_off, true);
             }
@@ -694,19 +705,16 @@ mod tests {
 
     #[test]
     fn blocked_matches_reference_across_blocking_edges() {
-        let t = tune::tuning();
-        let (mc, kc) = (t.mc, t.kc);
         let mut seed = 0u64;
         // Sizes straddling every blocking boundary: sub-tile, tile-exact,
-        // one-past-tile, and multi-cache-block (against the autotuned
-        // blocking actually in use).
+        // one-past-tile, and multi-cache-block.
         for &(m, n, k) in &[
             (1usize, 1usize, 1usize),
             (3, 2, 5),
             (MR, NR, 7),
-            (MR + 1, NR + 1, kc + 3),
-            (mc + 5, NR * 3 + 1, kc + 1),
-            (mc + 3, 2 * NR + 3, 2 * kc + 5),
+            (MR + 1, NR + 1, KC + 3),
+            (MC + 5, NR * 3 + 1, KC + 1),
+            (MC + 3, 2 * NR + 3, 2 * KC + 5),
             (300, 17, 40),
             (5, 300, 300),
         ] {
@@ -754,12 +762,11 @@ mod tests {
 
     #[test]
     fn syrk_matches_reference_both_shapes() {
-        let t = tune::tuning();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for &(rows, cols) in &[
             (350usize, 40usize),
             (40, 17),
-            (t.mc + 9, t.mc + 9),
+            (MC + 9, MC + 9),
             (1, 5),
             (5, 1),
         ] {
@@ -795,10 +802,9 @@ mod tests {
 
     #[test]
     fn pack_a_full_matches_per_block_packing() {
-        let t = tune::tuning();
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         // Edge slabs in both directions plus a multi-slice depth.
-        for &(m, k) in &[(3usize, 5usize), (MR * 3 + 2, t.kc + 7), (2 * MR, 2 * t.kc)] {
+        for &(m, k) in &[(3usize, 5usize), (MR * 3 + 2, KC + 7), (2 * MR, 2 * KC)] {
             for &ta in &[Trans::No, Trans::Yes] {
                 let (rows, cols) = match ta {
                     Trans::No => (m, k),
@@ -809,11 +815,11 @@ mod tests {
                 for threads in [1usize, 2, 3] {
                     let full = pack_a_full(ta, &a.view(), m, k, threads);
                     assert_eq!(full.len(), slabs * MR * k);
-                    let mut buf = vec![0.0; slabs * MR * t.kc.min(k)];
-                    for k0 in (0..k).step_by(t.kc) {
-                        let kc = t.kc.min(k - k0);
-                        for i0 in (0..m).step_by(t.mc) {
-                            let mc = t.mc.min(m - i0);
+                    let mut buf = vec![0.0; slabs * MR * KC.min(k)];
+                    for k0 in (0..k).step_by(KC) {
+                        let kc = KC.min(k - k0);
+                        for i0 in (0..m).step_by(MC) {
+                            let mc = MC.min(m - i0);
                             let len = mc.div_ceil(MR) * MR * kc;
                             pack_a(ta, &a.view(), i0, mc, k0, kc, &mut buf[..len]);
                             let off = slabs * MR * k0 + (i0 / MR) * MR * kc;
@@ -829,12 +835,11 @@ mod tests {
 
     #[test]
     fn parallel_gemm_bitwise_equals_serial() {
-        let t = tune::tuning();
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         // Edge slabs, multi-cache-block, and narrower-than-one-chunk shapes.
         for &(m, n, k) in &[
             (64usize, 130usize, 70usize),
-            (t.mc + 5, 2 * NR + 3, t.kc + 1),
+            (MC + 5, 2 * NR + 3, KC + 1),
             (33, 3, 50),
         ] {
             let a = Matrix::gaussian(m, k, &mut rng);
@@ -871,8 +876,7 @@ mod tests {
     #[test]
     fn shared_and_per_worker_packing_agree_bitwise() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(44);
-        let t = tune::tuning();
-        let (m, n, k) = (t.mc + 13, 3 * NR + 2, t.kc + 9);
+        let (m, n, k) = (MC + 13, 3 * NR + 2, KC + 9);
         let a = Matrix::gaussian(m, k, &mut rng);
         let b = Matrix::gaussian(k, n, &mut rng);
         let mut c_shared = Matrix::gaussian(m, n, &mut rng);
@@ -901,7 +905,7 @@ mod tests {
             assert_bits_eq(&c_shared, &c_private, "gemm shared vs private pack");
         }
         // And the SYRK fan-out body under both packing schemes.
-        let g = Matrix::gaussian(t.kc + 3, 3 * NR + 1, &mut rng);
+        let g = Matrix::gaussian(KC + 3, 3 * NR + 1, &mut rng);
         for threads in [2usize, 4] {
             let mut s_shared = Matrix::zeros(g.cols(), g.cols());
             let mut s_private = Matrix::zeros(g.cols(), g.cols());
@@ -929,13 +933,8 @@ mod tests {
 
     #[test]
     fn parallel_syrk_bitwise_equals_serial() {
-        let tn = tune::tuning();
         let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-        for &(rows, cols) in &[
-            (300usize, 41usize),
-            (40, tn.mc + 9),
-            (tn.kc + 3, 2 * NR + 1),
-        ] {
+        for &(rows, cols) in &[(300usize, 41usize), (40, MC + 9), (KC + 3, 2 * NR + 1)] {
             let a = Matrix::gaussian(rows, cols, &mut rng);
             for shape in [SyrkShape::TransposeA, SyrkShape::TransposeB] {
                 let s1 = crate::par::with_threads(1, || syrk(a.view(), 1.25, shape));

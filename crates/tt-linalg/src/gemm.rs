@@ -15,12 +15,13 @@
 //!   is `R₀I` and the others are TT ranks. It streams the tall operand in
 //!   place, since packing it would cost more than the multiply. With two
 //!   dimensions ≤ 32 the arithmetic intensity is below the parallel
-//!   layer's default floor, so these shapes never fanned out and the
+//!   layer's intensity floor, so these shapes never fanned out and the
 //!   engine is sequential. Its results are bitwise equal to the packed
 //!   engine's (the same `kc`-slice sums in the same order);
 //! * [`crate::block`] — the packed, cache-blocked, register-tiled engine
-//!   (Goto/BLIS-style `MC`/`KC`/`NC` blocking over an `MR × NR` microkernel),
-//!   for the rest.
+//!   (Goto/BLIS-style blocking over an `MR × NR` microkernel, with the
+//!   constant [`crate::block::MC`]/[`crate::block::KC`]/[`crate::block::NC`]
+//!   cache blocks), for the rest.
 //!
 //! Under the `paranoid` feature (or any debug build) the dispatcher
 //! spot-checks sampled entries of every blocked or tall-skinny result
@@ -91,11 +92,11 @@ pub fn kernel_choice(m: usize, n: usize, k: usize) -> Kernel {
 }
 
 /// Worker-thread count a `m × n × k` multiply would be granted right now:
-/// 1 below the autotuned flop floor (fork/join overhead never touches
-/// small bond-update GEMMs) or the arithmetic-intensity floor
-/// (memory-bound shapes only add contention when threaded), otherwise the
+/// 1 below the flop floor (fork/join overhead never touches small
+/// bond-update GEMMs) or the arithmetic-intensity floor (memory-bound
+/// shapes only add contention when threaded), otherwise the
 /// `TT_NUM_THREADS` configuration capped by the machine share (see
-/// [`crate::par`] and [`crate::tune`]). The companion to [`kernel_choice`]
+/// [`crate::par`]). The companion to [`kernel_choice`]
 /// for the parallel dispatch decision; the blocked engine applies the same
 /// policy internally.
 pub fn parallel_threads(m: usize, n: usize, k: usize) -> usize {

@@ -27,8 +27,10 @@
 //! The optional `simd` cargo feature swaps the blocked engine's register
 //! microkernels for explicit `std::simd` implementations (portable SIMD is
 //! a nightly feature, hence the gate — the default build stays on stable).
-//! Results remain bitwise reproducible per (feature, thread-count)
-//! configuration; [`reference`] is the conformance oracle for both.
+//! The cache blocking is a set of compile-time constants ([`block::KC`]
+//! and friends), so results are bitwise reproducible per (feature set,
+//! target flags) configuration on every machine and at every thread
+//! count; [`reference`] is the conformance oracle for both.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(feature = "simd", feature(portable_simd))]
@@ -46,7 +48,6 @@ pub mod rng;
 pub mod skinny;
 pub mod svd;
 pub mod tri;
-pub mod tune;
 pub mod view;
 
 pub use block::SyrkShape;

@@ -41,9 +41,9 @@
 //! # Dispatch gates
 //!
 //! A kernel fans out only when its [`Work`] profile clears *two*
-//! autotuned floors (see [`crate::tune`]): a flop floor (spawn overhead
-//! amortization) and an arithmetic-intensity floor (flops per byte of
-//! memory traffic). The second gate is what keeps memory-bound shapes —
+//! constant floors: a flop floor ([`PAR_FLOP_THRESHOLD`], spawn overhead
+//! amortization) and an arithmetic-intensity floor
+//! ([`PAR_INTENSITY_THRESHOLD`], flops per byte of memory traffic). The second gate is what keeps memory-bound shapes —
 //! tall-skinny TSQR leaves, narrow QR trailing updates — sequential:
 //! their working set streams from DRAM, so added threads fight for the
 //! same bus and lose (the original flat flop threshold fanned them out
@@ -65,14 +65,18 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::tune;
-
-/// Default flop count (2·m·n·k) below which a multiply never fans out:
-/// under ~96³ the fork/join overhead (tens of microseconds per worker) is
+/// Flop count (2·m·n·k) below which a multiply never fans out: under
+/// ~96³ the fork/join overhead (tens of microseconds per worker) is
 /// comparable to the multiply itself, while every unfolding contraction
-/// and calibration GEMM on the hot path sits far above it. The effective
-/// floor is autotuned/overridable — see [`crate::tune`].
-pub const PAR_FLOP_THRESHOLD: f64 = tune::DEFAULT_PAR_FLOP_FLOOR;
+/// and calibration GEMM on the hot path sits far above it.
+pub const PAR_FLOP_THRESHOLD: f64 = 2.0 * 96.0 * 96.0 * 96.0;
+
+/// Arithmetic intensity (flops per byte of operand/output traffic) below
+/// which a multiply never fans out: memory-bound shapes only add
+/// contention when threaded. 4 flops/byte keeps square cache-friendly
+/// GEMMs and deep Gram SYRKs parallel while tall-skinny TSQR leaves and
+/// narrow QR trailing updates stay sequential.
+pub const PAR_INTENSITY_THRESHOLD: f64 = 4.0;
 
 /// A kernel's work descriptor for the dispatch decision: raw flop volume
 /// plus an estimate of the bytes the blocked sweep must move (operand
@@ -194,18 +198,12 @@ pub fn planned_threads(work: Work) -> usize {
     planned(work, IN_FLIGHT.load(Ordering::Relaxed))
 }
 
-/// Whether this work profile clears both autotuned dispatch gates: enough
-/// flops to amortize the fork/join, and enough arithmetic intensity that
-/// extra cores bring extra flop throughput rather than contention on the
-/// same memory bus.
-pub fn admits_parallel(work: Work) -> bool {
-    let t = tune::tuning();
-    admits(work, t.par_flop_floor, t.par_intensity_floor)
-}
-
-/// Pure, environment-free form of [`admits_parallel`] for unit tests.
-fn admits(work: Work, flop_floor: f64, intensity_floor: f64) -> bool {
-    work.flops >= flop_floor && work.intensity() >= intensity_floor
+/// Whether this work profile clears both dispatch gates: enough flops to
+/// amortize the fork/join, and enough arithmetic intensity that extra
+/// cores bring extra flop throughput rather than contention on the same
+/// memory bus.
+fn admits(work: Work) -> bool {
+    work.flops >= PAR_FLOP_THRESHOLD && work.intensity() >= PAR_INTENSITY_THRESHOLD
 }
 
 /// Cap/threshold policy, factored out so it is unit-testable: `in_flight`
@@ -214,7 +212,7 @@ fn planned(work: Work, in_flight: usize) -> usize {
     if let Some(forced) = OVERRIDE.with(Cell::get) {
         return forced.max(1);
     }
-    if !admits_parallel(work) {
+    if !admits(work) {
         return 1;
     }
     let cfg = configured_threads();
@@ -439,30 +437,26 @@ mod tests {
 
     #[test]
     fn intensity_gate_admits_compute_bound_shapes_only() {
-        let ff = tune::DEFAULT_PAR_FLOP_FLOOR;
-        let fi = tune::DEFAULT_PAR_INTENSITY_FLOOR;
         // The two committed bench shapes must fan out: a square 512³ GEMM
         // (intensity ≈ 32 flops/byte) and the deep 60000×64 Gram SYRK
         // (intensity ≈ 8).
-        assert!(admits(Work::gemm(512, 512, 512), ff, fi));
-        assert!(admits(Work::syrk(64, 60000), ff, fi));
+        assert!(admits(Work::gemm(512, 512, 512)));
+        assert!(admits(Work::syrk(64, 60000)));
         // Tall-skinny TSQR leaves and narrow QR trailing updates carry
         // plenty of flops but stream their operands once (intensity < 4):
         // fanning them out loses, so the gate must keep them sequential.
-        assert!(!admits(Work::gemm(40000, 20, 20), ff, fi));
-        assert!(!admits(Work::gemm(8000, 96, 32), ff, fi));
+        assert!(!admits(Work::gemm(40000, 20, 20)));
+        assert!(!admits(Work::gemm(8000, 96, 32)));
         // Small cache-resident multiplies stop at the flop floor.
-        assert!(!admits(Work::gemm(64, 64, 64), ff, fi));
+        assert!(!admits(Work::gemm(64, 64, 64)));
     }
 
     #[test]
     fn intensity_gate_rejects_tall_skinny_shapes() {
         // The unpacked tall-skinny engine is sequential; that loses no
         // threaded path only while no shape of its class clears the
-        // default floors.
+        // floors.
         use crate::gemm::{kernel_choice, Kernel};
-        let ff = tune::DEFAULT_PAR_FLOP_FLOOR;
-        let fi = tune::DEFAULT_PAR_INTENSITY_FLOOR;
         let small = [1usize, 2, 7, 8, 13, 20, 31, 32];
         let tall = [33usize, 100, 1000, 20_000, 1_000_000];
         let mut sampled = 0;
@@ -474,10 +468,10 @@ mod tests {
                             continue;
                         }
                         sampled += 1;
-                        assert!(!admits(Work::gemm(m, n, k), ff, fi), "({m},{n},{k})");
+                        assert!(!admits(Work::gemm(m, n, k)), "({m},{n},{k})");
                     }
                     if kernel_choice(s1, s1, t) == Kernel::TallSkinny {
-                        assert!(!admits(Work::syrk(s1, t), ff, fi), "syrk {s1}x{t}");
+                        assert!(!admits(Work::syrk(s1, t)), "syrk {s1}x{t}");
                     }
                 }
             }

@@ -18,13 +18,13 @@
 //!   strided scalars. Only `op(A)` with `ta = Yes` is transposed, into a
 //!   panel of at most 32 rows (one `MR`-row slab when `m` is the tall
 //!   dimension). SYRK reads that one panel for both operands.
-//! * **Depth** runs in the packed engine's `kc`-deep slices
-//!   ([`crate::tune`]). Each slice's register sums are added to `C` as
-//!   the packed writeback adds them. The first slice applies `beta`, so `C`
-//!   gets no separate fill or scale pass.
+//! * **Depth** runs in the packed engine's [`KC`]-deep slices. Each
+//!   slice's register sums are added to `C` as the packed writeback adds
+//!   them. The first slice applies `beta`, so `C` gets no separate fill or
+//!   scale pass.
 //!
 //! **Bit parity.** Each output element is the packed engine's sum: the same
-//! products, accumulated from zero in the same step order within each `kc`
+//! products, accumulated from zero in the same step order within each `KC`
 //! slice with the microkernel's multiply-add (fused under `simd` + `fma`),
 //! and the slices added to `C` in the same order. So [`gemm`] is bitwise
 //! equal to the dispatcher's `beta` pass followed by
@@ -32,13 +32,12 @@
 //! in every build configuration (`tests/conformance.rs` pins both).
 //!
 //! The engine is sequential. With two dimensions at most 32 the arithmetic
-//! intensity ([`crate::par::Work`]) is below the parallel layer's default
-//! floor, so these shapes never fanned out.
+//! intensity ([`crate::par::Work`]) is below the parallel layer's
+//! intensity floor, so these shapes never fanned out.
 
-use crate::block::{madd, SyrkShape, MR, NR};
+use crate::block::{madd, SyrkShape, KC, MR, NR};
 use crate::gemm::Trans;
 use crate::matrix::Matrix;
-use crate::tune;
 use crate::view::{MatMut, MatRef};
 
 /// The class bound: a multiply whose dimensions all but one are at most
@@ -160,7 +159,6 @@ fn sweep(
 ) {
     let (m, k) = ta.dims(&a);
     let n = c.cols();
-    let kc = tune::tuning().kc;
     let block = if m <= SMALL_DIM || matches!(b, Source::Panel) {
         m
     } else {
@@ -168,10 +166,10 @@ fn sweep(
     };
     let mut panel = match ta {
         Trans::No => Vec::new(),
-        Trans::Yes => vec![0.0; block * kc.min(k)],
+        Trans::Yes => vec![0.0; block * KC.min(k)],
     };
-    for k0 in (0..k).step_by(kc) {
-        let steps = kc.min(k - k0);
+    for k0 in (0..k).step_by(KC) {
+        let steps = KC.min(k - k0);
         let base = if k0 > 0 || beta == 1.0 {
             Base::Keep
         } else if beta == 0.0 {

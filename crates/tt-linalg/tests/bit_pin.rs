@@ -1,8 +1,8 @@
 //! Cross-machine bit pin for the GEMM/SYRK engines.
 //!
-//! The depth blocking `KC` sets the grouping of every sum, so a scalar
-//! build produces the same bits wherever it runs with the same `KC`, at
-//! every thread count. This test hashes the
+//! The depth blocking `tt_linalg::block::KC` is a constant and sets the
+//! grouping of every sum, so a scalar build produces the same bits on
+//! every machine and at every thread count. This test hashes the
 //! output of `gemm_v`, `syrk_v` and `syrk_nt_v` on one shape per engine
 //! (reference, tall-skinny, packed), each deeper than two `KC` slices,
 //! and compares against committed FNV-1a hashes over `f64::to_bits`.

@@ -20,9 +20,9 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tt_linalg::block::{self, SyrkShape, MR, NR};
+use tt_linalg::block::{self, SyrkShape, KC, MR, NR};
 use tt_linalg::view::{MatMut, MatRef};
-use tt_linalg::{reference, skinny, tune};
+use tt_linalg::{reference, skinny};
 use tt_linalg::{Matrix, Trans, EPS};
 
 /// Componentwise bound constant: generous but tight enough to catch any
@@ -413,7 +413,7 @@ fn assert_bits_eq(got: &Matrix, expect: &Matrix, what: &str) {
 /// `beta` case; then SYRK in both orientations.
 #[test]
 fn tall_skinny_bitwise_equals_packed() {
-    let kc = tune::tuning().kc;
+    let kc = KC;
     let mut seed = 0u64;
     for &(m, n, k) in &[
         (2005usize, 13usize, 20usize),

@@ -41,12 +41,12 @@ fn rank_deficient(rows: usize, cols: usize, rank: usize, seed: u64) -> Matrix {
 
 const THREAD_COUNTS: [usize; 4] = [2, 3, 4, 8];
 
-/// Shapes straddling the blocking constants: MR=8/NR=4 register tiles,
-/// MC=128/KC=256/NC=2048 cache blocks — tile-exact, one-past-tile, and
-/// far-from-aligned cases.
+/// Shapes straddling the blocking constants: MR=8/NR=4 register tiles and
+/// KC=256 depth slices — tile-exact, one-past-tile, and far-from-aligned
+/// cases.
 const GEMM_SHAPES: [(usize, usize, usize); 5] = [
     (96, 96, 96),
-    (129, 37, 257), // one past MC, odd n, one past KC
+    (129, 37, 257), // odd m and n, one past KC
     (8, 4, 16),     // single register tile
     (200, 3, 300),  // fewer column blocks than threads
     (61, 131, 67),  // nothing aligned

@@ -60,22 +60,6 @@ pub const HOT_ROOT_PREFIXES: &[&str] = &[
 /// its documented fallback).
 pub const SANCTIONED_POOL_METHODS: &[&str] = &["take", "recycle", "recycle_core"];
 
-/// Name prefix of the runtime-autotune probe functions
-/// (`tt_linalg::tune`): the *sanctioned* configuration surface for the
-/// determinism contract. The probe reads cache-hierarchy sysfs files and
-/// `TT_BLOCK_*`/`TT_PAR_*` environment overrides exactly once per process
-/// (memoized behind a `OnceLock`), so its result is a constant of the
-/// (machine, environment) configuration — the same status DESIGN.md §9
-/// already grants `TT_NUM_THREADS`. Functions matching this prefix neither
-/// seed nor export the nondet fact, and their direct reads are not flagged;
-/// an identical read *outside* the probe naming convention still fires.
-pub const SANCTIONED_TUNE_PREFIX: &str = "tune_probe";
-
-/// Whether `name` belongs to the sanctioned autotune-probe surface.
-pub fn is_tune_probe(name: &str) -> bool {
-    name.starts_with(SANCTIONED_TUNE_PREFIX)
-}
-
 /// Path prefixes whose functions neither seed nor carry the *allocates*
 /// fact. The communication layer allocates per message by design (event
 /// records, envelopes, reassembly buffers) — that is messaging cost, not
@@ -883,13 +867,8 @@ pub fn propagate(g: &CallGraph) -> Facts {
         if let Some(e) = &fs.collective {
             facts.collective[ni] = Some(seed(e));
         }
-        // The autotune probe's one-shot hardware/environment reads are the
-        // sanctioned configuration surface (see [`SANCTIONED_TUNE_PREFIX`]):
-        // they never seed the nondet fact.
         if let Some(e) = fs.nondet.first() {
-            if !is_tune_probe(&g.nodes[ni].name) {
-                facts.nondet[ni] = Some(seed(e));
-            }
+            facts.nondet[ni] = Some(seed(e));
         }
         if let Some((e, _)) = fs.allocs.first() {
             if !is_alloc_exempt(&g.nodes[ni].file) {
@@ -917,12 +896,7 @@ pub fn propagate(g: &CallGraph) -> Facts {
                 for &t in &edge.targets {
                     changed |= lift(&mut facts.collective, ni, t, &g.nodes[t].name);
                     changed |= lift(&mut facts.p2p, ni, t, &g.nodes[t].name);
-                    // A sanctioned probe never exports nondeterminism to
-                    // its callers: whatever it read is memoized into a
-                    // process-lifetime constant.
-                    if !is_tune_probe(&g.nodes[t].name) {
-                        changed |= lift(&mut facts.nondet, ni, t, &g.nodes[t].name);
-                    }
+                    changed |= lift(&mut facts.nondet, ni, t, &g.nodes[t].name);
                     if !sanctioned {
                         changed |= lift(&mut facts.allocates, ni, t, &g.nodes[t].name);
                     }

@@ -59,14 +59,6 @@ impl GraphPass for Determinism {
             let Some(root) = cx.hot[ni].as_ref() else {
                 continue;
             };
-            // The runtime-autotune probe is the sanctioned configuration
-            // surface: its one-shot sysfs/environment reads are memoized
-            // into a process-lifetime constant, so reaching it from a hot
-            // root does not break the per-run bitwise contract (see
-            // [`crate::callgraph::SANCTIONED_TUNE_PREFIX`]).
-            if crate::callgraph::is_tune_probe(&node.name) {
-                continue;
-            }
             let summary = cx.graph.summary(ni);
             for e in &summary.nondet {
                 out.push(Diagnostic {

@@ -80,15 +80,6 @@ fn determinism_fires_on_fixture() {
 }
 
 #[test]
-fn tune_probe_reads_are_sanctioned() {
-    let report = run_corpus();
-    assert_eq!(
-        diags_for(&report, "tune_probe_sanctioned.rs"),
-        golden("tune_probe_sanctioned.rs")
-    );
-}
-
-#[test]
 fn alloc_hot_path_fires_on_fixture() {
     let report = run_corpus();
     assert_eq!(
@@ -142,7 +133,6 @@ fn corpus_totals_are_stable() {
         "collective_order_fires.rs",
         "determinism_fires.rs",
         "alloc_hot_path_fires.rs",
-        "tune_probe_sanctioned.rs",
     ]
     .iter()
     .map(|f| golden(f).len())
