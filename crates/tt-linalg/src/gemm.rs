@@ -96,9 +96,9 @@ pub fn kernel_choice(m: usize, n: usize, k: usize) -> Kernel {
 /// bond-update GEMMs) or the arithmetic-intensity floor (memory-bound
 /// shapes only add contention when threaded), otherwise the
 /// `TT_NUM_THREADS` configuration capped by the machine share (see
-/// [`crate::par`]). The companion to [`kernel_choice`]
-/// for the parallel dispatch decision; the blocked engine applies the same
-/// policy internally.
+/// [`crate::par`]). The companion to [`kernel_choice`] for the parallel
+/// dispatch decision; the blocked engine applies the same policy
+/// internally.
 pub fn parallel_threads(m: usize, n: usize, k: usize) -> usize {
     crate::par::planned_threads(crate::par::Work::gemm(m, n, k))
 }

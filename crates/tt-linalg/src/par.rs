@@ -43,11 +43,12 @@
 //! A kernel fans out only when its [`Work`] profile clears *two*
 //! constant floors: a flop floor ([`PAR_FLOP_THRESHOLD`], spawn overhead
 //! amortization) and an arithmetic-intensity floor
-//! ([`PAR_INTENSITY_THRESHOLD`], flops per byte of memory traffic). The second gate is what keeps memory-bound shapes —
-//! tall-skinny TSQR leaves, narrow QR trailing updates — sequential:
-//! their working set streams from DRAM, so added threads fight for the
-//! same bus and lose (the original flat flop threshold fanned them out
-//! and measurably regressed).
+//! ([`PAR_INTENSITY_THRESHOLD`], flops per byte of memory traffic). The
+//! second gate is what keeps memory-bound shapes — tall-skinny TSQR
+//! leaves, narrow QR trailing updates — sequential: their working set
+//! streams from DRAM, so added threads fight for the same bus and lose
+//! (the original flat flop threshold fanned them out and measurably
+//! regressed).
 //!
 //! # Why scoped threads and no channels
 //!
