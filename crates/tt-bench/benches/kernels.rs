@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use tt_core::matprod::{mat_rounding_qr, tsvd_abt_gram};
 use tt_core::round::{gram_sweep_right, gram_sweep_right_symmetric};
 use tt_core::synthetic::generate_redundant;
-use tt_core::{RandomizedVariant, RoundingMethod, RoundingOptions};
+use tt_core::{RoundingMethod, RoundingOptions};
 use tt_linalg::{gemm, Matrix, Trans};
 
 fn rng() -> rand::rngs::StdRng {
@@ -62,7 +62,7 @@ fn bench_rounding(c: &mut Criterion) {
     // The paper's future-work hypothesis: randomized rounding reduces
     // arithmetic further while staying gemm-based.
     let rand_opts = RoundingOptions::default().max_rank(10);
-    let rand_method = RoundingMethod::randomized(RandomizedVariant::RandThenOrth);
+    let rand_method = RoundingMethod::randomized();
     group.bench_function("Randomized", |bench| {
         bench.iter(|| tt_core::round(&comm, x.clone(), rand_method, &rand_opts));
     });

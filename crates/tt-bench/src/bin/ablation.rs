@@ -19,7 +19,7 @@ use tt_bench::fmt_secs;
 use tt_cookies::CookiesProblem;
 use tt_core::round::{gram_sweep_right, gram_sweep_right_symmetric};
 use tt_core::synthetic::generate_redundant;
-use tt_core::{round, RandomizedVariant, RoundingOptions};
+use tt_core::{round, RoundingOptions};
 use tt_solvers::gmres::TrueResidualMode;
 use tt_solvers::{tt_gmres, tt_richardson, GmresOptions, RichardsonOptions, RoundingMethod};
 
@@ -57,7 +57,6 @@ fn main() {
     println!("    {:>4} {:>12} {:>12}", "p", "time", "rel error");
     for p in [0usize, 2, 4, 8, 16] {
         let method = RoundingMethod::Randomized {
-            variant: RandomizedVariant::RandThenOrth,
             oversampling: p,
             seed: 42,
         };

@@ -1,12 +1,14 @@
-//! Rounding-family ablation: accuracy × rank × time across every variant.
+//! Rounding ablation: accuracy × rank × time across the rounding methods.
 //!
 //! One fixed graded-spectrum instance (a rank-`BASE_RANK` base plus noise
-//! `NOISE_REL` below it in norm) runs through all six rounding paths —
-//! the QR baseline (Alg. 2), Gram sequence RLR (Alg. 6) and simultaneous
-//! (Alg. 5) at tolerance `TOL`, the two fixed-rank randomized variants at
-//! the base rank, and the adaptive Khatri–Rao variant at ε = `TOL` — and
-//! reports for each: achieved relative error, the variant's accuracy bound,
-//! the maximum output rank, and mean/min wall time over `--reps` runs.
+//! `NOISE_REL` below it in norm) runs through four rounding paths — the QR
+//! baseline (Alg. 2), Gram sequence RLR (Alg. 6) and simultaneous (Alg. 5)
+//! at tolerance `TOL`, and randomize-then-orthogonalize at the base rank.
+//! A formal sum of `SUM_TERMS` such trains, the input randomized rounding
+//! targets (formal rank far above the output rank), runs through QR,
+//! Gram-RLR and randomized rounding. Each row reports the achieved
+//! relative error, the method's accuracy bound, the maximum output rank,
+//! and mean/min wall time over `--reps` runs.
 //!
 //! With `--json <path>` the rows are also written as [`tt_bench::GateRow`]
 //! JSONL, which the `rounding ablation` row of `cargo xtask bench-check`'s
@@ -22,7 +24,7 @@ use std::time::Instant;
 use rand::SeedableRng;
 use tt_bench::{fmt_secs, write_gate_jsonl, Accuracy, Args, GateRow};
 use tt_comm::SelfComm;
-use tt_core::{round, RandomizedVariant, RoundingMethod, RoundingOptions, TtTensor};
+use tt_core::{round, RoundingMethod, RoundingOptions, TtTensor};
 
 /// Mode sizes of the ablation instance (big enough that a rounding call is
 /// milliseconds, small enough for a CI gate).
@@ -34,10 +36,13 @@ const NOISE_REL: f64 = 1e-6;
 /// Rounding tolerance for the ε-driven variants (well above the noise, well
 /// below the base spectrum: every variant should cut back to `BASE_RANK`).
 const TOL: f64 = 1e-4;
-/// Sketch oversampling for the fixed-rank randomized variants.
+/// Sketch oversampling for randomized rounding.
 const OVERSAMPLING: usize = 8;
 /// Seed for instance generation and all sketches.
 const SEED: u64 = 2022;
+/// Terms of the formal-sum instance; its formal ranks are
+/// `SUM_TERMS · 2 · BASE_RANK`.
+const SUM_TERMS: usize = 4;
 
 /// Graded-spectrum instance: base + NOISE_REL·noise, both random TT.
 fn instance() -> TtTensor {
@@ -47,6 +52,26 @@ fn instance() -> TtTensor {
     let mut noise = TtTensor::random(&DIMS, &ranks, &mut rng);
     noise.scale(NOISE_REL * base.norm() / noise.norm());
     base.add(&noise)
+}
+
+/// Formal-sum instance: `Σ_j (base/(j+1) + noise_j)`, each `noise_j` its
+/// own random rank-`BASE_RANK` train at `NOISE_REL·‖base‖`, left unrounded.
+fn sum_instance() -> TtTensor {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
+    let ranks = vec![BASE_RANK; DIMS.len() - 1];
+    let base = TtTensor::random(&DIMS, &ranks, &mut rng);
+    let mut term = |j: usize| {
+        let mut term = base.clone();
+        term.scale(1.0 / (j + 1) as f64);
+        let mut noise = TtTensor::random(&DIMS, &ranks, &mut rng);
+        noise.scale(NOISE_REL * base.norm() / noise.norm());
+        term.add(&noise)
+    };
+    let mut sum = term(0);
+    for j in 1..SUM_TERMS {
+        sum = sum.add(&term(j));
+    }
+    sum
 }
 
 /// Times `reps` runs of one variant and measures its achieved error.
@@ -88,18 +113,18 @@ fn main() {
     let reps: usize = args.get("reps").unwrap_or(12);
     let x = instance();
     let xnorm = x.norm();
+    let sum = sum_instance();
+    let sum_norm = sum.norm();
 
-    let fixed = |variant| RoundingMethod::Randomized {
-        variant,
+    let randomized = RoundingMethod::Randomized {
         oversampling: OVERSAMPLING,
         seed: SEED,
     };
     let eps = RoundingOptions::with_tolerance(TOL);
     let capped = RoundingOptions::default().max_rank(BASE_RANK);
-    // Accuracy bounds. ε-driven variants promise ε·‖X‖ (1.5 slack for the
-    // deterministic ones, matching the property-test constant; the adaptive
-    // certificate needs none). Fixed-rank variants can at best reach the
-    // noise floor; the constants are the usual sketch-quality factors with
+    // Accuracy bounds. ε-driven methods promise ε·‖X‖ (1.5 slack, matching
+    // the property-test constant). Randomized rounding can at best reach
+    // the noise floor; the constant is the usual sketch-quality factor with
     // generous margin, ~(1 + √(r/(s−1))) for a one-sided sketch.
     let rows = vec![
         measure(
@@ -135,41 +160,51 @@ fn main() {
             reps,
             &x,
             xnorm,
-            fixed(RandomizedVariant::RandThenOrth),
+            randomized,
             &capped,
         ),
         measure(
-            "rounding_orth_then_rand",
+            "rounding_sum4_qr",
+            1.5 * TOL,
+            reps,
+            &sum,
+            sum_norm,
+            RoundingMethod::Qr,
+            &eps,
+        ),
+        measure(
+            "rounding_sum4_gram_rlr",
+            1.5 * TOL,
+            reps,
+            &sum,
+            sum_norm,
+            RoundingMethod::GramRlr,
+            &eps,
+        ),
+        measure(
+            "rounding_sum4_rand_then_orth",
             100.0 * NOISE_REL,
             reps,
-            &x,
-            xnorm,
-            fixed(RandomizedVariant::OrthThenRand),
+            &sum,
+            sum_norm,
+            randomized,
             &capped,
-        ),
-        measure(
-            "rounding_adaptive_kr",
-            TOL,
-            reps,
-            &x,
-            xnorm,
-            fixed(RandomizedVariant::AdaptiveKr),
-            &eps,
         ),
     ];
 
     println!(
-        "# rounding ablation: dims {DIMS:?}, base rank {BASE_RANK} (formal {}), noise {NOISE_REL:.0e}, tol {TOL:.0e}, {reps} reps",
-        2 * BASE_RANK
+        "# rounding ablation: dims {DIMS:?}, base rank {BASE_RANK} (formal {}; sum of {SUM_TERMS}: formal {}), noise {NOISE_REL:.0e}, tol {TOL:.0e}, {reps} reps",
+        2 * BASE_RANK,
+        SUM_TERMS * 2 * BASE_RANK
     );
     println!(
-        "{:<26} {:>10} {:>10} {:>9} {:>12} {:>12}",
+        "{:<30} {:>10} {:>10} {:>9} {:>12} {:>12}",
         "variant", "rel error", "bound", "max rank", "mean", "min"
     );
     for r in &rows {
         let Some(a) = r.accuracy else { continue };
         println!(
-            "{:<26} {:>10.2e} {:>10.2e} {:>9} {:>12} {:>12}",
+            "{:<30} {:>10.2e} {:>10.2e} {:>9} {:>12} {:>12}",
             r.id,
             a.rel_err,
             a.bound,

@@ -42,7 +42,7 @@ pub use crate::core::TtCore;
 pub use dense::DenseTensor;
 pub use dist::{block_range, gather_tensor, scatter_tensor};
 pub use orthogonalize::{orthogonalize_left, orthogonalize_right};
-pub use round::{round, RandomizedVariant, RoundReport, RoundingMethod, RoundingOptions};
+pub use round::{round, RoundReport, RoundingMethod, RoundingOptions};
 pub use tensor::TtTensor;
 pub use ttmatrix::{TtMatrix, TtMatrixCore};
 pub use ttsvd::tt_svd;

@@ -9,8 +9,8 @@
 //!   *simultaneous* (Alg. 5) and *sequence* (Alg. 6) variants, the latter in
 //!   both RLR (right-to-left Gram sweep, left-to-right truncation) and LRL
 //!   orderings.
-//! * `random` — the randomized successor family (arXiv 2110.04393,
-//!   2511.03598), see [`RandomizedVariant`].
+//! * `random` — randomize-then-orthogonalize, the fixed-rank randomized
+//!   successor (arXiv 2110.04393 Alg. 3.3).
 //!
 //! Every algorithm is written once against [`tt_comm::Communicator`] and
 //! operates on the local block of the 1-D-distributed tensor; with
@@ -25,7 +25,6 @@ pub mod truncate;
 pub mod tsqr;
 
 pub use gram::{gram_sweep_left, gram_sweep_right, gram_sweep_right_symmetric};
-pub use random::RandomizedVariant;
 pub use truncate::{BondTruncation, SingularSide};
 pub use tsqr::tsqr;
 
@@ -38,13 +37,13 @@ use tt_comm::Communicator;
 pub struct RoundingOptions {
     /// Relative accuracy ε: the result satisfies
     /// `‖X − Y‖ ≤ ε‖X‖` (up to the Gram-SVD accuracy caveat of §II-B).
-    /// The fixed-rank randomized variants ignore it; the adaptive one
-    /// certifies it.
+    /// [`RoundingMethod::Randomized`] ignores it, so under ε alone it
+    /// keeps every bond's rank and compresses nothing.
     pub tolerance: f64,
     /// Optional hard cap on every truncated rank (applied after the
     /// ε criterion). Scaling studies use this to pin the work. It is the
-    /// target rank of the fixed-rank randomized variants (`None` keeps each
-    /// bond's current rank); the adaptive variant ignores it.
+    /// only target rank of [`RoundingMethod::Randomized`]: with `None`,
+    /// randomized rounding keeps each bond's current rank.
     pub max_rank: Option<usize>,
 }
 
@@ -83,15 +82,14 @@ pub enum RoundingMethod {
     GramLrl,
     /// Gram-SVD simultaneous variant (Alg. 5).
     GramSim,
-    /// A member of the randomized family. The sketch is replicated by
-    /// seeding, so the result is deterministic given `seed` and every rank
-    /// takes identical rank decisions.
+    /// Randomize-then-orthogonalize (arXiv 2110.04393 Alg. 3.3): rounds
+    /// every bond to [`RoundingOptions::max_rank`], ignoring the
+    /// tolerance. The sketch is replicated by seeding, so the result is
+    /// deterministic given `seed` and every rank takes identical rank
+    /// decisions.
     Randomized {
-        /// Which family member.
-        variant: RandomizedVariant,
         /// Columns added to every sketch beyond the target rank (5–10
-        /// gives high success probability); the adaptive variant uses it
-        /// as its initial Khatri–Rao column count.
+        /// gives high success probability).
         oversampling: usize,
         /// Sketch seed; must be identical on every rank.
         seed: u64,
@@ -99,11 +97,9 @@ pub enum RoundingMethod {
 }
 
 impl RoundingMethod {
-    /// The given randomized variant with the default oversampling (8) and
-    /// seed.
-    pub fn randomized(variant: RandomizedVariant) -> Self {
+    /// Randomized rounding with the default oversampling (8) and seed.
+    pub fn randomized() -> Self {
         RoundingMethod::Randomized {
-            variant,
             oversampling: 8,
             seed: 0x5eed,
         }
@@ -125,10 +121,9 @@ impl RoundingMethod {
 #[derive(Debug, Clone)]
 pub struct RoundReport {
     /// `‖X‖` as computed by the algorithm (from `G₀ᴿ`/`G_Nᴸ` for the Gram
-    /// variants and adaptive randomized rounding, from the orthogonalized
-    /// end core for QR and orthogonalize-then-randomize). `f64::NAN` for
-    /// the sketch-only randomize-then-orthogonalize variant on trains of two
-    /// or more cores: it never forms ‖X‖.
+    /// variants, from the orthogonalized end core for QR). `f64::NAN` for
+    /// sketch-only randomized rounding on trains of two or more cores: it
+    /// never forms ‖X‖.
     pub norm: f64,
     /// Rank chain before rounding.
     pub ranks_before: Vec<usize>,
@@ -136,16 +131,10 @@ pub struct RoundReport {
     pub ranks_after: Vec<usize>,
     /// One record per interior bond, in the order the bonds were processed.
     pub truncations: Vec<BondTruncation>,
-    /// Certified *relative* error bound `√(Σ_b err_b²)/‖X‖` (the certifying
-    /// randomized variants: orthogonalize-then-randomize and adaptive).
-    pub certified_error: Option<f64>,
-    /// Exact posterior relative error `‖X − Y‖/‖X‖` evaluated through TT
-    /// inner products (adaptive randomized variant only).
-    pub posterior_error: Option<f64>,
 }
 
 impl RoundReport {
-    /// A report without error certificates for the rounded train `y`.
+    /// The report for the rounded train `y`.
     pub(crate) fn new(
         norm: f64,
         ranks_before: Vec<usize>,
@@ -157,8 +146,6 @@ impl RoundReport {
             ranks_before,
             ranks_after: y.ranks(),
             truncations,
-            certified_error: None,
-            posterior_error: None,
         }
     }
 }
@@ -202,23 +189,9 @@ pub fn round(
         RoundingMethod::GramSim => {
             gram::round_gram_sim_dist(comm, x, opts, &mut SweepScratch::new())
         }
-        RoundingMethod::Randomized {
-            variant,
-            oversampling,
-            seed,
-        } => {
+        RoundingMethod::Randomized { oversampling, seed } => {
             let sketch = random::Sketch { oversampling, seed };
-            match variant {
-                RandomizedVariant::RandThenOrth => {
-                    random::round_rand_then_orth_dist(comm, x, opts, sketch)
-                }
-                RandomizedVariant::OrthThenRand => {
-                    random::round_orth_then_rand_dist(comm, x, opts, sketch)
-                }
-                RandomizedVariant::AdaptiveKr => {
-                    random::round_adaptive_kr_dist(comm, x, opts, sketch)
-                }
-            }
+            random::round_rand_then_orth_dist(comm, x, opts, sketch)
         }
     }
 }

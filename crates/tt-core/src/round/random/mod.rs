@@ -1,66 +1,145 @@
 //! Randomized TT-Rounding — the paper's stated future-work direction
 //! (§VI: "we plan in the future to study randomized methods to perform
 //! rounding procedures ... they reduce arithmetic further and also rely on
-//! matrix multiplication"), grown into the published successor family:
+//! matrix multiplication"), as *randomize-then-orthogonalize* (Al Daas,
+//! Ballard, Cazeaux, Hallman, et al., "Randomized algorithms for rounding
+//! in the tensor-train format", SISC 2023 / arXiv 2110.04393 Alg. 3.3).
 //!
-//! * [`RandomizedVariant::RandThenOrth`] — *randomize-then-orthogonalize*
-//!   (Al Daas, Ballard, Cazeaux, Hallman, et al., "Randomized algorithms
-//!   for rounding in the tensor-train format", SISC 2023 / arXiv
-//!   2110.04393 Alg. 3.3): sketch every unfolding with a random TT tensor,
-//!   then one left-to-right pass orthogonalizing the small sketched
-//!   matrices. Cheapest; no error estimate.
-//! * [`RandomizedVariant::OrthThenRand`] — *orthogonalize-then-randomize*
-//!   (arXiv 2110.04393 Alg. 3.2): right-orthogonalize first, then sketch
-//!   with small replicated Gaussians. One extra TSQR sweep buys a
-//!   *computable* per-bond error bound ([`RoundReport::certified_error`](crate::round::RoundReport::certified_error))
-//!   because the trailing cores stay row-orthonormal while truncating.
-//! * [`RandomizedVariant::AdaptiveKr`] — *adaptive Khatri–Rao rounding*
-//!   (arXiv 2511.03598): Khatri–Rao-structured sketch matrices whose column
-//!   count grows geometrically until a posterior ε estimate certifies
-//!   `‖X − Y‖ ≤ ε‖X‖`, removing the fixed-target-rank limitation of the
-//!   other two; it certifies [`RoundingOptions::tolerance`].
+//! Sketch the unfolding at every bond with a random TT tensor of the target
+//! ranks, then make one left-to-right pass that orthogonalizes the *small*
+//! sketched matrices only. Compared to Alg. 2 it performs no large QRs;
+//! compared to Algs. 5/6 it needs only one structured-contraction sweep. The
+//! price is a fixed *a-priori* target rank, [`RoundingOptions::max_rank`]
+//! (plus oversampling in the sketch), instead of an ε guarantee, and no
+//! error estimate.
 //!
-//! The two fixed-rank variants round every bond to the
-//! [`RoundingOptions::max_rank`] target (plus oversampling in the sketch).
-//!
-//! Every variant is written once against [`tt_comm::Communicator`] and
-//! parallelizes exactly like the Gram variants: replicated seeded sketches,
-//! local `gemm`s, one allreduce per mode per sweep, small factorizations
-//! done redundantly — so all rank decisions are taken identically on every
-//! rank from replicated (already-allreduced) quantities.
+//! It is written once against [`tt_comm::Communicator`] and parallelizes
+//! exactly like Alg. 6: replicated seeded sketches, local `gemm`s, one
+//! allreduce per mode in the sketch sweep and one per mode in the
+//! truncation sweep, small factorizations done redundantly — so all rank
+//! decisions are taken identically on every rank from replicated
+//! (already-allreduced) quantities.
 
-mod adaptive;
-mod orth_then_rand;
-mod rand_then_orth;
-pub(crate) mod sketch;
+mod sketch;
 
-pub(crate) use adaptive::round_adaptive_kr_dist;
-pub(crate) use orth_then_rand::round_orth_then_rand_dist;
-pub(crate) use rand_then_orth::round_rand_then_orth_dist;
-
-use crate::round::RoundingOptions;
+use crate::core::TtCore;
+use crate::round::gram::{postmult_v, premult_h};
+use crate::round::{BondTruncation, RoundReport, RoundingOptions};
 use crate::tensor::TtTensor;
+use sketch::{gaussian_tt_sketch, TAG_TT_SKETCH};
 use tt_comm::Communicator;
-use tt_linalg::{gemm_alloc, Matrix, Trans};
-
-/// Which member of the randomized-rounding family to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RandomizedVariant {
-    /// Randomize-then-orthogonalize (SISC 2023 Alg. 3.3) — the default.
-    #[default]
-    RandThenOrth,
-    /// Orthogonalize-then-randomize (Alg. 3.2); computable error bound.
-    OrthThenRand,
-    /// Adaptive Khatri–Rao sketching with an ε certificate (arXiv
-    /// 2511.03598); ignores the rank cap.
-    AdaptiveKr,
-}
+use tt_linalg::{gemm_alloc, gemm_v, Matrix, Trans};
 
 /// The sketch parameters of [`crate::round::RoundingMethod::Randomized`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Sketch {
     pub(crate) oversampling: usize,
     pub(crate) seed: u64,
+}
+
+/// Randomize-then-orthogonalize rounding of this rank's local block of
+/// `x` (see the module docs).
+pub(crate) fn round_rand_then_orth_dist(
+    comm: &impl Communicator,
+    x: TtTensor,
+    opts: &RoundingOptions,
+    sk: Sketch,
+) -> (TtTensor, RoundReport) {
+    let n = x.order();
+    let p = comm.size();
+    let rank = comm.rank();
+    let global_dims = global_dims(comm, &x);
+
+    // Sketch ranks: target + oversampling, capped by the bond dimensions of
+    // x (sketching wider than the bond is wasted work).
+    let ranks_x = x.ranks();
+    let targets: Vec<usize> = (1..n).map(|b| target_rank(opts, ranks_x[b])).collect();
+    let sketch_ranks: Vec<usize> = (0..n - 1)
+        .map(|b| {
+            targets[b]
+                .saturating_add(sk.oversampling)
+                .min(ranks_x[b + 1])
+        })
+        .collect();
+    let mut truncations = Vec::with_capacity(n - 1);
+
+    // Build this rank's local block of the (conceptually global) random
+    // sketch tensor: slice i of sketch core k is seeded by (seed, k, i_glob),
+    // so every rank generates identical slices for the indices it owns.
+    let sketch = gaussian_tt_sketch(
+        &global_dims,
+        &sketch_ranks,
+        p,
+        rank,
+        sk.seed,
+        comm.is_model(),
+        TAG_TT_SKETCH,
+    );
+
+    // ---- Right-to-left sketch sweep: W_b = (cores b.. of X) ⋅ (cores b..
+    // of R), contracting all physical modes; W_b ∈ R^{R_b × ℓ_b}. ----
+    // Same structure as the inner-product sweep, one allreduce per mode.
+    let mut w: Vec<Matrix> = vec![Matrix::identity(1); n];
+    // w[n-1] corresponds to the contraction of the last cores.
+    {
+        let (cx, cr) = (x.core(n - 1), sketch.core(n - 1));
+        let mut m = gemm_alloc(Trans::No, cx.h(), Trans::Yes, cr.h(), 1.0);
+        comm.allreduce_sum(m.as_mut_slice());
+        w[n - 1] = m;
+    }
+    for k in (1..n - 1).rev() {
+        // E = X_k ×₃ w[k+1]ᵀ : post-multiply V(X_k) by w (R_{k+1} × ℓ_{k+1}).
+        let (cx, cr) = (x.core(k), sketch.core(k));
+        let e = postmult_v(cx, &w[k + 1]);
+        // Contract E with R_k over (mode, right-rank): H(E)·H(R_k)ᵀ.
+        let mut m = gemm_alloc(Trans::No, e.h(), Trans::Yes, cr.h(), 1.0);
+        comm.allreduce_sum(m.as_mut_slice());
+        w[k] = m;
+    }
+
+    // ---- Left-to-right orthogonalization pass on sketched cores. ----
+    let mut cores_out: Vec<TtCore> = Vec::with_capacity(n);
+    let mut cur = x.core(0).clone();
+    for k in 0..n - 1 {
+        // Z = V(cur)·W_{k+1}: (r0·I_k) × ℓ — the sketched unfolding.
+        let z = gemm_alloc(Trans::No, cur.v(), Trans::No, w[k + 1].view(), 1.0);
+        // Thin Q via TSQR (small: ℓ columns), then cut the oversampled
+        // sketch down to the target rank through the ℓ×ℓ R factor's SVD
+        // (plain column truncation of Q would pick an arbitrary subspace —
+        // Q's columns are not importance-ordered).
+        let (q, r) = crate::round::tsqr::tsqr(comm, &z);
+        let q = lead_basis(q, &r, targets[k]);
+        let l_rank = q.cols();
+        let y_core = TtCore::from_v(q, cur.r0(), cur.mode_dim(), l_rank);
+        // M = Y_kᵀ ⋅ cur (contract left rank + mode): ℓ × R_{k+1};
+        // local gemm + allreduce.
+        let mut m = Matrix::zeros(l_rank, cur.r1());
+        gemm_v(
+            Trans::Yes,
+            y_core.v(),
+            Trans::No,
+            cur.v(),
+            1.0,
+            0.0,
+            m.view_mut(),
+        );
+        comm.allreduce_sum(m.as_mut_slice());
+        truncations.push(BondTruncation {
+            bond: k + 1,
+            rank_before: ranks_x[k + 1],
+            rank_after: l_rank,
+            discarded: None,
+            sketch_cols: Some(sketch_ranks[k]),
+        });
+        // Push the remainder into the next core.
+        cur = premult_h(x.core(k + 1), &m);
+        cores_out.push(y_core);
+    }
+    cores_out.push(cur);
+    let y = TtTensor::new(cores_out);
+    // Sketch-only: ‖X‖ is never formed.
+    let report = RoundReport::new(f64::NAN, ranks_x, &y, truncations);
+    (y, report)
 }
 
 /// The fixed-rank target at a bond of current rank `bond_rank`: the rank
@@ -102,12 +181,8 @@ mod tests {
     use crate::round::{round, RoundReport, RoundingMethod};
     use tt_comm::SelfComm;
 
-    fn method(variant: RandomizedVariant, oversampling: usize, seed: u64) -> RoundingMethod {
-        RoundingMethod::Randomized {
-            variant,
-            oversampling,
-            seed,
-        }
+    fn method(oversampling: usize, seed: u64) -> RoundingMethod {
+        RoundingMethod::Randomized { oversampling, seed }
     }
 
     /// Sequential randomized rounding of a copy of `x`.
@@ -127,69 +202,50 @@ mod tests {
         rand::SeedableRng::seed_from_u64(seed)
     }
 
-    /// The fixed-rank variants, for matrix-style tests.
-    pub(super) const FIXED_RANK: [RandomizedVariant; 2] = [
-        RandomizedVariant::RandThenOrth,
-        RandomizedVariant::OrthThenRand,
-    ];
-
     #[test]
-    fn recovers_redundant_ranks_exactly_all_variants() {
+    fn recovers_redundant_ranks_exactly() {
         let mut r = rng(1);
         let base = TtTensor::random(&[10, 8, 9, 7], &[3, 3, 3], &mut r);
         let doubled = base.add(&base);
         let mut expect = base.clone();
         expect.scale(2.0);
-        for variant in FIXED_RANK {
-            let (y, _) = round_seq(&doubled, method(variant, 4, 99), &capped(3));
-            assert_eq!(y.ranks(), vec![1, 3, 3, 3, 1], "{variant:?}");
-            let err = y.to_dense().fro_dist(&expect.to_dense());
-            assert!(err < 1e-8 * (1.0 + expect.norm()), "{variant:?}: err {err}");
-        }
+        let (y, _) = round_seq(&doubled, method(4, 99), &capped(3));
+        assert_eq!(y.ranks(), vec![1, 3, 3, 3, 1]);
+        let err = y.to_dense().fro_dist(&expect.to_dense());
+        assert!(err < 1e-8 * (1.0 + expect.norm()), "err {err}");
     }
 
     #[test]
     fn uniform_target_rank_caps() {
         let mut r = rng(2);
         let x = TtTensor::random(&[8, 8, 8], &[6, 6], &mut r);
-        for variant in FIXED_RANK {
-            let (y, _) = round_seq(&x, RoundingMethod::randomized(variant), &capped(3));
-            assert_eq!(y.ranks(), vec![1, 3, 3, 1], "{variant:?}");
-        }
+        let (y, _) = round_seq(&x, RoundingMethod::randomized(), &capped(3));
+        assert_eq!(y.ranks(), vec![1, 3, 3, 1]);
     }
 
     #[test]
     fn near_low_rank_tensor_approximated_well() {
         // base (rank 3) + tiny noise (rank 2): rounding to rank 3 captures
-        // the dominant part, for every fixed-rank variant.
+        // the dominant part.
         let mut r = rng(3);
         let base = TtTensor::random(&[12, 10, 11], &[3, 3], &mut r);
         let mut noise = TtTensor::random(&[12, 10, 11], &[2, 2], &mut r);
         let scale = 1e-6 * base.norm() / noise.norm();
         noise.scale(scale);
         let x = base.add(&noise);
-        for variant in FIXED_RANK {
-            let (y, _) = round_seq(&x, method(variant, 5, 0x5eed), &capped(3));
-            let err = y.to_dense().fro_dist(&x.to_dense()) / x.norm();
-            assert!(err < 1e-4, "{variant:?}: err {err}");
-        }
+        let (y, _) = round_seq(&x, method(5, 0x5eed), &capped(3));
+        let err = y.to_dense().fro_dist(&x.to_dense()) / x.norm();
+        assert!(err < 1e-4, "err {err}");
     }
 
     #[test]
     fn deterministic_given_seed() {
         let mut r = rng(4);
         let x = TtTensor::random(&[7, 6, 8], &[5, 4], &mut r);
-        for variant in FIXED_RANK {
-            let m = method(variant, 8, 1234);
-            let a = round_seq(&x, m, &capped(3)).0;
-            let b = round_seq(&x, m, &capped(3)).0;
-            assert_eq!(a, b, "{variant:?}");
-        }
-        let m = method(RandomizedVariant::AdaptiveKr, 8, 1234);
-        let opts = RoundingOptions::with_tolerance(1e-6);
-        let a = round_seq(&x, m, &opts).0;
-        let b = round_seq(&x, m, &opts).0;
-        assert_eq!(a, b, "adaptive");
+        let m = method(8, 1234);
+        let a = round_seq(&x, m, &capped(3)).0;
+        let b = round_seq(&x, m, &capped(3)).0;
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -198,30 +254,18 @@ mod tests {
         let base = TtTensor::random(&[9, 8, 10], &[3, 2], &mut r);
         let x = base.add(&base);
         let dims = x.dims();
-        let mut all: Vec<(RoundingMethod, RoundingOptions)> = FIXED_RANK
-            .iter()
-            .map(|&v| (method(v, 4, 7), capped(3)))
-            .collect();
-        all.push((
-            method(RandomizedVariant::AdaptiveKr, 8, 7),
-            RoundingOptions::with_tolerance(1e-7),
-        ));
-        for (m, opts) in all {
-            let seq = round_seq(&x, m, &opts).0;
-            for p in [2usize, 3] {
-                let xs = x.clone();
-                let dims2 = dims.clone();
-                let opts2 = opts.clone();
-                let gathered = tt_comm::run_verified(p, |comm| {
-                    let local = crate::dist::scatter_tensor(&xs, &comm);
-                    let (y, _) = round(&comm, local, m, &opts2);
-                    crate::dist::gather_tensor(&y, &dims2, &comm)
-                });
-                for g in &gathered {
-                    assert_eq!(g.ranks(), seq.ranks(), "{m:?} p={p}");
-                    let gap = g.to_dense().fro_dist(&seq.to_dense());
-                    assert!(gap < 1e-8 * (1.0 + seq.norm()), "{m:?} p={p}: {gap}");
-                }
+        let (m, opts) = (method(4, 7), capped(3));
+        let seq = round_seq(&x, m, &opts).0;
+        for p in [2usize, 3] {
+            let gathered = tt_comm::run_verified(p, |comm| {
+                let local = crate::dist::scatter_tensor(&x, &comm);
+                let (y, _) = round(&comm, local, m, &opts);
+                crate::dist::gather_tensor(&y, &dims, &comm)
+            });
+            for g in &gathered {
+                assert_eq!(g.ranks(), seq.ranks(), "p={p}");
+                let gap = g.to_dense().fro_dist(&seq.to_dense());
+                assert!(gap < 1e-8 * (1.0 + seq.norm()), "p={p}: {gap}");
             }
         }
     }
@@ -232,12 +276,10 @@ mod tests {
         // value is preserved exactly (no actual truncation happens).
         let mut r = rng(6);
         let x = TtTensor::random(&[6, 6, 6], &[3, 3], &mut r);
-        for variant in FIXED_RANK {
-            let (y, _) = round_seq(&x, RoundingMethod::randomized(variant), &capped(10));
-            assert!(y.max_rank() <= 3, "{variant:?}");
-            let err = y.to_dense().fro_dist(&x.to_dense());
-            assert!(err < 1e-8 * (1.0 + x.norm()), "{variant:?}: err {err}");
-        }
+        let (y, _) = round_seq(&x, RoundingMethod::randomized(), &capped(10));
+        assert!(y.max_rank() <= 3);
+        let err = y.to_dense().fro_dist(&x.to_dense());
+        assert!(err < 1e-8 * (1.0 + x.norm()), "err {err}");
     }
 
     #[test]
@@ -248,87 +290,22 @@ mod tests {
         let mut r = rng(11);
         let base = TtTensor::random(&[2, 7, 7, 3], &[2, 3, 3], &mut r);
         let doubled = base.add(&base);
-        for variant in FIXED_RANK {
-            let (y, _) = round_seq(&doubled, method(variant, 5, 3), &capped(3));
-            let err = y.to_dense().fro_dist(&doubled.to_dense());
-            assert!(
-                err < 1e-8 * (1.0 + doubled.norm()),
-                "{variant:?}: err {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn orth_then_rand_certificate_dominates_true_error() {
-        let mut r = rng(7);
-        let base = TtTensor::random(&[9, 7, 8, 6], &[3, 3, 2], &mut r);
-        let mut noise = TtTensor::random(&[9, 7, 8, 6], &[2, 2, 2], &mut r);
-        noise.scale(1e-3 * base.norm() / noise.norm());
-        let x = base.add(&noise);
-        let m = method(RandomizedVariant::OrthThenRand, 6, 0x5eed);
-        let (y, report) = round_seq(&x, m, &capped(3));
-        let norm = report.norm;
-        assert!((norm - x.norm()).abs() < 1e-9 * (1.0 + x.norm()));
-        let certified = report.certified_error.expect("certificate expected");
-        let true_err = y.to_dense().fro_dist(&x.to_dense()) / x.norm();
-        // The certificate is an upper bound on the true error (up to the
-        // sqrt(eps)-scale floor of finite-precision Gram arithmetic).
-        assert!(
-            true_err <= certified + 1e-8,
-            "true {true_err} vs certified {certified}"
-        );
-    }
-
-    #[test]
-    fn adaptive_certifies_and_meets_epsilon() {
-        let mut r = rng(8);
-        let base = TtTensor::random(&[8, 9, 7, 8], &[3, 4, 3], &mut r);
-        let x = base.add(&base);
-        for eps in [1e-2, 1e-4, 1e-6] {
-            let (y, report) = round_seq(
-                &x,
-                RoundingMethod::randomized(RandomizedVariant::AdaptiveKr),
-                &RoundingOptions::with_tolerance(eps),
-            );
-            let true_err = y.to_dense().fro_dist(&x.to_dense()) / x.norm();
-            assert!(true_err <= eps, "eps={eps}: true error {true_err}");
-            let posterior = report.posterior_error.expect("adaptive posterior");
-            assert!(posterior <= eps, "eps={eps}: posterior {posterior}");
-            // Redundant ranks must be detected: no bond can exceed the base.
-            for (ra, rb) in y.ranks().iter().zip(base.ranks().iter()) {
-                assert!(ra <= rb, "eps={eps}: ranks {:?}", y.ranks());
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_loose_epsilon_truncates_harder_than_tight() {
-        let mut r = rng(9);
-        let x = TtTensor::random(&[8, 8, 8, 8], &[6, 6, 6], &mut r);
-        let m = RoundingMethod::randomized(RandomizedVariant::AdaptiveKr);
-        let loose = round_seq(&x, m, &RoundingOptions::with_tolerance(0.5)).0;
-        let tight = round_seq(&x, m, &RoundingOptions::with_tolerance(1e-9)).0;
-        assert!(
-            loose.max_rank() <= tight.max_rank(),
-            "loose {:?} vs tight {:?}",
-            loose.ranks(),
-            tight.ranks()
-        );
+        let (y, _) = round_seq(&doubled, method(5, 3), &capped(3));
+        let err = y.to_dense().fro_dist(&doubled.to_dense());
+        assert!(err < 1e-8 * (1.0 + doubled.norm()), "err {err}");
     }
 
     #[test]
     fn report_records_bonds_and_ranks() {
         let mut r = rng(10);
         let x = TtTensor::random(&[7, 6, 5], &[4, 4], &mut r);
-        for variant in FIXED_RANK {
-            let (y, report) = round_seq(&x, RoundingMethod::randomized(variant), &capped(2));
-            assert_eq!(report.ranks_before, vec![1, 4, 4, 1]);
-            assert_eq!(report.ranks_after, y.ranks());
-            assert_eq!(report.truncations.len(), 2);
-            for (b, rec) in report.truncations.iter().enumerate() {
-                assert_eq!(rec.bond, b + 1);
-                assert_eq!(rec.rank_after, y.ranks()[b + 1]);
-            }
+        let (y, report) = round_seq(&x, RoundingMethod::randomized(), &capped(2));
+        assert_eq!(report.ranks_before, vec![1, 4, 4, 1]);
+        assert_eq!(report.ranks_after, y.ranks());
+        assert_eq!(report.truncations.len(), 2);
+        for (b, rec) in report.truncations.iter().enumerate() {
+            assert_eq!(rec.bond, b + 1);
+            assert_eq!(rec.rank_after, y.ranks()[b + 1]);
         }
     }
 }

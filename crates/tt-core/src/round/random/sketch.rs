@@ -3,31 +3,23 @@
 //! Every random object the family draws is derived from `(seed, tag, …)`
 //! coordinates rather than from a shared generator stream, so any rank can
 //! (re)generate exactly the values it needs without communication: the
-//! distributed sketch is consistent by construction. The `tag` namespaces
-//! the per-variant streams so no two variants ever consume the same
-//! pseudo-random values.
+//! distributed sketch is consistent by construction. The `tag` salts the
+//! seed; the one stream in use, [`TAG_TT_SKETCH`], is 0, which leaves the
+//! seed as given.
 
 use crate::core::TtCore;
 use crate::tensor::TtTensor;
 use rand::SeedableRng;
-use tt_linalg::Matrix;
 
 /// Golden-ratio mixing constant (splitmix64 lineage) — per-core coordinate.
 const MIX_CORE: u64 = 0x9e3779b97f4a7c15;
 /// Per-slice / per-mode coordinate.
 const MIX_SLICE: u64 = 0xd1b54a32d192ed03;
-/// Per-variant stream tag.
+/// Stream-tag mixing constant.
 const MIX_TAG: u64 = 0x94d049bb133111eb;
-/// Per-column coordinate (Khatri–Rao sketches).
-const MIX_COL: u64 = 0xbf58476d1ce4e5b9;
 
-/// Stream namespaces, one per consumer (`tag = 0` reproduces the original
-/// randomize-then-orthogonalize sketch bit-for-bit). Tags 2 and 3 are
-/// unused: renumbering the Khatri–Rao tag would change every adaptive
-/// sketch.
+/// The randomize-then-orthogonalize sketch's stream.
 pub(crate) const TAG_TT_SKETCH: u64 = 0;
-pub(crate) const TAG_ORTH_RAND: u64 = 1;
-pub(crate) const TAG_KHATRI_RAO: u64 = 4;
 
 fn base_seed(seed: u64, tag: u64) -> u64 {
     seed ^ tag.wrapping_mul(MIX_TAG)
@@ -82,7 +74,7 @@ pub(crate) fn gaussian_tt_sketch(
 
 /// The global mode-index range this rank owns (model backend: one
 /// representative rank's share, `⌈I/P⌉`).
-pub(crate) fn local_mode_range(
+fn local_mode_range(
     global_dim: usize,
     p: usize,
     rank: usize,
@@ -93,44 +85,6 @@ pub(crate) fn local_mode_range(
     } else {
         crate::dist::block_range(global_dim, p, rank)
     }
-}
-
-/// A small replicated Gaussian matrix — identical on every rank because the
-/// generator is seeded purely from `(seed, tag, bond)`.
-pub(crate) fn replicated_gaussian(
-    rows: usize,
-    cols: usize,
-    seed: u64,
-    tag: u64,
-    bond: usize,
-) -> Matrix {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(
-        base_seed(seed, tag) ^ (bond as u64).wrapping_mul(MIX_CORE),
-    );
-    Matrix::gaussian(rows, cols, &mut rng)
-}
-
-/// Fills `buf` (resized to `len`) with the full *global* Gaussian weight
-/// vector `ω` of Khatri–Rao column `col` at `(bond, mode)` — every rank
-/// generates the whole vector and reads off the slice it owns, so the
-/// implicit Khatri–Rao sketch matrix is replicated without communication.
-pub(crate) fn fill_kr_weights(
-    buf: &mut Vec<f64>,
-    len: usize,
-    seed: u64,
-    bond: usize,
-    mode: usize,
-    col: usize,
-) {
-    buf.clear();
-    buf.resize(len, 0.0);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(
-        base_seed(seed, TAG_KHATRI_RAO)
-            ^ (bond as u64 + 1).wrapping_mul(MIX_CORE)
-            ^ (mode as u64 + 1).wrapping_mul(MIX_SLICE)
-            ^ (col as u64 + 1).wrapping_mul(MIX_COL),
-    );
-    tt_linalg::rng::fill_standard_normal(buf, &mut rng);
 }
 
 #[cfg(test)]
@@ -163,30 +117,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn tags_produce_distinct_streams() {
-        let dims = [5usize, 4];
-        let ranks = [2usize];
-        let a = gaussian_tt_sketch(&dims, &ranks, 1, 0, 7, false, TAG_TT_SKETCH);
-        let b = gaussian_tt_sketch(&dims, &ranks, 1, 0, 7, false, TAG_ORTH_RAND);
-        assert_ne!(a, b, "different tags must not alias");
-        let g1 = replicated_gaussian(4, 3, 7, TAG_ORTH_RAND, 0);
-        let g2 = replicated_gaussian(4, 3, 7, TAG_ORTH_RAND, 1);
-        assert_ne!(g1.as_slice(), g2.as_slice(), "different bonds must differ");
-        let g3 = replicated_gaussian(4, 3, 7, TAG_ORTH_RAND, 0);
-        assert_eq!(g1.as_slice(), g3.as_slice(), "same coordinates must agree");
-    }
-
-    #[test]
-    fn kr_weights_deterministic_per_coordinates() {
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        fill_kr_weights(&mut a, 9, 3, 1, 2, 5);
-        fill_kr_weights(&mut b, 9, 3, 1, 2, 5);
-        assert_eq!(a, b);
-        fill_kr_weights(&mut b, 9, 3, 1, 2, 6);
-        assert_ne!(a, b);
     }
 }

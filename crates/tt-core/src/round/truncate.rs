@@ -48,13 +48,11 @@ pub struct BondTruncation {
     pub rank_before: usize,
     /// Rank after truncation.
     pub rank_after: usize,
-    /// Tail energy discarded at this bond, `√(Σ_{k>L} σ̂_k²)`. The
-    /// certifying randomized variants report their certified bond error;
-    /// `None` for the sketch-only randomized variants, which never measure
-    /// it.
+    /// Tail energy discarded at this bond, `√(Σ_{k>L} σ̂_k²)`; `None`
+    /// for randomized rounding, which never measures it.
     pub discarded: Option<f64>,
-    /// Sketch columns spent at this bond (final count, after any adaptive
-    /// growth); `None` for the deterministic methods.
+    /// Sketch columns spent at this bond (target rank plus oversampling,
+    /// capped by the bond's rank); `None` for the deterministic methods.
     pub sketch_cols: Option<usize>,
 }
 

@@ -7,7 +7,7 @@
 //! same ranks, same core entries, same sign conventions.
 
 use rand::SeedableRng;
-use tt_core::{round, RandomizedVariant, RoundingMethod, RoundingOptions, TtTensor};
+use tt_core::{round, RoundingMethod, RoundingOptions, TtTensor};
 use tt_linalg::par::with_threads;
 
 fn redundant(dims: &[usize], rank_half: usize, seed: u64) -> TtTensor {
@@ -60,41 +60,26 @@ fn all_rounding_variants_bitwise_identical_under_4_threads() {
 }
 
 #[test]
-fn randomized_family_bitwise_identical_across_thread_counts() {
-    // The randomized family routes through the same kernel layer (gemm,
-    // TSQR, Jacobi SVD, eigh) plus seeded sketch generation, which is
-    // thread-count-independent by construction. Sweep every variant over
-    // TT_NUM_THREADS ∈ {1, 2, 4}.
+fn randomized_bitwise_identical_across_thread_counts() {
+    // Randomized rounding routes through the same kernel layer (gemm, TSQR,
+    // Jacobi SVD) plus seeded sketch generation, which is
+    // thread-count-independent by construction. Sweep TT_NUM_THREADS ∈
+    // {1, 2, 4}.
     let x = redundant(&[8, 7, 6, 8, 5], 6, 4242);
-    let variants = [
-        RandomizedVariant::RandThenOrth,
-        RandomizedVariant::OrthThenRand,
-        RandomizedVariant::AdaptiveKr,
-    ];
-    for variant in variants {
-        let (oversampling, opts) = match variant {
-            RandomizedVariant::AdaptiveKr => (8, RoundingOptions::with_tolerance(1e-8)),
-            _ => (4, RoundingOptions::default().max_rank(6)),
-        };
-        let method = RoundingMethod::Randomized {
-            variant,
-            oversampling,
-            seed: 11,
-        };
-        let serial = with_threads(1, || round_seq(&x, method, &opts));
-        for threads in [2usize, 4] {
-            let parallel = with_threads(threads, || round_seq(&x, method, &opts));
-            assert_tensors_bitwise_eq(
-                &serial,
-                &parallel,
-                &format!("{variant:?} threads={threads}"),
-            );
-        }
-        // Reproducibility within one thread count, too (no hidden
-        // scheduling dependence in the adaptive grow/commit loop).
-        let again = with_threads(4, || round_seq(&x, method, &opts));
-        assert_tensors_bitwise_eq(&serial, &again, &format!("{variant:?} repeat"));
+    let opts = RoundingOptions::default().max_rank(6);
+    let method = RoundingMethod::Randomized {
+        oversampling: 4,
+        seed: 11,
+    };
+    let serial = with_threads(1, || round_seq(&x, method, &opts));
+    for threads in [2usize, 4] {
+        let parallel = with_threads(threads, || round_seq(&x, method, &opts));
+        assert_tensors_bitwise_eq(&serial, &parallel, &format!("threads={threads}"));
     }
+    // Reproducibility within one thread count, too (no hidden scheduling
+    // dependence).
+    let again = with_threads(4, || round_seq(&x, method, &opts));
+    assert_tensors_bitwise_eq(&serial, &again, "repeat");
 }
 
 #[test]

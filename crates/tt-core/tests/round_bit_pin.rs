@@ -95,7 +95,7 @@ fn rounding_bits_are_pinned_per_method() {
         (RoundingMethod::GramRlr, 0x134d_10bf_5dbb_9295),
         (RoundingMethod::GramLrl, 0x0116_20b9_39ef_867d),
         (RoundingMethod::GramSim, 0xd349_7549_548a_ff5d),
-        (randomized(), 0x2893_4151_222d_8757),
+        (RoundingMethod::randomized(), 0x2893_4151_222d_8757),
     ];
     for (method, expect) in cases {
         for threads in [1, 3] {
@@ -109,14 +109,5 @@ fn rounding_bits_are_pinned_per_method() {
                 "{method:?} at {threads} threads: hash {got:#018x}"
             );
         }
-    }
-}
-
-/// Randomize-then-orthogonalize with the default oversampling and seed.
-fn randomized() -> RoundingMethod {
-    RoundingMethod::Randomized {
-        variant: tt_core::RandomizedVariant::RandThenOrth,
-        oversampling: 8,
-        seed: 0x5eed,
     }
 }

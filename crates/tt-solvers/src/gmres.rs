@@ -46,8 +46,8 @@ pub struct GmresOptions {
     /// Maximum Krylov dimension `m` (no restarting, per Alg. 1).
     pub max_iters: usize,
     /// The TT-Rounding algorithm to use. Every rounding is ε-driven with no
-    /// rank cap, so of the randomized family only the adaptive variant
-    /// compresses.
+    /// rank cap, and [`RoundingMethod::Randomized`] ignores ε: with no cap
+    /// it keeps every bond's rank, so under TT-GMRES it compresses nothing.
     pub rounding: RoundingMethod,
     /// How to compute the final true residual.
     pub true_residual: TrueResidualMode,

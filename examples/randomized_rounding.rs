@@ -1,7 +1,7 @@
 //! The paper's future-work direction (§VI), realized: randomized
-//! TT-Rounding. Compares accuracy and speed of all rounding methods —
-//! deterministic and the three randomized variants — on a tensor with
-//! redundant ranks.
+//! TT-Rounding. Compares accuracy and speed of every rounding method —
+//! the four deterministic ones and randomize-then-orthogonalize — on a
+//! tensor with redundant ranks.
 //!
 //! Run with: `cargo run --release --example randomized_rounding`
 
@@ -9,7 +9,7 @@
 use rand::SeedableRng;
 use tt_gram_round::comm::SelfComm;
 use tt_gram_round::tt::synthetic::generate_redundant;
-use tt_gram_round::tt::{round, RandomizedVariant, RoundingMethod, RoundingOptions};
+use tt_gram_round::tt::{round, RoundingMethod, RoundingOptions};
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -52,31 +52,13 @@ fn main() {
     timed("Gram-Sim (Alg 5)", RoundingMethod::GramSim, &tol);
     timed("Gram-RLR (Alg 6)", RoundingMethod::GramRlr, &tol);
     timed("Gram-LRL (Alg 6)", RoundingMethod::GramLrl, &tol);
-    // The fixed-rank randomized variants take the rank cap as their target.
+    // Randomized rounding takes the rank cap as its target.
     let rank10 = RoundingOptions::default().max_rank(10);
-    let randomized = RoundingMethod::randomized;
-    timed(
-        "Rand-then-orth",
-        randomized(RandomizedVariant::RandThenOrth),
-        &rank10,
-    );
-    timed(
-        "Orth-then-rand",
-        randomized(RandomizedVariant::OrthThenRand),
-        &rank10,
-    );
-    let akr = RoundingOptions::with_tolerance(1e-7);
-    timed(
-        "Adaptive KR (eps)",
-        randomized(RandomizedVariant::AdaptiveKr),
-        &akr,
-    );
+    timed("Rand-then-orth", RoundingMethod::randomized(), &rank10);
 
     println!();
     println!("expected ordering (paper §IV-E + §VI): QR slowest; sequence Gram variants");
     println!("beat the simultaneous one; rand-then-orth cheapest of all, at the price");
-    println!("of a fixed target rank. Orth-then-rand pays one extra sweep for a");
-    println!("computable error certificate; adaptive KR needs no target rank — it");
-    println!("grows the sketch until the eps-certificate holds.");
+    println!("of a fixed target rank and no error estimate.");
     println!("(rel errors sit at the sqrt(eps) TT-inner-product floor, ~1e-8)");
 }

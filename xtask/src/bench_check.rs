@@ -159,7 +159,18 @@ const GATES: &[GateSpec] = &[
         name: "rounding ablation",
         cmd: Cmd::Bin("rounding_ablation"),
         baselines: &[("BENCH_rounding_ablation", "")],
-        pairs: &[],
+        // Randomized rounding is kept only while it beats the better
+        // deterministic method by 1.2x on the input it targets: a formal
+        // sum whose formal rank far exceeds the output rank.
+        pairs: &[Pair {
+            label: "sum of 4 trains",
+            fast: "rounding_sum4_rand_then_orth",
+            slow: "rounding_sum4_gram_rlr",
+            tags: ["randomized", "gram-rlr"],
+            min: Some(1.2),
+            fail: "randomized rounding is {x}x Gram-RLR on the sum of 4 trains, below the {min}x floor",
+            ..SERIAL_PAIR
+        }],
         accuracy: true,
         simd: false,
     },
@@ -650,13 +661,49 @@ mod tests {
         eval(0, current, &[baseline, baseline_par], scalar, mode)
     }
 
+    /// The rounding gate on `current` plus the sum-of-4 floor rows at a
+    /// passing 4x, so each test sees only the failures it provokes.
     fn rounding(current: &[Entry], baseline: Option<&[Entry]>, record: bool) -> Vec<Failure> {
         let mode = Mode {
             record,
             simd: false,
             hw: false,
         };
-        eval(1, current, &[baseline], None, mode)
+        let mut current = current.to_vec();
+        current.extend(sum4_rows(25, 100));
+        eval(1, &current, &[baseline], None, mode)
+    }
+
+    /// The floor pair's rows: randomized rounding and Gram-RLR on the sum
+    /// of 4 trains, at the given times.
+    fn sum4_rows(randomized_ns: u128, gram_ns: u128) -> Vec<Entry> {
+        vec![
+            rounding_entry(
+                "rounding_sum4_rand_then_orth",
+                randomized_ns,
+                1e-6,
+                1e-4,
+                12,
+            ),
+            rounding_entry("rounding_sum4_gram_rlr", gram_ns, 1e-6, 1.5e-4, 12),
+        ]
+    }
+
+    #[test]
+    fn randomized_rounding_under_its_keep_floor_fails() {
+        // 1.1x Gram-RLR on the formal sum is below the 1.2x floor: a timing
+        // failure, which the retry loop re-measures; 1.3x passes.
+        let mode = Mode::default();
+        let failures = eval(1, &sum4_rows(100, 110), &[None], None, mode);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].msg.contains("below the 1.2x floor"));
+        assert!(retryable(&failures));
+        assert!(eval(1, &sum4_rows(100, 130), &[None], None, mode).is_empty());
+        // Without its rows the floor is a structural failure.
+        let failures = eval(1, &sum4_rows(100, 130)[1..], &[None], None, mode);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].msg.contains("missing bench results"));
+        assert!(!retryable(&failures));
     }
 
     #[test]
@@ -1016,7 +1063,13 @@ mod tests {
     fn rounding_accuracy_gate_is_unconditional() {
         // Bound violated: fails even when recording, and even with no
         // baseline — correctness never depends on the machine.
-        let bad = vec![rounding_entry("rounding_adaptive_kr", 100, 2e-4, 1e-4, 12)];
+        let bad = vec![rounding_entry(
+            "rounding_rand_then_orth",
+            100,
+            2e-4,
+            1e-4,
+            12,
+        )];
         for record in [false, true] {
             let failures = rounding(&bad, None, record);
             assert_eq!(failures.len(), 1, "record={record}");
@@ -1103,7 +1156,7 @@ mod tests {
     #[test]
     fn rounding_baseline_round_trips() {
         let entries = vec![rounding_entry(
-            "rounding_adaptive_kr",
+            "rounding_rand_then_orth",
             100,
             1.5e-6,
             1e-4,
@@ -1118,7 +1171,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let back = parse_entries(&text, true);
         assert_eq!(back.len(), 1);
-        assert_eq!(back[0].id, "rounding_adaptive_kr");
+        assert_eq!(back[0].id, "rounding_rand_then_orth");
         assert_eq!(back[0].rel_err, Some(1.5e-6));
         assert_eq!(back[0].bound, Some(1e-4));
         assert_eq!(back[0].max_rank, Some(12));
@@ -1263,13 +1316,13 @@ mod tests {
                 "rounding_ablation",
                 false,
                 &["BENCH_rounding_ablation"],
-                None,
+                Some(("rounding_sum4_rand_then_orth", "rounding_sum4_gram_rlr")),
             ),
             (
                 "rounding_ablation",
                 true,
                 &["BENCH_rounding_ablation"],
-                None,
+                Some(("rounding_sum4_rand_then_orth", "rounding_sum4_gram_rlr")),
             ),
         ];
         let cases = [

@@ -13,14 +13,12 @@ use xtask::scanner::CodeModel;
 use xtask::skeleton::{check_entry, is_dist_entry, Verdict};
 
 /// The protocols that must stay individually model-checked.
-const PINNED: [&str; 9] = [
+const PINNED: [&str; 7] = [
     "round_qr_dist",
     "round_gram_rlr_dist",
     "round_gram_lrl_dist",
     "round_gram_sim_dist",
     "round_rand_then_orth_dist",
-    "round_orth_then_rand_dist",
-    "round_adaptive_kr_dist",
     "round_single_core_dist",
     "tt_dist_gmres",
 ];
