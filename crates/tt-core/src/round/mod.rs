@@ -190,8 +190,7 @@ pub fn round(
             gram::round_gram_sim_dist(comm, x, opts, &mut SweepScratch::new())
         }
         RoundingMethod::Randomized { oversampling, seed } => {
-            let sketch = random::Sketch { oversampling, seed };
-            random::round_rand_then_orth_dist(comm, x, opts, sketch)
+            random::round_rand_then_orth_dist(comm, x, opts, oversampling, seed)
         }
     }
 }

@@ -30,20 +30,15 @@ use sketch::{gaussian_tt_sketch, TAG_TT_SKETCH};
 use tt_comm::Communicator;
 use tt_linalg::{gemm_alloc, gemm_v, Matrix, Trans};
 
-/// The sketch parameters of [`crate::round::RoundingMethod::Randomized`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Sketch {
-    pub(crate) oversampling: usize,
-    pub(crate) seed: u64,
-}
-
 /// Randomize-then-orthogonalize rounding of this rank's local block of
-/// `x` (see the module docs).
+/// `x` with the sketch parameters of
+/// [`crate::round::RoundingMethod::Randomized`] (see the module docs).
 pub(crate) fn round_rand_then_orth_dist(
     comm: &impl Communicator,
     x: TtTensor,
     opts: &RoundingOptions,
-    sk: Sketch,
+    oversampling: usize,
+    seed: u64,
 ) -> (TtTensor, RoundReport) {
     let n = x.order();
     let p = comm.size();
@@ -53,13 +48,12 @@ pub(crate) fn round_rand_then_orth_dist(
     // Sketch ranks: target + oversampling, capped by the bond dimensions of
     // x (sketching wider than the bond is wasted work).
     let ranks_x = x.ranks();
-    let targets: Vec<usize> = (1..n).map(|b| target_rank(opts, ranks_x[b])).collect();
+    // The fixed-rank target: the rank cap, or the bond's own rank.
+    let targets: Vec<usize> = (1..n)
+        .map(|b| opts.max_rank.unwrap_or(ranks_x[b]))
+        .collect();
     let sketch_ranks: Vec<usize> = (0..n - 1)
-        .map(|b| {
-            targets[b]
-                .saturating_add(sk.oversampling)
-                .min(ranks_x[b + 1])
-        })
+        .map(|b| targets[b].saturating_add(oversampling).min(ranks_x[b + 1]))
         .collect();
     let mut truncations = Vec::with_capacity(n - 1);
 
@@ -71,7 +65,7 @@ pub(crate) fn round_rand_then_orth_dist(
         &sketch_ranks,
         p,
         rank,
-        sk.seed,
+        seed,
         comm.is_model(),
         TAG_TT_SKETCH,
     );
@@ -140,12 +134,6 @@ pub(crate) fn round_rand_then_orth_dist(
     // Sketch-only: ‖X‖ is never formed.
     let report = RoundReport::new(f64::NAN, ranks_x, &y, truncations);
     (y, report)
-}
-
-/// The fixed-rank target at a bond of current rank `bond_rank`: the rank
-/// cap, or the bond's own rank when there is none.
-fn target_rank(opts: &RoundingOptions, bond_rank: usize) -> usize {
-    opts.max_rank.unwrap_or(bond_rank)
 }
 
 /// Cuts a sketched basis `q` (with TSQR factor `r`) to at most `target`

@@ -58,7 +58,8 @@ fn main() {
 
     println!();
     println!("expected ordering (paper §IV-E + §VI): QR slowest; sequence Gram variants");
-    println!("beat the simultaneous one; rand-then-orth cheapest of all, at the price");
-    println!("of a fixed target rank and no error estimate.");
+    println!("beat the simultaneous one. Rand-then-orth pays a fixed target rank and");
+    println!("no error estimate; it wins where the formal rank far exceeds the target");
+    println!("(a sum of many trains), not on this doubled train (EXPERIMENTS.md).");
     println!("(rel errors sit at the sqrt(eps) TT-inner-product floor, ~1e-8)");
 }

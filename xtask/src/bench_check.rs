@@ -159,9 +159,10 @@ const GATES: &[GateSpec] = &[
         name: "rounding ablation",
         cmd: Cmd::Bin("rounding_ablation"),
         baselines: &[("BENCH_rounding_ablation", "")],
-        // Randomized rounding is kept only while it beats the better
-        // deterministic method by 1.2x on the input it targets: a formal
-        // sum whose formal rank far exceeds the output rank.
+        // Randomized rounding is kept only while it beats the faster
+        // deterministic method (Gram-RLR there) by 1.2x on the input it
+        // targets: a formal sum whose formal rank far exceeds the output
+        // rank.
         pairs: &[Pair {
             label: "sum of 4 trains",
             fast: "rounding_sum4_rand_then_orth",
