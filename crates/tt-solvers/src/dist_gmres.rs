@@ -2,10 +2,11 @@
 //! (§VI: "we plan to develop a scalable implementation of the TT-based
 //! linear solver that can use our parallel TT-Rounding algorithms").
 //!
-//! Everything the Krylov loop needs already exists in distributed form:
+//! The Krylov cycle is [`crate::tt_dist_gmres`], written once against
+//! `Communicator`; everything it runs already exists in distributed form:
 //! rounding (`tt_core::round`), inner products and norms
 //! (`tt_core::dist`). This module adds the two missing pieces under the 1-D
-//! slice distribution:
+//! slice distribution, each holding the communicator it was built for:
 //!
 //! * **operator application** ([`DistKroneckerOperator`]): identity and
 //!   diagonal factors act slice-locally (the diagonal is pre-sliced to this
@@ -21,308 +22,132 @@
 //! communication structure of the *rounding* — the paper's subject — is
 //! unaffected by this choice.
 
-use crate::gmres::{round_to, GmresOptions, GmresTrace, IterationRecord, TrueResidualMode};
-use crate::operator::{KroneckerSumOperator, ModeFactor};
-use std::time::Instant;
+use crate::operator::{KroneckerSumOperator, ModeFactor, TtOperator};
+use crate::precond::{MeanPreconditioner, Preconditioner};
 use tt_comm::Communicator;
-use tt_core::{block_range, TtTensor};
+use tt_core::{block_range, TtCore, TtTensor};
 use tt_linalg::Matrix;
-use tt_sparse::BandedCholesky;
+use tt_sparse::CsrMatrix;
 
 /// A Kronecker-sum operator prepared for one rank of a 1-D-distributed run.
-pub struct DistKroneckerOperator {
-    /// Per-term, per-mode factors with diagonals pre-sliced to this rank's
-    /// block and sparse factors kept global (they act on the gathered
-    /// mode-1 core).
-    terms: Vec<Vec<ModeFactor>>,
-    global_dims: Vec<usize>,
+pub struct DistKroneckerOperator<'c, C: Communicator> {
+    comm: &'c C,
+    /// The operator with its diagonal factors restricted to this rank's
+    /// block; sparse factors stay global (they act on the gathered mode-1
+    /// core).
+    local: KroneckerSumOperator,
+    global_i1: usize,
 }
 
-impl DistKroneckerOperator {
-    /// Prepares the distributed form of `op` for rank `rank` of `p`.
-    pub fn new(op: &KroneckerSumOperator, global_dims: &[usize], p: usize, rank: usize) -> Self {
-        let terms = op
-            .terms()
-            .iter()
-            .map(|term| {
-                term.iter()
-                    .enumerate()
-                    .map(|(k, f)| match f {
-                        ModeFactor::Identity => ModeFactor::Identity,
-                        ModeFactor::Diagonal(d) => {
-                            let range = block_range(global_dims[k], p, rank);
-                            ModeFactor::Diagonal(d[range].to_vec())
-                        }
-                        ModeFactor::Sparse(a) => {
-                            assert_eq!(
-                                k, 0,
-                                "sparse factors are only supported on mode 1 \
-                                 (the cookies structure)"
-                            );
-                            ModeFactor::Sparse(a.clone())
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+impl<'c, C: Communicator> DistKroneckerOperator<'c, C> {
+    /// Prepares the distributed form of `op` for this rank of `comm`.
+    pub fn new(comm: &'c C, op: &KroneckerSumOperator, global_dims: &[usize]) -> Self {
+        let mut local = KroneckerSumOperator::new();
+        for term in op.terms() {
+            let factors = term.iter().enumerate().map(|(k, f)| match f {
+                ModeFactor::Diagonal(d) => {
+                    let range = block_range(global_dims[k], comm.size(), comm.rank());
+                    ModeFactor::Diagonal(d[range].to_vec())
+                }
+                ModeFactor::Sparse(_) => {
+                    assert_eq!(
+                        k, 0,
+                        "sparse factors are only supported on mode 1 \
+                         (the cookies structure)"
+                    );
+                    f.clone()
+                }
+                ModeFactor::Identity => ModeFactor::Identity,
+            });
+            local.add_term(factors.collect());
+        }
         DistKroneckerOperator {
-            terms,
-            global_dims: global_dims.to_vec(),
+            comm,
+            local,
+            global_i1: global_dims[0],
         }
     }
+}
 
+impl<C: Communicator> TtOperator for DistKroneckerOperator<'_, C> {
     /// Applies the operator to this rank's local block of a TT vector
     /// (formal rank growth, as in the sequential case).
-    pub fn apply(&self, comm: &impl Communicator, x: &TtTensor) -> TtTensor {
-        let mut acc: Option<TtTensor> = None;
-        for term in &self.terms {
-            let mut y = x.clone();
-            for (k, factor) in term.iter().enumerate() {
-                match factor {
-                    ModeFactor::Identity => {}
-                    ModeFactor::Diagonal(_) => {
-                        // Slice-local (diagonal already restricted).
-                        y.apply_mode(k, |m| factor.apply_unfold(m));
-                    }
-                    ModeFactor::Sparse(a) => {
-                        debug_assert_eq!(k, 0);
-                        y = apply_sparse_mode1(comm, &y, a, self.global_dims[0]);
-                    }
-                }
+    fn apply(&self, x: &TtTensor) -> TtTensor {
+        self.local.apply_with(x, |k, factor, y| match factor {
+            ModeFactor::Sparse(a) => {
+                *y = on_gathered_mode1(self.comm, y, self.global_i1, |full| a.mat_mul_dense(&full));
             }
-            acc = Some(match acc {
-                None => y,
-                Some(prev) => prev.add(&y),
-            });
-        }
-        match acc {
-            Some(sum) => sum,
-            // analyze::allow(panic_surface): construction invariant (an operator has ≥1 term); violation is a programming error at the build site, not runtime input
-            None => panic!(
-                "distributed operator application: the operator has no terms; \
-                 construct it with at least one mode factor"
-            ),
+            // Slice-local (diagonals already restricted).
+            _ => y.apply_mode(k, |m| factor.apply_unfold(m)),
+        })
+    }
+
+    fn rank_growth(&self) -> usize {
+        self.local.rank_growth()
+    }
+}
+
+/// The mean preconditioner under the 1-D distribution: every rank holds
+/// the factor of the global mean matrix and solves redundantly on the
+/// gathered mode-1 core, keeping its own block.
+pub struct DistMeanPreconditioner<'c, C: Communicator> {
+    comm: &'c C,
+    global: MeanPreconditioner,
+}
+
+impl<'c, C: Communicator> DistMeanPreconditioner<'c, C> {
+    /// Factors the (global) mean matrix on this rank of `comm`.
+    pub fn new(comm: &'c C, mean_matrix: &CsrMatrix) -> Self {
+        DistMeanPreconditioner {
+            comm,
+            global: MeanPreconditioner::new(mean_matrix),
         }
     }
 }
 
-/// Applies a global sparse matrix to the distributed mode-1 core:
-/// allgather the local vertical unfoldings (mode-1 core has `r0 = 1`, so
-/// the local V is `I₁^loc × R`), multiply, keep the local row block.
-fn apply_sparse_mode1(
+impl<C: Communicator> Preconditioner for DistMeanPreconditioner<'_, C> {
+    /// Applies `M⁻¹` to the local block.
+    fn apply(&self, x: &TtTensor) -> TtTensor {
+        on_gathered_mode1(self.comm, x, self.global.dim(), |mut full| {
+            self.global.factor.solve_dense_in_place(&mut full);
+            full
+        })
+    }
+}
+
+/// Applies `f` to the global `I₁ × R` mode-1 unfolding of a distributed
+/// train and keeps this rank's row block. The mode-1 core has `r0 = 1`, so
+/// its local vertical unfolding is this rank's contiguous row block;
+/// allgather concatenates the blocks in rank order, one column at a time,
+/// and every rank runs `f` redundantly on the whole matrix.
+fn on_gathered_mode1(
     comm: &impl Communicator,
     x: &TtTensor,
-    a: &tt_sparse::CsrMatrix,
     global_i1: usize,
+    f: impl FnOnce(Matrix) -> Matrix,
 ) -> TtTensor {
     let core = x.core(0);
     assert_eq!(core.r0(), 1, "mode-1 core must have unit left rank");
     let r1 = core.r1();
-    let p = comm.size();
-    let rank = comm.rank();
-
-    // Gather the full I₁ × R unfolding. Ranks own contiguous row blocks,
-    // and allgather concatenates in rank order — but the data is
-    // column-major per rank, so gather column-by-column to keep the
-    // assembly simple and exact.
     let mut full = Matrix::zeros(global_i1, r1);
     for c in 0..r1 {
-        let local_col: Vec<f64> = {
-            let v = core.v();
-            v.col(c).to_vec()
-        };
-        let gathered = comm.allgather(&local_col);
+        let gathered = comm.allgather(core.v().col(c));
         assert_eq!(gathered.len(), global_i1, "allgather size mismatch");
         full.col_mut(c).copy_from_slice(&gathered);
     }
-    let product = a.mat_mul_dense(&full);
-    // Keep this rank's block.
-    let range = block_range(global_i1, p, rank);
-    let local = product.sub_matrix(range.start, 0, range.len(), r1);
+    let full = f(full);
+    let range = block_range(global_i1, comm.size(), comm.rank());
+    let local = full.sub_matrix(range.start, 0, range.len(), r1);
     let mut y = x.clone();
-    *y.core_mut(0) = tt_core::TtCore::from_v(local, 1, range.len(), r1);
+    *y.core_mut(0) = TtCore::from_v(local, 1, range.len(), r1);
     y
-}
-
-/// The mean preconditioner under the 1-D distribution: allgather the mode-1
-/// core, solve with the banded Cholesky factor redundantly, keep the local
-/// block.
-pub struct DistMeanPreconditioner {
-    factor: BandedCholesky,
-    global_i1: usize,
-}
-
-impl DistMeanPreconditioner {
-    /// Factors the (global) mean matrix; every rank holds the factor.
-    pub fn new(mean_matrix: &tt_sparse::CsrMatrix) -> Self {
-        let Some(factor) = BandedCholesky::factor(mean_matrix) else {
-            // analyze::allow(panic_surface): a stiffness matrix is SPD by construction; factorization failure means corrupted assembly, documented in the message
-            panic!(
-                "DistMeanPreconditioner::new: the mean matrix is not \
-                 numerically SPD; a stiffness matrix always is, so the \
-                 assembled operator is corrupted"
-            )
-        };
-        DistMeanPreconditioner {
-            global_i1: factor.dim(),
-            factor,
-        }
-    }
-
-    /// Applies `M⁻¹` to the local block.
-    pub fn apply(&self, comm: &impl Communicator, x: &TtTensor) -> TtTensor {
-        let core = x.core(0);
-        let r1 = core.r1();
-        let p = comm.size();
-        let rank = comm.rank();
-        let mut full = Matrix::zeros(self.global_i1, r1);
-        for c in 0..r1 {
-            let local_col: Vec<f64> = core.v().col(c).to_vec();
-            let gathered = comm.allgather(&local_col);
-            full.col_mut(c).copy_from_slice(&gathered);
-        }
-        self.factor.solve_dense_in_place(&mut full);
-        let range = block_range(self.global_i1, p, rank);
-        let local = full.sub_matrix(range.start, 0, range.len(), r1);
-        let mut y = x.clone();
-        *y.core_mut(0) = tt_core::TtCore::from_v(local, 1, range.len(), r1);
-        y
-    }
-}
-
-/// Distributed right-preconditioned TT-GMRES over the 1-D slice
-/// distribution: Algorithm 1 with every operation (operator, rounding,
-/// inner products, norms) in its distributed form. Returns this rank's
-/// local block of the solution; every rank computes identical traces.
-pub fn tt_dist_gmres(
-    comm: &impl Communicator,
-    op: &DistKroneckerOperator,
-    precond: &DistMeanPreconditioner,
-    f_local: &TtTensor,
-    opts: &GmresOptions,
-) -> (TtTensor, GmresTrace) {
-    let t_start = Instant::now();
-    let mut rounding_seconds = 0.0;
-    let inner = |a: &TtTensor, b: &TtTensor| tt_core::dist::inner_local(comm, a, b);
-    let norm = |a: &TtTensor| tt_core::dist::norm_local(comm, a);
-
-    let beta = norm(f_local);
-    assert!(beta > 0.0, "zero right-hand side");
-    let mut v1 = f_local.clone();
-    v1.scale(1.0 / beta);
-    let mut basis = vec![v1];
-
-    let m = opts.max_iters;
-    let mut h = Matrix::zeros(m + 1, m);
-    let mut r = beta;
-    let mut iterations = Vec::new();
-    let mut converged = false;
-    let mut n_iters = 0;
-
-    for j in 0..m {
-        let t_iter = Instant::now();
-        let delta = (opts.tolerance * beta / r).min(0.2);
-        let gv = op.apply(comm, &precond.apply(comm, &basis[j]));
-        let t0 = Instant::now();
-        let mut w = round_to(comm, opts.rounding, gv, delta);
-        let mut round_iter = t0.elapsed().as_secs_f64();
-
-        let delta_orth = delta / ((j + 1) as f64).sqrt();
-        for (i, vi) in basis.iter().enumerate() {
-            let hij = inner(&w, vi);
-            h[(i, j)] = hij;
-            // analyze::allow(float_cmp): skip-exact-zero fast path — any nonzero coefficient, however small, must still be applied and rounded
-            if hij != 0.0 {
-                let mut scaled = vi.clone();
-                scaled.scale(-hij);
-                let sum = w.add(&scaled);
-                let t0 = Instant::now();
-                w = round_to(comm, opts.rounding, sum, delta_orth);
-                round_iter += t0.elapsed().as_secs_f64();
-            }
-        }
-        let wnorm = norm(&w);
-        h[(j + 1, j)] = wnorm;
-        r = crate::gmres::ls_residual(&h, j + 1, beta);
-        n_iters = j + 1;
-        let max_rank = w.max_rank();
-        if wnorm > 0.0 {
-            w.scale(1.0 / wnorm);
-        }
-        basis.push(w);
-
-        rounding_seconds += round_iter;
-        iterations.push(IterationRecord {
-            iter: j + 1,
-            relative_residual: r / beta,
-            max_rank,
-            rounding_seconds: round_iter,
-            total_seconds: t_iter.elapsed().as_secs_f64(),
-        });
-        // analyze::allow(float_cmp): happy-breakdown test — only an exactly zero norm means the Krylov space is exhausted; a tolerance here would stop early
-        if r / beta <= opts.tolerance || wnorm == 0.0 {
-            converged = true;
-            break;
-        }
-        if opts.stagnation_window > 0 && iterations.len() > opts.stagnation_window {
-            let now = iterations[iterations.len() - 1].relative_residual;
-            let then = iterations[iterations.len() - 1 - opts.stagnation_window].relative_residual;
-            if now > 0.999 * then {
-                break;
-            }
-        }
-    }
-
-    let y = crate::gmres::ls_solve(&h, n_iters, beta);
-    let mut w_sol: Option<TtTensor> = None;
-    for (j, &yj) in y.iter().enumerate() {
-        // analyze::allow(float_cmp): skip-exact-zero fast path — omitting an exactly zero term is lossless, any tolerance would change the solution
-        if yj == 0.0 {
-            continue;
-        }
-        let mut term = basis[j].clone();
-        term.scale(yj);
-        w_sol = Some(match w_sol {
-            None => term,
-            Some(acc) => acc.add(&term),
-        });
-    }
-    let w_sol = w_sol.unwrap_or_else(|| {
-        let mut z = f_local.clone();
-        z.scale(0.0);
-        z
-    });
-    let t0 = Instant::now();
-    let w_sol = round_to(comm, opts.rounding, w_sol, opts.tolerance);
-    rounding_seconds += t0.elapsed().as_secs_f64();
-    let u = precond.apply(comm, &w_sol);
-
-    let true_rel = match opts.true_residual {
-        TrueResidualMode::Off => f64::NAN,
-        _ => {
-            let gu = op.apply(comm, &u);
-            let diff = f_local.sub(&gu);
-            norm(&diff) / beta
-        }
-    };
-    let trace = GmresTrace {
-        converged,
-        computed_relative_residual: r / beta,
-        true_relative_residual: true_rel,
-        rounding_seconds,
-        total_seconds: t_start.elapsed().as_secs_f64(),
-        solution_max_rank: u.max_rank(),
-        iterations,
-    };
-    (u, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::MeanPreconditioner;
-    use crate::{tt_gmres, IdentityPreconditioner, Preconditioner, TtOperator};
-    use tt_comm::SelfComm;
+    use crate::gmres::{GmresOptions, TrueResidualMode};
+    use crate::{tt_dist_gmres, tt_gmres, IdentityPreconditioner};
     use tt_core::{gather_tensor, scatter_tensor, RoundingMethod};
     use tt_sparse::{CooBuilder, CsrMatrix};
 
@@ -365,9 +190,9 @@ mod tests {
         for p in [1usize, 2, 3] {
             let (op2, f2, dims2) = (op.clone(), f.clone(), dims.clone());
             let gathered = tt_comm::run_verified(p, |comm| {
-                let dop = DistKroneckerOperator::new(&op2, &dims2, p, comm.rank());
+                let dop = DistKroneckerOperator::new(&comm, &op2, &dims2);
                 let local = scatter_tensor(&f2, &comm);
-                let y = dop.apply(&comm, &local);
+                let y = dop.apply(&local);
                 gather_tensor(&y, &dims2, &comm)
             });
             for g in gathered {
@@ -384,9 +209,9 @@ mod tests {
         for p in [2usize, 4] {
             let (f2, mean2, dims2) = (f.clone(), mean.clone(), dims.clone());
             let gathered = tt_comm::run_verified(p, |comm| {
-                let pre = DistMeanPreconditioner::new(&mean2);
+                let pre = DistMeanPreconditioner::new(&comm, &mean2);
                 let local = scatter_tensor(&f2, &comm);
-                let y = pre.apply(&comm, &local);
+                let y = pre.apply(&local);
                 gather_tensor(&y, &dims2, &comm)
             });
             for g in gathered {
@@ -399,55 +224,56 @@ mod tests {
     #[test]
     fn distributed_gmres_matches_sequential() {
         let (op, f, mean, dims) = system();
-        let opts = GmresOptions {
-            tolerance: 1e-7,
-            max_iters: 40,
-            rounding: RoundingMethod::GramLrl,
-            true_residual: TrueResidualMode::Tt,
-            stagnation_window: 5,
-            restart: None,
-        };
-        // Sequential reference (same algorithm through SelfComm).
-        let comm = SelfComm::new();
-        let dop = DistKroneckerOperator::new(&op, &dims, 1, 0);
-        let pre = DistMeanPreconditioner::new(&mean);
-        let (u_seq, tr_seq) = tt_dist_gmres(&comm, &dop, &pre, &f, &opts);
-        assert!(tr_seq.converged);
-        // ... which must agree with the plain sequential solver.
-        let (u_plain, _) = tt_gmres(&op, &MeanPreconditioner::new(&mean), &f, &opts);
-        let gap = u_seq.to_dense().fro_dist(&u_plain.to_dense());
-        assert!(
-            gap < 1e-5 * (1.0 + u_plain.norm()),
-            "self-comm vs sequential: {gap}"
-        );
+        for restart in [None, Some(6)] {
+            let opts = GmresOptions {
+                tolerance: 1e-7,
+                max_iters: 40,
+                rounding: RoundingMethod::GramLrl,
+                true_residual: TrueResidualMode::Tt,
+                stagnation_window: 5,
+                restart,
+            };
+            let (u_seq, tr_seq) = tt_gmres(&op, &MeanPreconditioner::new(&mean), &f, &opts);
+            assert!(tr_seq.converged, "{restart:?}: sequential did not converge");
 
-        for p in [2usize, 3] {
-            let (op2, f2, mean2, dims2, opts2) = (
-                op.clone(),
-                f.clone(),
-                mean.clone(),
-                dims.clone(),
-                opts.clone(),
-            );
-            let results = tt_comm::run_verified(p, |comm| {
-                let dop = DistKroneckerOperator::new(&op2, &dims2, p, comm.rank());
-                let pre = DistMeanPreconditioner::new(&mean2);
-                let local = scatter_tensor(&f2, &comm);
-                let (u, tr) = tt_dist_gmres(&comm, &dop, &pre, &local, &opts2);
-                (
-                    gather_tensor(&u, &dims2, &comm),
-                    tr.converged,
-                    tr.iterations.len(),
-                )
-            });
-            for (g, conv, iters) in results {
-                assert!(conv, "p={p} did not converge");
-                assert_eq!(iters, tr_seq.iterations.len(), "p={p}: iteration count");
-                let gap = g.to_dense().fro_dist(&u_seq.to_dense());
-                assert!(
-                    gap < 1e-6 * (1.0 + u_seq.norm()),
-                    "p={p}: solution gap {gap}"
+            for p in [2usize, 3] {
+                let (op2, f2, mean2, dims2, opts2) = (
+                    op.clone(),
+                    f.clone(),
+                    mean.clone(),
+                    dims.clone(),
+                    opts.clone(),
                 );
+                let results = tt_comm::run_verified(p, |comm| {
+                    let dop = DistKroneckerOperator::new(&comm, &op2, &dims2);
+                    let pre = DistMeanPreconditioner::new(&comm, &mean2);
+                    let local = scatter_tensor(&f2, &comm);
+                    let (u, tr) = tt_dist_gmres(&comm, &dop, &pre, &local, &opts2);
+                    (gather_tensor(&u, &dims2, &comm), tr)
+                });
+                for (g, tr) in results {
+                    assert!(tr.converged, "p={p} {restart:?} did not converge");
+                    assert_eq!(
+                        tr.iterations.len(),
+                        tr_seq.iterations.len(),
+                        "p={p} {restart:?}: iteration count"
+                    );
+                    // A restart changes the residual history from the first
+                    // restarted iteration on (by ~25% here), so the histories
+                    // must agree to within the rounding noise (1e-4 relative).
+                    for (a, b) in tr.iterations.iter().zip(&tr_seq.iterations) {
+                        let (a, b) = (a.relative_residual, b.relative_residual);
+                        assert!(
+                            (a - b).abs() <= 1e-4 * b,
+                            "p={p} {restart:?}: residual {a:e} vs {b:e}"
+                        );
+                    }
+                    let gap = g.to_dense().fro_dist(&u_seq.to_dense());
+                    assert!(
+                        gap < 1e-6 * (1.0 + u_seq.norm()),
+                        "p={p} {restart:?}: solution gap {gap}"
+                    );
+                }
             }
         }
     }

@@ -6,24 +6,36 @@
 //! relaxation). The rounding algorithm is pluggable ([`RoundingMethod`]),
 //! which is exactly the §V-D experiment: swapping QR-based rounding for
 //! Gram-SVD rounding inside an otherwise identical solver.
+//!
+//! The Krylov cycle is written once, against [`Communicator`], in
+//! [`tt_dist_gmres`]: rounding, inner products and norms run in their
+//! 1-D-distributed form, and the operator and preconditioner bring their
+//! own communication ([`crate::dist_gmres`]). [`tt_gmres`] is its
+//! one-rank case under [`SelfComm`].
 
 use std::time::Instant;
 
 use crate::operator::TtOperator;
 use crate::precond::Preconditioner;
 use tt_comm::{Communicator, SelfComm};
+use tt_core::dist::{inner_local, norm_local};
 use tt_core::{RoundingMethod, RoundingOptions, TtTensor};
 use tt_linalg::{householder_qr, solve_upper, Matrix};
 
-/// `round(x, tol)` with the solver's rounding `method`: every solver
-/// rounding is a plain ε-rounding of a train it no longer needs.
-pub(crate) fn round_to(
+/// `round(x, tol)` with the solver's rounding `method`, adding its wall
+/// time to `*seconds`: every solver rounding is a plain ε-rounding of a
+/// train it no longer needs.
+pub(crate) fn timed_round(
     comm: &impl Communicator,
     method: RoundingMethod,
     x: TtTensor,
     tol: f64,
+    seconds: &mut f64,
 ) -> TtTensor {
-    tt_core::round(comm, x, method, &RoundingOptions::with_tolerance(tol)).0
+    let t0 = Instant::now();
+    let y = tt_core::round(comm, x, method, &RoundingOptions::with_tolerance(tol)).0;
+    *seconds += t0.elapsed().as_secs_f64();
+    y
 }
 
 /// How (and whether) to compute the true residual at the end.
@@ -34,7 +46,9 @@ pub enum TrueResidualMode {
     /// Via TT arithmetic (fast; accuracy floored at `√ε·‖F‖` by
     /// inner-product cancellation).
     Tt,
-    /// Via dense materialization (exact; tiny problems only).
+    /// Via dense materialization (exact; tiny problems only). On more than
+    /// one rank a local block is not the global tensor, so
+    /// [`tt_dist_gmres`] falls back to [`TrueResidualMode::Tt`] there.
     Dense,
 }
 
@@ -126,23 +140,81 @@ impl GmresTrace {
 /// Right-preconditioned TT-GMRES: solves `G M⁻¹ w = F`, returns
 /// `u = M⁻¹ w` (so residual norms are those of the original system).
 ///
-/// Follows Alg. 1 line by line, with the Krylov basis kept in TT format and
-/// every new basis vector rounded twice (after the operator application and
-/// after orthogonalization) at the adaptive tolerance `δ = ε·β/r`.
+/// The one-rank case of [`tt_dist_gmres`], run under [`SelfComm`].
 pub fn tt_gmres(
     op: &dyn TtOperator,
     precond: &dyn Preconditioner,
     f: &TtTensor,
     opts: &GmresOptions,
 ) -> (TtTensor, GmresTrace) {
-    if let Some(m) = opts.restart {
-        return tt_gmres_restarted(op, precond, f, opts, m);
-    }
-    let t_start = Instant::now();
-    let mut rounding_seconds = 0.0;
+    tt_dist_gmres(&SelfComm::new(), op, precond, f, opts)
+}
 
-    let beta = f.norm();
+/// Right-preconditioned TT-GMRES over the 1-D slice distribution: solves
+/// `G M⁻¹ w = F` and returns this rank's block of `u = M⁻¹ w`.
+///
+/// Follows Alg. 1 line by line, with the Krylov basis kept in TT format and
+/// every new basis vector rounded twice (after the operator application and
+/// after orthogonalization) at the adaptive tolerance `δ = ε·β/r`.
+/// Rounding, inner products and norms run through `comm`; `op` and
+/// `precond` act on local blocks and must be built for the same `comm`
+/// (e.g. [`crate::DistKroneckerOperator`], [`crate::DistMeanPreconditioner`]).
+/// Every rank computes the identical trace.
+pub fn tt_dist_gmres(
+    comm: &impl Communicator,
+    op: &dyn TtOperator,
+    precond: &dyn Preconditioner,
+    f_local: &TtTensor,
+    opts: &GmresOptions,
+) -> (TtTensor, GmresTrace) {
+    let t_start = Instant::now();
+    let beta = norm_local(comm, f_local);
     assert!(beta > 0.0, "zero right-hand side");
+    let (u, cycle) = match opts.restart {
+        None => gmres_cycle(comm, op, precond, f_local, beta, opts),
+        Some(m) => restarted(comm, op, precond, f_local, beta, opts, m),
+    };
+    let true_rel = match opts.true_residual {
+        TrueResidualMode::Off => f64::NAN,
+        TrueResidualMode::Dense if comm.size() == 1 => {
+            let gu = op.apply(&u).to_dense();
+            f_local.to_dense().fro_dist(&gu) / beta
+        }
+        TrueResidualMode::Tt | TrueResidualMode::Dense => {
+            norm_local(comm, &f_local.sub(&op.apply(&u))) / beta
+        }
+    };
+    let trace = GmresTrace {
+        converged: cycle.converged,
+        computed_relative_residual: cycle.relative_residual,
+        true_relative_residual: true_rel,
+        rounding_seconds: cycle.rounding_seconds,
+        total_seconds: t_start.elapsed().as_secs_f64(),
+        solution_max_rank: u.max_rank(),
+        iterations: cycle.iterations,
+    };
+    (u, trace)
+}
+
+/// What one GMRES cycle (or a restarted chain of them) reports.
+struct Cycle {
+    iterations: Vec<IterationRecord>,
+    converged: bool,
+    /// Computed residual relative to the cycle's right-hand side.
+    relative_residual: f64,
+    rounding_seconds: f64,
+}
+
+/// One cycle of Alg. 1 on `G M⁻¹ w = f` with `beta = ‖f‖`, at most
+/// `opts.max_iters` iterations; returns `u = M⁻¹ w`.
+fn gmres_cycle(
+    comm: &impl Communicator,
+    op: &dyn TtOperator,
+    precond: &dyn Preconditioner,
+    f: &TtTensor,
+    beta: f64,
+    opts: &GmresOptions,
+) -> (TtTensor, Cycle) {
     let mut v1 = f.clone();
     v1.scale(1.0 / beta);
     let mut basis: Vec<TtTensor> = vec![v1];
@@ -151,9 +223,12 @@ pub fn tt_gmres(
     let m = opts.max_iters;
     let mut h = Matrix::zeros(m + 1, m);
     let mut r = beta;
-    let mut iterations = Vec::new();
-    let mut converged = false;
-    let mut n_iters = 0;
+    let mut cycle = Cycle {
+        iterations: Vec::new(),
+        converged: false,
+        relative_residual: 1.0,
+        rounding_seconds: 0.0,
+    };
 
     for j in 0..m {
         let t_iter = Instant::now();
@@ -164,9 +239,8 @@ pub fn tt_gmres(
 
         // Line 5: W = round(G M⁻¹ V_j, δ).
         let gv = op.apply(&precond.apply(&basis[j]));
-        let t0 = Instant::now();
-        let mut w = round_to(&SelfComm::new(), opts.rounding, gv, delta);
-        let mut round_iter = t0.elapsed().as_secs_f64();
+        let mut round_iter = 0.0;
+        let mut w = timed_round(comm, opts.rounding, gv, delta, &mut round_iter);
 
         // Lines 6–9: Gram–Schmidt orthogonalization with rounding. Alg. 1
         // writes the classical form (one formal sum of j+1 tensors, one
@@ -181,26 +255,23 @@ pub fn tt_gmres(
         // Krylov ranks).
         let delta_orth = delta / ((j + 1) as f64).sqrt();
         for (i, vi) in basis.iter().enumerate() {
-            let hij = w.inner(vi);
+            let hij = inner_local(comm, &w, vi);
             h[(i, j)] = hij;
             // analyze::allow(float_cmp): skip-exact-zero fast path — any nonzero coefficient, however small, must still be applied and rounded
             if hij != 0.0 {
                 let mut scaled = vi.clone();
                 scaled.scale(-hij);
                 let sum = w.add(&scaled);
-                let t0 = Instant::now();
-                w = round_to(&SelfComm::new(), opts.rounding, sum, delta_orth);
-                round_iter += t0.elapsed().as_secs_f64();
+                w = timed_round(comm, opts.rounding, sum, delta_orth, &mut round_iter);
             }
         }
 
         // Line 10.
-        let wnorm = w.norm();
+        let wnorm = norm_local(comm, &w);
         h[(j + 1, j)] = wnorm;
 
         // Line 11: small least-squares residual.
         r = ls_residual(&h, j + 1, beta);
-        n_iters = j + 1;
 
         // Line 12.
         let max_rank = w.max_rank();
@@ -209,8 +280,8 @@ pub fn tt_gmres(
         }
         basis.push(w);
 
-        rounding_seconds += round_iter;
-        iterations.push(IterationRecord {
+        cycle.rounding_seconds += round_iter;
+        cycle.iterations.push(IterationRecord {
             iter: j + 1,
             relative_residual: r / beta,
             max_rank,
@@ -220,189 +291,137 @@ pub fn tt_gmres(
 
         // analyze::allow(float_cmp): happy-breakdown test — only an exactly zero norm means the Krylov space is exhausted; a tolerance here would stop early
         if r / beta <= opts.tolerance || wnorm == 0.0 {
-            converged = true;
+            cycle.converged = true;
             break;
         }
         // Stagnation guard: TT inner products have a cancellation floor of
         // roughly √ε·‖F‖; once the residual stalls there, further iterations
         // only grow the Krylov ranks.
-        if opts.stagnation_window > 0 && iterations.len() > opts.stagnation_window {
-            let now = iterations[iterations.len() - 1].relative_residual;
-            let then = iterations[iterations.len() - 1 - opts.stagnation_window].relative_residual;
+        let done = &cycle.iterations;
+        if opts.stagnation_window > 0 && done.len() > opts.stagnation_window {
+            let now = done[done.len() - 1].relative_residual;
+            let then = done[done.len() - 1 - opts.stagnation_window].relative_residual;
             if now > 0.999 * then {
                 break;
             }
         }
     }
+    cycle.relative_residual = r / beta;
 
     // Lines 14–15: assemble the solution from the minimizer.
-    let y = ls_solve(&h, n_iters, beta);
+    let y = ls_solve(&h, cycle.iterations.len(), beta);
     let mut w_sol: Option<TtTensor> = None;
-    for (j, &yj) in y.iter().enumerate() {
+    for (&yj, vj) in y.iter().zip(&basis) {
         // analyze::allow(float_cmp): skip-exact-zero fast path — omitting an exactly zero term is lossless, any tolerance would change the solution
         if yj == 0.0 {
             continue;
         }
-        let mut term = basis[j].clone();
+        let mut term = vj.clone();
         term.scale(yj);
         w_sol = Some(match w_sol {
             None => term,
             Some(acc) => acc.add(&term),
         });
     }
-    let w_sol = w_sol.unwrap_or_else(|| {
-        let mut z = f.clone();
-        z.scale(0.0);
-        z
-    });
-    let t0 = Instant::now();
-    let w_sol = round_to(&SelfComm::new(), opts.rounding, w_sol, opts.tolerance);
-    rounding_seconds += t0.elapsed().as_secs_f64();
+    let w_sol = w_sol.unwrap_or_else(|| zero_like(f));
+    let w_sol = timed_round(
+        comm,
+        opts.rounding,
+        w_sol,
+        opts.tolerance,
+        &mut cycle.rounding_seconds,
+    );
     // Undo the right preconditioning.
-    let u = precond.apply(&w_sol);
-
-    // True residual.
-    let true_rel = match opts.true_residual {
-        TrueResidualMode::Off => f64::NAN,
-        TrueResidualMode::Tt => {
-            let gu = op.apply(&u);
-            f.sub(&gu).norm() / beta
-        }
-        TrueResidualMode::Dense => {
-            let gu = op.apply(&u).to_dense();
-            f.to_dense().fro_dist(&gu) / beta
-        }
-    };
-
-    let trace = GmresTrace {
-        converged,
-        computed_relative_residual: r / beta,
-        true_relative_residual: true_rel,
-        rounding_seconds,
-        total_seconds: t_start.elapsed().as_secs_f64(),
-        solution_max_rank: u.max_rank(),
-        iterations,
-    };
-    (u, trace)
+    (precond.apply(&w_sol), cycle)
 }
 
-/// Restarted GMRES(m): repeated single cycles from the explicit residual.
-fn tt_gmres_restarted(
+/// Restarted GMRES(m): repeated cycles of at most `m` iterations from the
+/// explicit residual; `opts.max_iters` caps the total.
+fn restarted(
+    comm: &impl Communicator,
     op: &dyn TtOperator,
     precond: &dyn Preconditioner,
     f: &TtTensor,
+    beta: f64,
     opts: &GmresOptions,
     m: usize,
-) -> (TtTensor, GmresTrace) {
+) -> (TtTensor, Cycle) {
     assert!(m >= 1, "restart length must be positive");
-    let t_start = Instant::now();
-    let beta0 = f.norm();
-    assert!(beta0 > 0.0, "zero right-hand side");
-
     let mut inner_opts = opts.clone();
-    inner_opts.restart = None;
-    inner_opts.true_residual = TrueResidualMode::Off;
-
     let mut u: Option<TtTensor> = None;
     let mut r = f.clone();
-    let mut rel = 1.0;
-    let mut iterations: Vec<IterationRecord> = Vec::new();
-    let mut rounding_seconds = 0.0;
-    let mut converged = false;
+    let mut r_norm = beta;
+    let mut out = Cycle {
+        iterations: Vec::new(),
+        converged: false,
+        relative_residual: 1.0,
+        rounding_seconds: 0.0,
+    };
 
-    while iterations.len() < opts.max_iters {
-        inner_opts.max_iters = m.min(opts.max_iters - iterations.len());
+    while out.iterations.len() < opts.max_iters {
+        let rel = out.relative_residual;
+        inner_opts.max_iters = m.min(opts.max_iters - out.iterations.len());
         // Inner tolerance relative to the *current* residual so the cycle
         // targets the remaining reduction.
         inner_opts.tolerance = (opts.tolerance / rel).min(0.5);
-        let (du, cycle) = tt_gmres(op, precond, &r, &inner_opts);
-        rounding_seconds += cycle.rounding_seconds;
+        let (du, cycle) = gmres_cycle(comm, op, precond, &r, r_norm, &inner_opts);
+        out.rounding_seconds += cycle.rounding_seconds;
         // Record the cycle's iterations rescaled to the global residual.
-        let offset = iterations.len();
-        for it in &cycle.iterations {
-            iterations.push(IterationRecord {
+        let offset = out.iterations.len();
+        out.iterations
+            .extend(cycle.iterations.iter().map(|it| IterationRecord {
                 iter: offset + it.iter,
                 relative_residual: it.relative_residual * rel,
-                max_rank: it.max_rank,
-                rounding_seconds: it.rounding_seconds,
-                total_seconds: it.total_seconds,
-            });
-        }
+                ..*it
+            }));
         // u += du, rounded at the outer tolerance.
-        let new_u = match &u {
+        let new_u = match u {
             None => du,
-            Some(prev) => {
-                let sum = prev.add(&du);
-                let t0 = Instant::now();
-                let rounded = round_to(&SelfComm::new(), opts.rounding, sum, opts.tolerance);
-                rounding_seconds += t0.elapsed().as_secs_f64();
-                rounded
-            }
+            Some(prev) => timed_round(
+                comm,
+                opts.rounding,
+                prev.add(&du),
+                opts.tolerance,
+                &mut out.rounding_seconds,
+            ),
         };
         // Explicit restart residual r = F − G u.
-        let gu = op.apply(&new_u);
-        let diff = f.sub(&gu);
-        let t0 = Instant::now();
-        r = round_to(
-            &SelfComm::new(),
-            opts.rounding,
-            diff,
-            (opts.tolerance * 0.1).max(1e-14),
-        );
-        rounding_seconds += t0.elapsed().as_secs_f64();
+        let diff = f.sub(&op.apply(&new_u));
+        let tol = (opts.tolerance * 0.1).max(1e-14);
+        r = timed_round(comm, opts.rounding, diff, tol, &mut out.rounding_seconds);
         u = Some(new_u);
-        rel = r.norm() / beta0;
-        if rel <= opts.tolerance {
-            converged = true;
+        r_norm = norm_local(comm, &r);
+        out.relative_residual = r_norm / beta;
+        if out.relative_residual <= opts.tolerance {
+            out.converged = true;
             break;
         }
         if cycle.iterations.is_empty() {
             break; // safety: no progress possible
         }
     }
+    (u.unwrap_or_else(|| zero_like(f)), out)
+}
 
-    let u = u.unwrap_or_else(|| {
-        let mut z = f.clone();
-        z.scale(0.0);
-        z
-    });
-    let true_rel = match opts.true_residual {
-        TrueResidualMode::Off => f64::NAN,
-        TrueResidualMode::Tt => {
-            let gu = op.apply(&u);
-            f.sub(&gu).norm() / beta0
-        }
-        TrueResidualMode::Dense => {
-            let gu = op.apply(&u).to_dense();
-            f.to_dense().fro_dist(&gu) / beta0
-        }
-    };
-    let trace = GmresTrace {
-        converged,
-        computed_relative_residual: rel,
-        true_relative_residual: true_rel,
-        rounding_seconds,
-        total_seconds: t_start.elapsed().as_secs_f64(),
-        solution_max_rank: u.max_rank(),
-        iterations,
-    };
-    (u, trace)
+/// `0·x`: a zero train with `x`'s shape.
+fn zero_like(x: &TtTensor) -> TtTensor {
+    let mut z = x.clone();
+    z.scale(0.0);
+    z
 }
 
 /// Residual of `min_y ‖H(1:j+1, 1:j) y − β e₁‖`.
-pub(crate) fn ls_residual(h: &Matrix, j: usize, beta: f64) -> f64 {
+fn ls_residual(h: &Matrix, j: usize, beta: f64) -> f64 {
     let (qt_rhs, _) = ls_qr(h, j, beta);
     qt_rhs[(j, 0)].abs()
 }
 
 /// Minimizer `y` of the small least-squares problem.
-pub(crate) fn ls_solve(h: &Matrix, j: usize, beta: f64) -> Vec<f64> {
-    let (mut qt_rhs, r) = ls_qr(h, j, beta);
-    let mut rhs = Matrix::from_fn(j, 1, |i, _| qt_rhs[(i, 0)]);
-    let r_sq = r.sub_matrix(0, 0, j, j);
-    solve_upper(&r_sq, &mut rhs);
-    qt_rhs = rhs;
-    (0..j).map(|i| qt_rhs[(i, 0)]).collect()
+fn ls_solve(h: &Matrix, j: usize, beta: f64) -> Vec<f64> {
+    let (qt_rhs, r) = ls_qr(h, j, beta);
+    let mut y = Matrix::from_fn(j, 1, |i, _| qt_rhs[(i, 0)]);
+    solve_upper(&r.sub_matrix(0, 0, j, j), &mut y);
+    y.col(0).to_vec()
 }
 
 /// QR of the leading `(j+1) × j` block of `H`, returning `(Qᵀ·βe₁, R)`.

@@ -14,8 +14,8 @@ pub mod operator;
 pub mod precond;
 pub mod richardson;
 
-pub use dist_gmres::{tt_dist_gmres, DistKroneckerOperator, DistMeanPreconditioner};
-pub use gmres::{tt_gmres, GmresOptions, GmresTrace, IterationRecord};
+pub use dist_gmres::{DistKroneckerOperator, DistMeanPreconditioner};
+pub use gmres::{tt_dist_gmres, tt_gmres, GmresOptions, GmresTrace, IterationRecord};
 pub use operator::{KroneckerSumOperator, ModeFactor, TtOperator};
 pub use precond::{IdentityPreconditioner, MeanPreconditioner, Preconditioner};
 pub use richardson::{tt_richardson, RichardsonOptions, RichardsonTrace};

@@ -103,32 +103,42 @@ impl KroneckerSumOperator {
         &self.terms
     }
 
-    /// Applies a single term to a TT vector.
-    fn apply_term(&self, t: usize, x: &TtTensor) -> TtTensor {
-        let mut y = x.clone();
-        for (k, factor) in self.terms[t].iter().enumerate() {
-            if matches!(factor, ModeFactor::Identity) {
-                continue;
-            }
-            y.apply_mode(k, |m| factor.apply_unfold(m));
-        }
-        y
-    }
-}
-
-impl TtOperator for KroneckerSumOperator {
-    fn apply(&self, x: &TtTensor) -> TtTensor {
+    /// `Σ_t ⊗_k term[t][k] · x`, with `apply_factor(k, factor, y)` applying
+    /// each non-identity factor to mode `k` of `y` in place (the
+    /// distributed operator gathers mode 1 for its sparse factor).
+    pub(crate) fn apply_with(
+        &self,
+        x: &TtTensor,
+        apply_factor: impl Fn(usize, &ModeFactor, &mut TtTensor),
+    ) -> TtTensor {
         assert!(!self.terms.is_empty(), "operator has no terms");
         assert_eq!(
             self.order(),
             x.order(),
             "operator/vector mode count mismatch"
         );
-        let mut acc = self.apply_term(0, x);
-        for t in 1..self.terms.len() {
-            acc = acc.add(&self.apply_term(t, x));
+        let apply_term = |term: &[ModeFactor]| {
+            let mut y = x.clone();
+            for (k, factor) in term.iter().enumerate() {
+                if !matches!(factor, ModeFactor::Identity) {
+                    apply_factor(k, factor, &mut y);
+                }
+            }
+            y
+        };
+        let mut acc = apply_term(&self.terms[0]);
+        for term in &self.terms[1..] {
+            acc = acc.add(&apply_term(term));
         }
         acc
+    }
+}
+
+impl TtOperator for KroneckerSumOperator {
+    fn apply(&self, x: &TtTensor) -> TtTensor {
+        self.apply_with(x, |k, factor, y| {
+            y.apply_mode(k, |m| factor.apply_unfold(m));
+        })
     }
 
     fn rank_growth(&self) -> usize {

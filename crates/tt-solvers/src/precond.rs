@@ -32,7 +32,7 @@ impl Preconditioner for IdentityPreconditioner {
 /// `Ḡ` must be SPD and banded (true for the FDM stiffness matrices of the
 /// cookies problem); it is factored once with a banded Cholesky.
 pub struct MeanPreconditioner {
-    factor: BandedCholesky,
+    pub(crate) factor: BandedCholesky,
 }
 
 impl MeanPreconditioner {

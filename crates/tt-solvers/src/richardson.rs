@@ -17,6 +17,7 @@
 
 use std::time::Instant;
 
+use crate::gmres::timed_round;
 use crate::operator::TtOperator;
 use crate::precond::Preconditioner;
 use tt_comm::SelfComm;
@@ -78,23 +79,31 @@ pub fn tt_richardson(
     let fnorm = f.norm();
     assert!(fnorm > 0.0, "zero right-hand side");
 
+    let comm = SelfComm::new();
+    let mut rounding_seconds = 0.0;
+    let mut round = |x: TtTensor| {
+        timed_round(
+            &comm,
+            opts.rounding,
+            x,
+            opts.rounding_tolerance,
+            &mut rounding_seconds,
+        )
+    };
+
     // u_0 = ω·M⁻¹F.
     let mut u = precond.apply(f);
     u.scale(opts.damping);
-    u = crate::gmres::round_to(&SelfComm::new(), opts.rounding, u, opts.rounding_tolerance);
+    u = round(u);
 
     let mut residuals = Vec::new();
     let mut ranks = Vec::new();
-    let mut rounding_seconds = 0.0;
     let mut converged = false;
 
     for _ in 0..opts.max_iters {
         // r = F − G u  (formal), relative residual from TT norm.
         let gu = op.apply(&u);
-        let r = f.sub(&gu);
-        let tr = Instant::now();
-        let r = crate::gmres::round_to(&SelfComm::new(), opts.rounding, r, opts.rounding_tolerance);
-        rounding_seconds += tr.elapsed().as_secs_f64();
+        let r = round(f.sub(&gu));
         let rel = r.norm() / fnorm;
         residuals.push(rel);
         ranks.push(u.max_rank());
@@ -105,15 +114,7 @@ pub fn tt_richardson(
         // u ← round(u + ω M⁻¹ r).
         let mut corr = precond.apply(&r);
         corr.scale(opts.damping);
-        let next = u.add(&corr);
-        let tr = Instant::now();
-        u = crate::gmres::round_to(
-            &SelfComm::new(),
-            opts.rounding,
-            next,
-            opts.rounding_tolerance,
-        );
-        rounding_seconds += tr.elapsed().as_secs_f64();
+        u = round(u.add(&corr));
     }
 
     let trace = RichardsonTrace {

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example distributed_solver`
 
 #![allow(clippy::print_stdout)] // user-facing output is this target's job
-use tt_gram_round::comm::{Communicator, ThreadComm};
+use tt_gram_round::comm::ThreadComm;
 use tt_gram_round::cookies::CookiesProblem;
 use tt_gram_round::solvers::gmres::TrueResidualMode;
 use tt_gram_round::solvers::{
@@ -57,8 +57,8 @@ fn main() {
             opts.clone(),
         );
         let results = ThreadComm::run(p, |comm| {
-            let dop = DistKroneckerOperator::new(&op2, &dims2, p, comm.rank());
-            let pre = DistMeanPreconditioner::new(&mean2);
+            let dop = DistKroneckerOperator::new(&comm, &op2, &dims2);
+            let pre = DistMeanPreconditioner::new(&comm, &mean2);
             let local_f = scatter_tensor(&f2, &comm);
             let (u, tr) = tt_dist_gmres(&comm, &dop, &pre, &local_f, &opts2);
             (

@@ -71,8 +71,8 @@ fn gmres_bits_are_pinned_and_shared_with_the_distributed_solver() {
     let pre = problem.mean_preconditioner();
     let f = problem.rhs();
     let comm = SelfComm::new();
-    let dop = DistKroneckerOperator::new(&op, &problem.dims(), 1, 0);
-    let dpre = DistMeanPreconditioner::new(&problem.mean_matrix());
+    let dop = DistKroneckerOperator::new(&comm, &op, &problem.dims());
+    let dpre = DistMeanPreconditioner::new(&comm, &problem.mean_matrix());
     let mut got = Vec::new();
     for &(method, tolerance, _, _) in &PINS {
         let opts = GmresOptions {
