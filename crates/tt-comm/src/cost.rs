@@ -136,40 +136,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// An Andes-like HPC interconnect (the paper's platform class):
-    /// 2 µs messages, ≈1 GB/s effective per-rank bandwidth.
-    pub fn hpc() -> Self {
-        CostModel::default()
-    }
-
-    /// Commodity 10 GbE cluster: ~25 µs latency, ~1 GB/s shared bandwidth.
-    pub fn ethernet() -> Self {
-        CostModel {
-            alpha: 25.0e-6,
-            beta: 8.0e-9,
-            ..CostModel::default()
-        }
-    }
-
-    /// Modern HDR InfiniBand: ~1 µs latency, ≈20 GB/s per rank.
-    pub fn infiniband() -> Self {
-        CostModel {
-            alpha: 1.0e-6,
-            beta: 0.4e-9,
-            ..CostModel::default()
-        }
-    }
-
-    /// Andes-with-congestion: the §V-C allreduce anomaly past 32 nodes,
-    /// modeled as a latency knee (for reproducing Fig. 4's tail).
-    pub fn hpc_with_knee() -> Self {
-        CostModel {
-            congestion_knee: Some(1024),
-            congestion_factor: 3.0,
-            ..CostModel::default()
-        }
-    }
-
     /// Effective per-message latency at `p` ranks (applies the congestion
     /// knee if configured).
     pub fn effective_alpha(&self, p: usize) -> f64 {
@@ -201,11 +167,6 @@ impl CostModel {
             // One tree edge.
             CollectiveKind::PointToPoint => alpha + self.beta * words,
         }
-    }
-
-    /// Modeled compute time for a given flop count.
-    pub fn compute_time(&self, flops: f64) -> f64 {
-        flops * self.gamma
     }
 
     /// Modeled time of a full TSQR factorization tree on `p` ranks with `n`
@@ -283,18 +244,6 @@ mod tests {
         let expect = 2.0 * m.collective_time(CollectiveKind::Allreduce, 200.0, 8)
             + m.collective_time(CollectiveKind::PointToPoint, 50.0, 8);
         assert!((t - expect).abs() < 1e-18);
-    }
-
-    #[test]
-    fn presets_are_ordered_sensibly() {
-        let w = 400.0;
-        let p = 256;
-        let t_ib = CostModel::infiniband().collective_time(CollectiveKind::Allreduce, w, p);
-        let t_hpc = CostModel::hpc().collective_time(CollectiveKind::Allreduce, w, p);
-        let t_eth = CostModel::ethernet().collective_time(CollectiveKind::Allreduce, w, p);
-        assert!(t_ib < t_hpc && t_hpc < t_eth);
-        let knee = CostModel::hpc_with_knee();
-        assert!(knee.effective_alpha(2048) > knee.alpha);
     }
 
     #[test]

@@ -325,11 +325,6 @@ impl ThreadComm {
             .collect()
     }
 
-    /// The configured watchdog timeout.
-    pub fn watchdog_timeout(&self) -> Duration {
-        self.watchdog
-    }
-
     fn note(&self, event: String) {
         self.board.set(self.rank, event);
     }

@@ -39,11 +39,6 @@ pub fn scatter_tensor(full: &TtTensor, comm: &impl Communicator) -> TtTensor {
 /// Reassembles the full tensor on every rank from the local blocks
 /// (test/diagnostic utility; an allreduce per core).
 ///
-/// The per-core reductions are independent, so each core's allreduce is
-/// posted as soon as its zero-padded buffer is packed and the next core
-/// packs while it flies; waits run in post order, so every rank consumes
-/// identical bytes in identical order.
-///
 /// `global_dims` are the full mode dimensions.
 pub fn gather_tensor(
     local: &TtTensor,
@@ -52,7 +47,7 @@ pub fn gather_tensor(
 ) -> TtTensor {
     let p = comm.size();
     let r = comm.rank();
-    let posted: Vec<_> = local
+    let cores = local
         .cores()
         .iter()
         .enumerate()
@@ -72,23 +67,9 @@ pub fn gather_tensor(
                     }
                 }
             }
-            (
-                comm.iallreduce_sum(full.into_v().into_vec()),
-                c.r0(),
-                full_i,
-                c.r1(),
-            )
-        })
-        .collect();
-    let cores = posted
-        .into_iter()
-        .map(|(req, r0, full_i, r1)| {
-            TtCore::from_v(
-                Matrix::from_col_major(r0 * full_i, r1, req.wait()),
-                r0,
-                full_i,
-                r1,
-            )
+            let mut v = full.into_v();
+            allreduce_matrix(comm, &mut v);
+            TtCore::from_v(v, c.r0(), full_i, c.r1())
         })
         .collect();
     TtTensor::new(cores)

@@ -156,13 +156,6 @@ impl TtMatrix {
         self.cores.iter().map(|c| c.cols).collect()
     }
 
-    /// Operator rank chain `S_0 … S_N`.
-    pub fn op_ranks(&self) -> Vec<usize> {
-        let mut r: Vec<usize> = self.cores.iter().map(|c| c.s0()).collect();
-        r.push(1);
-        r
-    }
-
     /// Core `k`.
     pub fn core(&self, k: usize) -> &TtMatrixCore {
         &self.cores[k]
