@@ -17,7 +17,6 @@
 
 use tt_comm::SelfComm;
 use tt_core::{round, RoundingMethod, RoundingOptions, TtCore, TtTensor};
-use tt_linalg::par::with_threads;
 use tt_linalg::Matrix;
 
 /// Seeded train whose entries are multiples of 2⁻⁵³ in `[-0.5, 0.5)`,
@@ -98,16 +97,9 @@ fn rounding_bits_are_pinned_per_method() {
         (RoundingMethod::randomized(), 0x2893_4151_222d_8757),
     ];
     for (method, expect) in cases {
-        for threads in [1, 3] {
-            let (y, _) = with_threads(threads, || {
-                round(&SelfComm::new(), x.clone(), method, &opts)
-            });
-            assert_eq!(y.ranks(), vec![1, 3, 3, 3, 1], "{method:?}");
-            let got = fnv1a(&y);
-            assert_eq!(
-                got, expect,
-                "{method:?} at {threads} threads: hash {got:#018x}"
-            );
-        }
+        let (y, _) = round(&SelfComm::new(), x.clone(), method, &opts);
+        assert_eq!(y.ranks(), vec![1, 3, 3, 3, 1], "{method:?}");
+        let got = fnv1a(&y);
+        assert_eq!(got, expect, "{method:?}: hash {got:#018x}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The depth blocking `tt_linalg::block::KC` is a constant and sets the
 //! grouping of every sum, so a scalar build produces the same bits on
-//! every machine and at every thread count. This test hashes the
+//! every machine. This test hashes the
 //! output of `gemm_v`, `syrk_v` and `syrk_nt_v` on one shape per engine
 //! (reference, tall-skinny, packed), each deeper than two `KC` slices,
 //! and compares against committed FNV-1a hashes over `f64::to_bits`.
@@ -14,7 +14,6 @@
 //! multiply-add, which changes the bits by design (DESIGN.md §11).
 #![cfg(not(feature = "simd"))]
 
-use tt_linalg::par::with_threads;
 use tt_linalg::{gemm_v, kernel_choice, syrk_nt_v, syrk_v, Kernel, Matrix, Trans};
 
 /// Seeded matrix with entries in `[-0.5, 0.5)`, each a multiple of 2⁻⁵³.
@@ -85,12 +84,7 @@ fn gemm_and_syrk_bits_are_pinned_per_engine() {
     for (engine, m, n, k, expect) in cases {
         assert_eq!(kernel_choice(m, n, k), engine, "gemm {m}x{n}x{k}");
         assert_eq!(kernel_choice(n, n, k), engine, "syrk {n}x{k}");
-        for threads in [1, 3] {
-            let got = with_threads(threads, || engine_hash(m, n, k, 7));
-            assert_eq!(
-                got, expect,
-                "{engine:?} {m}x{n}x{k} at {threads} threads: hash {got:#018x}"
-            );
-        }
+        let got = engine_hash(m, n, k, 7);
+        assert_eq!(got, expect, "{engine:?} {m}x{n}x{k}: hash {got:#018x}");
     }
 }
