@@ -4,7 +4,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
-use tt_linalg::par::with_threads;
 use tt_linalg::{
     blocked_qr, cholesky, eigh, gemm, householder_qr, householder_qr_unblocked, jacobi_svd, syrk,
     Matrix, Trans,
@@ -249,90 +248,5 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Forced-thread-count pairs for the shared-memory parallel layer. Each
-/// kernel runs under `par::with_threads(1)` and `par::with_threads(4)` (the
-/// override pins the pool regardless of `TT_NUM_THREADS`, the flop
-/// threshold, and the machine-share cap), so the pair isolates the chunked
-/// dispatch itself. `cargo xtask bench-check` gates the 4-thread GEMM at
-/// ≥ 2.0× over 1-thread on 512³ — but only on machines with ≥ 4 hardware
-/// threads; elsewhere the pair is recorded for the regression gate only.
-fn bench_kernels_par(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels_par");
-    group.sample_size(10);
-    let mut r = rng();
-
-    // GEMM at 512³: large enough that the chunked sweep amortizes its
-    // fork/join, and the size the speedup floor is defined at.
-    let n = 512usize;
-    let a = Matrix::gaussian(n, n, &mut r);
-    let b = Matrix::gaussian(n, n, &mut r);
-    for threads in [1usize, 4] {
-        group.bench_function(
-            BenchmarkId::new(&format!("kernels_par_gemm_{threads}t"), n),
-            |bch| {
-                bch.iter(|| {
-                    with_threads(threads, || {
-                        let mut c_out = Matrix::zeros(n, n);
-                        tt_linalg::block::gemm_accumulate(
-                            Trans::No,
-                            a.view(),
-                            Trans::No,
-                            b.view(),
-                            1.0,
-                            &mut c_out.view_mut(),
-                        );
-                        black_box(c_out)
-                    })
-                });
-            },
-        );
-    }
-
-    // SYRK on a tall-skinny unfolding: the Gram-sweep workhorse, split over
-    // triangle block-columns.
-    let ts = Matrix::gaussian(60_000, 64, &mut r);
-    for threads in [1usize, 4] {
-        group.bench_function(
-            BenchmarkId::new(&format!("kernels_par_syrk_{threads}t"), "60000x64"),
-            |bch| {
-                bch.iter(|| {
-                    with_threads(threads, || {
-                        black_box(tt_linalg::block::syrk(
-                            ts.view(),
-                            1.0,
-                            tt_linalg::SyrkShape::TransposeA,
-                        ))
-                    })
-                });
-            },
-        );
-    }
-
-    // Compact-WY QR: threading arrives indirectly through the trailing-
-    // update GEMMs.
-    let q_in = Matrix::gaussian(8000, 128, &mut r);
-    for threads in [1usize, 4] {
-        group.bench_function(
-            BenchmarkId::new(&format!("kernels_par_qr_{threads}t"), "8000x128"),
-            |bch| {
-                bch.iter(|| {
-                    with_threads(threads, || {
-                        let f = blocked_qr(&q_in, 32);
-                        black_box((f.thin_q(), f.r()))
-                    })
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_eigh,
-    bench_svd,
-    bench_qr,
-    bench_kernels,
-    bench_kernels_par
-);
+criterion_group!(benches, bench_eigh, bench_svd, bench_qr, bench_kernels);
 criterion_main!(benches);

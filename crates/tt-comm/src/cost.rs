@@ -69,11 +69,6 @@ impl CommStats {
         self.counts.iter().sum()
     }
 
-    /// Total words of all kinds.
-    pub fn total_words(&self) -> usize {
-        self.words.iter().sum()
-    }
-
     /// Merges another record into this one.
     pub fn merge(&mut self, other: &CommStats) {
         for i in 0..4 {
@@ -168,19 +163,6 @@ impl CostModel {
             CollectiveKind::PointToPoint => alpha + self.beta * words,
         }
     }
-
-    /// Modeled time of a full TSQR factorization tree on `p` ranks with `n`
-    /// columns: `⌈log₂ p⌉` levels, each exchanging an upper-triangular
-    /// `n(n+1)/2` words — the `β·O(R² log P)` term of the baseline.
-    /// The factor 2 covers the Q-reconstruction down-sweep.
-    pub fn tsqr_time(&self, n: usize, p: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let lg = (p as f64).log2().ceil();
-        let tri_words = (n * (n + 1) / 2) as f64;
-        2.0 * lg * (self.effective_alpha(p) + self.beta * tri_words)
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +173,6 @@ mod tests {
     fn single_rank_costs_nothing() {
         let m = CostModel::default();
         assert_eq!(m.collective_time(CollectiveKind::Allreduce, 1000.0, 1), 0.0);
-        assert_eq!(m.tsqr_time(20, 1), 0.0);
     }
 
     #[test]
@@ -203,18 +184,6 @@ mod tests {
         let lat4 = m.alpha * 2.0;
         let lat16 = m.alpha * 4.0;
         assert!((t16 - t4 - (lat16 - lat4)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn tsqr_bandwidth_carries_log_factor() {
-        let m = CostModel::default();
-        // For equal word volume, TSQR must be more expensive than one
-        // allreduce at large P (the paper's headline communication claim).
-        let r = 20;
-        let words = (r * r) as f64;
-        for p in [4usize, 64, 1024] {
-            assert!(m.tsqr_time(r, p) > m.collective_time(CollectiveKind::Allreduce, words, p));
-        }
     }
 
     #[test]
@@ -238,7 +207,6 @@ mod tests {
         assert_eq!(s.count(CollectiveKind::Allreduce), 2);
         assert_eq!(s.words(CollectiveKind::Allreduce), 400);
         assert_eq!(s.total_messages(), 3);
-        assert_eq!(s.total_words(), 450);
         let m = CostModel::default();
         let t = s.modeled_time(&m, 8);
         let expect = 2.0 * m.collective_time(CollectiveKind::Allreduce, 200.0, 8)

@@ -156,11 +156,6 @@ impl CookiesProblem {
         Self::new(grid, samples_per_disk)
     }
 
-    /// The Fig. 6 configuration: `I₁ = 1781 → 42² = 1764`, `I_k = 10`.
-    pub fn fig6_configuration() -> Self {
-        Self::new(42, 10)
-    }
-
     /// Number of parameters `p`.
     pub fn num_params(&self) -> usize {
         self.disks.len()
@@ -380,7 +375,6 @@ mod tests {
             CookiesProblem::paper_discretization(2, 2).spatial_dim(),
             24964
         );
-        assert_eq!(CookiesProblem::fig6_configuration().spatial_dim(), 1764);
     }
 
     #[test]

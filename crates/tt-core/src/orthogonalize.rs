@@ -53,15 +53,6 @@ pub fn orthogonalize_right(comm: &impl Communicator, x: &TtTensor) -> TtTensor {
     y
 }
 
-/// The norm of a left-orthogonalized tensor, read off the last core
-/// (‖X‖ = ‖T_N‖_F once all other cores are orthonormal).
-pub fn norm_from_last_core(comm: &impl Communicator, x: &TtTensor) -> f64 {
-    let last = x.core(x.order() - 1);
-    let mut n2 = [last.fro_norm().powi(2)];
-    comm.allreduce_sum(&mut n2);
-    n2[0].max(0.0).sqrt()
-}
-
 /// Checks the left-orthogonality invariant: `V(T_k)ᵀV(T_k) = I` for all
 /// `k < N-1` (diagnostic; returns the largest deviation).
 pub fn left_orthogonality_defect(comm: &impl Communicator, x: &TtTensor) -> f64 {
@@ -98,7 +89,7 @@ mod tests {
         assert!(left_orthogonality_defect(&comm, &y) < 1e-12);
         // Norm concentrated in the last core.
         let nx = x.to_dense().fro_norm();
-        assert!((norm_from_last_core(&comm, &y) - nx).abs() < 1e-10 * (1.0 + nx));
+        assert!((y.core(3).fro_norm() - nx).abs() < 1e-10 * (1.0 + nx));
     }
 
     #[test]

@@ -113,21 +113,6 @@ pub fn generate_redundant(dims: &[usize], rank_half: usize, rng: &mut impl rand:
     base.add(&base)
 }
 
-/// Same, but normalized so `‖X‖ = 1` (useful for tolerance studies where
-/// absolute thresholds should be comparable across sizes).
-pub fn generate_redundant_normalized(
-    dims: &[usize],
-    rank_half: usize,
-    rng: &mut impl rand::Rng,
-) -> TtTensor {
-    let mut x = generate_redundant(dims, rank_half, rng);
-    let n = x.norm();
-    if n > 0.0 {
-        x.scale(1.0 / n);
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,13 +163,6 @@ mod tests {
         let comm = tt_comm::SelfComm::new();
         let (y, _) = crate::round(&comm, x, crate::RoundingMethod::GramRlr, &opts);
         assert_eq!(y.ranks(), vec![1, 3, 3, 3, 1]);
-    }
-
-    #[test]
-    fn normalized_has_unit_norm() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let x = generate_redundant_normalized(&[5, 4, 5], 2, &mut rng);
-        assert!((x.norm() - 1.0).abs() < 1e-10);
     }
 
     #[test]

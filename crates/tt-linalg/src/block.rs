@@ -29,8 +29,7 @@
 //! target feature. Both accumulate each output element in the identical
 //! `k` order, and [`crate::reference`] remains the conformance oracle for
 //! either; results are bitwise reproducible per (feature set, target
-//! flags) configuration and identical at every thread count (DESIGN.md
-//! §11).
+//! flags) configuration (DESIGN.md §11).
 //!
 //! [`syrk`] specializes the same machinery for `C = alpha·AᵀA` /
 //! `C = alpha·A Aᵀ`: the `B` panel is packed once per `KC` slice and only
@@ -43,23 +42,9 @@
 //! copying the tall operand into slabs costs more than the multiply. That
 //! engine sums each output element exactly as this one does, with `madd`,
 //! so which engine serves a shape never changes its bits.
-//!
-//! # Parallel packing discipline
-//!
-//! When a kernel fans out, the packed `op(A)` buffer is built **once** in a
-//! parallel pre-pack phase (disjoint `KC`-slice segments of one shared
-//! buffer) and every compute worker reads it as a shared slice; only the
-//! `op(B)` panels — disjoint by construction, since workers own disjoint
-//! output column ranges — are packed per worker. The earlier scheme, where
-//! every worker re-packed the whole shared `A` panel, multiplied the pack
-//! traffic by the thread count and made 4-thread SYRK measurably *slower*
-//! than 1-thread on deep Gram shapes. Packing is pure data movement, so the
-//! shared buffer is byte-identical to what per-worker packing produced and
-//! the bitwise determinism contract (DESIGN.md §9) is unaffected.
 
 use crate::gemm::Trans;
 use crate::matrix::Matrix;
-use crate::par;
 use crate::view::{MatMut, MatRef};
 
 /// Microkernel tile rows. Two 4-wide f64 vectors per accumulator column.
@@ -81,11 +66,6 @@ pub const KC: usize = 256;
 pub const NC: usize = 8192;
 
 const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
-
-/// Ceiling on the shared pre-packed `op(A)` buffer (bytes). Operands whose
-/// full packed panel would exceed it fall back to per-worker block packing
-/// — correctness is identical, only the pack traffic differs.
-const SHARED_PACK_MAX_BYTES: usize = 256 << 20;
 
 /// Packs the `mc × kc` block of `op(A)` starting at `(i0, k0)` into
 /// `MR`-row slabs: `buf[slab * MR * kc + step * MR + r]` holds
@@ -290,16 +270,6 @@ fn writeback(
 /// Shapes must already agree and `alpha`, `m`, `n`, `k` must be nonzero /
 /// nondegenerate — the dispatcher in [`crate::gemm::gemm_v`] guarantees both
 /// and handles the `beta` scaling of `C` beforehand.
-///
-/// When the [`par`] dispatch gates admit the work profile, the output
-/// columns are partitioned into `NR`-aligned contiguous ranges, the packed
-/// `op(A)` buffer is built once in a parallel pre-pack phase, and each
-/// range is swept by its own scoped worker thread reading the shared
-/// buffer while packing only its own `op(B)` panels. Each worker owns a
-/// disjoint column slice of `C`, so no synchronization is needed beyond
-/// the phase joins — and because the `k` reduction is never split, each
-/// output element sees exactly the sequential accumulation order and the
-/// result is **bitwise identical** for every thread count.
 pub fn gemm_accumulate(
     ta: Trans,
     a: MatRef<'_>,
@@ -312,113 +282,6 @@ pub fn gemm_accumulate(
     let (_, n) = tb.dims(&b);
     debug_assert!(m > 0 && n > 0 && k > 0 && alpha != 0.0);
 
-    let region = par::region(par::Work::gemm(m, n, k));
-    let threads = region.threads().min(n.div_ceil(NR));
-    if threads <= 1 {
-        gemm_sweep(ta, a, tb, b, alpha, &mut c.reborrow(), 0);
-        return;
-    }
-    let shared = m.div_ceil(MR) * MR * k * 8 <= SHARED_PACK_MAX_BYTES;
-    gemm_parallel(ta, a, tb, b, alpha, c, threads, shared);
-}
-
-/// The fan-out body of [`gemm_accumulate`], with the shared-pre-pack
-/// decision explicit so tests can pin both packing schemes against each
-/// other bitwise.
-#[allow(clippy::too_many_arguments)]
-fn gemm_parallel(
-    ta: Trans,
-    a: MatRef<'_>,
-    tb: Trans,
-    b: MatRef<'_>,
-    alpha: f64,
-    c: &mut MatMut<'_>,
-    threads: usize,
-    shared_pack: bool,
-) {
-    let (m, k) = ta.dims(&a);
-    let n = c.cols();
-    let ranges = par::split_even(n, threads, NR);
-    let pa_full = if shared_pack {
-        Some(pack_a_full(ta, &a, m, k, threads))
-    } else {
-        None
-    };
-    let pa_shared = pa_full.as_deref();
-    let mut jobs = Vec::with_capacity(ranges.len());
-    let mut rest = c.reborrow();
-    let mut offset = 0usize;
-    for (lo, hi) in ranges {
-        let (chunk, tail) = rest.split_cols_at(hi - offset);
-        rest = tail;
-        offset = hi;
-        jobs.push(move || {
-            let mut chunk = chunk;
-            match pa_shared {
-                // analyze::allow(alloc_hot_path): each worker packs B into
-                // a thread-private buffer allocated once per kernel
-                // invocation and amortized over its whole blocked sweep;
-                // sharing one buffer across concurrent workers would race.
-                Some(pa) => sweep_prepacked(pa, m, k, tb, b, alpha, &mut chunk, lo, false),
-                // analyze::allow(alloc_hot_path): per-worker fallback when
-                // the shared pre-pack is too large — each worker packs into
-                // thread-private buffers allocated once per invocation.
-                None => gemm_sweep(ta, a, tb, b, alpha, &mut chunk, lo),
-            }
-        });
-    }
-    par::join_all(jobs);
-}
-
-/// Packs the whole `m × k` operand `op(A)` into a `KC`-slice-major shared
-/// buffer: the slice starting at depth `k0` occupies
-/// `buf[slabs·MR·k0 ..][.. slabs·MR·kc]` and holds exactly the `MR`-row
-/// slab panel [`pack_a`] produces for `(i0 = 0, mc = m)`. The pre-pack is
-/// itself parallelized over disjoint slice segments. Because packing is
-/// pure data movement, the shared buffer is byte-identical to what
-/// per-block packing produces — compute workers reading it emit exactly
-/// the sequential instruction stream, preserving bitwise determinism.
-fn pack_a_full(ta: Trans, a: &MatRef<'_>, m: usize, k: usize, threads: usize) -> Vec<f64> {
-    let slabs = m.div_ceil(MR);
-    let mut buf = vec![0.0; slabs * MR * k];
-    let slice_ranges = par::split_even(k.div_ceil(KC), threads, 1);
-    let mut jobs = Vec::with_capacity(slice_ranges.len());
-    let mut rest: &mut [f64] = &mut buf;
-    for (slo, shi) in slice_ranges {
-        let (k_lo, k_hi) = ((slo * KC).min(k), (shi * KC).min(k));
-        let (seg, tail) = rest.split_at_mut(slabs * MR * (k_hi - k_lo));
-        rest = tail;
-        jobs.push(move || {
-            let mut off = 0usize;
-            for k0 in (k_lo..k_hi).step_by(KC) {
-                let kc = KC.min(k_hi - k0);
-                pack_a(ta, a, 0, m, k0, kc, &mut seg[off..off + slabs * MR * kc]);
-                off += slabs * MR * kc;
-            }
-        });
-    }
-    par::join_all(jobs);
-    buf
-}
-
-/// The full cache-blocked loop nest over one contiguous column range of the
-/// output. `c` holds the local columns (`c.cols()` of them) and `col_off` is
-/// the global index of its first column, used only to address `op(B)` in the
-/// packing — so a worker sweeping columns `[col_off, col_off + c.cols())`
-/// performs precisely the instructions the sequential sweep performs for
-/// those columns.
-fn gemm_sweep(
-    ta: Trans,
-    a: MatRef<'_>,
-    tb: Trans,
-    b: MatRef<'_>,
-    alpha: f64,
-    c: &mut MatMut<'_>,
-    col_off: usize,
-) {
-    let (m, k) = ta.dims(&a);
-    let n = c.cols();
-
     let mut pa = vec![0.0; m.min(MC).div_ceil(MR) * MR * k.min(KC)];
     let mut pb = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
 
@@ -426,69 +289,11 @@ fn gemm_sweep(
         let nc = NC.min(n - j0);
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            pack_b(tb, &b, k0, kc, col_off + j0, nc, &mut pb);
+            pack_b(tb, &b, k0, kc, j0, nc, &mut pb);
             for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
                 pack_a(ta, &a, i0, mc, k0, kc, &mut pa);
-                multiply_panels(&pa, &pb, mc, nc, kc, alpha, c, i0, j0, 0, false);
-            }
-        }
-    }
-}
-
-/// The cache-blocked loop nest over one contiguous column range, reading
-/// the shared pre-packed `op(A)` buffer ([`pack_a_full`] layout) instead
-/// of packing per row block. With `triangle_only` it performs the SYRK
-/// sweep (triangle cuts against *global* column indices via `col_off`);
-/// otherwise the plain GEMM sweep. Tile visit order and per-tile inputs
-/// are identical to [`gemm_sweep`] / [`syrk_sweep`], so the output bits
-/// are too.
-#[allow(clippy::too_many_arguments)]
-fn sweep_prepacked(
-    pa_full: &[f64],
-    m: usize,
-    k: usize,
-    tb: Trans,
-    b: MatRef<'_>,
-    alpha: f64,
-    c: &mut MatMut<'_>,
-    col_off: usize,
-    triangle_only: bool,
-) {
-    let n = c.cols();
-    let slabs = m.div_ceil(MR);
-    debug_assert_eq!(pa_full.len(), slabs * MR * k);
-
-    let mut pb = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
-
-    for j0 in (0..n).step_by(NC) {
-        let nc = NC.min(n - j0);
-        for k0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - k0);
-            pack_b(tb, &b, k0, kc, col_off + j0, nc, &mut pb);
-            let slice_base = slabs * MR * k0;
-            for i0 in (0..m).step_by(MC) {
-                // Row blocks entirely below this column block contribute
-                // only strictly-lower tiles; skip them wholesale.
-                if triangle_only && i0 > col_off + j0 + nc {
-                    continue;
-                }
-                let mc = MC.min(m - i0);
-                let a_off = slice_base + (i0 / MR) * MR * kc;
-                let a_len = mc.div_ceil(MR) * MR * kc;
-                multiply_panels(
-                    &pa_full[a_off..a_off + a_len],
-                    &pb,
-                    mc,
-                    nc,
-                    kc,
-                    alpha,
-                    c,
-                    i0,
-                    j0,
-                    col_off,
-                    triangle_only,
-                );
+                multiply_panels(&pa, &pb, mc, nc, kc, alpha, c, i0, j0, false);
             }
         }
     }
@@ -497,11 +302,9 @@ fn sweep_prepacked(
 /// Inner tile sweep over one packed `A` panel (`mc × kc`) and one packed `B`
 /// panel (`nc × kc`), writing `c[i0.., j0..] += alpha * Ã B̃`.
 ///
-/// `j0` indexes `c`'s *local* columns; `col_off` is the global index of
-/// `c`'s first column (0 when `c` is the whole output). The distinction only
-/// matters for `triangle_only`, the SYRK triangle cut: a register tile lying
-/// entirely in the strict lower triangle of the *global* matrix (every global
-/// column index below every row index) is skipped — the mirror pass fills it.
+/// With `triangle_only`, the SYRK triangle cut, a register tile lying
+/// entirely in the strict lower triangle (every column index below every
+/// row index) is skipped — the mirror pass fills it.
 #[allow(clippy::too_many_arguments)]
 fn multiply_panels(
     pa: &[f64],
@@ -513,19 +316,18 @@ fn multiply_panels(
     c: &mut MatMut<'_>,
     i0: usize,
     j0: usize,
-    col_off: usize,
     triangle_only: bool,
 ) {
     let a_slabs = mc.div_ceil(MR);
     let b_slabs = nc.div_ceil(NR);
     for bs in 0..b_slabs {
         let nr = NR.min(nc - bs * NR);
-        let jl = j0 + bs * NR; // local first column of this tile
+        let j = j0 + bs * NR; // first column of this tile
         let pb_slab = &pb[bs * NR * kc..(bs * NR * kc) + NR * kc];
         for as_ in 0..a_slabs {
             let mr = MR.min(mc - as_ * MR);
-            let ig = i0 + as_ * MR; // global first row of this tile
-            if triangle_only && col_off + jl + nr <= ig {
+            let i = i0 + as_ * MR; // first row of this tile
+            if triangle_only && j + nr <= i {
                 continue;
             }
             let mut acc = [[0.0; MR]; NR];
@@ -534,7 +336,7 @@ fn multiply_panels(
                 pb_slab,
                 &mut acc,
             );
-            writeback(&acc, alpha, c, ig, mr, jl, nr);
+            writeback(&acc, alpha, c, i, mr, j, nr);
         }
     }
 }
@@ -554,17 +356,6 @@ pub enum SyrkShape {
 /// The `B`-side panel is packed **once** per `KC` slice and reused by every
 /// row block — with `op(A)` and `op(B)` drawn from the same operand this is
 /// the "pack once" saving on top of the triangle cut.
-///
-/// Parallel dispatch partitions the output columns with
-/// [`par::split_triangle`] (triangle-area-balanced, since column `j` of the
-/// upper triangle carries `j + 1` entries). The packed `op(A)` buffer —
-/// which every worker needs in full, because each owns a column stripe of
-/// the triangle spanning all row blocks — is built once in a parallel
-/// pre-pack phase and shared read-only; each worker packs only its own
-/// `op(B)` column panels and runs the sequential sweep over its disjoint
-/// column slice with global triangle geometry, so the result is bitwise
-/// identical at every thread count. The `O(n²)` mirror pass stays
-/// sequential.
 pub fn syrk(a: MatRef<'_>, alpha: f64, shape: SyrkShape) -> Matrix {
     let (ta, tb) = match shape {
         SyrkShape::TransposeA => (Trans::Yes, Trans::No),
@@ -579,17 +370,7 @@ pub fn syrk(a: MatRef<'_>, alpha: f64, shape: SyrkShape) -> Matrix {
         return c;
     }
 
-    {
-        let region = par::region(par::Work::syrk(n, k));
-        let threads = region.threads().min(n.div_ceil(NR));
-        let mut cv = c.view_mut();
-        if threads <= 1 {
-            syrk_sweep(ta, a, tb, alpha, &mut cv, 0);
-        } else {
-            let shared = n.div_ceil(MR) * MR * k * 8 <= SHARED_PACK_MAX_BYTES;
-            syrk_parallel(ta, a, tb, alpha, &mut cv, threads, shared);
-        }
-    }
+    syrk_sweep(ta, a, tb, alpha, &mut c.view_mut());
     // Mirror the upper triangle into the strict lower triangle. Boundary
     // tiles computed a few strictly-lower entries already; overwriting them
     // with the mirrored value keeps C exactly symmetric.
@@ -601,76 +382,27 @@ pub fn syrk(a: MatRef<'_>, alpha: f64, shape: SyrkShape) -> Matrix {
     c
 }
 
-/// The fan-out body of [`syrk`], with the shared-pre-pack decision
-/// explicit so tests can pin both packing schemes against each other
-/// bitwise.
-fn syrk_parallel(
-    ta: Trans,
-    a: MatRef<'_>,
-    tb: Trans,
-    alpha: f64,
-    cv: &mut MatMut<'_>,
-    threads: usize,
-    shared_pack: bool,
-) {
+/// The upper-triangle loop nest of [`syrk`] over the `n × n` output `c`.
+fn syrk_sweep(ta: Trans, a: MatRef<'_>, tb: Trans, alpha: f64, c: &mut MatMut<'_>) {
     let (n, k) = ta.dims(&a);
-    let ranges = par::split_triangle(n, threads, NR);
-    let pa_full = if shared_pack {
-        Some(pack_a_full(ta, &a, n, k, threads))
-    } else {
-        None
-    };
-    let pa_shared = pa_full.as_deref();
-    let mut jobs = Vec::with_capacity(ranges.len());
-    let mut rest = cv.reborrow();
-    let mut offset = 0usize;
-    for (lo, hi) in ranges {
-        let (chunk, tail) = rest.split_cols_at(hi - offset);
-        rest = tail;
-        offset = hi;
-        jobs.push(move || {
-            let mut chunk = chunk;
-            match pa_shared {
-                // analyze::allow(alloc_hot_path): thread-private B packing
-                // buffer, one allocation per worker per invocation,
-                // amortized over the whole triangle sweep.
-                Some(pa) => sweep_prepacked(pa, n, k, tb, a, alpha, &mut chunk, lo, true),
-                // analyze::allow(alloc_hot_path): per-worker fallback when
-                // the shared pre-pack is too large — each worker packs into
-                // thread-private buffers allocated once per invocation.
-                None => syrk_sweep(ta, a, tb, alpha, &mut chunk, lo),
-            }
-        });
-    }
-    par::join_all(jobs);
-}
-
-/// Sequential SYRK sweep over one contiguous column range of the output.
-/// `c` holds the local columns; `col_off` is the global index of its first
-/// column, threaded through to the packing and the triangle cuts so the
-/// per-tile work (and therefore the bits produced) is independent of how the
-/// columns were partitioned.
-fn syrk_sweep(ta: Trans, a: MatRef<'_>, tb: Trans, alpha: f64, c: &mut MatMut<'_>, col_off: usize) {
-    let (n, k) = ta.dims(&a);
-    let ncols = c.cols();
 
     let mut pa = vec![0.0; n.min(MC).div_ceil(MR) * MR * k.min(KC)];
-    let mut pb = vec![0.0; ncols.min(NC).div_ceil(NR) * NR * k.min(KC)];
+    let mut pb = vec![0.0; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
 
-    for j0 in (0..ncols).step_by(NC) {
-        let nc = NC.min(ncols - j0);
+    for j0 in (0..n).step_by(NC) {
+        let nc = NC.min(n - j0);
         for k0 in (0..k).step_by(KC) {
             let kc = KC.min(k - k0);
-            pack_b(tb, &a, k0, kc, col_off + j0, nc, &mut pb);
+            pack_b(tb, &a, k0, kc, j0, nc, &mut pb);
             for i0 in (0..n).step_by(MC) {
                 // Row blocks entirely below this column block contribute
                 // only strictly-lower tiles; skip them wholesale.
-                if i0 > col_off + j0 + nc {
+                if i0 > j0 + nc {
                     continue;
                 }
                 let mc = MC.min(n - i0);
                 pack_a(ta, &a, i0, mc, k0, kc, &mut pa);
-                multiply_panels(&pa, &pb, mc, nc, kc, alpha, c, i0, j0, col_off, true);
+                multiply_panels(&pa, &pb, mc, nc, kc, alpha, c, i0, j0, true);
             }
         }
     }
@@ -791,159 +523,6 @@ mod tests {
         let s = syrk(a.view(), 1.0, SyrkShape::TransposeA);
         assert_eq!(s.shape(), (4, 4));
         assert_eq!(s.max_abs(), 0.0);
-    }
-
-    fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
-        assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn pack_a_full_matches_per_block_packing() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        // Edge slabs in both directions plus a multi-slice depth.
-        for &(m, k) in &[(3usize, 5usize), (MR * 3 + 2, KC + 7), (2 * MR, 2 * KC)] {
-            for &ta in &[Trans::No, Trans::Yes] {
-                let (rows, cols) = match ta {
-                    Trans::No => (m, k),
-                    Trans::Yes => (k, m),
-                };
-                let a = Matrix::gaussian(rows, cols, &mut rng);
-                let slabs = m.div_ceil(MR);
-                for threads in [1usize, 2, 3] {
-                    let full = pack_a_full(ta, &a.view(), m, k, threads);
-                    assert_eq!(full.len(), slabs * MR * k);
-                    let mut buf = vec![0.0; slabs * MR * KC.min(k)];
-                    for k0 in (0..k).step_by(KC) {
-                        let kc = KC.min(k - k0);
-                        for i0 in (0..m).step_by(MC) {
-                            let mc = MC.min(m - i0);
-                            let len = mc.div_ceil(MR) * MR * kc;
-                            pack_a(ta, &a.view(), i0, mc, k0, kc, &mut buf[..len]);
-                            let off = slabs * MR * k0 + (i0 / MR) * MR * kc;
-                            for (x, y) in buf[..len].iter().zip(&full[off..off + len]) {
-                                assert_eq!(x.to_bits(), y.to_bits(), "{ta:?} m={m} k={k}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_gemm_bitwise_equals_serial() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        // Edge slabs, multi-cache-block, and narrower-than-one-chunk shapes.
-        for &(m, n, k) in &[
-            (64usize, 130usize, 70usize),
-            (MC + 5, 2 * NR + 3, KC + 1),
-            (33, 3, 50),
-        ] {
-            let a = Matrix::gaussian(m, k, &mut rng);
-            let b = Matrix::gaussian(k, n, &mut rng);
-            let mut c1 = Matrix::gaussian(m, n, &mut rng);
-            let c0 = c1.clone();
-            crate::par::with_threads(1, || {
-                gemm_accumulate(
-                    Trans::No,
-                    a.view(),
-                    Trans::No,
-                    b.view(),
-                    1.5,
-                    &mut c1.view_mut(),
-                );
-            });
-            for t in [2usize, 3, 4, 7] {
-                let mut ct = c0.clone();
-                crate::par::with_threads(t, || {
-                    gemm_accumulate(
-                        Trans::No,
-                        a.view(),
-                        Trans::No,
-                        b.view(),
-                        1.5,
-                        &mut ct.view_mut(),
-                    );
-                });
-                assert_bits_eq(&c1, &ct, "gemm 1t vs Nt");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_and_per_worker_packing_agree_bitwise() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
-        let (m, n, k) = (MC + 13, 3 * NR + 2, KC + 9);
-        let a = Matrix::gaussian(m, k, &mut rng);
-        let b = Matrix::gaussian(k, n, &mut rng);
-        let mut c_shared = Matrix::gaussian(m, n, &mut rng);
-        let mut c_private = c_shared.clone();
-        for threads in [2usize, 3] {
-            gemm_parallel(
-                Trans::No,
-                a.view(),
-                Trans::No,
-                b.view(),
-                1.25,
-                &mut c_shared.view_mut(),
-                threads,
-                true,
-            );
-            gemm_parallel(
-                Trans::No,
-                a.view(),
-                Trans::No,
-                b.view(),
-                1.25,
-                &mut c_private.view_mut(),
-                threads,
-                false,
-            );
-            assert_bits_eq(&c_shared, &c_private, "gemm shared vs private pack");
-        }
-        // And the SYRK fan-out body under both packing schemes.
-        let g = Matrix::gaussian(KC + 3, 3 * NR + 1, &mut rng);
-        for threads in [2usize, 4] {
-            let mut s_shared = Matrix::zeros(g.cols(), g.cols());
-            let mut s_private = Matrix::zeros(g.cols(), g.cols());
-            syrk_parallel(
-                Trans::Yes,
-                g.view(),
-                Trans::No,
-                1.5,
-                &mut s_shared.view_mut(),
-                threads,
-                true,
-            );
-            syrk_parallel(
-                Trans::Yes,
-                g.view(),
-                Trans::No,
-                1.5,
-                &mut s_private.view_mut(),
-                threads,
-                false,
-            );
-            assert_bits_eq(&s_shared, &s_private, "syrk shared vs private pack");
-        }
-    }
-
-    #[test]
-    fn parallel_syrk_bitwise_equals_serial() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-        for &(rows, cols) in &[(300usize, 41usize), (40, MC + 9), (KC + 3, 2 * NR + 1)] {
-            let a = Matrix::gaussian(rows, cols, &mut rng);
-            for shape in [SyrkShape::TransposeA, SyrkShape::TransposeB] {
-                let s1 = crate::par::with_threads(1, || syrk(a.view(), 1.25, shape));
-                for t in [2usize, 4, 5] {
-                    let st = crate::par::with_threads(t, || syrk(a.view(), 1.25, shape));
-                    assert_bits_eq(&s1, &st, "syrk 1t vs Nt");
-                }
-            }
-        }
     }
 
     /// With `simd` the microkernel may fuse multiply-adds; against the

@@ -13,11 +13,9 @@
 //!   problem with at most one of `m`, `n`, `k` above 32: every sweep,
 //!   truncation and self-Gram product of TT rounding, where one dimension
 //!   is `R₀I` and the others are TT ranks. It streams the tall operand in
-//!   place, since packing it would cost more than the multiply. With two
-//!   dimensions ≤ 32 the arithmetic intensity is below the parallel
-//!   layer's intensity floor, so these shapes never fanned out and the
-//!   engine is sequential. Its results are bitwise equal to the packed
-//!   engine's (the same `kc`-slice sums in the same order);
+//!   place, since packing it would cost more than the multiply. Its
+//!   results are bitwise equal to the packed engine's (the same `kc`-slice
+//!   sums in the same order);
 //! * [`crate::block`] — the packed, cache-blocked, register-tiled engine
 //!   (Goto/BLIS-style blocking over an `MR × NR` microkernel, with the
 //!   constant [`crate::block::MC`]/[`crate::block::KC`]/[`crate::block::NC`]
@@ -89,18 +87,6 @@ pub fn kernel_choice(m: usize, n: usize, k: usize) -> Kernel {
     } else {
         Kernel::Blocked
     }
-}
-
-/// Worker-thread count a `m × n × k` multiply would be granted right now:
-/// 1 below the flop floor (fork/join overhead never touches small
-/// bond-update GEMMs) or the arithmetic-intensity floor (memory-bound
-/// shapes only add contention when threaded), otherwise the
-/// `TT_NUM_THREADS` configuration capped by the machine share (see
-/// [`crate::par`]). The companion to [`kernel_choice`] for the parallel
-/// dispatch decision; the blocked engine applies the same policy
-/// internally.
-pub fn parallel_threads(m: usize, n: usize, k: usize) -> usize {
-    crate::par::planned_threads(crate::par::Work::gemm(m, n, k))
 }
 
 /// `C = alpha * op(A) * op(B)`, allocating the result.
@@ -486,16 +472,6 @@ mod tests {
         let b = Matrix::zeros(3, 2);
         let c = gemm(Trans::No, &a, Trans::No, &b, 1.0);
         assert_eq!(c.shape(), (0, 2));
-    }
-
-    #[test]
-    fn parallel_dispatch_respects_threshold_and_override() {
-        // Small bond-update GEMMs never fan out…
-        assert_eq!(parallel_threads(32, 32, 32), 1);
-        // …and an explicit override forces the count regardless of size.
-        assert_eq!(crate::par::with_threads(4, || parallel_threads(8, 8, 8)), 4);
-        // Without an override, big multiplies are capped by configuration.
-        assert!(parallel_threads(512, 512, 512) <= crate::par::configured_threads());
     }
 
     #[test]

@@ -29,8 +29,11 @@
 //! a nightly feature, hence the gate — the default build stays on stable).
 //! The cache blocking is a set of compile-time constants ([`block::KC`]
 //! and friends), so results are bitwise reproducible per (feature set,
-//! target flags) configuration on every machine and at every thread
-//! count; [`reference`] is the conformance oracle for both.
+//! target flags) configuration on every machine; [`reference`] is the
+//! conformance oracle for both.
+//!
+//! Every kernel runs on its caller's thread: parallelism is one rank per
+//! core, across ranks, as in the paper.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(feature = "simd", feature(portable_simd))]
@@ -54,8 +57,8 @@ pub use block::SyrkShape;
 pub use chol::{cholesky, pivoted_cholesky, PivotedCholesky};
 pub use eig::{eigh, EigH};
 pub use gemm::{
-    gemm, gemm_alloc, gemm_flops, gemm_into, gemm_v, kernel_choice, parallel_threads, syrk,
-    syrk_nt_v, syrk_v, Kernel, Trans,
+    gemm, gemm_alloc, gemm_flops, gemm_into, gemm_v, kernel_choice, syrk, syrk_nt_v, syrk_v,
+    Kernel, Trans,
 };
 pub use matrix::Matrix;
 pub use qr::{blocked_qr, householder_qr, householder_qr_unblocked, qr_stacked_pair, QrFactors};

@@ -205,15 +205,10 @@ impl Matrix {
         }
     }
 
-    /// Fills the matrix with i.i.d. standard-normal entries from `rng`.
-    pub fn fill_gaussian(&mut self, rng: &mut impl rand::Rng) {
-        crate::rng::fill_standard_normal(&mut self.data, rng);
-    }
-
-    /// Convenience constructor of a Gaussian random matrix.
+    /// Gaussian random matrix: i.i.d. standard-normal entries from `rng`.
     pub fn gaussian(rows: usize, cols: usize, rng: &mut impl rand::Rng) -> Matrix {
         let mut m = Matrix::zeros(rows, cols);
-        m.fill_gaussian(rng);
+        crate::rng::fill_standard_normal(&mut m.data, rng);
         m
     }
 

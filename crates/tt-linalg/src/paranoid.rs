@@ -50,18 +50,6 @@ pub fn check_finite_scalar(kernel: &str, name: &str, value: f64) {
     }
 }
 
-/// Asserts a dimension invariant, with a lazily built diagnostic.
-#[inline]
-pub fn check_dims(kernel: &str, ok: bool, detail: impl FnOnce() -> String) {
-    if enabled() && !ok {
-        // analyze::allow(panic_surface): the paranoid layer's whole job is to abort on broken invariants instead of computing garbage
-        panic!(
-            "{kernel}: paranoid check failed: dimension invariant violated: {}",
-            detail()
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +58,6 @@ mod tests {
     fn finite_data_passes() {
         check_finite("test_kernel", "A", &[0.0, -1.5, f64::MAX]);
         check_finite_scalar("test_kernel", "alpha", 2.0);
-        check_dims("test_kernel", true, || unreachable!());
     }
 
     // The negative tests only make sense when the checks are compiled in
@@ -96,12 +83,6 @@ mod tests {
         #[should_panic(expected = "alpha")]
         fn non_finite_scalar_is_caught() {
             check_finite_scalar("test_kernel", "alpha", f64::NAN);
-        }
-
-        #[test]
-        #[should_panic(expected = "dimension invariant")]
-        fn dim_violation_is_caught() {
-            check_dims("test_kernel", false, || "rows 3 != cols 4".to_string());
         }
     }
 }

@@ -21,8 +21,8 @@
 //! each `NB`-column panel is factored by the same kernel, its reflectors
 //! are aggregated into an upper-triangular `T` with `Q_panel = I − V T Vᵀ`
 //! (forward columnwise convention, `larft`), and the trailing matrix is
-//! updated with two GEMMs and a tiny triangular multiply on the packed,
-//! threaded engine in [`crate::block`]. The stored `T` factors also turn
+//! updated with two GEMMs and a tiny triangular multiply on the packed
+//! engine in [`crate::block`]. The stored `T` factors also turn
 //! [`QrFactors::thin_q`]/[`QrFactors::apply_q`]/[`QrFactors::apply_qt`]
 //! into WY (GEMM) applications.
 
@@ -33,10 +33,11 @@ use crate::matrix::Matrix;
 /// workspace tiny while making the trailing update a `KC`-deep GEMM.
 const NB: usize = 32;
 
-/// Up to this many columns, [`householder_qr`] runs the one-panel kernel:
-/// single-threaded it matches or beats compact-WY at every width up to
-/// 128, and only the trailing-update GEMMs of wider matrices gain from
-/// threads.
+/// Up to this many columns, [`householder_qr`] runs the one-panel kernel,
+/// which matches or beats compact-WY at every width up to 128. The cut
+/// was placed at 64 while a threaded trailing update still existed; it
+/// stays there because moving it would change the bits of every QR of
+/// 65 to 128 columns.
 const ONE_PANEL_MAX_COLS: usize = 64;
 
 /// One compact-WY panel: columns `j0 .. j0 + t.cols()` of the factored

@@ -30,10 +30,6 @@
 //! equal to the dispatcher's `beta` pass followed by
 //! [`crate::block::gemm_accumulate`], and [`syrk`] to [`crate::block::syrk`],
 //! in every build configuration (`tests/conformance.rs` pins both).
-//!
-//! The engine is sequential. With two dimensions at most 32 the arithmetic
-//! intensity ([`crate::par::Work`]) is below the parallel layer's
-//! intensity floor, so these shapes never fanned out.
 
 use crate::block::{madd, SyrkShape, KC, MR, NR};
 use crate::gemm::Trans;

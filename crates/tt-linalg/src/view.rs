@@ -127,42 +127,6 @@ impl<'a> MatMut<'a> {
         }
     }
 
-    /// Mutable re-borrow with a shorter lifetime, so a view can be split
-    /// repeatedly without consuming the original.
-    pub fn reborrow(&mut self) -> MatMut<'_> {
-        MatMut {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data,
-        }
-    }
-
-    /// Splits the view at column `j` into `(cols 0..j, cols j..)`.
-    ///
-    /// Column-major storage makes both halves contiguous, which is what lets
-    /// the parallel kernel layer hand disjoint column ranges of one output
-    /// to different worker threads without any `unsafe`.
-    pub fn split_cols_at(self, j: usize) -> (MatMut<'a>, MatMut<'a>) {
-        assert!(
-            j <= self.cols,
-            "split column {j} out of range {}",
-            self.cols
-        );
-        let (left, right) = self.data.split_at_mut(j * self.rows);
-        (
-            MatMut {
-                rows: self.rows,
-                cols: j,
-                data: left,
-            },
-            MatMut {
-                rows: self.rows,
-                cols: self.cols - j,
-                data: right,
-            },
-        )
-    }
-
     /// Fills with a constant.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
@@ -193,11 +157,6 @@ impl Matrix {
         let (r, c) = self.shape();
         MatMut::new(r, c, self.as_mut_slice())
     }
-
-    /// Mutable zero-copy reinterpretation under a different shape.
-    pub fn view_mut_as(&mut self, rows: usize, cols: usize) -> MatMut<'_> {
-        MatMut::new(rows, cols, self.as_mut_slice())
-    }
 }
 
 #[cfg(test)]
@@ -215,16 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn mut_view_writes_through() {
-        let mut m = Matrix::zeros(2, 2);
-        {
-            let mut v = m.view_mut_as(4, 1);
-            v.col_mut(0)[3] = 7.0;
-        }
-        assert_eq!(m[(1, 1)], 7.0);
-    }
-
-    #[test]
     fn transposed_view() {
         let m = Matrix::from_row_major(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let t = m.view().transposed();
@@ -238,46 +187,5 @@ mod tests {
     fn bad_view_shape_panics() {
         let m = Matrix::zeros(2, 3);
         let _ = m.view_as(4, 2);
-    }
-
-    #[test]
-    fn split_cols_partitions_contiguously() {
-        let mut m = Matrix::from_col_major(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        {
-            let v = m.view_mut();
-            let (mut left, mut right) = v.split_cols_at(1);
-            assert_eq!(left.shape(), (2, 1));
-            assert_eq!(right.shape(), (2, 2));
-            left.col_mut(0)[0] = -1.0;
-            right.col_mut(1)[1] = -6.0;
-        }
-        assert_eq!(m[(0, 0)], -1.0);
-        assert_eq!(m[(1, 2)], -6.0);
-    }
-
-    #[test]
-    fn split_cols_degenerate_edges() {
-        let mut m = Matrix::zeros(3, 2);
-        let v = m.view_mut();
-        let (left, right) = v.split_cols_at(0);
-        assert_eq!(left.cols(), 0);
-        assert_eq!(right.cols(), 2);
-        let (left, right) = right.split_cols_at(2);
-        assert_eq!(left.cols(), 2);
-        assert_eq!(right.cols(), 0);
-    }
-
-    #[test]
-    fn reborrow_allows_repeated_splits() {
-        let mut m = Matrix::zeros(2, 4);
-        let mut v = m.view_mut();
-        for j in 0..4 {
-            let (mut chunk, _) = v.reborrow().split_cols_at(j + 1);
-            let (_, mut chunk) = chunk.reborrow().split_cols_at(j);
-            chunk.col_mut(0)[0] = j as f64 + 1.0;
-        }
-        for j in 0..4 {
-            assert_eq!(m[(0, j)], j as f64 + 1.0);
-        }
     }
 }

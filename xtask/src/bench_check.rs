@@ -1,5 +1,5 @@
 //! `cargo xtask bench-check [--record] [--simd]`: the benchmark regression
-//! gates. Each gate is one row of [`GATES`] (command, baselines, floors,
+//! gates. Each gate is one row of [`GATES`] (command, baseline, floors,
 //! accuracy, `--simd`), and every gate goes through the same [`evaluate`]:
 //!
 //! 1. **Floors** — each [`Pair`]'s best-time ratio must clear its minimum.
@@ -10,7 +10,7 @@
 //!    baseline row fails (means, so a fattened tail fails too); on accuracy
 //!    gates so do a changed `max_rank` and a baseline row no run produced.
 //! 4. **Recording** — `--record`, or a missing baseline file, rewrites the
-//!    gate's baselines when every check passed. Baselines are per-machine,
+//!    gate's baseline when every check passed. Baselines are per-machine,
 //!    so CI records instead of gating on another machine's numbers.
 //!
 //! `--simd` builds with the nightly-only `simd` feature and gates
@@ -24,8 +24,6 @@ use std::process::{Command, ExitCode};
 
 /// Mean-time regression tolerance vs the baseline (1.15 = 15% slower).
 const REGRESSION_FACTOR: f64 = 1.15;
-/// Hardware-thread count below which hardware-gated floors are skipped.
-const PAR_MIN_HW_THREADS: usize = 4;
 /// Command runs allowed per gate before a timing failure is final.
 const MAX_ATTEMPTS: usize = 3;
 
@@ -54,26 +52,22 @@ struct Pair {
     /// auto-vectorize the in-run `slow` kernel too, so this floor reads the
     /// `slow` time from the scalar baseline recorded on the same machine.
     simd_min: Option<f64>,
-    /// Enforced only with [`PAR_MIN_HW_THREADS`] hardware threads: forcing
-    /// 4 threads onto fewer cores measures oversubscription.
-    hw_gated: bool,
     /// Failure message; `{x}` is the measured ratio, `{min}` the floor.
     fail: &'static str,
 }
 
-/// One gate: what it runs, where its baselines live and what it checks.
+/// One gate: what it runs, where its baseline lives and what it checks.
 struct GateSpec {
     /// Name in progress lines and in run failures.
     name: &'static str,
     cmd: Cmd,
-    /// Baseline file stems under `results/` with the id prefix routed to
-    /// each; the first file's prefix is empty, so it takes every other id.
-    baselines: &'static [(&'static str, &'static str)],
+    /// Baseline file stem under `results/`.
+    baseline: &'static str,
     pairs: &'static [Pair],
     /// Rows carry `rel_err`/`bound`/`max_rank`: gate accuracy always, and
     /// rank drift plus baseline-row coverage outside `--record`.
     accuracy: bool,
-    /// Also runs under `--simd`, against `_simd`-suffixed baselines.
+    /// Also runs under `--simd`, against a `_simd`-suffixed baseline.
     simd: bool,
 }
 
@@ -86,14 +80,7 @@ const SERIAL_PAIR: Pair = Pair {
     tags: ["blocked", "reference"],
     min: None,
     simd_min: None,
-    hw_gated: false,
     fail: "",
-};
-/// Defaults of a pair that runs 4 threads: hardware-gated.
-const THREAD_PAIR: Pair = Pair {
-    tags: ["4t", "1t"],
-    hw_gated: true,
-    ..SERIAL_PAIR
 };
 
 /// Every gate `bench-check` runs, in order.
@@ -101,10 +88,7 @@ const GATES: &[GateSpec] = &[
     GateSpec {
         name: "kernels",
         cmd: Cmd::Criterion("kernels_"),
-        baselines: &[
-            ("BENCH_kernels", ""),
-            ("BENCH_kernels_par", "kernels_par_"),
-        ],
+        baseline: "BENCH_kernels",
         pairs: &[
             Pair {
                 label: "gemm 256^3",
@@ -127,30 +111,6 @@ const GATES: &[GateSpec] = &[
                 slow: "kernels_qr_unblocked/4000x32",
                 ..SERIAL_PAIR
             },
-            Pair {
-                label: "par gemm 512^3",
-                fast: "kernels_par_gemm_4t/512",
-                slow: "kernels_par_gemm_1t/512",
-                min: Some(1.8),
-                fail: "parallel GEMM speedup {x}x at 4 threads is below the {min}x floor at 512^3",
-                ..THREAD_PAIR
-            },
-            // Below 1.0 threads made SYRK *slower*: the shared-panel
-            // re-packing bug this floor keeps fixed.
-            Pair {
-                label: "par syrk 60000x64",
-                fast: "kernels_par_syrk_4t/60000x64",
-                slow: "kernels_par_syrk_1t/60000x64",
-                min: Some(1.0),
-                fail: "parallel SYRK at 4 threads is {x}x the 1-thread time (below {min}x): threads made it slower at 60000x64",
-                ..THREAD_PAIR
-            },
-            Pair {
-                label: "par qr 8000x128",
-                fast: "kernels_par_qr_4t/8000x128",
-                slow: "kernels_par_qr_1t/8000x128",
-                ..THREAD_PAIR
-            },
         ],
         accuracy: false,
         simd: true,
@@ -158,7 +118,7 @@ const GATES: &[GateSpec] = &[
     GateSpec {
         name: "rounding ablation",
         cmd: Cmd::Bin("rounding_ablation"),
-        baselines: &[("BENCH_rounding_ablation", "")],
+        baseline: "BENCH_rounding_ablation",
         // Randomized rounding is kept only while it beats the faster
         // deterministic method (Gram-RLR there) by 1.2x on the input it
         // targets: a formal sum whose formal rank far exceeds the output
@@ -221,8 +181,6 @@ fn retryable(failures: &[Failure]) -> bool {
 struct Mode {
     record: bool,
     simd: bool,
-    /// Enforce hardware-gated floors.
-    hw: bool,
 }
 
 /// Parses `[--record] [--simd]`, returning the first other argument as the
@@ -241,7 +199,7 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
 
 /// Entry point for the `bench-check` subcommand.
 pub fn bench_check(repo: &Path, args: &[String]) -> ExitCode {
-    let mut mode = match parse_args(args) {
+    let mode = match parse_args(args) {
         Ok(mode) => mode,
         Err(arg) => {
             eprintln!(
@@ -250,9 +208,6 @@ pub fn bench_check(repo: &Path, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    mode.hw = std::thread::available_parallelism()
-        .map(|n| n.get() >= PAR_MIN_HW_THREADS)
-        .unwrap_or(false);
     let failures: Vec<Failure> = GATES
         .iter()
         .filter(|spec| spec.simd || !mode.simd)
@@ -269,35 +224,25 @@ pub fn bench_check(repo: &Path, args: &[String]) -> ExitCode {
     }
 }
 
-/// A gate with its baselines loaded.
+/// A gate with its baseline loaded.
 struct Gate {
     spec: &'static GateSpec,
-    /// One per `spec.baselines` file; `None` when the file is missing.
-    baselines: Vec<Option<Vec<Entry>>>,
-    /// Under `--simd`: the scalar build's first baseline, for `simd_min`.
+    /// `None` when the baseline file is missing.
+    baseline: Option<Vec<Entry>>,
+    /// Under `--simd`: the scalar build's baseline, for `simd_min`.
     scalar: Option<Vec<Entry>>,
 }
 
 impl Gate {
-    /// Loads the baselines through `read` (file stem → text).
+    /// Loads the baseline, and under `--simd` the scalar one, through
+    /// `read` (file stem → text).
     fn load(spec: &'static GateSpec, simd: bool, read: impl Fn(&str) -> Option<String>) -> Gate {
         let parse = |stem: &str| read(stem).map(|text| parse_entries(&text, spec.accuracy));
         Gate {
             spec,
-            baselines: spec
-                .baselines
-                .iter()
-                .map(|(stem, _)| parse(&suffixed(stem, simd)))
-                .collect(),
-            scalar: simd.then(|| parse(spec.baselines[0].0)).flatten(),
+            baseline: parse(&suffixed(spec.baseline, simd)),
+            scalar: simd.then(|| parse(spec.baseline)).flatten(),
         }
-    }
-
-    /// Index of the baseline file row `id` is recorded in: the last file
-    /// whose prefix it starts with (the first file's prefix is empty).
-    fn route(&self, id: &str) -> usize {
-        let mut prefixes = self.spec.baselines.iter().map(|(_, prefix)| prefix);
-        prefixes.rposition(|p| id.starts_with(p)).unwrap_or(0)
     }
 
     /// The scalar-build time a `simd_min` floor compares to under `--simd`.
@@ -319,7 +264,7 @@ fn run_gate(repo: &Path, spec: &'static GateSpec, mode: Mode) -> Vec<Failure> {
         );
     }
 
-    let json_path = repo.join(format!("target/{}.jsonl", spec.baselines[0].0));
+    let json_path = repo.join(format!("target/{}.jsonl", spec.baseline));
     let mut merged: Vec<Entry> = Vec::new();
     for attempt in 1..=MAX_ATTEMPTS {
         eprintln!(
@@ -344,20 +289,13 @@ fn run_gate(repo: &Path, spec: &'static GateSpec, mode: Mode) -> Vec<Failure> {
     }
 
     let failures = evaluate(&gate, mode, &merged, true);
-    if failures.is_empty() && (mode.record || gate.baselines.iter().any(Option::is_none)) {
-        for (i, (stem, _)) in spec.baselines.iter().enumerate() {
-            let path = baseline_path(repo, &suffixed(stem, mode.simd));
-            let rows: Vec<Entry> = merged
-                .iter()
-                .filter(|e| gate.route(&e.id) == i)
-                .cloned()
-                .collect();
-            if let Err(e) = write_baseline(&path, &rows) {
-                let msg = format!("could not write {} baseline: {e}", spec.name);
-                return vec![fail(Kind::Structural, msg)];
-            }
-            eprintln!("bench-check: baseline written to {}", path.display());
+    if failures.is_empty() && (mode.record || gate.baseline.is_none()) {
+        let path = baseline_path(repo, &suffixed(spec.baseline, mode.simd));
+        if let Err(e) = write_baseline(&path, &merged) {
+            let msg = format!("could not write {} baseline: {e}", spec.name);
+            return vec![fail(Kind::Structural, msg)];
         }
+        eprintln!("bench-check: baseline written to {}", path.display());
     }
     failures
 }
@@ -454,21 +392,19 @@ fn evaluate(gate: &Gate, mode: Mode, current: &[Entry], verbose: bool) -> Vec<Fa
         let scalar = gate.scalar_ns(p).filter(|_| mode.simd);
         let slow_ns = scalar.unwrap_or(slow.min_ns);
         let ratio = slow_ns as f64 / fast.min_ns.max(1) as f64;
-        let skipped = p.hw_gated && !mode.hw;
         if verbose {
             eprintln!(
-                "bench-check: {:<18} {} {:>12} ns  {} {:>12} ns{}  speedup {ratio:.2}x{}",
+                "bench-check: {:<18} {} {:>12} ns  {} {:>12} ns{}  speedup {ratio:.2}x",
                 p.label,
                 p.tags[0],
                 fast.min_ns,
                 p.tags[1],
                 slow_ns,
-                scalar.map_or("", |_| " (scalar-build)"),
-                if skipped { "  (floor skipped)" } else { "" }
+                scalar.map_or("", |_| " (scalar-build)")
             );
         }
         let min = p.simd_min.filter(|_| mode.simd).or(p.min);
-        if let Some(min) = min.filter(|&min| !skipped && ratio < min) {
+        if let Some(min) = min.filter(|&min| ratio < min) {
             let msg = p.fail.replace("{x}", &format!("{ratio:.2}"));
             failures.push(fail(Kind::Timing, msg.replace("{min}", &min.to_string())));
         }
@@ -496,8 +432,11 @@ fn evaluate(gate: &Gate, mode: Mode, current: &[Entry], verbose: bool) -> Vec<Fa
         if mode.record {
             continue;
         }
-        let base = gate.baselines[gate.route(&cur.id)].as_deref();
-        let Some(prev) = base.and_then(|base| find(base, &cur.id)) else {
+        let Some(prev) = gate
+            .baseline
+            .as_deref()
+            .and_then(|base| find(base, &cur.id))
+        else {
             if verbose {
                 eprintln!("bench-check: {} has no baseline entry (new bench)", cur.id);
             }
@@ -531,7 +470,7 @@ fn evaluate(gate: &Gate, mode: Mode, current: &[Entry], verbose: bool) -> Vec<Fa
     // A baseline row no run produced is a deleted or renamed variant; only
     // re-recording the baseline accepts that.
     if spec.accuracy && !mode.record {
-        for prev in gate.baselines.iter().flatten().flatten() {
+        for prev in gate.baseline.iter().flatten() {
             if find(current, &prev.id).is_none() {
                 let msg = format!("missing bench results for {}", prev.id);
                 failures.push(fail(Kind::Structural, msg));
@@ -633,13 +572,13 @@ mod tests {
     fn eval(
         i: usize,
         current: &[Entry],
-        baselines: &[Option<&[Entry]>],
+        baseline: Option<&[Entry]>,
         scalar: Option<Vec<Entry>>,
         mode: Mode,
     ) -> Vec<Failure> {
         let gate = Gate {
             spec: &GATES[i],
-            baselines: baselines.iter().map(|b| b.map(<[Entry]>::to_vec)).collect(),
+            baseline: baseline.map(<[Entry]>::to_vec),
             scalar,
         };
         evaluate(&gate, mode, current, false)
@@ -647,19 +586,15 @@ mod tests {
 
     /// The kernel gate, with `scalar_ref_ns` as the scalar baseline's GEMM
     /// reference time.
-    #[allow(clippy::too_many_arguments)]
     fn kernels(
         current: &[Entry],
         baseline: Option<&[Entry]>,
-        baseline_par: Option<&[Entry]>,
         record: bool,
-        hw: bool,
         simd: bool,
         scalar_ref_ns: Option<u128>,
     ) -> Vec<Failure> {
         let scalar = scalar_ref_ns.map(|ns| vec![entry("kernels_gemm_reference/256", ns, ns)]);
-        let mode = Mode { record, simd, hw };
-        eval(0, current, &[baseline, baseline_par], scalar, mode)
+        eval(0, current, baseline, scalar, Mode { record, simd })
     }
 
     /// The rounding gate on `current` plus the sum-of-4 floor rows at a
@@ -668,11 +603,10 @@ mod tests {
         let mode = Mode {
             record,
             simd: false,
-            hw: false,
         };
         let mut current = current.to_vec();
         current.extend(sum4_rows(25, 100));
-        eval(1, &current, &[baseline], None, mode)
+        eval(1, &current, baseline, None, mode)
     }
 
     /// The floor pair's rows: randomized rounding and Gram-RLR on the sum
@@ -695,13 +629,13 @@ mod tests {
         // 1.1x Gram-RLR on the formal sum is below the 1.2x floor: a timing
         // failure, which the retry loop re-measures; 1.3x passes.
         let mode = Mode::default();
-        let failures = eval(1, &sum4_rows(100, 110), &[None], None, mode);
+        let failures = eval(1, &sum4_rows(100, 110), None, None, mode);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].msg.contains("below the 1.2x floor"));
         assert!(retryable(&failures));
-        assert!(eval(1, &sum4_rows(100, 130), &[None], None, mode).is_empty());
+        assert!(eval(1, &sum4_rows(100, 130), None, None, mode).is_empty());
         // Without its rows the floor is a structural failure.
-        let failures = eval(1, &sum4_rows(100, 130)[1..], &[None], None, mode);
+        let failures = eval(1, &sum4_rows(100, 130)[1..], None, None, mode);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].msg.contains("missing bench results"));
         assert!(!retryable(&failures));
@@ -710,13 +644,7 @@ mod tests {
     #[test]
     fn args_accept_the_two_switches_and_reject_anything_else() {
         let args = |a: &[&str]| parse_args(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        let mode = |record, simd| {
-            Ok(Mode {
-                record,
-                simd,
-                hw: false,
-            })
-        };
+        let mode = |record, simd| Ok(Mode { record, simd });
         assert_eq!(args(&[]), mode(false, false));
         assert_eq!(args(&["--record"]), mode(true, false));
         assert_eq!(args(&["--simd", "--record"]), mode(true, true));
@@ -815,8 +743,8 @@ mod tests {
         assert!(retryable(&[]));
     }
 
-    /// A full result set covering every serial and parallel pair, with a
-    /// comfortably passing 4-thread GEMM speedup (2.5x).
+    /// A full result set covering every kernel pair, with a GEMM speedup
+    /// (2.0x) that clears the scalar floor only.
     fn full_current() -> Vec<Entry> {
         vec![
             entry("kernels_gemm_blocked/256", 120, 100),
@@ -825,40 +753,14 @@ mod tests {
             entry("kernels_syrk_reference/40000x20", 150, 130),
             entry("kernels_qr_blocked/4000x32", 120, 100),
             entry("kernels_qr_unblocked/4000x32", 130, 110),
-            entry("kernels_par_gemm_4t/512", 500, 400),
-            entry("kernels_par_gemm_1t/512", 1200, 1000),
-            entry("kernels_par_syrk_4t/60000x64", 300, 250),
-            entry("kernels_par_syrk_1t/60000x64", 700, 600),
-            entry("kernels_par_qr_4t/8000x128", 900, 800),
-            entry("kernels_par_qr_1t/8000x128", 1300, 1200),
         ]
-    }
-
-    /// Splits a result set the way the recorder does: serial entries vs
-    /// `kernels_par_*` entries.
-    fn split(entries: &[Entry]) -> (Vec<Entry>, Vec<Entry>) {
-        let (par, serial): (Vec<Entry>, Vec<Entry>) = entries
-            .iter()
-            .cloned()
-            .partition(|e| e.id.starts_with("kernels_par_"));
-        (serial, par)
     }
 
     #[test]
     fn evaluate_flags_regressions_against_the_baseline() {
         let current = full_current();
-        let (serial, par) = split(&current);
         // Same numbers as baseline: everything passes.
-        assert!(kernels(
-            &current,
-            Some(&serial),
-            Some(&par),
-            false,
-            true,
-            false,
-            None
-        )
-        .is_empty());
+        assert!(kernels(&current, Some(&current), false, false, None).is_empty());
         // One entry whose mean got >15% slower: exactly one failure.
         let mut slow = current.clone();
         if let Some(e) = slow
@@ -867,11 +769,11 @@ mod tests {
         {
             e.mean_ns = 150;
         }
-        let failures = kernels(&slow, Some(&serial), Some(&par), false, true, false, None);
+        let failures = kernels(&slow, Some(&current), false, false, None);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].msg.contains("kernels_qr_blocked/4000x32"));
         // Recording skips the regression gate entirely.
-        assert!(kernels(&slow, Some(&serial), Some(&par), true, true, false, None).is_empty());
+        assert!(kernels(&slow, Some(&current), true, false, None).is_empty());
         // A GEMM speedup below the floor fails even with no baseline.
         let mut slow_gemm = current.clone();
         if let Some(e) = slow_gemm
@@ -880,7 +782,7 @@ mod tests {
         {
             e.min_ns = 150;
         }
-        let failures = kernels(&slow_gemm, None, None, false, true, false, None);
+        let failures = kernels(&slow_gemm, None, false, false, None);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].msg.contains("below the 1.5x floor"));
     }
@@ -888,7 +790,6 @@ mod tests {
     #[test]
     fn regression_gate_uses_mean_and_floors_use_min() {
         let current = full_current();
-        let (serial, par) = split(&current);
         // A fattened tail (mean up 50%, best case unchanged) must fail even
         // though the min is identical to the baseline...
         let mut fat_tail = current.clone();
@@ -898,15 +799,7 @@ mod tests {
         {
             e.mean_ns = 180; // baseline mean 120, min unchanged at 100
         }
-        let failures = kernels(
-            &fat_tail,
-            Some(&serial),
-            Some(&par),
-            false,
-            true,
-            false,
-            None,
-        );
+        let failures = kernels(&fat_tail, Some(&current), false, false, None);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].msg.contains("mean 180 ns regressed"));
         // ...while a noisy mean with a healthy min must NOT trip the
@@ -918,92 +811,28 @@ mod tests {
         {
             e.mean_ns = 10_000; // mean-based floor would read 0.02x
         }
-        assert!(kernels(&noisy, None, None, true, true, false, None).is_empty());
+        assert!(kernels(&noisy, None, true, false, None).is_empty());
     }
 
     #[test]
     fn simd_mode_raises_the_gemm_floor() {
         // 2.0x blocked-over-reference: fine for scalar, under the 3x simd bar.
         let current = full_current();
-        assert!(kernels(&current, None, None, true, true, false, None).is_empty());
-        let failures = kernels(&current, None, None, true, true, true, None);
+        assert!(kernels(&current, None, true, false, None).is_empty());
+        let failures = kernels(&current, None, true, true, None);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].msg.contains("below the 3x floor"));
         // With a scalar-build reference time from the scalar baseline the
         // denominator switches to it: 350/100 = 3.5x clears the simd floor
         // even though the in-run (auto-vectorized) reference reads 2.0x.
-        assert!(kernels(&current, None, None, true, true, true, Some(350)).is_empty());
+        assert!(kernels(&current, None, true, true, Some(350)).is_empty());
         // ...and a scalar reference that still reads under 3x keeps failing.
-        let failures = kernels(&current, None, None, true, true, true, Some(250));
+        let failures = kernels(&current, None, true, true, Some(250));
         assert_eq!(failures.len(), 1);
         assert!(failures[0].msg.contains("below the 3x floor"));
         // The scalar-ref denominator is simd-only: in scalar mode it is
         // ignored (None is always passed, but guard the contract anyway).
-        assert!(kernels(&current, None, None, true, true, false, Some(10_000)).is_empty());
-    }
-
-    #[test]
-    fn par_regressions_check_against_the_par_baseline() {
-        let current = full_current();
-        let (serial, par) = split(&current);
-        // A parallel entry regressing is caught via the par baseline...
-        let mut slow = current.clone();
-        if let Some(e) = slow
-            .iter_mut()
-            .find(|e| e.id == "kernels_par_syrk_4t/60000x64")
-        {
-            e.mean_ns = 400;
-        }
-        let failures = kernels(&slow, Some(&serial), Some(&par), false, true, false, None);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].msg.contains("kernels_par_syrk_4t/60000x64"));
-        // ...and is invisible to a serial-only baseline (new bench, no gate).
-        assert!(kernels(&slow, Some(&serial), None, false, true, false, None).is_empty());
-    }
-
-    #[test]
-    fn par_gemm_floor_is_hardware_gated() {
-        // 1.25x at 4 threads: under the 1.8x floor.
-        let mut current = full_current();
-        if let Some(e) = current
-            .iter_mut()
-            .find(|e| e.id == "kernels_par_gemm_4t/512")
-        {
-            e.min_ns = 800;
-        }
-        let (serial, par) = split(&current);
-        let failures = kernels(&current, Some(&serial), Some(&par), true, true, false, None);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].msg.contains("below the 1.8x floor"));
-        // On a small machine (enforce_par = false) the floor is skipped.
-        assert!(kernels(
-            &current,
-            Some(&serial),
-            Some(&par),
-            true,
-            false,
-            false,
-            None
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn par_syrk_slower_than_serial_fails_the_floor() {
-        // 4t slower than 1t (0.86x): the regression this PR fixes must
-        // never silently return.
-        let mut current = full_current();
-        if let Some(e) = current
-            .iter_mut()
-            .find(|e| e.id == "kernels_par_syrk_4t/60000x64")
-        {
-            e.min_ns = 700; // 1t min is 600
-        }
-        let failures = kernels(&current, None, None, true, true, false, None);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].msg.contains("threads made it slower"));
-        // Hardware-gated like the GEMM floor.
-        assert!(kernels(&current, None, None, true, false, false, None).is_empty());
+        assert!(kernels(&current, None, true, false, Some(10_000)).is_empty());
     }
 
     fn rounding_entry(id: &str, mean_ns: u128, rel_err: f64, bound: f64, max_rank: u64) -> Entry {
@@ -1178,20 +1007,6 @@ mod tests {
         assert_eq!(back[0].max_rank, Some(12));
     }
 
-    #[test]
-    fn missing_par_results_are_structural_failures() {
-        let current: Vec<Entry> = full_current()
-            .into_iter()
-            .filter(|e| e.id != "kernels_par_gemm_1t/512")
-            .collect();
-        let failures = kernels(&current, None, None, true, false, false, None);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0]
-            .msg
-            .contains("missing bench results for par gemm 512^3"));
-        assert!(!retryable(&failures));
-    }
-
     // -----------------------------------------------------------------------
     // Golden verdicts over the committed baselines.
     // -----------------------------------------------------------------------
@@ -1210,16 +1025,15 @@ mod tests {
         gate: &str,
         current: &str,
         record: bool,
-        hw: bool,
         simd: bool,
     ) -> Option<(Vec<String>, bool)> {
         let stem = format!("BENCH_{gate}");
         let spec = GATES
             .iter()
-            .find(|g| g.baselines[0].0 == stem && (g.simd || !simd))?;
+            .find(|g| g.baseline == stem && (g.simd || !simd))?;
         let loaded = Gate::load(spec, simd, |stem| Some(committed(stem)));
         let current = parse_entries(current, spec.accuracy);
-        let f = evaluate(&loaded, Mode { record, simd, hw }, &current, false);
+        let f = evaluate(&loaded, Mode { record, simd }, &current, false);
         let retry = retryable(&f);
         Some((f.into_iter().map(|f| f.msg).collect(), retry))
     }
@@ -1286,43 +1100,42 @@ mod tests {
     }
 
     /// Every committed baseline fed through its gate as both the run and the
-    /// baseline, plus perturbed runs, under every (record, hardware gate,
-    /// simd) combination: the failure lists and retry decisions are
+    /// baseline, plus perturbed runs, under every (record, simd) combination: the failure lists and retry decisions are
     /// snapshotted in `tests/fixtures/bench_check_verdicts.golden`.
     /// Re-recording a committed baseline changes this snapshot; the assert
     /// prints the new one.
     #[test]
     fn golden_verdicts_on_committed_baselines() {
-        // (gate, simd, committed run files, floor pair pushed under its floor)
+        // (gate, simd, committed run file, floor pair pushed under its floor)
         type Scenario = (
             &'static str,
             bool,
-            &'static [&'static str],
+            &'static str,
             Option<(&'static str, &'static str)>,
         );
         let scenarios: [Scenario; 4] = [
             (
                 "kernels",
                 false,
-                &["BENCH_kernels", "BENCH_kernels_par"],
+                "BENCH_kernels",
                 Some(("kernels_gemm_blocked/256", "kernels_gemm_reference/256")),
             ),
             (
                 "kernels",
                 true,
-                &["BENCH_kernels_simd", "BENCH_kernels_par_simd"],
+                "BENCH_kernels_simd",
                 Some(("kernels_gemm_blocked/256", "kernels_gemm_reference/256")),
             ),
             (
                 "rounding_ablation",
                 false,
-                &["BENCH_rounding_ablation"],
+                "BENCH_rounding_ablation",
                 Some(("rounding_sum4_rand_then_orth", "rounding_sum4_gram_rlr")),
             ),
             (
                 "rounding_ablation",
                 true,
-                &["BENCH_rounding_ablation"],
+                "BENCH_rounding_ablation",
                 Some(("rounding_sum4_rand_then_orth", "rounding_sum4_gram_rlr")),
             ),
         ];
@@ -1335,27 +1148,25 @@ mod tests {
             "max_rank-changed",
         ];
         let mut lines = Vec::new();
-        for (gate, simd, files, floor) in scenarios {
-            let run: String = files.iter().map(|f| committed(f)).collect();
+        for (gate, simd, file, floor) in scenarios {
+            let run = committed(file);
             for case in cases {
                 let Some(current) = perturb(case, &run, floor) else {
                     continue;
                 };
                 for record in [false, true] {
-                    for hw in [false, true] {
-                        let line = match gate_verdict(gate, &current, record, hw, simd) {
-                            None => format!("{gate} simd={simd}: not run"),
-                            Some((f, _)) if f.is_empty() => {
-                                format!("{gate} simd={simd} {case} record={record} hw={hw}: pass")
-                            }
-                            Some((f, retry)) => format!(
-                                "{gate} simd={simd} {case} record={record} hw={hw}: fail ({}): {}",
-                                if retry { "retry" } else { "final" },
-                                f.join(" | ")
-                            ),
-                        };
-                        lines.push(line);
-                    }
+                    let line = match gate_verdict(gate, &current, record, simd) {
+                        None => format!("{gate} simd={simd}: not run"),
+                        Some((f, _)) if f.is_empty() => {
+                            format!("{gate} simd={simd} {case} record={record}: pass")
+                        }
+                        Some((f, retry)) => format!(
+                            "{gate} simd={simd} {case} record={record}: fail ({}): {}",
+                            if retry { "retry" } else { "final" },
+                            f.join(" | ")
+                        ),
+                    };
+                    lines.push(line);
                 }
             }
         }
@@ -1375,9 +1186,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-check-g-{}", std::process::id()));
         for stem in [
             "BENCH_kernels",
-            "BENCH_kernels_par",
             "BENCH_kernels_simd",
-            "BENCH_kernels_par_simd",
             "BENCH_rounding_ablation",
         ] {
             let text = committed(stem);

@@ -37,7 +37,7 @@ use crate::scanner::{CodeModel, TokenKind};
 
 /// Identifier prefixes marking *hot-path entry points*: the kernel and
 /// rounding functions whose transitive callees must uphold the bitwise
-/// determinism contract (DESIGN.md §9) and stay allocation-disciplined.
+/// determinism contract (DESIGN.md §11) and stay allocation-disciplined.
 /// Matching is by name prefix rather than by path so fixtures and future
 /// crates participate without configuration; the prefixes are chosen to hit
 /// the `tt-linalg` kernel surface and the `tt-core` rounding/orthogonalization

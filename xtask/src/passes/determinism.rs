@@ -1,10 +1,9 @@
 //! Pass `determinism`: nondeterminism sources reachable from kernel and
 //! rounding entry points.
 //!
-//! PR 5's parallel layer committed the numeric crates to a bitwise
-//! determinism contract (DESIGN.md §9): for a fixed input and thread
-//! count, every kernel and every rounding sweep produces bit-identical
-//! results — the property the TT-serve caching direction (ROADMAP item 3)
+//! The numeric crates keep a bitwise determinism contract (DESIGN.md
+//! §11): for a fixed input and build configuration, every kernel and
+//! every rounding sweep produces bit-identical results — the property the TT-serve caching direction (ROADMAP item 3)
 //! and cross-rank reproducibility both rest on. The contract dies quietly:
 //! a `HashMap` iteration feeding a reduction reorders the sum per process,
 //! an `Instant::now` branch makes timing observable, an `env::var` read
@@ -20,10 +19,9 @@
 //! Code not reachable from those roots (CLI tooling, bench harnesses,
 //! builders) may read clocks and environments freely.
 //!
-//! Vendored crates mirror external APIs and are exempt by allowlist; the
-//! sanctioned uses inside the workspace (e.g. `tt_linalg::par` reading
-//! `TT_NUM_THREADS` to pick a *partition*, which the output-block contract
-//! makes value-neutral) carry in-source suppressions stating exactly that.
+//! Vendored crates mirror external APIs and are exempt by allowlist; a
+//! sanctioned use inside the workspace carries an in-source suppression
+//! stating why it cannot move a result bit.
 
 use super::{Diagnostic, GraphContext, GraphPass};
 
@@ -37,7 +35,7 @@ impl GraphPass for Determinism {
 
     fn description(&self) -> &'static str {
         "nondeterminism sources (hash-order, clock, thread-id, env, unseeded RNG) reachable \
-         from kernel/rounding entry points (bitwise contract, DESIGN.md §9/§10)"
+         from kernel/rounding entry points (bitwise contract, DESIGN.md §10/§11)"
     }
 
     fn allowlist(&self) -> &'static [&'static str] {
@@ -68,7 +66,7 @@ impl GraphPass for Determinism {
                     message: format!(
                         "{} in `{}`, reachable from hot-path entry `{root}`: kernels and \
                          rounding sweeps must be bitwise deterministic for fixed input and \
-                         thread count (DESIGN.md §9) — use a BTreeMap/sorted order, a seeded \
+                         build configuration (DESIGN.md §11) — use a BTreeMap/sorted order, a seeded \
                          RNG, or move the dependence out of the hot path",
                         e.what, node.name
                     ),

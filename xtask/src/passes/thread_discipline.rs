@@ -1,20 +1,21 @@
 //! Pass `thread_discipline`: shared-memory parallelism outside the
-//! sanctioned fork/join shape.
+//! scoped fork/join shape.
 //!
-//! The numeric crates parallelize exactly one way (DESIGN.md §9): the
-//! `tt_linalg::par` pool forks scoped threads over *disjoint* output
-//! blocks and joins them before returning, which is what makes N-thread
-//! results bitwise identical to 1-thread results. Two constructs break
-//! that shape and are flagged in library code:
+//! Every numeric kernel runs on its caller's thread; the parallelism is
+//! one rank per core, across `tt-comm` ranks (DESIGN.md §6). A thread a
+//! numeric crate does start must be forked with `std::thread::scope` over
+//! *disjoint* output blocks and joined before returning, so its results
+//! stay bitwise identical to the serial ones. Two constructs break that
+//! shape and are flagged in library code:
 //!
 //! * **`thread::spawn`** — a detached thread escapes the fork/join scope:
 //!   nothing guarantees it is joined before the kernel returns, and a
 //!   panic in it is silently lost instead of propagated. Use
-//!   `thread::scope` (as `par::join_all` does).
+//!   `std::thread::scope`.
 //! * **`Mutex` / `RwLock` / `Condvar`** — lock-based sharing means
 //!   threads contend for one resource instead of owning disjoint slices;
 //!   whoever wins the lock is scheduling-dependent, which is exactly the
-//!   accumulation-order nondeterminism the layer forbids.
+//!   accumulation-order nondeterminism the determinism contract forbids.
 //!
 //! `tt-comm` is exempt by allowlist: its rank threads are long-lived by
 //! design and its collectives are built on locks and condvars — the
@@ -36,7 +37,7 @@ impl Pass for ThreadDiscipline {
 
     fn description(&self) -> &'static str {
         "detached `thread::spawn` and lock types in numeric code (parallelism must be \
-         scoped fork/join over disjoint output blocks — DESIGN.md §9)"
+         scoped fork/join over disjoint output blocks — DESIGN.md §11)"
     }
 
     fn allowlist(&self) -> &'static [&'static str] {
@@ -64,9 +65,8 @@ impl Pass for ThreadDiscipline {
                     file: file.to_string(),
                     line: t.line,
                     message: "detached `thread::spawn` escapes the fork/join scope — joins are \
-                              not guaranteed and panics are lost; use `thread::scope` (see \
-                              `tt_linalg::par::join_all`), or suppress stating why this thread \
-                              may outlive its caller"
+                              not guaranteed and panics are lost; use `std::thread::scope`, or \
+                              suppress stating why this thread may outlive its caller"
                         .to_string(),
                 });
                 continue;
@@ -79,7 +79,7 @@ impl Pass for ThreadDiscipline {
                     message: format!(
                         "`{}` in numeric code: lock-based sharing makes scheduling observable — \
                          partition disjoint output blocks instead (bitwise determinism, \
-                         DESIGN.md §9), or suppress stating why the protected state cannot \
+                         DESIGN.md §11), or suppress stating why the protected state cannot \
                          affect numeric results",
                         t.text
                     ),
