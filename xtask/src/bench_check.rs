@@ -1100,8 +1100,9 @@ mod tests {
     }
 
     /// Every committed baseline fed through its gate as both the run and the
-    /// baseline, plus perturbed runs, under every (record, simd) combination: the failure lists and retry decisions are
-    /// snapshotted in `tests/fixtures/bench_check_verdicts.golden`.
+    /// baseline, plus perturbed runs, under every (record, simd) combination:
+    /// the failure lists and retry decisions are snapshotted in
+    /// `tests/fixtures/bench_check_verdicts.golden`.
     /// Re-recording a committed baseline changes this snapshot; the assert
     /// prints the new one.
     #[test]
