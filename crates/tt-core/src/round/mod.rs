@@ -15,8 +15,8 @@
 //! Every algorithm is written once against [`tt_comm::Communicator`] and
 //! operates on the local block of the 1-D-distributed tensor; with
 //! [`tt_comm::SelfComm`] it *is* the sequential algorithm. Each method body
-//! is its own crate-private `*_dist` function so the analyzer's deadlock
-//! check model-checks every protocol separately; [`round()`] only dispatches.
+//! is its own crate-private `*_dist` function, one per algorithm;
+//! [`round()`] only dispatches.
 
 pub(crate) mod gram;
 mod qr;

@@ -68,6 +68,37 @@ fn distributed_matches_sequential_all_variants() {
     }
 }
 
+/// A one-core train has no bond to truncate: every method hands each
+/// rank's block back unchanged, and every rank reports the global norm.
+#[test]
+fn one_core_train_comes_back_unchanged() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let x = TtTensor::random(&[11], &[], &mut rng);
+    let opts = RoundingOptions::with_tolerance(1e-9);
+    for method in [GramRlr, GramLrl, GramSim, Qr, RoundingMethod::randomized()] {
+        for p in [2usize, 3, 4] {
+            let runs = run_verified(p, |comm| {
+                let local = scatter_tensor(&x, &comm);
+                let (rounded, report) = round(&comm, local.clone(), method, &opts);
+                (local, rounded, report.norm)
+            });
+            for (r, (local, rounded, norm)) in runs.iter().enumerate() {
+                assert_eq!(rounded, local, "{method:?} p={p} rank {r}: block changed");
+                assert_eq!(
+                    norm.to_bits(),
+                    runs[0].2.to_bits(),
+                    "{method:?} p={p} rank {r}"
+                );
+                assert!(
+                    (norm - x.norm()).abs() <= 1e-12 * x.norm(),
+                    "{method:?} p={p}: norm {norm} vs {}",
+                    x.norm()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn distributed_rounding_with_uneven_blocks() {
     // Dimensions deliberately not divisible by P.

@@ -82,7 +82,7 @@ fn multi_rank_agreement() {
     let norm = dense.fro_norm();
     let opts = opts_for(3, 99);
     let seq = round_seq(&x, &opts);
-    for p in [2usize, 4] {
+    for p in [2usize, 3, 4] {
         let gathered = run_dist(&x, p, &opts);
         // All ranks gathered the same blocks: bitwise identical copies and
         // identical rank decisions on every rank.

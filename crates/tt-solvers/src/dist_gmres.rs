@@ -236,7 +236,7 @@ mod tests {
             let (u_seq, tr_seq) = tt_gmres(&op, &MeanPreconditioner::new(&mean), &f, &opts);
             assert!(tr_seq.converged, "{restart:?}: sequential did not converge");
 
-            for p in [2usize, 3] {
+            for p in [2usize, 3, 4] {
                 let (op2, f2, mean2, dims2, opts2) = (
                     op.clone(),
                     f.clone(),

@@ -8,10 +8,10 @@
 //!    call-graph [`FileSummary`] extracted.
 //! 2. **Workspace**: the summaries merge into a [`CallGraph`], facts
 //!    propagate to a fixpoint, and the interprocedural [`GraphPass`]es
-//!    (`collective_order`, `protocol_match`, `deadlock_check`,
-//!    `determinism`, `alloc_hot_path`) run over the whole graph. Their
-//!    findings join the per-file ones before suppression reconciliation,
-//!    so one suppression syntax covers both kinds.
+//!    (`collective_order`, `determinism`, `alloc_hot_path`) run over the
+//!    whole graph. Their findings join the per-file ones before
+//!    suppression reconciliation, so one suppression syntax covers both
+//!    kinds.
 //!
 //! Suppressions:
 //!
@@ -32,8 +32,8 @@
 //! suppression, or (when checking) unused suppression. `--format sarif`
 //! emits SARIF 2.1.0 for GitHub code scanning ([`crate::sarif`]). `--stats`
 //! prints scan/graph counters and the wall time to stderr — the CI lint job
-//! logs it so analyzer precision regressions (unresolved-call growth, lost
-//! skeleton coverage) are visible in history.
+//! logs it so analyzer precision regressions (unresolved-call growth) are
+//! visible in history.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -98,30 +98,20 @@ pub struct AnalysisStats {
     pub ambiguous_calls: usize,
     /// Call sites with no workspace definition.
     pub external_calls: usize,
-    /// Public `_dist` entry points with bodies: each has an extracted
-    /// communication skeleton and is model-checked by `deadlock_check`.
-    pub dist_covered: usize,
-    /// Bodyless public `_dist` declarations (trait methods): named but not
-    /// checkable, reported so coverage gaps are visible rather than silent.
-    pub dist_uncovered: usize,
 }
 
 impl AnalysisStats {
     /// The `--stats` line (also what CI logs).
     pub fn render(&self) -> String {
-        let dist_total = self.dist_covered + self.dist_uncovered;
         format!(
             "{} files scanned, \
-             call graph: {} nodes / {} edges ({} resolved, {} ambiguous, {} external calls), \
-             skeletons: {}/{dist_total} public _dist entry points covered ({} uncovered)",
+             call graph: {} nodes / {} edges ({} resolved, {} ambiguous, {} external calls)",
             self.files,
             self.graph_nodes,
             self.graph_edges,
             self.resolved_calls,
             self.ambiguous_calls,
             self.external_calls,
-            self.dist_covered,
-            self.dist_uncovered,
         )
     }
 }
@@ -279,17 +269,6 @@ pub fn analyze_files_with(
     stats.resolved_calls = graph.resolved_calls;
     stats.ambiguous_calls = graph.ambiguous_calls;
     stats.external_calls = graph.external_calls;
-    // Skeleton coverage: every public `_dist` fn with a body has an
-    // extracted skeleton and is model-checked by `deadlock_check`; bodyless
-    // trait declarations are counted as uncovered so the CI assertion on
-    // the stats line cannot silently lose entry points.
-    for ni in 0..graph.nodes.len() {
-        let fs = graph.summary(ni);
-        if fs.is_pub && crate::skeleton::is_dist_entry(&fs.name) {
-            stats.dist_covered += 1;
-        }
-    }
-    stats.dist_uncovered = graph.files.iter().map(|f| f.dist_decls.len()).sum();
 
     let cx = GraphContext {
         graph: &graph,
@@ -514,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_render_reports_graph_and_coverage() {
+    fn stats_render_reports_graph_counts() {
         let stats = AnalysisStats {
             files: 4,
             graph_nodes: 10,
@@ -522,13 +501,11 @@ mod tests {
             resolved_calls: 15,
             ambiguous_calls: 2,
             external_calls: 3,
-            dist_covered: 5,
-            dist_uncovered: 1,
         };
         let line = stats.render();
         assert!(line.contains("4 files"));
         assert!(line.contains("10 nodes / 20 edges"));
         assert!(line.contains("2 ambiguous"));
-        assert!(line.contains("skeletons: 5/6 public _dist entry points covered (1 uncovered)"));
+        assert!(line.contains("3 external calls"));
     }
 }

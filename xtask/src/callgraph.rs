@@ -26,9 +26,9 @@
 //!    and "transitively allocates" become queryable per function, each with
 //!    a human-readable call-chain witness for diagnostics.
 //!
-//! The interprocedural passes (`collective_order`, `protocol_match`,
-//! `deadlock_check`, `determinism`, `alloc_hot_path`) are consumers of this
-//! module; see [`crate::passes::GraphPass`].
+//! The interprocedural passes (`collective_order`, `determinism`,
+//! `alloc_hot_path`) are consumers of this module; see
+//! [`crate::passes::GraphPass`].
 
 use std::collections::BTreeMap;
 
@@ -135,11 +135,6 @@ pub struct FnSummary {
     /// Fns that *implement* the primitives (send/recv in the name) are
     /// exempt — they are the definition of a p2p op, not a use of one.
     pub p2p: Option<Evidence>,
-    /// Whether the fn carries a visibility qualifier (`pub`, `pub(crate)`,
-    /// ...). Drives `_dist` entry-point discovery for the skeleton passes.
-    pub is_pub: bool,
-    /// Abstract communication skeleton of the body (see [`crate::skeleton`]).
-    pub skeleton: crate::skeleton::Skel,
 }
 
 /// Summary of one source file: its `use`-path import map plus all fn
@@ -154,10 +149,6 @@ pub struct FileSummary {
     pub uses: BTreeMap<String, Vec<String>>,
     /// All non-test `fn` items, in source order.
     pub fns: Vec<FnSummary>,
-    /// Bodyless `pub fn *_dist` declarations (trait methods): named so the
-    /// skeleton-coverage stat can report them honestly as uncovered
-    /// declarations rather than silently skipping them.
-    pub dist_decls: Vec<String>,
 }
 
 /// Nondeterminism sources recognized lexically: `(trigger tokens, label)`.
@@ -224,7 +215,7 @@ const ALLOC_CTORS: &[(&str, &str)] = &[
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
 
 /// Keywords that can precede a `(` without being a call.
-pub(crate) const NON_CALL_KEYWORDS: &[&str] = &[
+const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "in", "as", "let", "mut", "ref", "move",
     "pub", "use", "mod", "impl", "struct", "enum", "trait", "where", "dyn", "break", "continue",
     "else",
@@ -243,17 +234,10 @@ impl FileSummary {
             path: path.to_string(),
             uses: extract_uses(model),
             fns: Vec::new(),
-            dist_decls: Vec::new(),
         };
 
         for f in &model.fns {
             let Some((body_start, body_end)) = f.body else {
-                if is_fn_pub(model, f.fn_idx)
-                    && crate::skeleton::is_dist_entry(&f.name)
-                    && !model.in_test.get(f.fn_idx).copied().unwrap_or(false)
-                {
-                    out.dist_decls.push(f.name.clone());
-                }
                 continue;
             };
             if model.in_test.get(f.fn_idx).copied().unwrap_or(false) {
@@ -267,8 +251,6 @@ impl FileSummary {
                 nondet: Vec::new(),
                 allocs: Vec::new(),
                 p2p: None,
-                is_pub: is_fn_pub(model, f.fn_idx),
-                skeleton: crate::skeleton::extract_fn(model, body_start, body_end),
             };
 
             // Rank-guarded early-return regions in this fn: past `end`,
@@ -453,39 +435,6 @@ impl FileSummary {
         }
         out
     }
-}
-
-/// True when the `fn` at token `fn_idx` carries a visibility qualifier.
-/// Scans back over the token forms `pub`, `pub(crate)`, `pub(super)`,
-/// `pub(in path)`, and the `const` / `unsafe` / `async` / `extern "C"`
-/// qualifiers that may sit between the visibility and the `fn` keyword.
-fn is_fn_pub(model: &CodeModel, fn_idx: usize) -> bool {
-    let toks = &model.tokens;
-    let mut j = fn_idx;
-    let mut steps = 0usize;
-    while j > 0 && steps < 8 {
-        j -= 1;
-        steps += 1;
-        let t = &toks[j];
-        if t.is_ident("pub") {
-            return true;
-        }
-        let transparent = t.is_punct("(")
-            || t.is_punct(")")
-            || t.is_ident("crate")
-            || t.is_ident("super")
-            || t.is_ident("self")
-            || t.is_ident("in")
-            || t.is_ident("const")
-            || t.is_ident("unsafe")
-            || t.is_ident("async")
-            || t.is_ident("extern")
-            || t.kind == TokenKind::Str;
-        if !transparent {
-            return false;
-        }
-    }
-    false
 }
 
 /// Fns that implement the p2p primitives themselves (communicator

@@ -8,9 +8,8 @@
 //!   scanner-based unwrap/expect source lint, `forbid(unsafe_code)` audit;
 //! * [`analyze`] — the SPMD collective-safety and numeric-discipline
 //!   analyzer: the [`scanner`] token model, the per-file and
-//!   interprocedural [`passes`] over the [`callgraph`] and its
-//!   [`skeleton`]s, with in-source suppressions (DESIGN.md §8) and
-//!   [`sarif`] output;
+//!   interprocedural [`passes`] over the [`callgraph`], with in-source
+//!   suppressions (DESIGN.md §8) and [`sarif`] output;
 //! * [`bench_check`] — the benchmark regression gates (kernels and the
 //!   rounding ablation) against the recorded `results/BENCH_*.json`
 //!   baselines, one row of its gate table each.
@@ -24,7 +23,6 @@ pub mod lint;
 pub mod passes;
 pub mod sarif;
 pub mod scanner;
-pub mod skeleton;
 
 use std::path::{Path, PathBuf};
 

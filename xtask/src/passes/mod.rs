@@ -13,12 +13,10 @@ use crate::scanner::{CodeModel, TokenKind};
 
 pub mod alloc_hot_path;
 pub mod collective_order;
-pub mod deadlock_check;
 pub mod determinism;
 pub mod float_discipline;
 pub mod p2p_pairing;
 pub mod panic_surface;
-pub mod protocol_match;
 pub mod request_pairing;
 pub mod thread_discipline;
 
@@ -106,8 +104,6 @@ pub trait GraphPass {
 pub fn all_graph_passes() -> Vec<Box<dyn GraphPass>> {
     vec![
         Box::new(collective_order::CollectiveOrder),
-        Box::new(protocol_match::ProtocolMatch),
-        Box::new(deadlock_check::DeadlockCheck),
         Box::new(determinism::Determinism),
         Box::new(alloc_hot_path::AllocHotPath),
     ]
@@ -134,7 +130,7 @@ pub const COLLECTIVES: &[&str] = &[
 
 /// True for identifiers that lexically look rank-valued (`rank`, `vrank`,
 /// `my_rank`, ...).
-pub(crate) fn is_rank_ident(text: &str) -> bool {
+fn is_rank_ident(text: &str) -> bool {
     text == "rank" || text.ends_with("rank")
 }
 

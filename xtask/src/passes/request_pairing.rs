@@ -18,11 +18,11 @@
 //!
 //! A bound handle that *is* mentioned again (waited, pushed into a vector
 //! of in-flight requests, returned, passed on) is accepted without data-flow
-//! analysis: the deferred-rendezvous model in `deadlock_check` and the
-//! runtime drop check cover the residual cases. Functions whose own name
-//! contains `send`/`recv`/`allreduce` (communicator backends and
-//! decorators, which legitimately split post and wait across methods) are
-//! exempt, mirroring `p2p_pairing`.
+//! analysis: `VerifyComm`'s deferred checks and the runtime drop check
+//! cover the residual cases. Functions whose own name contains
+//! `send`/`recv`/`allreduce` (communicator backends and decorators, which
+//! legitimately split post and wait across methods) are exempt, mirroring
+//! `p2p_pairing`.
 
 use super::{is_method_call, Diagnostic, Pass};
 use crate::scanner::{CodeModel, TokenKind};

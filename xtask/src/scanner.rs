@@ -598,36 +598,6 @@ impl CodeModel {
         self.tokens.len().saturating_sub(1)
     }
 
-    /// Token ranges `[start, end)` of the top-level comma-separated
-    /// arguments of the call whose `(` sits at token index `open`. Used by
-    /// the skeleton extractor to capture peer-rank and tag expressions
-    /// (`comm.send(rank - mask, &buf)` → the `rank - mask` slice). Total on
-    /// malformed input: unbalanced parens clamp at the last token.
-    pub fn call_args(&self, open: usize) -> Vec<(usize, usize)> {
-        let close = self.matching_paren(open);
-        let mut out = Vec::new();
-        if close <= open + 1 {
-            return out;
-        }
-        let mut depth = 0i64;
-        let mut start = open + 1;
-        for i in open + 1..close {
-            let t = &self.tokens[i];
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-                depth -= 1;
-            } else if t.is_punct(",") && depth <= 0 {
-                out.push((start, i));
-                start = i + 1;
-            }
-        }
-        if start < close {
-            out.push((start, close));
-        }
-        out
-    }
-
     /// Index of the matching `}` for the `{` at token index `open`, or the
     /// last token if unbalanced.
     pub fn matching_brace(&self, open: usize) -> usize {
@@ -1050,44 +1020,6 @@ mod tests {
             .expect("tail");
         assert!(mask[inner]);
         assert!(!mask[tail]);
-    }
-
-    #[test]
-    fn call_args_split_at_top_level_commas_only() {
-        let src = "fn f() { comm.send(rank - mask, g(a, b), [x, y]); }";
-        let m = CodeModel::build(src);
-        let send = m
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("send"))
-            .expect("send");
-        let args = m.call_args(send + 1);
-        assert_eq!(args.len(), 3);
-        let texts: Vec<String> = args
-            .iter()
-            .map(|&(a, b)| {
-                m.tokens[a..b]
-                    .iter()
-                    .map(|t| t.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect();
-        assert_eq!(texts[0], "rank - mask");
-        assert_eq!(texts[1], "g ( a , b )");
-        assert_eq!(texts[2], "[ x , y ]");
-    }
-
-    #[test]
-    fn call_args_on_empty_and_unbalanced_input() {
-        let m = CodeModel::build("fn f() { g(); }");
-        let g = m.tokens.iter().position(|t| t.is_ident("g")).expect("g");
-        assert!(m.call_args(g + 1).is_empty());
-        // Unbalanced: clamps at end of input, never panics (the final
-        // unterminated argument is dropped — degradation, not an error).
-        let m2 = CodeModel::build("f(a, b");
-        let f = m2.tokens.iter().position(|t| t.is_ident("f")).expect("f");
-        assert_eq!(m2.call_args(f + 1).len(), 1);
     }
 
     #[test]

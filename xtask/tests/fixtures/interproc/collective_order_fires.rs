@@ -25,3 +25,21 @@ pub fn gram_sweep_guarded(comm: &Communicator, rank: usize, x: f64) -> f64 {
     }
     acc
 }
+
+/// The helper call sits in the `else` arm of a rank test: every chained
+/// arm of a rank conditional is rank-dependent too.
+pub fn share_guarded(comm: &Communicator, rank: usize, x: f64) -> f64 {
+    if rank == 0 {
+        x
+    } else {
+        helper_reduce(comm, x)
+    }
+}
+
+/// The helper call sits in one arm of a `match` on the rank.
+pub fn split_by_rank(comm: &Communicator, x: f64) -> f64 {
+    match comm.rank() {
+        0 => helper_reduce(comm, x),
+        _ => x,
+    }
+}

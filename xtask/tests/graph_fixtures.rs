@@ -137,6 +137,9 @@ fn corpus_totals_are_stable() {
     .iter()
     .map(|f| golden(f).len())
     .sum();
+    // 5 collective_order + 2 determinism + 2 alloc_hot_path findings,
+    // pinned so that growing or shrinking the corpus is a visible edit.
+    assert_eq!(expected, 9);
     assert_eq!(report.diagnostics.len(), expected);
     assert!(
         !report.is_clean(true),

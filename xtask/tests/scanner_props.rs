@@ -86,8 +86,8 @@ const FRAGMENTS: &[&str] = &[
     "std::env::var(",
     "pool.take(",
     "if rank == 0 { return; }",
-    // Skeleton-extraction shapes: peer/tag expressions, loop structure,
-    // and the p2p/collective ops the comm interpreter models.
+    // Communication shapes: peer expressions, loop structure, and the
+    // p2p/collective ops whose facts the call-graph summaries record.
     "comm.rank()",
     "comm.size()",
     "comm.send(rank + 1, buf)",
@@ -176,39 +176,6 @@ proptest! {
         let model = CodeModel::build(&src);
         let summary = FileSummary::extract("soup.rs", &model);
         prop_assert_eq!(summary.clone(), FileSummary::extract("soup.rs", &model));
-    }
-
-    #[test]
-    fn skeleton_extraction_is_total_on_byte_soup(
-        bytes in proptest::collection::vec(0u8..=255u8, 0usize..512),
-    ) {
-        let src = String::from_utf8_lossy(&bytes);
-        let model = CodeModel::build(&src);
-        // Extraction must be total on arbitrary token streams.
-        for f in &model.fns {
-            if let Some((open, close)) = f.body {
-                let _ = xtask::skeleton::extract_fn(&model, open, close);
-            }
-        }
-    }
-
-    #[test]
-    fn skeleton_extraction_is_total_on_fragment_soup(
-        picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0usize..64),
-    ) {
-        let src = picks
-            .iter()
-            .map(|&i| FRAGMENTS[i])
-            .collect::<Vec<_>>()
-            .join(" ");
-        let model = CodeModel::build(&src);
-        for f in &model.fns {
-            if let Some((open, close)) = f.body {
-                let skel = xtask::skeleton::extract_fn(&model, open, close);
-                // Deterministic (no hidden state).
-                prop_assert_eq!(skel, xtask::skeleton::extract_fn(&model, open, close));
-            }
-        }
     }
 
     #[test]
