@@ -13,101 +13,13 @@ use crate::round::truncate::{gram_truncate, SingularSide};
 use crate::round::{RoundReport, RoundingOptions};
 use crate::tensor::TtTensor;
 use tt_comm::Communicator;
-use tt_linalg::{gemm_alloc, gemm_v, syrk_nt_v, syrk_v, Matrix, Trans};
-
-/// Per-sweep buffer pool for the rounding hot path.
-///
-/// Every core visit in a Gram sweep or truncation pass produces a temporary
-/// the size of a core unfolding (and a small Gram matrix); without reuse the
-/// sequence variant performs `O(N)` fresh heap allocations *per bond* and a
-/// full-train clone up front. The pool recycles retired buffers (contracted
-/// temporaries, replaced cores, consumed Gram matrices) into subsequent
-/// [`SweepScratch::take`] requests, best-fit by capacity. The counters make
-/// the saving observable in tests.
-///
-/// Numerics are untouched: a recycled buffer is fully overwritten (`gemm`
-/// with `beta = 0` clears it first), so results are bitwise identical to the
-/// allocate-fresh path.
-pub(crate) struct SweepScratch {
-    free: Vec<Vec<f64>>,
-    /// `take` calls that had to allocate a fresh buffer.
-    pub(crate) fresh: usize,
-    /// `take` calls served from the recycle pool.
-    pub(crate) reuses: usize,
-}
-
-impl SweepScratch {
-    pub(crate) fn new() -> Self {
-        SweepScratch {
-            free: Vec::new(),
-            fresh: 0,
-            reuses: 0,
-        }
-    }
-
-    /// A `rows × cols` matrix backed by a recycled buffer when one fits
-    /// (smallest adequate capacity wins, so a big retired core buffer is not
-    /// burned on a tiny Gram output), freshly allocated otherwise. Contents
-    /// are zeroed either way.
-    pub(crate) fn take(&mut self, rows: usize, cols: usize) -> Matrix {
-        let need = rows * cols;
-        let mut best: Option<(usize, usize)> = None;
-        for (pos, buf) in self.free.iter().enumerate() {
-            let cap = buf.capacity();
-            if cap >= need && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((pos, cap));
-            }
-        }
-        match best {
-            Some((pos, _)) => {
-                let mut buf = self.free.swap_remove(pos);
-                buf.clear();
-                buf.resize(need, 0.0);
-                self.reuses += 1;
-                Matrix::from_col_major(rows, cols, buf)
-            }
-            None => {
-                self.fresh += 1;
-                Matrix::zeros(rows, cols)
-            }
-        }
-    }
-
-    /// Returns a retired matrix's buffer to the pool.
-    pub(crate) fn recycle(&mut self, m: Matrix) {
-        let buf = m.into_vec();
-        if buf.capacity() > 0 {
-            self.free.push(buf);
-        }
-    }
-
-    /// Returns a retired core's buffer to the pool.
-    pub(crate) fn recycle_core(&mut self, c: TtCore) {
-        self.recycle(c.into_v());
-    }
-}
+use tt_linalg::{gemm_alloc, syrk_nt_v, syrk_v, Matrix, Trans};
 
 /// `H(T) ← W · H(T)`: pre-multiplies the horizontal unfolding by a small
 /// replicated matrix. Communication-free under the 1-D distribution.
 pub(crate) fn premult_h(core: &TtCore, w: &Matrix) -> TtCore {
     assert_eq!(w.cols(), core.r0(), "premult_h: dimension mismatch");
     let out = gemm_alloc(Trans::No, w.view(), Trans::No, core.h(), 1.0);
-    TtCore::from_h(out, w.rows(), core.mode_dim(), core.r1())
-}
-
-/// [`premult_h`] writing into a scratch-pool buffer.
-pub(crate) fn premult_h_s(core: &TtCore, w: &Matrix, s: &mut SweepScratch) -> TtCore {
-    assert_eq!(w.cols(), core.r0(), "premult_h: dimension mismatch");
-    let mut out = s.take(w.rows(), core.mode_dim() * core.r1());
-    gemm_v(
-        Trans::No,
-        w.view(),
-        Trans::No,
-        core.h(),
-        1.0,
-        0.0,
-        out.view_mut(),
-    );
     TtCore::from_h(out, w.rows(), core.mode_dim(), core.r1())
 }
 
@@ -119,26 +31,9 @@ pub(crate) fn postmult_v(core: &TtCore, w: &Matrix) -> TtCore {
     TtCore::from_v(out, core.r0(), core.mode_dim(), w.cols())
 }
 
-/// [`postmult_v`] writing into a scratch-pool buffer.
-pub(crate) fn postmult_v_s(core: &TtCore, w: &Matrix, s: &mut SweepScratch) -> TtCore {
-    assert_eq!(w.rows(), core.r1(), "postmult_v: dimension mismatch");
-    let mut out = s.take(core.r0() * core.mode_dim(), w.cols());
-    gemm_v(
-        Trans::No,
-        core.v(),
-        Trans::No,
-        w.view(),
-        1.0,
-        0.0,
-        out.view_mut(),
-    );
-    TtCore::from_v(out, core.r0(), core.mode_dim(), w.cols())
-}
-
 /// Two-mode contraction `H(A)·H(B)ᵀ` (local part) + allreduce.
-fn contract_h(comm: &impl Communicator, a: &TtCore, b: &TtCore, s: &mut SweepScratch) -> Matrix {
-    let mut g = s.take(a.r0(), b.r0());
-    gemm_v(Trans::No, a.h(), Trans::Yes, b.h(), 1.0, 0.0, g.view_mut());
+fn contract_h(comm: &impl Communicator, a: &TtCore, b: &TtCore) -> Matrix {
+    let mut g = gemm_alloc(Trans::No, a.h(), Trans::Yes, b.h(), 1.0);
     comm.allreduce_sum(g.as_mut_slice());
     g
 }
@@ -152,9 +47,8 @@ fn self_gram_h(comm: &impl Communicator, a: &TtCore) -> Matrix {
 }
 
 /// Two-mode contraction `V(A)ᵀ·V(B)` (local part) + allreduce.
-fn contract_v(comm: &impl Communicator, a: &TtCore, b: &TtCore, s: &mut SweepScratch) -> Matrix {
-    let mut g = s.take(a.r1(), b.r1());
-    gemm_v(Trans::Yes, a.v(), Trans::No, b.v(), 1.0, 0.0, g.view_mut());
+fn contract_v(comm: &impl Communicator, a: &TtCore, b: &TtCore) -> Matrix {
+    let mut g = gemm_alloc(Trans::Yes, a.v(), Trans::No, b.v(), 1.0);
     comm.allreduce_sum(g.as_mut_slice());
     g
 }
@@ -164,17 +58,12 @@ fn contract_v(comm: &impl Communicator, a: &TtCore, b: &TtCore, s: &mut SweepScr
 /// Returns `g` with `g[b] = G_b^R` for `0 ≤ b ≤ N-1`; `g[0]` is the `1×1`
 /// matrix `‖X‖²`.
 pub fn gram_sweep_right(comm: &impl Communicator, x: &TtTensor) -> Vec<Matrix> {
-    gram_sweep_right_s(comm, x, &mut SweepScratch::new())
-}
-
-fn gram_sweep_right_s(comm: &impl Communicator, x: &TtTensor, s: &mut SweepScratch) -> Vec<Matrix> {
     let n = x.order();
     let mut g = vec![Matrix::identity(1); n];
     g[n - 1] = self_gram_h(comm, x.core(n - 1));
     for k in (0..n - 1).rev() {
-        let c = postmult_v_s(x.core(k), &g[k + 1], s);
-        g[k] = contract_h(comm, &c, x.core(k), s);
-        s.recycle_core(c);
+        let c = postmult_v(x.core(k), &g[k + 1]);
+        g[k] = contract_h(comm, &c, x.core(k));
     }
     g
 }
@@ -185,19 +74,14 @@ fn gram_sweep_right_s(comm: &impl Communicator, x: &TtTensor, s: &mut SweepScrat
 /// Returns `g` with `g[b] = G_b^L` for `1 ≤ b ≤ N`; `g[N]` is the `1×1`
 /// matrix `‖X‖²`. (`g[0]` is unused and left as the `1×1` identity.)
 pub fn gram_sweep_left(comm: &impl Communicator, x: &TtTensor) -> Vec<Matrix> {
-    gram_sweep_left_s(comm, x, &mut SweepScratch::new())
-}
-
-fn gram_sweep_left_s(comm: &impl Communicator, x: &TtTensor, s: &mut SweepScratch) -> Vec<Matrix> {
     let n = x.order();
     let mut g = vec![Matrix::identity(1); n + 1];
     let mut g1 = syrk_v(x.core(0).v(), 1.0);
     comm.allreduce_sum(g1.as_mut_slice());
     g[1] = g1;
     for k in 1..n {
-        let e = premult_h_s(x.core(k), &g[k], s);
-        g[k + 1] = contract_v(comm, x.core(k), &e, s);
-        s.recycle_core(e);
+        let e = premult_h(x.core(k), &g[k]);
+        g[k + 1] = contract_v(comm, x.core(k), &e);
     }
     g
 }
@@ -248,18 +132,16 @@ pub(crate) fn epsilon0(norm: f64, tolerance: f64, n_modes: usize) -> f64 {
 /// TT-Rounding via Gram SVD, *sequence* variant (Alg. 6), RLR ordering as
 /// printed in the paper: right-to-left Gram sweep, then left-to-right
 /// truncation. `y` is this rank's local block (the full tensor under
-/// [`tt_comm::SelfComm`]); it is truncated in place, with retired buffers
-/// recycled through `scratch`.
+/// [`tt_comm::SelfComm`]); it is truncated in place.
 pub(crate) fn round_gram_rlr_dist(
     comm: &impl Communicator,
     mut y: TtTensor,
     opts: &RoundingOptions,
-    scratch: &mut SweepScratch,
 ) -> (TtTensor, RoundReport) {
     let n = y.order();
     let ranks_before = y.ranks();
     let mut truncations = Vec::with_capacity(n - 1);
-    let gr = gram_sweep_right_s(comm, &y, scratch);
+    let gr = gram_sweep_right(comm, &y);
     let norm = gr[0][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
     // Left-to-right truncation; left cores stay orthonormal, the singular
@@ -269,16 +151,9 @@ pub(crate) fn round_gram_rlr_dist(
         let mut gl = syrk_v(y.core(b - 1).v(), 1.0);
         comm.allreduce_sum(gl.as_mut_slice());
         let upd = gram_truncate(b, &gl, gr_b, eps0, opts.max_rank, SingularSide::Right);
-        scratch.recycle(gl);
-        let right = premult_h_s(y.core(b), &upd.w_right, scratch);
-        let retired = std::mem::replace(y.core_mut(b), right);
-        let left = postmult_v_s(y.core(b - 1), &upd.w_left, scratch);
-        scratch.recycle_core(std::mem::replace(y.core_mut(b - 1), left));
-        scratch.recycle_core(retired);
+        *y.core_mut(b) = premult_h(y.core(b), &upd.w_right);
+        *y.core_mut(b - 1) = postmult_v(y.core(b - 1), &upd.w_left);
         truncations.push(upd.info);
-    }
-    for g in gr {
-        scratch.recycle(g);
     }
     let report = RoundReport::new(norm, ranks_before, &y, truncations);
     (y, report)
@@ -291,12 +166,11 @@ pub(crate) fn round_gram_lrl_dist(
     comm: &impl Communicator,
     mut y: TtTensor,
     opts: &RoundingOptions,
-    scratch: &mut SweepScratch,
 ) -> (TtTensor, RoundReport) {
     let n = y.order();
     let ranks_before = y.ranks();
     let mut truncations = Vec::with_capacity(n - 1);
-    let gl = gram_sweep_left_s(comm, &y, scratch);
+    let gl = gram_sweep_left(comm, &y);
     let norm = gl[n][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
     // Right-to-left truncation; right cores stay orthonormal, the singular
@@ -305,16 +179,9 @@ pub(crate) fn round_gram_lrl_dist(
     for b in (1..n).rev() {
         let gr = self_gram_h(comm, y.core(b));
         let upd = gram_truncate(b, &gl[b], &gr, eps0, opts.max_rank, SingularSide::Left);
-        scratch.recycle(gr);
-        let left = postmult_v_s(y.core(b - 1), &upd.w_left, scratch);
-        let retired = std::mem::replace(y.core_mut(b - 1), left);
-        let right = premult_h_s(y.core(b), &upd.w_right, scratch);
-        scratch.recycle_core(std::mem::replace(y.core_mut(b), right));
-        scratch.recycle_core(retired);
+        *y.core_mut(b - 1) = postmult_v(y.core(b - 1), &upd.w_left);
+        *y.core_mut(b) = premult_h(y.core(b), &upd.w_right);
         truncations.push(upd.info);
-    }
-    for g in gl {
-        scratch.recycle(g);
     }
     let report = RoundReport::new(norm, ranks_before, &y, truncations);
     (y, report)
@@ -333,22 +200,19 @@ pub(crate) fn round_gram_sim_dist(
     comm: &impl Communicator,
     mut y: TtTensor,
     opts: &RoundingOptions,
-    scratch: &mut SweepScratch,
 ) -> (TtTensor, RoundReport) {
     let n = y.order();
     let ranks_before = y.ranks();
-    let gl = gram_sweep_left_s(comm, &y, scratch);
-    let gr = gram_sweep_right_s(comm, &y, scratch);
+    let gl = gram_sweep_left(comm, &y);
+    let gr = gram_sweep_right(comm, &y);
     let norm = gr[0][(0, 0)].max(0.0).sqrt();
     let eps0 = epsilon0(norm, opts.tolerance, n);
 
     let mut truncations = Vec::with_capacity(n - 1);
     for b in 1..n {
         let upd = gram_truncate(b, &gl[b], &gr[b], eps0, opts.max_rank, SingularSide::Split);
-        let left = postmult_v_s(y.core(b - 1), &upd.w_left, scratch);
-        let right = premult_h_s(y.core(b), &upd.w_right, scratch);
-        scratch.recycle_core(std::mem::replace(y.core_mut(b - 1), left));
-        scratch.recycle_core(std::mem::replace(y.core_mut(b), right));
+        *y.core_mut(b - 1) = postmult_v(y.core(b - 1), &upd.w_left);
+        *y.core_mut(b) = premult_h(y.core(b), &upd.w_right);
         truncations.push(upd.info);
     }
     let report = RoundReport::new(norm, ranks_before, &y, truncations);
@@ -581,25 +445,6 @@ mod tests {
         let x = TtTensor::random(&[7], &[], &mut r);
         let y = round_seq(&x, RoundingMethod::GramRlr, 1e-3);
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn scratch_pool_recycles_most_buffers() {
-        let (_, doubled) = redundant(&[6, 5, 6, 5, 4], &[4, 3, 4, 3], 32);
-        let comm = SelfComm::new();
-        let opts = RoundingOptions::with_tolerance(1e-9);
-        let mut scratch = SweepScratch::new();
-        let (_, report) = round_gram_rlr_dist(&comm, doubled, &opts, &mut scratch);
-        assert_eq!(report.truncations.len(), 4);
-        let total = scratch.fresh + scratch.reuses;
-        // Every `take` would have been a heap allocation before the pool;
-        // with recycling the fresh count collapses to the pool warm-up.
-        assert!(
-            scratch.reuses * 2 > total,
-            "expected most takes recycled: fresh={} reuses={}",
-            scratch.fresh,
-            scratch.reuses
-        );
     }
 
     #[test]

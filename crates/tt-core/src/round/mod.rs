@@ -29,7 +29,6 @@ pub use truncate::{BondTruncation, SingularSide};
 pub use tsqr::tsqr;
 
 use crate::tensor::TtTensor;
-use gram::SweepScratch;
 use tt_comm::Communicator;
 
 /// Options controlling a rounding call.
@@ -180,15 +179,9 @@ pub fn round(
     }
     match method {
         RoundingMethod::Qr => qr::round_qr_dist(comm, x, opts),
-        RoundingMethod::GramRlr => {
-            gram::round_gram_rlr_dist(comm, x, opts, &mut SweepScratch::new())
-        }
-        RoundingMethod::GramLrl => {
-            gram::round_gram_lrl_dist(comm, x, opts, &mut SweepScratch::new())
-        }
-        RoundingMethod::GramSim => {
-            gram::round_gram_sim_dist(comm, x, opts, &mut SweepScratch::new())
-        }
+        RoundingMethod::GramRlr => gram::round_gram_rlr_dist(comm, x, opts),
+        RoundingMethod::GramLrl => gram::round_gram_lrl_dist(comm, x, opts),
+        RoundingMethod::GramSim => gram::round_gram_sim_dist(comm, x, opts),
         RoundingMethod::Randomized { oversampling, seed } => {
             random::round_rand_then_orth_dist(comm, x, opts, oversampling, seed)
         }

@@ -63,7 +63,7 @@ pub use gemm::{
 pub use matrix::Matrix;
 pub use qr::{blocked_qr, householder_qr, householder_qr_unblocked, qr_stacked_pair, QrFactors};
 pub use svd::{jacobi_svd, truncation_rank, tsvd, Svd, TruncatedSvd};
-pub use tri::{solve_lower, solve_upper, tri_invert_upper, trmm_right_lower, trmm_upper_left};
+pub use tri::{solve_upper, tri_invert_upper, trmm_right_lower};
 pub use view::{MatMut, MatRef};
 
 /// Machine epsilon for `f64`, re-exported for truncation-threshold logic.

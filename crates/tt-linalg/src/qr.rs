@@ -7,9 +7,9 @@
 //! [Demmel et al.].
 //!
 //! A matrix with at most `ONE_PANEL_MAX_COLS` = 64 columns is factored by
-//! one slice-based reflector kernel. That covers every QR this repository
-//! runs on a TT unfolding (TSQR leaves, orthogonalization, `matprod`, the
-//! TT-GMRES least-squares solve): their widths are TT ranks. Each
+//! one slice-based reflector kernel. That covers every QR whose width is a
+//! TT rank (TSQR leaves, orthogonalization, `matprod`, the TT-GMRES
+//! least-squares solve). Each
 //! reflector is applied to a column as one dot product with four
 //! independent accumulators and one axpy, which vectorize and stream the
 //! column once each. Such a matrix is a single panel, so there is no
@@ -17,7 +17,11 @@
 //! add work. `Q` is formed by applying the stored reflectors backwards,
 //! skipping the columns each one cannot touch (LAPACK `org2r`).
 //!
-//! Wider matrices run *blocked* in compact-WY form (LAPACK `geqrt`-style):
+//! Wider matrices come from QR-rounding a formal sum, whose unfoldings are
+//! as wide as its formal rank: TT-GMRES rounds its solution, the sum of
+//! every Krylov train, through unfoldings of up to 441×144 on the pinned
+//! cookies problem (`tests/gmres_bit_pin.rs`). They run *blocked* in
+//! compact-WY form (LAPACK `geqrt`-style):
 //! each `NB`-column panel is factored by the same kernel, its reflectors
 //! are aggregated into an upper-triangular `T` with `Q_panel = I − V T Vᵀ`
 //! (forward columnwise convention, `larft`), and the trailing matrix is

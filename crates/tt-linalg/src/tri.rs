@@ -6,23 +6,6 @@
 
 use crate::matrix::Matrix;
 
-/// Solves `L x = b` in place for lower-triangular `L`, column by column.
-pub fn solve_lower(l: &Matrix, b: &mut Matrix) {
-    let n = l.rows();
-    assert_eq!(l.cols(), n, "solve_lower: L must be square");
-    assert_eq!(b.rows(), n, "solve_lower: dimension mismatch");
-    for j in 0..b.cols() {
-        let col = b.col_mut(j);
-        for i in 0..n {
-            let mut s = col[i];
-            for k in 0..i {
-                s -= l[(i, k)] * col[k];
-            }
-            col[i] = s / l[(i, i)];
-        }
-    }
-}
-
 /// Solves `U x = b` in place for upper-triangular `U`, column by column.
 pub fn solve_upper(u: &Matrix, b: &mut Matrix) {
     let n = u.rows();
@@ -36,26 +19,6 @@ pub fn solve_upper(u: &Matrix, b: &mut Matrix) {
                 s -= u[(i, k)] * col[k];
             }
             col[i] = s / u[(i, i)];
-        }
-    }
-}
-
-/// `B := U B` in place for upper-triangular `U` (BLAS `trmm`, left, upper).
-///
-/// Exploits the triangular structure to halve the arithmetic of a general
-/// multiply — the `trmm` the paper benchmarks against `gemm` in §IV-B.
-pub fn trmm_upper_left(u: &Matrix, b: &mut Matrix) {
-    let n = u.rows();
-    assert_eq!(u.cols(), n, "trmm: U must be square");
-    assert_eq!(b.rows(), n, "trmm: dimension mismatch");
-    for j in 0..b.cols() {
-        let col = b.col_mut(j);
-        for i in 0..n {
-            let mut s = 0.0;
-            for k in i..n {
-                s += u[(i, k)] * col[k];
-            }
-            col[i] = s;
         }
     }
 }
@@ -130,27 +93,6 @@ mod tests {
         let mut b = gemm(Trans::No, &u, Trans::No, &x, 1.0);
         solve_upper(&u, &mut b);
         assert!(b.max_abs_diff(&x) < 1e-12);
-    }
-
-    #[test]
-    fn solve_lower_round_trip() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let l = random_upper(5, 4).transpose();
-        let x = Matrix::gaussian(5, 2, &mut rng);
-        let mut b = gemm(Trans::No, &l, Trans::No, &x, 1.0);
-        solve_lower(&l, &mut b);
-        assert!(b.max_abs_diff(&x) < 1e-12);
-    }
-
-    #[test]
-    fn trmm_matches_gemm() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let u = random_upper(7, 6);
-        let b0 = Matrix::gaussian(7, 4, &mut rng);
-        let mut b = b0.clone();
-        trmm_upper_left(&u, &mut b);
-        let expect = gemm(Trans::No, &u, Trans::No, &b0, 1.0);
-        assert!(b.max_abs_diff(&expect) < 1e-12);
     }
 
     #[test]

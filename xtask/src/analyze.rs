@@ -8,10 +8,9 @@
 //!    call-graph [`FileSummary`] extracted.
 //! 2. **Workspace**: the summaries merge into a [`CallGraph`], facts
 //!    propagate to a fixpoint, and the interprocedural [`GraphPass`]es
-//!    (`collective_order`, `determinism`, `alloc_hot_path`) run over the
-//!    whole graph. Their findings join the per-file ones before
-//!    suppression reconciliation, so one suppression syntax covers both
-//!    kinds.
+//!    (`collective_order`, `determinism`) run over the whole graph. Their
+//!    findings join the per-file ones before suppression reconciliation,
+//!    so one suppression syntax covers both kinds.
 //!
 //! Suppressions:
 //!
@@ -474,11 +473,10 @@ mod tests {
     fn graph_pass_names_are_valid_suppression_targets() {
         let (sup, errors) = suppressions_of(
             "// analyze::allow(determinism): partition-only\nfn f() {}\n\
-             // analyze::allow(collective_order): uniform\nfn g() {}\n\
-             // analyze::allow(alloc_hot_path): warm-up\nfn h() {}\n",
+             // analyze::allow(collective_order): uniform\nfn g() {}\n",
         );
         assert!(errors.is_empty(), "errors: {errors:?}");
-        assert_eq!(sup.len(), 3);
+        assert_eq!(sup.len(), 2);
     }
 
     #[test]

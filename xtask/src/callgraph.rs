@@ -2,16 +2,15 @@
 //! (DESIGN.md §10).
 //!
 //! The per-file passes (DESIGN.md §8) see one [`CodeModel`] at a time, which
-//! is exactly why a rank-guarded early return in a *helper*, a `HashMap`
-//! iteration three calls below a kernel entry point, or an allocation inside
-//! a sweep's inner loop used to slip through. This module lifts the analysis
-//! to the workspace level in three layers:
+//! is exactly why a rank-guarded early return in a *helper* or a `HashMap`
+//! iteration three calls below a kernel entry point used to slip through.
+//! This module lifts the analysis to the workspace level in three layers:
 //!
 //! 1. **Extraction** — [`FileSummary::extract`] walks a file's `CodeModel`
 //!    once and records, per `fn`: every call site (callee name, `::`-path
-//!    qualifier, method-ness, enclosing rank-conditional / loop /
+//!    qualifier, method-ness, enclosing rank-conditional /
 //!    rank-guarded-return context) and the function's *direct facts* (issues
-//!    a collective, nondeterminism sources, allocating constructs).
+//!    a collective, nondeterminism sources).
 //! 2. **Resolution** — [`CallGraph::build`] links call sites to `fn`
 //!    definitions by simple name, narrowed by the call's `::` qualifier and
 //!    the calling file's `use` paths, then same-file, then same-crate.
@@ -22,12 +21,12 @@
 //!    `cargo xtask analyze --stats`.
 //! 3. **Propagation** — [`propagate`] runs the facts to a fixpoint over the
 //!    graph (cycles terminate because facts only ever switch on), so
-//!    "transitively issues a collective", "transitively nondeterministic",
-//!    and "transitively allocates" become queryable per function, each with
-//!    a human-readable call-chain witness for diagnostics.
+//!    "transitively issues a collective" and "transitively
+//!    nondeterministic" become queryable per function, each with a
+//!    human-readable call-chain witness for diagnostics.
 //!
-//! The interprocedural passes (`collective_order`, `determinism`,
-//! `alloc_hot_path`) are consumers of this module; see
+//! The interprocedural passes (`collective_order`, `determinism`) are
+//! consumers of this module; see
 //! [`crate::passes::GraphPass`].
 
 use std::collections::BTreeMap;
@@ -37,7 +36,7 @@ use crate::scanner::{CodeModel, TokenKind};
 
 /// Identifier prefixes marking *hot-path entry points*: the kernel and
 /// rounding functions whose transitive callees must uphold the bitwise
-/// determinism contract (DESIGN.md §11) and stay allocation-disciplined.
+/// determinism contract (DESIGN.md §11).
 /// Matching is by name prefix rather than by path so fixtures and future
 /// crates participate without configuration; the prefixes are chosen to hit
 /// the `tt-linalg` kernel surface and the `tt-core` rounding/orthogonalization
@@ -48,33 +47,9 @@ pub const HOT_ROOT_PREFIXES: &[&str] = &[
     "tsqr",
     "gemm",
     "syrk",
-    "blocked_qr",
     "householder_qr",
     "orthogonalize",
 ];
-
-/// Buffer-pool methods that are the *sanctioned* allocation surface on hot
-/// paths (the `SweepScratch` contract): calling the pool is the fix the
-/// `alloc_hot_path` pass asks for, so these calls neither fire nor
-/// propagate the allocates fact (the pool's internal warm-up allocation is
-/// its documented fallback).
-pub const SANCTIONED_POOL_METHODS: &[&str] = &["take", "recycle", "recycle_core"];
-
-/// Path prefixes whose functions neither seed nor carry the *allocates*
-/// fact. The communication layer allocates per message by design (event
-/// records, envelopes, reassembly buffers) — that is messaging cost, not
-/// kernel hot-loop traffic, and `SweepScratch` was never meant to absorb
-/// it; tooling and bench-harness crates are not numeric code at all; and
-/// vendored shims mirror external APIs.
-pub const ALLOC_FACT_EXEMPT_PREFIXES: &[&str] =
-    &["crates/tt-comm", "crates/tt-bench", "vendor", "xtask"];
-
-/// True if `file` lies under an allocates-fact-exempt tree.
-pub fn is_alloc_exempt(file: &str) -> bool {
-    ALLOC_FACT_EXEMPT_PREFIXES
-        .iter()
-        .any(|p| file.starts_with(p))
-}
 
 /// True if `name` names a hot-path entry point (see [`HOT_ROOT_PREFIXES`]).
 pub fn is_hot_root(name: &str) -> bool {
@@ -100,15 +75,13 @@ pub struct CallSite {
     /// Follows a rank-guarded early `return` in the same function; carries
     /// the return's line for diagnostics.
     pub after_rank_return: Option<usize>,
-    /// Inside a `for`/`while`/`loop` body.
-    pub in_loop: bool,
 }
 
 /// One piece of direct (intra-function) evidence: what was seen and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evidence {
     /// Short description of the construct (`"`HashMap` (nondeterministic
-    /// iteration order)"`, `"`Vec::new`"`, ...).
+    /// iteration order)"`, `"`.allreduce_sum()`"`, ...).
     pub what: String,
     /// 1-based source line.
     pub line: usize,
@@ -129,8 +102,6 @@ pub struct FnSummary {
     pub collective: Option<Evidence>,
     /// Direct nondeterminism sources (deduplicated per line).
     pub nondet: Vec<Evidence>,
-    /// Direct allocating constructs, with loop context.
-    pub allocs: Vec<(Evidence, bool)>,
     /// Direct point-to-point op (`.send(` / `.recv(`), if any: first wins.
     /// Fns that *implement* the primitives (send/recv in the name) are
     /// exempt — they are the definition of a p2p op, not a use of one.
@@ -195,25 +166,6 @@ const NONDET_SOURCES: &[(&str, Option<&str>, &str)] = &[
     ("from_entropy", None, "`from_entropy` (unseeded randomness)"),
 ];
 
-/// Allocating method calls (`.name(...)` / `.name::<...>` chains).
-const ALLOC_METHODS: &[&str] = &["to_vec", "to_owned", "to_string", "collect", "clone"];
-
-/// Allocating `Type::ctor` path calls: `(qualifier-last-segment, ctor)`.
-const ALLOC_CTORS: &[(&str, &str)] = &[
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Vec", "from"),
-    ("VecDeque", "new"),
-    ("VecDeque", "with_capacity"),
-    ("String", "new"),
-    ("String", "with_capacity"),
-    ("String", "from"),
-    ("Box", "new"),
-];
-
-/// Allocating macros (`name!`).
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-
 /// Keywords that can precede a `(` without being a call.
 const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "in", "as", "let", "mut", "ref", "move",
@@ -226,7 +178,6 @@ impl FileSummary {
     /// arbitrary input (property-tested with the scanner).
     pub fn extract(path: &str, model: &CodeModel) -> FileSummary {
         let rank_mask = rank_conditional_mask(model);
-        let loop_mask = model.loop_mask();
         let toks = &model.tokens;
         let n = toks.len();
 
@@ -249,7 +200,6 @@ impl FileSummary {
                 calls: Vec::new(),
                 collective: None,
                 nondet: Vec::new(),
-                allocs: Vec::new(),
                 p2p: None,
             };
 
@@ -287,7 +237,6 @@ impl FileSummary {
                     continue;
                 }
                 let line = t.line;
-                let in_loop = loop_mask[i];
 
                 // Nondeterminism sources (not calls — any occurrence).
                 for (name, prefix, label) in NONDET_SOURCES {
@@ -306,34 +255,8 @@ impl FileSummary {
                     }
                 }
 
-                // Allocating macros: `vec!`, `format!`.
-                if ALLOC_MACROS.contains(&t.text.as_str())
-                    && toks.get(i + 1).is_some_and(|u| u.is_punct("!"))
-                {
-                    fs.allocs.push((
-                        Evidence {
-                            what: format!("`{}!`", t.text),
-                            line,
-                        },
-                        in_loop,
-                    ));
-                    continue;
-                }
-
-                // Calls: ident followed by `(`; `.collect::<_>()` keeps the
-                // turbofish between name and paren, so allocating methods
-                // are matched on the `.name` shape alone.
+                // Calls: ident followed by `(`.
                 let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-                if prev_dot && ALLOC_METHODS.contains(&t.text.as_str()) {
-                    fs.allocs.push((
-                        Evidence {
-                            what: format!("`.{}()`", t.text),
-                            line,
-                        },
-                        in_loop,
-                    ));
-                    continue;
-                }
                 if !toks.get(i + 1).is_some_and(|u| u.is_punct("(")) {
                     continue;
                 }
@@ -375,7 +298,6 @@ impl FileSummary {
                         line,
                         in_rank_cond: rank_mask[i],
                         after_rank_return: after_ret,
-                        in_loop,
                     });
                     continue;
                 }
@@ -394,24 +316,6 @@ impl FileSummary {
                     Some(qual_segs.join("::"))
                 };
 
-                // Allocating `Type::ctor` forms.
-                if let Some(q) = &qualifier {
-                    let last = q.rsplit("::").next().unwrap_or(q);
-                    if ALLOC_CTORS
-                        .iter()
-                        .any(|(ty, ctor)| *ty == last && *ctor == t.text)
-                    {
-                        fs.allocs.push((
-                            Evidence {
-                                what: format!("`{last}::{}`", t.text),
-                                line,
-                            },
-                            in_loop,
-                        ));
-                        continue;
-                    }
-                }
-
                 // Bare capitalized callees are (almost always) tuple-struct
                 // or enum-variant constructors (`Some(x)`, `Restore(prev)`);
                 // recording them as calls would flood the unresolved report.
@@ -428,7 +332,6 @@ impl FileSummary {
                     line,
                     in_rank_cond: rank_mask[i],
                     after_rank_return: after_ret,
-                    in_loop,
                 });
             }
             out.fns.push(fs);
@@ -766,10 +669,6 @@ pub struct Witness {
     pub chain: String,
     /// Chain length (0 = the fact is direct in this function).
     pub depth: usize,
-    /// File holding the direct evidence at the bottom of the chain (lets
-    /// passes distinguish same-file helper chains from cross-crate API
-    /// calls whose allocation is the API's documented contract).
-    pub evidence_file: String,
 }
 
 /// Transitive facts per node, computed by [`propagate`].
@@ -779,9 +678,6 @@ pub struct Facts {
     pub collective: Vec<Option<Witness>>,
     /// Transitively hits a nondeterminism source.
     pub nondet: Vec<Option<Witness>>,
-    /// Transitively performs a heap allocation (scratch-pool calls exempt,
-    /// see [`SANCTIONED_POOL_METHODS`]).
-    pub allocates: Vec<Option<Witness>>,
     /// Transitively issues a point-to-point send/recv (backend
     /// implementations exempt at the seed, see `is_p2p_backend`).
     pub p2p: Vec<Option<Witness>>,
@@ -799,30 +695,21 @@ pub fn propagate(g: &CallGraph) -> Facts {
     let mut facts = Facts {
         collective: vec![None; n],
         nondet: vec![None; n],
-        allocates: vec![None; n],
         p2p: vec![None; n],
     };
 
-    // Seed with direct evidence. Alloc-exempt trees (comm layer, tooling,
-    // vendor) never seed the allocates fact, so chains passing through a
-    // `send`/`recv`/`record_event` do not taint numeric callers.
+    // Seed with direct evidence.
     for ni in 0..n {
         let fs = g.summary(ni);
         let seed = |e: &Evidence| Witness {
             chain: format!("{} ({}:{})", e.what, g.nodes[ni].file, e.line),
             depth: 0,
-            evidence_file: g.nodes[ni].file.clone(),
         };
         if let Some(e) = &fs.collective {
             facts.collective[ni] = Some(seed(e));
         }
         if let Some(e) = fs.nondet.first() {
             facts.nondet[ni] = Some(seed(e));
-        }
-        if let Some((e, _)) = fs.allocs.first() {
-            if !is_alloc_exempt(&g.nodes[ni].file) {
-                facts.allocates[ni] = Some(seed(e));
-            }
         }
         if let Some(e) = &fs.p2p {
             facts.p2p[ni] = Some(seed(e));
@@ -835,20 +722,10 @@ pub fn propagate(g: &CallGraph) -> Facts {
         let mut changed = false;
         for ni in 0..n {
             for edge in &g.edges[ni] {
-                // The scratch pool is the sanctioned allocator: its calls
-                // do not propagate the allocates fact. Alloc-exempt nodes
-                // do not re-acquire it transitively either (their callees'
-                // allocations are still messaging/tooling cost).
-                let sanctioned = (edge.site.is_method
-                    && SANCTIONED_POOL_METHODS.contains(&edge.site.callee.as_str()))
-                    || is_alloc_exempt(&g.nodes[ni].file);
                 for &t in &edge.targets {
                     changed |= lift(&mut facts.collective, ni, t, &g.nodes[t].name);
                     changed |= lift(&mut facts.p2p, ni, t, &g.nodes[t].name);
                     changed |= lift(&mut facts.nondet, ni, t, &g.nodes[t].name);
-                    if !sanctioned {
-                        changed |= lift(&mut facts.allocates, ni, t, &g.nodes[t].name);
-                    }
                 }
             }
         }
@@ -876,7 +753,6 @@ fn lift(slot: &mut [Option<Witness>], ni: usize, t: usize, callee_name: &str) ->
     slot[ni] = Some(Witness {
         chain,
         depth: w.depth + 1,
-        evidence_file: w.evidence_file,
     });
     true
 }
@@ -942,9 +818,7 @@ mod tests {
             .find(|c| c.callee == "helper")
             .expect("helper");
         assert!(helper.in_rank_cond);
-        assert!(!helper.in_loop);
         let other = f.calls.iter().find(|c| c.callee == "other").expect("other");
-        assert!(other.in_loop);
         assert!(!other.in_rank_cond);
     }
 
@@ -966,18 +840,11 @@ mod tests {
     fn direct_facts_are_extracted() {
         let s = summarize(
             "a.rs",
-            "fn f(comm: &C) {\n    comm.allreduce_sum(&mut [0.0]);\n    let m = HashMap::new();\n    for _ in 0..2 { let v = Vec::new(); let w = x.to_vec(); }\n}\n",
+            "fn f(comm: &C) {\n    comm.allreduce_sum(&mut [0.0]);\n    let m = HashMap::new();\n}\n",
         );
         let f = &s.fns[0];
         assert!(f.collective.as_ref().is_some_and(|e| e.line == 2));
         assert!(f.nondet.iter().any(|e| e.what.contains("HashMap")));
-        let in_loop: Vec<&str> = f
-            .allocs
-            .iter()
-            .filter(|(_, l)| *l)
-            .map(|(e, _)| e.what.as_str())
-            .collect();
-        assert_eq!(in_loop, vec!["`Vec::new`", "`.to_vec()`"]);
     }
 
     #[test]
@@ -1107,20 +974,6 @@ mod tests {
         let w = facts.collective[node(&g, "a")].clone().expect("witness");
         assert!(w.chain.contains("`b`"), "chain: {}", w.chain);
         assert!(w.chain.contains("barrier"), "chain: {}", w.chain);
-    }
-
-    #[test]
-    fn sanctioned_pool_calls_do_not_propagate_allocation() {
-        let g = graph(&[(
-            "crates/a/src/lib.rs",
-            "fn hot() { s.take(3, 4); }\nfn take(r: usize, c: usize) { let v = Vec::new(); }\n",
-        )]);
-        let facts = propagate(&g);
-        assert!(facts.allocates[node(&g, "take")].is_some());
-        assert!(
-            facts.allocates[node(&g, "hot")].is_none(),
-            "pool `take` is the sanctioned allocator"
-        );
     }
 
     #[test]

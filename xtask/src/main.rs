@@ -31,8 +31,7 @@ fn usage() {
         "usage: cargo xtask <task>\n\ntasks:\n  \
          lint                   rustfmt check, clippy deny-list, unwrap/expect source lint, forbid(unsafe_code) audit\n  \
          analyze [flags]        SPMD collective-safety + numeric-discipline passes over library sources,\n                         \
-         including the interprocedural call-graph passes (collective_order, determinism,\n                         \
-         alloc_hot_path)\n                         \
+         including the interprocedural call-graph passes (collective_order, determinism)\n                         \
          (--format text|sarif, --no-check-suppressions, --stats, --list-passes;\n                         \
          suppress with `// analyze::allow(<pass>): reason`)\n  \
          bench-check [--record] [--simd]\n                         \

@@ -3,11 +3,11 @@
 //!
 //! The numeric crates keep a bitwise determinism contract (DESIGN.md
 //! §11): for a fixed input and build configuration, every kernel and
-//! every rounding sweep produces bit-identical results — the property the TT-serve caching direction (ROADMAP item 3)
-//! and cross-rank reproducibility both rest on. The contract dies quietly:
-//! a `HashMap` iteration feeding a reduction reorders the sum per process,
-//! an `Instant::now` branch makes timing observable, an `env::var` read
-//! makes results depend on the launch environment.
+//! every rounding sweep produces bit-identical results — the property the
+//! bit pins and cross-rank reproducibility both rest on. The contract dies
+//! quietly: a `HashMap` iteration feeding a reduction reorders the sum per
+//! process, an `Instant::now` branch makes timing observable, an
+//! `env::var` read makes results depend on the launch environment.
 //!
 //! This pass flags the *sources* — `HashMap`/`HashSet` (iteration order),
 //! wall-clock reads, thread-identity queries, environment reads,

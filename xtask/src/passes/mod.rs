@@ -11,7 +11,6 @@
 use crate::callgraph::{CallGraph, Facts};
 use crate::scanner::{CodeModel, TokenKind};
 
-pub mod alloc_hot_path;
 pub mod collective_order;
 pub mod determinism;
 pub mod float_discipline;
@@ -72,7 +71,7 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
 pub struct GraphContext<'a> {
     /// The workspace call graph (DESIGN.md §10).
     pub graph: &'a CallGraph,
-    /// Transitive collective / nondeterminism / allocation facts.
+    /// Transitive collective / nondeterminism / point-to-point facts.
     pub facts: &'a Facts,
     /// Per-node hot-path witness root, indexed like `graph.nodes`.
     pub hot: &'a [Option<String>],
@@ -105,7 +104,6 @@ pub fn all_graph_passes() -> Vec<Box<dyn GraphPass>> {
     vec![
         Box::new(collective_order::CollectiveOrder),
         Box::new(determinism::Determinism),
-        Box::new(alloc_hot_path::AllocHotPath),
     ]
 }
 

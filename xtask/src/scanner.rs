@@ -528,59 +528,6 @@ impl CodeModel {
             })
     }
 
-    /// Marks tokens lexically inside a `for`/`while`/`loop` body (any
-    /// nesting). The mask is the "is this executed per-iteration" predicate
-    /// the `alloc_hot_path` pass and the call-site extractor use; like every
-    /// view on this model it is heuristic — a closure body inside a loop is
-    /// marked (correct: it runs per iteration if called there), and a nested
-    /// `fn` item inside a loop is marked too (accepted imprecision).
-    pub fn loop_mask(&self) -> Vec<bool> {
-        let toks = &self.tokens;
-        let n = toks.len();
-        let mut mask = vec![false; n];
-        let mut i = 0usize;
-        while i < n {
-            let t = &toks[i];
-            if !(t.is_ident("for") || t.is_ident("while") || t.is_ident("loop")) {
-                i += 1;
-                continue;
-            }
-            // Find the body `{` at paren/bracket depth 0 (the `for pat in
-            // expr` header and `while` condition cannot contain a
-            // brace-block at depth 0 outside parens in well-formed code;
-            // on malformed input we simply stop at `;`).
-            let mut j = i + 1;
-            let mut pd = 0i64;
-            let mut open = None;
-            while j < n {
-                let u = &toks[j];
-                if u.is_punct("(") || u.is_punct("[") {
-                    pd += 1;
-                } else if u.is_punct(")") || u.is_punct("]") {
-                    pd -= 1;
-                } else if u.is_punct("{") && pd <= 0 {
-                    open = Some(j);
-                    break;
-                } else if u.is_punct(";") && pd <= 0 {
-                    break;
-                }
-                j += 1;
-            }
-            let Some(open) = open else {
-                i += 1;
-                continue;
-            };
-            let end = self.matching_brace(open);
-            for flag in mask.iter_mut().take(end + 1).skip(open) {
-                *flag = true;
-            }
-            // Continue *inside* the body so nested loops also mark (the mask
-            // is idempotent, but inner `for` headers must still be seen).
-            i = open + 1;
-        }
-        mask
-    }
-
     /// Index of the matching `)` for the `(` at token index `open`, or the
     /// last token if unbalanced (same contract as [`Self::matching_brace`]).
     pub fn matching_paren(&self, open: usize) -> usize {
@@ -980,46 +927,6 @@ mod tests {
         let m = CodeModel::build(src);
         let y = m.tokens.iter().position(|t| t.is_ident("y")).expect("y");
         assert_eq!(m.depth[y], 2);
-    }
-
-    #[test]
-    fn loop_mask_marks_loop_bodies_only() {
-        let src = "fn f() {\n    let a = 1;\n    for i in 0..3 { body(i); }\n    while x { w(); }\n    loop { l(); break; }\n    after();\n}\n";
-        let m = CodeModel::build(src);
-        let mask = m.loop_mask();
-        for (name, expect) in [
-            ("a", false),
-            ("body", true),
-            ("w", true),
-            ("l", true),
-            ("after", false),
-        ] {
-            let i = m
-                .tokens
-                .iter()
-                .position(|t| t.is_ident(name))
-                .unwrap_or_else(|| panic!("ident {name}"));
-            assert_eq!(mask[i], expect, "loop mask for `{name}`");
-        }
-    }
-
-    #[test]
-    fn loop_mask_handles_nested_loops() {
-        let src = "fn f() { for i in 0..2 { for j in v.iter() { inner(); } } tail(); }";
-        let m = CodeModel::build(src);
-        let mask = m.loop_mask();
-        let inner = m
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("inner"))
-            .expect("inner");
-        let tail = m
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("tail"))
-            .expect("tail");
-        assert!(mask[inner]);
-        assert!(!mask[tail]);
     }
 
     #[test]

@@ -9,12 +9,3 @@ pub fn deep_reduce(comm: &Communicator, x: f64) -> f64 {
 fn mid_reduce(comm: &Communicator, x: f64) -> f64 {
     comm.allreduce_sum(x)
 }
-
-/// Allocates, but lives in a *different file* than its hot-loop callers:
-/// `alloc_hot_path` must NOT flag cross-file calls to it (the allocation is
-/// this function's documented contract).
-pub fn fresh_buf(n: usize) -> Vec<f64> {
-    let mut buf = Vec::with_capacity(n);
-    buf.resize(n, 0.0);
-    buf
-}

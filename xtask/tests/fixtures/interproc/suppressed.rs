@@ -1,14 +1,7 @@
-//! Suppression fixture for the graph passes: each finding below is real
-//! (it fires without the annotation) and each annotation must be consumed.
+//! Suppression fixture for the graph passes: the finding below is real (it
+//! fires without the annotation) and the annotation must be consumed.
 
-pub fn round_suppressed(n: usize) -> f64 {
-    let mut acc = 0.0;
-    for _ in 0..n {
-        // analyze::allow(alloc_hot_path): fixture — documented per-iteration
-        // scratch, sized by data that only exists inside the loop.
-        let v = vec![0.0; 2];
-        acc += v[0];
-    }
+pub fn round_suppressed(acc: f64) -> f64 {
     // analyze::allow(determinism): fixture — wall-clock read feeds a report
     // string, never a numeric result.
     let t = std::time::Instant::now();

@@ -1,5 +1,5 @@
 //! Golden-diagnostic tests for the interprocedural graph passes
-//! (`collective_order`, `determinism`, `alloc_hot_path`) over the
+//! (`collective_order`, `determinism`) over the
 //! `fixtures/interproc/` corpus.
 //!
 //! Unlike the per-file fixtures, these are analyzed as one *directory* —
@@ -80,15 +80,6 @@ fn determinism_fires_on_fixture() {
 }
 
 #[test]
-fn alloc_hot_path_fires_on_fixture() {
-    let report = run_corpus();
-    assert_eq!(
-        diags_for(&report, "alloc_hot_path_fires.rs"),
-        golden("alloc_hot_path_fires.rs")
-    );
-}
-
-#[test]
 fn cross_file_witness_chain_is_spelled_out() {
     // The two-hop cross-file finding must carry the full chain so the
     // reader can audit the propagation without re-deriving it.
@@ -108,9 +99,8 @@ fn cross_file_witness_chain_is_spelled_out() {
 fn helpers_and_clean_fixtures_are_silent() {
     let report = run_corpus();
     assert_eq!(diags_for(&report, "helpers.rs"), vec![]);
-    // clean.rs exercises the sanctioned pool surface (`take`/`recycle` in a
-    // hot loop), an unconditional collective through a helper, and a
-    // backend's `broadcast` branching on rank around its own barrier.
+    // clean.rs exercises an unconditional collective through a helper and
+    // a backend's `broadcast` branching on rank around its own barrier.
     assert_eq!(diags_for(&report, "clean.rs"), vec![]);
 }
 
@@ -118,7 +108,7 @@ fn helpers_and_clean_fixtures_are_silent() {
 fn graph_pass_suppressions_are_consumed_and_unused_reported() {
     let report = run_corpus();
     assert_eq!(diags_for(&report, "suppressed.rs"), vec![]);
-    assert_eq!(report.suppressed, 2, "both suppressed.rs annotations");
+    assert_eq!(report.suppressed, 1, "the suppressed.rs annotation");
     assert_eq!(report.unused.len(), 1, "unused: {:?}", report.unused);
     assert!(report.unused[0].contains("unused.rs"));
     assert!(report.unused[0].contains("collective_order"));
@@ -129,17 +119,13 @@ fn graph_pass_suppressions_are_consumed_and_unused_reported() {
 fn corpus_totals_are_stable() {
     let report = run_corpus();
     assert_eq!(report.files, corpus_files().len());
-    let expected: usize = [
-        "collective_order_fires.rs",
-        "determinism_fires.rs",
-        "alloc_hot_path_fires.rs",
-    ]
-    .iter()
-    .map(|f| golden(f).len())
-    .sum();
-    // 5 collective_order + 2 determinism + 2 alloc_hot_path findings,
-    // pinned so that growing or shrinking the corpus is a visible edit.
-    assert_eq!(expected, 9);
+    let expected: usize = ["collective_order_fires.rs", "determinism_fires.rs"]
+        .iter()
+        .map(|f| golden(f).len())
+        .sum();
+    // 5 collective_order + 2 determinism findings, pinned so that growing
+    // or shrinking the corpus is a visible edit.
+    assert_eq!(expected, 7);
     assert_eq!(report.diagnostics.len(), expected);
     assert!(
         !report.is_clean(true),
