@@ -5,8 +5,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use tt_linalg::{
-    blocked_qr, cholesky, eigh, gemm, householder_qr, householder_qr_unblocked, jacobi_svd, syrk,
-    Matrix, Trans,
+    blocked_qr, cholesky, eigh, gemm, householder_qr, householder_qr_unblocked, jacobi_svd,
+    pivoted_cholesky, syrk, Matrix, Trans,
 };
 
 fn rng() -> rand::rngs::StdRng {
@@ -67,10 +67,25 @@ fn bench_eigh(c: &mut Criterion) {
     // The Gram matrices of the Gram roundings on the cookies Krylov trains:
     // a rank-36 bond after the operator, and the ~100 of the final solution
     // assembly, both rank-deficient.
-    for (n, k) in [(36usize, 12usize), (100, 30)] {
-        let g = bond_gram(n, k, &mut r);
-        group.bench_with_input(BenchmarkId::new("bond_gram", n), &g, |b, g| {
+    let grams: Vec<Matrix> = [(36usize, 12usize), (100, 30)]
+        .into_iter()
+        .map(|(n, k)| bond_gram(n, k, &mut r))
+        .collect();
+    for g in &grams {
+        group.bench_with_input(BenchmarkId::new("bond_gram", g.rows()), g, |b, g| {
             b.iter(|| eigh(g).unwrap());
+        });
+    }
+    group.finish();
+
+    // The factorization the sequence variants take instead of the EVD pair
+    // when its certificate allows, on the same Grams and at the same
+    // relative pivot tolerance `R·ε`.
+    let mut group = c.benchmark_group("pivoted_cholesky");
+    for g in &grams {
+        let tol = g.rows() as f64 * f64::EPSILON;
+        group.bench_with_input(BenchmarkId::new("bond_gram", g.rows()), g, |b, g| {
+            b.iter(|| pivoted_cholesky(black_box(g), tol));
         });
     }
     group.finish();

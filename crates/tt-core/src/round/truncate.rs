@@ -4,27 +4,36 @@
 //! implicit factorization `X₍₁:ₙ₎ = A Bᵀ`, computes the update matrices
 //! `W_L` (post-multiplies the vertical unfolding of the left core) and
 //! `W_R` (pre-multiplies the horizontal unfolding of the right core) that
-//! truncate the bond rank to `L`:
+//! truncate the bond rank to `L`. Each Gram is factored as `G ≈ F Fᵀ`,
+//! with a left-inverse `T` (`Tᵀ F = I`), and one tail finishes the bond:
 //!
 //! ```text
-//!   [V_L, Λ_L] = EIG(G_L)       [V_R, Λ_R] = EIG(G_R)
-//!   [Û, Σ̂, V̂] = TSVD(Λ_L^{1/2} V_Lᵀ V_R Λ_R^{1/2}, ε₀)
-//!   W_L = V_L Λ_L^{-1/2} Û · s_L(Σ̂)     W_R = s_R(Σ̂) · V̂ᵀ Λ_R^{-1/2} V_Rᵀ
+//!   [Û, Σ̂, V̂] = TSVD(F_Lᵀ F_R, ε₀)
+//!   W_L = T_L Û · s_L(Σ̂)     W_R = s_R(Σ̂) · V̂ᵀ T_Rᵀ
 //! ```
 //!
 //! where the singular values are distributed to the left factor, the right
 //! factor, or split evenly, depending on the algorithm variant
-//! ([`SingularSide`]).
+//! ([`SingularSide`]). Two factorizations feed that tail:
+//!
+//! - **Pivoted Cholesky** (§III-B1), `Pᵀ G P ≈ L Lᵀ`: `F = P L` and
+//!   `T = P[:, :k] L₁₁⁻ᵀ`, where `k` is the rank at which the
+//!   factorization stopped. The sequence variants take it whenever a
+//!   certificate bounds the energy its early stop drops within half the
+//!   bond budget.
+//! - **EVD**, `G = V Λ Vᵀ`: `F = V Λ^{1/2}` and `T = V Λ^{-1/2}`. The
+//!   simultaneous variant always takes it, and so does a sequence-variant
+//!   bond whose Cholesky certificate misses its budget.
 //!
 //! Eigenvalues below `λ_max·ε` sit at a clamp floor: the Gram route cannot
-//! resolve those directions (§II-B). The sequence variants drop them before
-//! the TSVD when their share of `M` fits in half the bond budget, so the
-//! small SVD runs on the `k_L × k_R` block of resolved directions and
-//! `W_L`/`W_R` are built from the leading `k_L`/`k_R` eigenvectors. The
-//! simultaneous variant always keeps all `R` directions. See
-//! [`gram_truncate`].
+//! resolve those directions (§II-B). On the EVD route the sequence
+//! variants drop them before the TSVD when their share of `M` fits in half
+//! the bond budget, so the small SVD runs on the `k_L × k_R` block of
+//! resolved directions and `W_L`/`W_R` are built from the leading
+//! `k_L`/`k_R` eigenvectors. The simultaneous variant always keeps all `R`
+//! directions. See [`gram_truncate`].
 
-use tt_linalg::{eigh, gemm, tsvd, Matrix, Trans};
+use tt_linalg::{eigh, gemm, pivoted_cholesky, tsvd, Matrix, PivotedCholesky, Trans};
 
 /// Where the singular values of the bond go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,30 +75,46 @@ pub struct BondUpdate {
     pub info: BondTruncation,
 }
 
-/// Share of the bond budget ε₀ that the unresolvable eigendirections may
-/// take when [`gram_truncate`] drops them before the TSVD.
+/// Share of the bond budget ε₀ that the directions dropped before the TSVD
+/// may take: the Cholesky factors' early stop, or the unresolvable
+/// eigendirections on the EVD route.
 const DEFLATION_SHARE: f64 = 0.5;
 
 /// Computes the bond update from the Gram pair.
 ///
 /// `threshold` is the absolute tail-energy budget ε₀; `max_rank` optionally
-/// caps the retained rank. Eigenvalues are clamped from below at
+/// caps the retained rank.
+///
+/// The sequence variants ([`SingularSide::Left`]/[`SingularSide::Right`])
+/// first factor both Grams by pivoted Cholesky with the relative pivot
+/// tolerance `R·ε_machine`. The factors stop at ranks `k_L`, `k_R`, so the
+/// small SVD runs on the `k_L × k_R` matrix `F_Lᵀ F_R`. What the stop
+/// dropped is bounded without cancellation: with `s = max(0, tr G −
+/// ‖L‖_F²) + R·ε·tr G` per side (an upper bound on the trace of the Schur
+/// complement `S`), the energy outside the two factors' ranges is
+/// `δ² ≤ tr(S_L G_R) + tr(G_L S_R) ≤ s_L‖G_R‖_F + s_R‖G_L‖_F`. If
+/// δ ≤ ε₀/2 (`DEFLATION_SHARE`), the TSVD runs at `√(ε₀² − δ²)` and
+/// `discarded = √(tail² + δ²)` stays within ε₀: the dropped part and the
+/// SVD tail are orthogonal. That is what makes the sharp truncation safe
+/// here: a bond whose dropped part may matter never takes it. Since
+/// `‖X‖_F² = tr(G_L G_R) ≤ tr(G_L)‖G_R‖_F`, the certificate's rounding term
+/// alone makes δ ≥ `√(2R·ε)·‖X‖`, so tight tolerances fall back
+/// to the EVD route below, as do a bond with an all-zero Gram and one
+/// whose Gram holds a direction the other side amplifies (§III-B2).
+///
+/// On the EVD route, eigenvalues are clamped from below at
 /// `λ_max · ε_machine` before the `Λ^{-1/2}` scaling — the Gram route cannot
 /// resolve singular values below `√ε` of the largest (§II-B), and the clamp
 /// keeps those directions bounded rather than exploding, mirroring the
-/// robustness discussion of §III-B2.
-///
-/// The sequence variants ([`SingularSide::Left`]/[`SingularSide::Right`])
-/// then deflate: the clamped eigendirections form a trailing block of each
-/// spectrum, and if the entries of `M` in their rows and columns have
-/// Frobenius norm δ ≤ ε₀/2 (`DEFLATION_SHARE`), they are dropped before the
-/// TSVD. The TSVD runs on the leading `k_L × k_R` block at threshold
-/// `√(ε₀² − δ²)`, so the reported `discarded = √(tail² + δ²)` stays within
-/// ε₀ (the dropped entries and the SVD tail are disjoint blocks of `M`). A direction the other side
-/// amplifies (§III-B2) makes δ exceed the budget, and the bond keeps its
-/// full `r × r` TSVD. [`SingularSide::Split`] never deflates: the
-/// simultaneous variant truncates every bond from the original Grams, so
-/// each `W_L·W_R` must act as the identity on both of its interfaces.
+/// robustness discussion of §III-B2. The sequence variants then deflate:
+/// the clamped eigendirections form a trailing block of each spectrum, and
+/// if the entries of `M` in their rows and columns have Frobenius norm
+/// δ ≤ ε₀/2, they are dropped before the TSVD, under the same budget rule.
+/// A direction the other side amplifies makes δ exceed the budget, and the
+/// bond keeps its full `r × r` TSVD. [`SingularSide::Split`] takes only
+/// the EVD route and never deflates: the simultaneous variant truncates
+/// every bond from the original Grams, so each `W_L·W_R` must act as the
+/// identity on both of its interfaces.
 pub fn gram_truncate(
     bond: usize,
     g_left: &Matrix,
@@ -102,17 +127,28 @@ pub fn gram_truncate(
     truncate_bond(bond, g_left, g_right, threshold, max_rank, side, deflate).0
 }
 
+/// Which factorization of the Gram pair [`truncate_bond`] used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Cholesky,
+    Evd,
+}
+
 /// What [`truncate_bond`] dropped before the TSVD.
 #[derive(Debug, Clone, Copy)]
 struct Deflation {
-    /// `k_L × k_R`: the shape of the leading block of `M` the TSVD ran on.
+    /// `k_L × k_R`: the shape of the matrix the TSVD ran on.
     block: (usize, usize),
-    /// δ, the Frobenius norm of the dropped entries of `M` (0 when none).
+    /// δ, the bound on the energy dropped before the TSVD (0 when none).
     delta: f64,
+    /// The factorization the bond took (read by the route tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    route: Route,
 }
 
 /// [`gram_truncate`] with the deflation switch exposed, also reporting
-/// what was dropped.
+/// what was dropped. `deflate` allows both the Cholesky route and the EVD
+/// route's deflation; without it the bond takes the full EVD route.
 fn truncate_bond(
     bond: usize,
     g_left: &Matrix,
@@ -134,6 +170,81 @@ fn truncate_bond(
     tt_linalg::paranoid::check_finite("gram_truncate", "G_R", g_right.as_slice());
     tt_linalg::paranoid::check_finite_scalar("gram_truncate", "threshold", threshold);
 
+    let pair = if deflate {
+        cholesky_pair(g_left, g_right, threshold)
+    } else {
+        None
+    };
+    let (m, deflation, left, right) =
+        pair.unwrap_or_else(|| evd_pair(bond, g_left, g_right, threshold, deflate));
+
+    // The tail both routes share: TSVD of M within the budget left after
+    // δ, W_L = T_L Û and W_R = V̂ᵀ T_Rᵀ, then the singular-side scaling.
+    let budget = if deflation.delta > 0.0 {
+        threshold * (1.0 - (deflation.delta / threshold).powi(2)).sqrt()
+    } else {
+        threshold
+    };
+    let mut t = tsvd(&m, budget).cap_rank(max_rank);
+    t.discarded_norm = t.discarded_norm.hypot(deflation.delta);
+    let l = t.rank();
+
+    let mut w_left = left.apply_left_inverse(t.u);
+    let mut w_right = right.apply_left_inverse(t.v).transpose();
+
+    match side {
+        SingularSide::Left => {
+            for (j, &s) in t.singular_values.iter().enumerate() {
+                w_left.scale_col(j, s);
+            }
+        }
+        SingularSide::Right => {
+            for (i, &s) in t.singular_values.iter().enumerate() {
+                for j in 0..r {
+                    w_right[(i, j)] *= s;
+                }
+            }
+        }
+        SingularSide::Split => {
+            for (j, &s) in t.singular_values.iter().enumerate() {
+                let h = s.sqrt();
+                w_left.scale_col(j, h);
+                for c in 0..r {
+                    w_right[(j, c)] *= h;
+                }
+            }
+        }
+    }
+
+    let update = BondUpdate {
+        w_left,
+        w_right,
+        info: BondTruncation {
+            bond,
+            rank_before: r,
+            rank_after: l,
+            discarded: Some(t.discarded_norm),
+            sketch_cols: None,
+        },
+    };
+    (update, deflation)
+}
+
+/// What a route hands the shared tail: the matrix the TSVD runs on, what
+/// was dropped before it, and the left and right factors.
+type BondFactors = (Matrix, Deflation, GramFactor, GramFactor);
+
+/// The EVD route's factor pair and `M = Λ_L^{1/2} V_Lᵀ V_R Λ_R^{1/2}`,
+/// cut to its leading block of resolved directions when `deflate` allows
+/// and the dropped entries fit in `DEFLATION_SHARE · threshold`.
+fn evd_pair(
+    bond: usize,
+    g_left: &Matrix,
+    g_right: &Matrix,
+    threshold: f64,
+    deflate: bool,
+) -> BondFactors {
+    let r = g_left.rows();
     let eig_or_die = |side: &str, g: &Matrix| match eigh(g) {
         Ok(e) => e.descending(),
         // analyze::allow(panic_surface): a Gram matrix is symmetric PSD by construction; EVD failure means memory corruption upstream and the message says how to chase it
@@ -175,16 +286,11 @@ fn truncate_bond(
         })
         .sum::<f64>()
         .sqrt();
-    let deflation = if (rl, rr) != (r, r) && delta <= DEFLATION_SHARE * threshold {
-        Deflation {
-            block: (rl, rr),
-            delta,
-        }
-    } else {
-        Deflation {
-            block: (r, r),
-            delta: 0.0,
-        }
+    let dropped = (rl, rr) != (r, r) && delta <= DEFLATION_SHARE * threshold;
+    let deflation = Deflation {
+        block: if dropped { (rl, rr) } else { (r, r) },
+        delta: if dropped { delta } else { 0.0 },
+        route: Route::Evd,
     };
     let (kl, kr) = deflation.block;
     let block = if (kl, kr) == (r, r) {
@@ -192,75 +298,102 @@ fn truncate_bond(
     } else {
         m.sub_matrix(0, 0, kl, kr)
     };
-    let budget = if deflation.delta > 0.0 {
-        threshold * (1.0 - (deflation.delta / threshold).powi(2)).sqrt()
-    } else {
-        threshold
+    let left = GramFactor::Evd {
+        vectors: vl.truncate_cols(kl),
+        lam: lam_l,
     };
-    let mut t = tsvd(&block, budget).cap_rank(max_rank);
-    t.discarded_norm = t.discarded_norm.hypot(deflation.delta);
-    let l = t.rank();
-
-    // W_L = V_L Λ_L^{-1/2} Û (then optional Σ scaling). The TSVD factors
-    // are consumed in place — only the singular values are needed below.
-    let mut u_scaled = t.u;
-    // Pre-scale Û rows by Λ_L^{-1/2} (row i of Û pairs with eigenpair i).
-    for j in 0..l {
-        let col = u_scaled.col_mut(j);
-        for (i, x) in col.iter_mut().enumerate() {
-            *x /= lam_l[i].sqrt();
-        }
-    }
-    let mut w_left = gemm(Trans::No, &vl.truncate_cols(kl), Trans::No, &u_scaled, 1.0);
-
-    // W_R = V̂ᵀ Λ_R^{-1/2} V_Rᵀ (then optional Σ scaling), built as
-    // (V_R Λ_R^{-1/2} V̂)ᵀ.
-    let mut v_scaled = t.v;
-    for j in 0..l {
-        let col = v_scaled.col_mut(j);
-        for (i, x) in col.iter_mut().enumerate() {
-            *x /= lam_r[i].sqrt();
-        }
-    }
-    let w_right_t = gemm(Trans::No, &vr.truncate_cols(kr), Trans::No, &v_scaled, 1.0);
-    let mut w_right = w_right_t.transpose();
-
-    match side {
-        SingularSide::Left => {
-            for (j, &s) in t.singular_values.iter().enumerate() {
-                w_left.scale_col(j, s);
-            }
-        }
-        SingularSide::Right => {
-            for (i, &s) in t.singular_values.iter().enumerate() {
-                for j in 0..r {
-                    w_right[(i, j)] *= s;
-                }
-            }
-        }
-        SingularSide::Split => {
-            for (j, &s) in t.singular_values.iter().enumerate() {
-                let h = s.sqrt();
-                w_left.scale_col(j, h);
-                for c in 0..r {
-                    w_right[(j, c)] *= h;
-                }
-            }
-        }
-    }
-
-    let update = BondUpdate {
-        w_left,
-        w_right,
-        info: BondTruncation {
-            bond,
-            rank_before: r,
-            rank_after: l,
-            discarded: Some(t.discarded_norm),
-            sketch_cols: None,
-        },
+    let right = GramFactor::Evd {
+        vectors: vr.truncate_cols(kr),
+        lam: lam_r,
     };
-    (update, deflation)
+    (block, deflation, left, right)
+}
+
+/// The Cholesky route's factor pair and `M = F_Lᵀ F_R`, or `None` when
+/// the bond must take the EVD route: a factor stopped at rank 0 (an
+/// all-zero Gram), or the certificate δ on the energy the early stops
+/// dropped misses `DEFLATION_SHARE · threshold`.
+fn cholesky_pair(g_left: &Matrix, g_right: &Matrix, threshold: f64) -> Option<BondFactors> {
+    let tol = g_left.rows() as f64 * f64::EPSILON;
+    let pl = pivoted_cholesky(g_left, tol);
+    let pr = pivoted_cholesky(g_right, tol);
+    if pl.rank == 0 || pr.rank == 0 {
+        return None;
+    }
+    let delta =
+        (pl.residual_trace * g_right.fro_norm() + pr.residual_trace * g_left.fro_norm()).sqrt();
+    // False for a NaN or overflowed certificate, which takes the EVD route.
+    let fits = delta <= DEFLATION_SHARE * threshold;
+    if !fits {
+        return None;
+    }
+    let m = gemm(
+        Trans::Yes,
+        &pl.factor_unpivoted(),
+        Trans::No,
+        &pr.factor_unpivoted(),
+        1.0,
+    );
+    let deflation = Deflation {
+        block: (pl.rank, pr.rank),
+        delta,
+        route: Route::Cholesky,
+    };
+    Some((
+        m,
+        deflation,
+        GramFactor::Cholesky(pl),
+        GramFactor::Cholesky(pr),
+    ))
+}
+
+/// One side's factor `F` of its Gram matrix, `G ≈ F Fᵀ` with `F` of width
+/// `k`, held as what is needed to apply the left-inverse `T` (`Tᵀ F = I_k`).
+enum GramFactor {
+    /// `T = V Λ^{-1/2}` over the leading `k` (clamped) eigenpairs.
+    Evd { vectors: Matrix, lam: Vec<f64> },
+    /// `T = P[:, :k] L₁₁⁻ᵀ`.
+    Cholesky(PivotedCholesky),
+}
+
+impl GramFactor {
+    /// `T Y` for a `k`-row `Y`: the `R`-row update columns.
+    fn apply_left_inverse(&self, mut y: Matrix) -> Matrix {
+        match self {
+            GramFactor::Evd { vectors, lam } => {
+                // Row i of Y pairs with eigenpair i.
+                for j in 0..y.cols() {
+                    for (x, &l) in y.col_mut(j).iter_mut().zip(lam) {
+                        *x /= l.sqrt();
+                    }
+                }
+                gemm(Trans::No, vectors, Trans::No, &y, 1.0)
+            }
+            GramFactor::Cholesky(pc) => {
+                // Back substitution with L₁₁ᵀ, reading L₁₁'s columns, then
+                // scatter row i to row perm[i].
+                let (k, l) = (pc.rank, &pc.l);
+                let mut t = Matrix::zeros(l.rows(), y.cols());
+                for j in 0..y.cols() {
+                    let z = y.col_mut(j);
+                    for i in (0..k).rev() {
+                        let below = &l.col(i)[i + 1..k];
+                        let s = below
+                            .iter()
+                            .zip(&z[i + 1..])
+                            .map(|(a, b)| a * b)
+                            .sum::<f64>();
+                        z[i] = (z[i] - s) / l[(i, i)];
+                    }
+                    let out = t.col_mut(j);
+                    for (i, &zi) in z.iter().enumerate() {
+                        out[pc.perm[i]] = zi;
+                    }
+                }
+                t
+            }
+        }
+    }
 }
 
 /// Clamps a descending spectrum from below at `λ_max · ε` (and at the
@@ -445,6 +578,54 @@ mod tests {
             let public = gram_truncate(1, &ga, &gb, thr, None, side);
             assert!(same_bits(&public.w_left, &upd.w_left));
             assert!(same_bits(&public.w_right, &upd.w_right));
+        }
+    }
+
+    #[test]
+    fn loose_bond_takes_the_cholesky_route() {
+        let (a, b) = redundant_pair();
+        let x = gemm(Trans::No, &a, Trans::Yes, &b, 1.0);
+        let (ga, gb) = (syrk(&a, 1.0), syrk(&b, 1.0));
+        let thr = 1e-5 * x.fro_norm();
+        for side in [SingularSide::Left, SingularSide::Right] {
+            let (upd, defl) = truncate_bond(1, &ga, &gb, thr, None, side, true);
+            assert_eq!(defl.route, Route::Cholesky, "{side:?}");
+            assert_eq!(defl.block, (3, 3), "{side:?}: the factors' early stop");
+            assert_eq!(upd.info.rank_after, 3, "{side:?}");
+            let discarded = upd.info.discarded.unwrap_or(f64::NAN);
+            assert!(
+                0.0 < defl.delta && defl.delta <= discarded && discarded <= thr,
+                "{side:?}: δ {} discarded {discarded} threshold {thr}",
+                defl.delta
+            );
+            let mut diff = reconstruct(&a, &b, &upd);
+            diff.axpy(-1.0, &x);
+            let err = diff.fro_norm();
+            assert!(err <= thr, "{side:?}: error {err} over threshold {thr}");
+            // The side that does not absorb Σ̂ stays orthonormal.
+            let q = match side {
+                SingularSide::Right => gemm(Trans::No, &a, Trans::No, &upd.w_left, 1.0),
+                _ => gemm(Trans::No, &b, Trans::Yes, &upd.w_right, 1.0),
+            };
+            assert!(syrk(&q, 1.0).max_abs_diff(&Matrix::identity(3)) < 1e-10);
+            let public = gram_truncate(1, &ga, &gb, thr, None, side);
+            assert!(same_bits(&public.w_left, &upd.w_left));
+            assert!(same_bits(&public.w_right, &upd.w_right));
+        }
+    }
+
+    #[test]
+    fn tight_redundant_bond_takes_the_evd_route() {
+        // At 1e-10 the certificate's rounding term alone, at least
+        // √(2R·ε)·‖X‖, misses half the budget.
+        let (a, b) = redundant_pair();
+        let x = gemm(Trans::No, &a, Trans::Yes, &b, 1.0);
+        let (ga, gb) = (syrk(&a, 1.0), syrk(&b, 1.0));
+        let thr = 1e-10 * x.fro_norm();
+        for side in [SingularSide::Left, SingularSide::Right] {
+            let (upd, defl) = truncate_bond(1, &ga, &gb, thr, None, side, true);
+            assert_eq!(defl.route, Route::Evd, "{side:?}");
+            assert_eq!(upd.info.rank_after, 3, "{side:?}");
         }
     }
 

@@ -1,11 +1,17 @@
 //! Cholesky and diagonally-pivoted Cholesky factorization.
 //!
 //! The pivoted variant implements the §III-B1 alternative to Gram SVD
-//! ("Cholesky QR"): for numerically low-rank Gram matrices it terminates at
-//! the first non-positive pivot, sharply truncating the spectrum at `√ε`
-//! relative magnitude — exactly the robustness limitation the paper's
-//! Gram-SVD route avoids. It is also used by the *symmetric* structured
-//! Gram-sweep variant of §IV-B.
+//! ("Cholesky QR"): for numerically low-rank Gram matrices it stops once
+//! the largest remaining pivot falls below a relative tolerance, sharply
+//! truncating the spectrum at `√tol` relative magnitude. On its own that
+//! is the robustness limitation the paper's Gram-SVD route avoids (§III-B2:
+//! a direction one factor drops may be one the other amplifies). The
+//! Gram-RLR/LRL bond truncation takes it anyway, because it pairs the stop
+//! with a certificate: [`PivotedCholesky::residual_trace`] bounds what each
+//! factor dropped, the product with the other side's Gram bounds what the
+//! bond loses, and a bond whose bound misses half its budget takes the EVD
+//! route instead. It is also used by the *symmetric* structured Gram-sweep
+//! variant of §IV-B.
 
 use crate::matrix::Matrix;
 use crate::{LinalgError, Result};
@@ -51,6 +57,12 @@ pub struct PivotedCholesky {
     /// Numerical rank detected (columns processed before the pivot fell
     /// below the tolerance).
     pub rank: usize,
+    /// Upper bound on the trace of the Schur complement left at the stop,
+    /// `tr(Pᵀ A P − L Lᵀ)` for a PSD `A`: `max(0, tr A − ‖L‖_F²) + n·ε·tr A`.
+    /// The first term is what the stop dropped; the second covers the
+    /// rounding error of the factorization and of that difference, which
+    /// is what makes the bound hold without relying on cancellation.
+    pub residual_trace: f64,
 }
 
 impl PivotedCholesky {
@@ -125,7 +137,15 @@ pub fn pivoted_cholesky(a: &Matrix, tol: f64) -> PivotedCholesky {
             l[(i, j)] = w[(i, j)];
         }
     }
-    PivotedCholesky { l, perm, rank }
+    let trace = (0..n).map(|i| a[(i, i)]).sum::<f64>();
+    let residual_trace = (trace - l.as_slice().iter().map(|x| x * x).sum::<f64>()).max(0.0)
+        + n as f64 * f64::EPSILON * trace;
+    PivotedCholesky {
+        l,
+        perm,
+        rank,
+        residual_trace,
+    }
 }
 
 /// Symmetric row+column swap touching only the lower triangle.
@@ -221,6 +241,47 @@ mod tests {
         let a = Matrix::from_fn(3, 3, |i, j| if i == j { d[i] } else { 0.0 });
         let pc = pivoted_cholesky(&a, 1e-6);
         assert_eq!(pc.rank, 2);
+    }
+
+    /// The Gram of `[A A]` for a Gaussian `m × R/2` block `A`: rank `R/2`
+    /// exactly, with an all-zero Schur complement in exact arithmetic.
+    fn duplicated_gram(r: usize, seed: u64) -> Matrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let half = Matrix::gaussian(2 * r, r / 2, &mut rng);
+        let mut a = Matrix::zeros(2 * r, r);
+        for j in 0..r / 2 {
+            a.col_mut(j).copy_from_slice(half.col(j));
+            a.col_mut(j + r / 2).copy_from_slice(half.col(j));
+        }
+        syrk(&a, 1.0)
+    }
+
+    #[test]
+    fn pivoted_stops_at_the_true_rank_of_duplicated_columns() {
+        for (r, seed) in [(12, 21), (36, 22), (100, 23)] {
+            let g = duplicated_gram(r, seed);
+            let pc = pivoted_cholesky(&g, r as f64 * f64::EPSILON);
+            assert_eq!(pc.rank, r / 2, "R = {r}");
+            // The reported bound covers the Schur complement left at the
+            // stop, measured as the trace of G − F Fᵀ ...
+            let m = pc.factor_unpivoted();
+            let residual = gemm(Trans::No, &m, Trans::Yes, &m, -1.0);
+            let trace = (0..r).map(|i| g[(i, i)] + residual[(i, i)]).sum::<f64>();
+            assert!(
+                trace.abs() <= pc.residual_trace,
+                "R = {r}: residual trace {trace:e} over the bound {:e}",
+                pc.residual_trace
+            );
+            // ... and stays at the rounding level of tr G.
+            let tr_g = (0..r).map(|i| g[(i, i)]).sum::<f64>();
+            assert!(pc.residual_trace <= 2.0 * r as f64 * f64::EPSILON * tr_g);
+        }
+        // A stop that drops a genuine tail reports at least that tail.
+        let d = [1.0, 0.5, 1e-9, 1e-10];
+        let a = Matrix::from_fn(4, 4, |i, j| if i == j { d[i] } else { 0.0 });
+        let pc = pivoted_cholesky(&a, 1e-6);
+        assert_eq!(pc.rank, 2);
+        assert!(pc.residual_trace >= 1.1e-9);
     }
 
     #[test]

@@ -93,6 +93,32 @@ proptest! {
         }
     }
 
+    /// Gram-RLR/LRL keep ‖X − Y‖ ≤ ε‖X‖ against the dense oracle at a
+    /// loose, a moderate and a tight tolerance, on `x + x + y` with `y` a
+    /// scaled second train: redundant bonds whose Grams are rank-deficient,
+    /// and a tail that some tolerances drop and others keep.
+    #[test]
+    fn gram_sequence_rounding_meets_the_bound(
+        (dims, ranks, seed) in tt_shape(),
+        tail_exp in 2u32..=8,
+    ) {
+        let x = build(&dims, &ranks, seed);
+        let mut y = build(&dims, &ranks, seed ^ 0x5eed);
+        y.scale(10f64.powi(-(tail_exp as i32)));
+        let z = x.add(&x).add(&y);
+        let dense = z.to_dense();
+        let norm = dense.fro_norm();
+        for tol in [1e-3, 1e-5, 1e-9] {
+            for (name, method) in [("rlr", RoundingMethod::GramRlr), ("lrl", RoundingMethod::GramLrl)] {
+                let err = round_seq(&z, method, tol).to_dense().fro_dist(&dense);
+                prop_assert!(
+                    err <= tol * norm,
+                    "{} at {:e}: error {} over {}", name, tol, err, tol * norm
+                );
+            }
+        }
+    }
+
     /// Rounding never increases any rank.
     #[test]
     fn rounding_never_inflates_ranks((dims, ranks, seed) in tt_shape()) {

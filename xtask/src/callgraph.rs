@@ -19,11 +19,12 @@
 //!    ambiguous (edges to all candidates, over-approximating) / external
 //!    (no workspace definition), and the counts surface in
 //!    `cargo xtask analyze --stats`.
-//! 3. **Propagation** — [`propagate`] runs the facts to a fixpoint over the
-//!    graph (cycles terminate because facts only ever switch on), so
-//!    "transitively issues a collective" and "transitively
-//!    nondeterministic" become queryable per function, each with a
-//!    human-readable call-chain witness for diagnostics.
+//! 3. **Propagation** — [`propagate`] runs the collective fact to a
+//!    fixpoint over the graph (cycles terminate because facts only ever
+//!    switch on), so "transitively issues a collective" becomes queryable
+//!    per function, with a human-readable call-chain witness for
+//!    diagnostics. The direct nondeterminism sources are read as extracted:
+//!    `determinism` pairs them with the hot-path reachability below.
 //!
 //! The interprocedural passes (`collective_order`, `determinism`) are
 //! consumers of this module; see
@@ -102,10 +103,6 @@ pub struct FnSummary {
     pub collective: Option<Evidence>,
     /// Direct nondeterminism sources (deduplicated per line).
     pub nondet: Vec<Evidence>,
-    /// Direct point-to-point op (`.send(` / `.recv(`), if any: first wins.
-    /// Fns that *implement* the primitives (send/recv in the name) are
-    /// exempt — they are the definition of a p2p op, not a use of one.
-    pub p2p: Option<Evidence>,
 }
 
 /// Summary of one source file: its `use`-path import map plus all fn
@@ -200,7 +197,6 @@ impl FileSummary {
                 calls: Vec::new(),
                 collective: None,
                 nondet: Vec::new(),
-                p2p: None,
             };
 
             // Rank-guarded early-return regions in this fn: past `end`,
@@ -282,15 +278,6 @@ impl FileSummary {
                             line,
                         });
                     }
-                    if matches!(t.text.as_str(), "send" | "recv" | "isend" | "irecv")
-                        && fs.p2p.is_none()
-                        && !is_p2p_backend(&fs.name)
-                    {
-                        fs.p2p = Some(Evidence {
-                            what: format!("`.{}()`", t.text),
-                            line,
-                        });
-                    }
                     fs.calls.push(CallSite {
                         callee: t.text.clone(),
                         qualifier: None,
@@ -338,13 +325,6 @@ impl FileSummary {
         }
         out
     }
-}
-
-/// Fns that implement the p2p primitives themselves (communicator
-/// backends): their `.send(` / `.recv(` bodies define the op rather than
-/// use it, so they never seed the p2p fact.
-fn is_p2p_backend(name: &str) -> bool {
-    name.contains("send") || name.contains("recv")
 }
 
 /// Parses `use` declarations into a name → path-segments map. Handles
@@ -676,26 +656,19 @@ pub struct Witness {
 pub struct Facts {
     /// Transitively issues a `Communicator` collective.
     pub collective: Vec<Option<Witness>>,
-    /// Transitively hits a nondeterminism source.
-    pub nondet: Vec<Option<Witness>>,
-    /// Transitively issues a point-to-point send/recv (backend
-    /// implementations exempt at the seed, see `is_p2p_backend`).
-    pub p2p: Vec<Option<Witness>>,
 }
 
 /// Maximum witness-chain length spelled out in messages; deeper chains are
 /// elided with `…` (the fact itself still propagates to any depth).
 const MAX_CHAIN: usize = 4;
 
-/// Runs the transitive facts to a fixpoint over the graph. Terminates on cycles
+/// Runs the transitive fact to a fixpoint over the graph. Terminates on cycles
 /// because facts only ever switch on (monotone), and is deterministic: the
 /// node order is file order and the first witness found is kept.
 pub fn propagate(g: &CallGraph) -> Facts {
     let n = g.nodes.len();
     let mut facts = Facts {
         collective: vec![None; n],
-        nondet: vec![None; n],
-        p2p: vec![None; n],
     };
 
     // Seed with direct evidence.
@@ -708,12 +681,6 @@ pub fn propagate(g: &CallGraph) -> Facts {
         if let Some(e) = &fs.collective {
             facts.collective[ni] = Some(seed(e));
         }
-        if let Some(e) = fs.nondet.first() {
-            facts.nondet[ni] = Some(seed(e));
-        }
-        if let Some(e) = &fs.p2p {
-            facts.p2p[ni] = Some(seed(e));
-        }
     }
 
     // Monotone fixpoint. Each iteration can only turn facts on, so at most
@@ -724,8 +691,6 @@ pub fn propagate(g: &CallGraph) -> Facts {
             for edge in &g.edges[ni] {
                 for &t in &edge.targets {
                     changed |= lift(&mut facts.collective, ni, t, &g.nodes[t].name);
-                    changed |= lift(&mut facts.p2p, ni, t, &g.nodes[t].name);
-                    changed |= lift(&mut facts.nondet, ni, t, &g.nodes[t].name);
                 }
             }
         }

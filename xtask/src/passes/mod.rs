@@ -71,7 +71,7 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
 pub struct GraphContext<'a> {
     /// The workspace call graph (DESIGN.md §10).
     pub graph: &'a CallGraph,
-    /// Transitive collective / nondeterminism / point-to-point facts.
+    /// The transitive collective fact (the one `collective_order` reads).
     pub facts: &'a Facts,
     /// Per-node hot-path witness root, indexed like `graph.nodes`.
     pub hot: &'a [Option<String>],

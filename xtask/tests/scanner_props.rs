@@ -87,7 +87,7 @@ const FRAGMENTS: &[&str] = &[
     "pool.take(",
     "if rank == 0 { return; }",
     // Communication shapes: peer expressions, loop structure, and the
-    // p2p/collective ops whose facts the call-graph summaries record.
+    // p2p/collective ops the communication passes read.
     "comm.rank()",
     "comm.size()",
     "comm.send(rank + 1, buf)",
