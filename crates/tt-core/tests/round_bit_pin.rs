@@ -7,6 +7,11 @@
 //! against committed constants, so a change that moves any rounding bit
 //! of QR, Gram-RLR/LRL/Sim or randomized rounding fails here.
 //!
+//! The same sum is also rounded at p ∈ {2, 3, 4} under `run_verified` with
+//! QR and Gram-RLR, pinning every rank's local cores and the gathered train:
+//! a change to the TSQR tree or to the Gram sweep's reductions that moves a
+//! bit on some rank fails there.
+//!
 //! Input entries come from a SplitMix64 stream mapped to exact dyadic
 //! rationals, so no libm call enters them; the randomized sketch is the
 //! library's own seeded Gaussian.
@@ -15,8 +20,10 @@
 //! multiply-add, which changes the bits by design (DESIGN.md §11).
 #![cfg(not(feature = "simd"))]
 
-use tt_comm::SelfComm;
-use tt_core::{round, RoundingMethod, RoundingOptions, TtCore, TtTensor};
+use tt_comm::{run_verified, SelfComm};
+use tt_core::{
+    gather_tensor, round, scatter_tensor, RoundingMethod, RoundingOptions, TtCore, TtTensor,
+};
 use tt_linalg::Matrix;
 
 /// Seeded train whose entries are multiples of 2⁻⁵³ in `[-0.5, 0.5)`,
@@ -101,5 +108,98 @@ fn rounding_bits_are_pinned_per_method() {
         assert_eq!(y.ranks(), vec![1, 3, 3, 3, 1], "{method:?}");
         let got = fnv1a(&y);
         assert_eq!(got, expect, "{method:?}: hash {got:#018x}");
+    }
+}
+
+#[test]
+fn distributed_rounding_bits_are_pinned_per_rank() {
+    let x = formal_sum();
+    let dims = x.dims();
+    let opts = RoundingOptions::with_tolerance(1e-6).max_rank(3);
+    // Per case: one hash per rank's local cores, then the gathered train's.
+    let cases: [(RoundingMethod, usize, &[u64]); 6] = [
+        (
+            RoundingMethod::Qr,
+            2,
+            &[
+                0x5f7a_7df3_6c2f_11d8,
+                0x78d7_dc0d_ae94_371b,
+                0xa36a_b8fd_0edd_cc89,
+            ],
+        ),
+        (
+            RoundingMethod::Qr,
+            3,
+            &[
+                0x5bc5_8d0f_22d1_c588,
+                0xa527_67bc_6cba_d6b5,
+                0xc36c_31e1_ab8e_8033,
+                0x04a2_8bf4_3db2_c1e6,
+            ],
+        ),
+        (
+            RoundingMethod::Qr,
+            4,
+            &[
+                0xc76b_0e14_28fe_a1b6,
+                0x980a_6988_18d3_5bea,
+                0x81d9_0737_b346_b60e,
+                0x5374_9df6_4eec_ffea,
+                0x889f_1ddb_95a5_e186,
+            ],
+        ),
+        (
+            RoundingMethod::GramRlr,
+            2,
+            &[
+                0x4b75_5edc_af6e_4f1f,
+                0xb601_856c_4402_4d26,
+                0x1021_b624_4820_02f3,
+            ],
+        ),
+        (
+            RoundingMethod::GramRlr,
+            3,
+            &[
+                0x2602_1e77_a0fa_3395,
+                0x4cfa_07ed_ea17_e979,
+                0xfca7_cb7b_9c83_63db,
+                0x7d01_3c9a_f614_1e73,
+            ],
+        ),
+        (
+            RoundingMethod::GramRlr,
+            4,
+            &[
+                0xf0d5_3ae2_87de_1b70,
+                0x84ef_c513_66c7_0e92,
+                0xc1a7_f63d_f094_8999,
+                0xe66b_9afe_ea84_a889,
+                0xcf42_7539_44a8_9354,
+            ],
+        ),
+    ];
+    for (method, p, expect) in cases {
+        let per_rank = run_verified(p, |comm| {
+            let local = scatter_tensor(&x, &comm);
+            let (y, _) = round(&comm, local, method, &opts);
+            let gathered = gather_tensor(&y, &dims, &comm);
+            (fnv1a(&y), fnv1a(&gathered))
+        });
+        let mut got: Vec<u64> = per_rank.iter().map(|&(local, _)| local).collect();
+        for &(_, gathered) in &per_rank[1..] {
+            assert_eq!(
+                gathered, per_rank[0].1,
+                "{method:?} p={p}: gathered trains differ"
+            );
+        }
+        got.push(per_rank[0].1);
+        let shown: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+        assert_eq!(
+            got,
+            expect,
+            "{method:?} p={p}: hashes [{}]",
+            shown.join(", ")
+        );
     }
 }
