@@ -22,6 +22,10 @@
 //!
 //! Every communicator records the collectives it performs ([`CommStats`]),
 //! so harnesses can report computation/communication breakdowns.
+//!
+//! All communication is blocking. The trait's five nonblocking methods and
+//! [`Request`] remain only because the benchmark's `TimedComm` decorator
+//! implements them; see [`Communicator`] (DESIGN.md §14).
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +37,7 @@ pub use cost::{CollectiveKind, CommStats, CostModel};
 pub use thread::ThreadComm;
 pub use verify::{run_verified, run_verified_with_timeout, VerifyComm};
 
-/// A handle to an in-flight nonblocking operation (MPI_Request analog).
+/// A handle to a nonblocking operation (MPI_Request analog).
 ///
 /// Obtained from [`Communicator::iallreduce_sum`], [`Communicator::isend`],
 /// or [`Communicator::irecv`]; consumed by [`Request::wait`], which returns
@@ -41,11 +45,15 @@ pub use verify::{run_verified, run_verified_with_timeout, VerifyComm};
 /// received message for an irecv, empty for an isend). [`Request::test`]
 /// polls for completion without blocking.
 ///
+/// Every backend in this crate completes these operations at post time, so
+/// the requests it hands out are ready. The type and its `Pending` form
+/// remain for decorators outside the library that forward the nonblocking
+/// methods (the benchmark's `TimedComm`); no library code posts one.
+///
 /// Dropping a request that was never waited on is a program bug (the posted
 /// operation's result is silently discarded, and on a real backend its
 /// messages would leak into a later receive); in debug builds the drop
-/// panics. The `cargo xtask analyze` `request_pairing` pass flags the same
-/// bug statically.
+/// panics.
 pub struct Request<'a> {
     state: RequestState<'a>,
 }
@@ -54,7 +62,7 @@ enum RequestState<'a> {
     /// Completed locally at post time (single-rank and model backends, and
     /// eager sends).
     Ready(Vec<f64>),
-    /// In flight on `host`; completion goes through
+    /// Handed out by a decorator under its own id; completion goes through
     /// [`Communicator::req_wait`]/[`Communicator::req_test`].
     Pending { host: &'a dyn Communicator, id: u64 },
     /// `wait`/`detach` already consumed the result.
@@ -62,8 +70,8 @@ enum RequestState<'a> {
 }
 
 /// A [`Request`] decoupled from its host borrow — used by decorating
-/// communicators ([`VerifyComm`]) that must store an inner backend's request
-/// inside themselves without creating a self-referential struct.
+/// communicators that must store an inner backend's request inside
+/// themselves without creating a self-referential struct.
 pub enum DetachedRequest {
     /// The operation completed at post time with this payload.
     Ready(Vec<f64>),
@@ -98,9 +106,8 @@ impl<'a> Request<'a> {
 
     /// Polls for completion: `true` once the result is locally available
     /// (after which [`Request::wait`] returns without blocking). A `false`
-    /// may be conservative — decorating backends defer completion work to
-    /// `wait` (see `VerifyComm`) — so `test` must never be the only
-    /// completion path.
+    /// may be conservative, so `test` must never be the only completion
+    /// path.
     pub fn test(&mut self) -> bool {
         match &self.state {
             RequestState::Ready(_) => true,
@@ -146,19 +153,20 @@ impl Drop for Request<'_> {
 /// MPI-analog communication interface used by the distributed TT kernels.
 ///
 /// All collectives operate on `f64` buffers and must be called by every rank
-/// of the communicator (SPMD style), like their MPI counterparts.
+/// of the communicator (SPMD style), like their MPI counterparts. Every
+/// operation the library issues is blocking, as in the paper: the Gram
+/// sweeps call `allreduce_sum` and the TSQR tree calls `send`/`recv`.
 ///
 /// # Nonblocking operations
 ///
 /// [`Communicator::iallreduce_sum`], [`Communicator::isend`], and
-/// [`Communicator::irecv`] post an operation and return a [`Request`]
-/// immediately, letting callers overlap communication with local compute;
-/// the blocking `allreduce_sum`/`send`/`recv` have default implementations
-/// as post-then-wait, so trivial backends only implement the nonblocking
-/// forms. Nonblocking point-to-point messages travel on their own virtual
-/// channel: an `isend` matches an `irecv`, a blocking `send` matches a
-/// blocking `recv` (the algorithms use them as distinct tags; backends that
-/// override the blocking ops keep the streams separate).
+/// [`Communicator::irecv`] are provided methods that run the blocking
+/// operation at post time and return a ready [`Request`]: an `irecv` blocks
+/// until its message arrives, so a ring must post its sends first. No
+/// library code calls them. They stay because the benchmark's `TimedComm`
+/// decorator implements them; they go when tracing moves into the library
+/// (ROADMAP item 4). DESIGN.md §14 records why the nonblocking backends were
+/// deleted.
 pub trait Communicator {
     /// This rank's index in `0..size()`.
     fn rank(&self) -> usize;
@@ -168,10 +176,7 @@ pub trait Communicator {
 
     /// Element-wise global sum; every rank ends with the reduced buffer
     /// (MPI_Allreduce with MPI_SUM).
-    fn allreduce_sum(&self, buf: &mut [f64]) {
-        let out = self.iallreduce_sum(buf.to_vec()).wait();
-        buf.copy_from_slice(&out);
-    }
+    fn allreduce_sum(&self, buf: &mut [f64]);
 
     /// Element-wise global max; every rank ends with the reduced buffer.
     fn allreduce_max(&self, buf: &mut [f64]);
@@ -184,35 +189,36 @@ pub trait Communicator {
     /// (MPI_Allgatherv).
     fn allgather(&self, send: &[f64]) -> Vec<f64>;
 
-    /// Blocking point-to-point send (used by the TSQR tree).
-    fn send(&self, to: usize, buf: &[f64]) {
-        self.isend(to, buf.to_vec()).wait();
+    /// Blocking point-to-point send (used by the TSQR tree). Sends are
+    /// eager: the call returns once the message is queued for `to`.
+    fn send(&self, to: usize, buf: &[f64]);
+
+    /// Blocking point-to-point receive of the next message from `from`.
+    fn recv(&self, from: usize) -> Vec<f64>;
+
+    /// [`Communicator::allreduce_sum`] at post time; `wait` yields the
+    /// reduced buffer. Must be posted by every rank (SPMD).
+    fn iallreduce_sum(&self, mut buf: Vec<f64>) -> Request<'_> {
+        self.allreduce_sum(&mut buf);
+        Request::ready(buf)
     }
 
-    /// Blocking point-to-point receive of a message from `from`.
-    fn recv(&self, from: usize) -> Vec<f64> {
-        self.irecv(from).wait()
+    /// [`Communicator::send`] at post time; `wait` yields an empty buffer.
+    /// Matches a `recv` or an `irecv` on the peer.
+    fn isend(&self, to: usize, buf: Vec<f64>) -> Request<'_> {
+        self.send(to, &buf);
+        Request::ready(Vec::new())
     }
 
-    /// Posts a nonblocking element-wise global sum of `buf` (MPI_Iallreduce
-    /// with MPI_SUM) and returns immediately; [`Request::wait`] yields the
-    /// reduced buffer. Must be posted by every rank (SPMD), and a rank's
-    /// waits must occur in deterministic program positions — see DESIGN.md
-    /// §14 for the determinism contract.
-    fn iallreduce_sum(&self, buf: Vec<f64>) -> Request<'_>;
-
-    /// Posts a nonblocking point-to-point send of `buf` to `to`; the
-    /// returned request's `wait` yields an empty buffer. Matches an `irecv`
-    /// on the peer (not a blocking `recv`; see the trait docs).
-    fn isend(&self, to: usize, buf: Vec<f64>) -> Request<'_>;
-
-    /// Posts a nonblocking point-to-point receive from `from`; `wait`
-    /// yields the message. Matches an `isend` on the peer.
-    fn irecv(&self, from: usize) -> Request<'_>;
+    /// [`Communicator::recv`] at post time, so it blocks until the message
+    /// arrives; `wait` yields the message.
+    fn irecv(&self, from: usize) -> Request<'_> {
+        Request::ready(self.recv(from))
+    }
 
     /// Completes the pending request `id`, blocking if necessary (called by
-    /// [`Request::wait`]; not part of the user-facing API). Backends whose
-    /// nonblocking ops always return ready requests never reach this.
+    /// [`Request::wait`]; not part of the user-facing API). Only a decorator
+    /// that hands out pending requests reaches this, and it overrides it.
     fn req_wait(&self, id: u64) -> Vec<f64> {
         // analyze::allow(panic_surface): only reachable if a backend hands out Pending requests without overriding completion — a backend implementation bug
         panic!(
@@ -301,30 +307,6 @@ impl Communicator for SelfComm {
              sequential path instead of receiving."
         );
     }
-    fn iallreduce_sum(&self, buf: Vec<f64>) -> Request<'_> {
-        // Single rank: the local contribution is the global sum, completed
-        // at post time.
-        Request::ready(buf)
-    }
-    fn isend(&self, to: usize, buf: Vec<f64>) -> Request<'_> {
-        // analyze::allow(panic_surface): single-rank backend — p2p here is a caller contract violation; the message documents the required size()==1 branch
-        panic!(
-            "SelfComm::isend(to={to}, len={}): SelfComm has a single rank, so \
-             point-to-point communication is always a caller bug. Algorithms \
-             with data-dependent messaging must branch on size() == 1 and take \
-             their sequential path instead of sending.",
-            buf.len()
-        );
-    }
-    fn irecv(&self, from: usize) -> Request<'_> {
-        // analyze::allow(panic_surface): single-rank backend — p2p here is a caller contract violation; the message documents the required size()==1 branch
-        panic!(
-            "SelfComm::irecv(from={from}): SelfComm has a single rank, so \
-             point-to-point communication is always a caller bug. Algorithms \
-             with data-dependent messaging must branch on size() == 1 and take \
-             their sequential path instead of receiving."
-        );
-    }
     fn barrier(&self) {}
     fn stats(&self) -> CommStats {
         self.stats.borrow().clone()
@@ -408,32 +390,6 @@ impl Communicator for ModelComm {
              check is_model() and take their model-aware path — execute the \
              local computation and account for the messages with \
              record_event(), as tt_core::round::tsqr::tsqr_q does."
-        );
-    }
-    fn iallreduce_sum(&self, buf: Vec<f64>) -> Request<'_> {
-        // Same accounting as the blocking form: the event is priced at post
-        // time (the model has no notion of in-flight time), and the local
-        // contribution is returned untouched.
-        self.stats
-            .borrow_mut()
-            .record(CollectiveKind::Allreduce, buf.len());
-        Request::ready(buf)
-    }
-    fn isend(&self, _to: usize, buf: Vec<f64>) -> Request<'_> {
-        self.stats
-            .borrow_mut()
-            .record(CollectiveKind::PointToPoint, buf.len());
-        Request::ready(Vec::new())
-    }
-    fn irecv(&self, from: usize) -> Request<'_> {
-        // analyze::allow(panic_surface): model backend cannot materialize peer data — recv is a documented contract violation, not a recoverable error
-        panic!(
-            "ModelComm::irecv(from={from}): a performance-model backend plays \
-             one representative rank and cannot materialize data another rank \
-             would have sent. Algorithms with data-dependent messaging must \
-             check is_model() and take their model-aware path — execute the \
-             local computation and account for the messages with \
-             record_event()."
         );
     }
     fn barrier(&self) {}

@@ -22,6 +22,8 @@
 //!   reordered collective panics with a rank-annotated diagnostic instead of
 //!   deadlocking or corrupting data;
 //! * point-to-point messages carry a fingerprint header checked on receive;
+//! * the nonblocking trait methods keep their provided forms, which run the
+//!   blocking operation at post, so they are checked as that operation;
 //! * for single-rank and model backends ([`crate::SelfComm`],
 //!   [`crate::ModelComm`]) the stream is **recorded locally** ([`VerifyComm::trace`])
 //!   so separate runs can be diffed with [`assert_streams_match`].
@@ -37,13 +39,13 @@
 //! a per-rank event dump. Use both in tests:
 //! [`run_verified`] wraps every rank of a [`crate::ThreadComm`] job.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::cost::{CollectiveKind, CommStats};
-use crate::{Communicator, DetachedRequest, Request, ThreadComm};
+use crate::{Communicator, ThreadComm};
 
 /// Number of per-rank events retained for mismatch diagnostics.
 pub const TRACE_CAPACITY: usize = 16;
@@ -68,13 +70,6 @@ pub enum OpKind {
     Send,
     /// [`Communicator::recv`].
     Recv,
-    /// [`Communicator::iallreduce_sum`] (fingerprinted at post, checked at
-    /// wait).
-    IallreduceSum,
-    /// [`Communicator::isend`].
-    Isend,
-    /// [`Communicator::irecv`].
-    Irecv,
 }
 
 impl OpKind {
@@ -87,9 +82,6 @@ impl OpKind {
             OpKind::Barrier => 5,
             OpKind::Send => 6,
             OpKind::Recv => 7,
-            OpKind::IallreduceSum => 8,
-            OpKind::Isend => 9,
-            OpKind::Irecv => 10,
         }
     }
 
@@ -102,9 +94,6 @@ impl OpKind {
             5 => "barrier",
             6 => "send",
             7 => "recv",
-            8 => "iallreduce_sum",
-            9 => "isend",
-            10 => "irecv",
             _ => "<unknown op>",
         }
     }
@@ -137,8 +126,6 @@ impl std::fmt::Display for Event {
         match (self.kind, self.peer) {
             (OpKind::Send, Some(p)) => write!(f, "#{} send(to={p}, len={})", self.seq, self.len),
             (OpKind::Recv, Some(p)) => write!(f, "#{} recv(from={p})", self.seq),
-            (OpKind::Isend, Some(p)) => write!(f, "#{} isend(to={p}, len={})", self.seq, self.len),
-            (OpKind::Irecv, Some(p)) => write!(f, "#{} irecv(from={p})", self.seq),
             (OpKind::Broadcast, _) => {
                 write!(
                     f,
@@ -224,25 +211,6 @@ pub struct VerifyComm<C: Communicator> {
     /// Whether fingerprints are cross-checked through the underlying
     /// communicator (true for real multi-rank backends).
     piggyback: bool,
-    next_req_id: Cell<u64>,
-    /// Posted nonblocking operations with their post-time fingerprints;
-    /// completed strictly in post order, so the check rounds (issued at
-    /// wait) execute at identical program points on every rank.
-    pending: RefCell<VecDeque<VerifyPending>>,
-    /// Results completed ahead of their own wait by the FIFO progression.
-    completed: RefCell<BTreeMap<u64, Vec<f64>>>,
-}
-
-/// One posted-but-unwaited nonblocking operation under verification.
-struct VerifyPending {
-    id: u64,
-    /// Collective fingerprint fields captured at post time, cross-checked
-    /// through the inner communicator when the request is completed.
-    check: Option<[f64; 4]>,
-    /// The operation's trace event (diagnostics + frame validation).
-    ev: Event,
-    /// The inner backend's request, decoupled from its borrow.
-    inner_req: DetachedRequest,
 }
 
 impl<C: Communicator> VerifyComm<C> {
@@ -260,9 +228,6 @@ impl<C: Communicator> VerifyComm<C> {
             coll_seq: Cell::new(0),
             traces,
             piggyback,
-            next_req_id: Cell::new(0),
-            pending: RefCell::new(VecDeque::new()),
-            completed: RefCell::new(BTreeMap::new()),
             inner,
         }
     }
@@ -283,9 +248,6 @@ impl<C: Communicator> VerifyComm<C> {
                     coll_seq: Cell::new(0),
                     traces: Arc::clone(&traces),
                     piggyback,
-                    next_req_id: Cell::new(0),
-                    pending: RefCell::new(VecDeque::new()),
-                    completed: RefCell::new(BTreeMap::new()),
                     inner,
                 }
             })
@@ -317,31 +279,19 @@ impl<C: Communicator> VerifyComm<C> {
         ev
     }
 
-    /// Assigns the next collective position and captures `ev`'s fingerprint
-    /// fields. For blocking collectives this happens at the call; for
-    /// nonblocking ones at *post* time, so the recorded position reflects
-    /// where the operation was issued, not where it was waited.
-    fn fingerprint(&self, ev: &Event) -> [f64; 4] {
+    /// Assigns the next collective position and cross-checks `ev`'s
+    /// fingerprint across all ranks through the underlying communicator
+    /// before the collective executes; panics with a rank-annotated
+    /// diagnostic on the first divergent call.
+    fn check_collective(&self, ev: &Event) {
         let coll_seq = self.coll_seq.get() + 1;
         self.coll_seq.set(coll_seq);
-        [
+        let fields = [
             coll_seq as f64,
             ev.kind.id() as f64,
             ev.root as f64,
             ev.len as f64,
-        ]
-    }
-
-    /// Cross-checks a blocking collective's fingerprint before it executes.
-    fn check_collective(&self, ev: &Event) {
-        let fields = self.fingerprint(ev);
-        self.check_fingerprint(ev, fields);
-    }
-
-    /// Cross-checks captured fingerprint fields across all ranks through the
-    /// underlying communicator; panics with a rank-annotated diagnostic on
-    /// the first divergent call.
-    fn check_fingerprint(&self, ev: &Event, fields: [f64; 4]) {
+        ];
         if !self.piggyback {
             return;
         }
@@ -400,20 +350,8 @@ impl<C: Communicator> VerifyComm<C> {
         }
     }
 
-    fn alloc_req(&self) -> u64 {
-        let id = self.next_req_id.get();
-        self.next_req_id.set(id + 1);
-        id
-    }
-
     /// Validates a fingerprinted point-to-point frame and strips the header.
-    fn validate_frame(
-        &self,
-        framed: Vec<f64>,
-        from: usize,
-        ev: &Event,
-        expect: OpKind,
-    ) -> Vec<f64> {
+    fn validate_frame(&self, framed: Vec<f64>, from: usize, ev: &Event) -> Vec<f64> {
         let fail = |why: String| -> ! {
             // analyze::allow(panic_surface): the verifier's contract is to abort on the first mismatched p2p frame with a full event report
             panic!(
@@ -437,9 +375,9 @@ impl<C: Communicator> VerifyComm<C> {
         let kind = framed[1] as u64;
         let sender = framed[2] as usize;
         let len = framed[3] as usize;
-        if kind != expect.id() {
+        if kind != OpKind::Send.id() {
             fail(format!(
-                "message header says the peer issued {}, not {expect}",
+                "message header says the peer issued {}, not send",
                 OpKind::from_id(kind)
             ));
         }
@@ -456,27 +394,6 @@ impl<C: Communicator> VerifyComm<C> {
             ));
         }
         framed[4..].to_vec()
-    }
-
-    /// Completes one pending nonblocking operation: runs its deferred
-    /// fingerprint check round (collectives), waits on the inner request,
-    /// and validates the frame (irecv).
-    fn complete_pending(&self, req: VerifyPending) -> Vec<f64> {
-        if let Some(fields) = req.check {
-            self.check_fingerprint(&req.ev, fields);
-        }
-        let raw = match req.inner_req {
-            DetachedRequest::Ready(v) => v,
-            DetachedRequest::Pending(inner_id) => self.inner.req_wait(inner_id),
-        };
-        if req.ev.kind == OpKind::Irecv && self.piggyback {
-            // Every Irecv event is constructed with `peer: Some(from)` at
-            // its single post site; a peerless one skips frame validation.
-            if let Some(from) = req.ev.peer {
-                return self.validate_frame(raw, from, &req.ev, OpKind::Isend);
-            }
-        }
-        raw
     }
 }
 
@@ -542,99 +459,7 @@ impl<C: Communicator> Communicator for VerifyComm<C> {
             return self.inner.recv(from);
         }
         let framed = self.inner.recv(from);
-        self.validate_frame(framed, from, &ev, OpKind::Send)
-    }
-
-    /// Fingerprint captured and traced at **post** time; the cross-rank
-    /// check round runs when the request completes (post order), so the
-    /// verification contract survives reordered waits — see DESIGN.md §14.
-    fn iallreduce_sum(&self, buf: Vec<f64>) -> Request<'_> {
-        let ev = self.record(OpKind::IallreduceSum, 0, buf.len(), None);
-        let check = Some(self.fingerprint(&ev));
-        let inner_req = self.inner.iallreduce_sum(buf).detach();
-        let id = self.alloc_req();
-        self.pending.borrow_mut().push_back(VerifyPending {
-            id,
-            check,
-            ev,
-            inner_req,
-        });
-        Request::pending(self, id)
-    }
-
-    fn isend(&self, to: usize, buf: Vec<f64>) -> Request<'_> {
-        let ev = self.record(OpKind::Isend, 0, buf.len(), Some(to));
-        let inner_req = if self.piggyback {
-            let mut framed = Vec::with_capacity(buf.len() + 4);
-            framed.extend_from_slice(&[
-                P2P_MAGIC,
-                ev.kind.id() as f64,
-                self.inner.rank() as f64,
-                buf.len() as f64,
-            ]);
-            framed.extend_from_slice(&buf);
-            self.inner.isend(to, framed).detach()
-        } else {
-            self.inner.isend(to, buf).detach()
-        };
-        let id = self.alloc_req();
-        self.pending.borrow_mut().push_back(VerifyPending {
-            id,
-            check: None,
-            ev,
-            inner_req,
-        });
-        Request::pending(self, id)
-    }
-
-    fn irecv(&self, from: usize) -> Request<'_> {
-        let ev = self.record(OpKind::Irecv, 0, 0, Some(from));
-        let inner_req = self.inner.irecv(from).detach();
-        let id = self.alloc_req();
-        self.pending.borrow_mut().push_back(VerifyPending {
-            id,
-            check: None,
-            ev,
-            inner_req,
-        });
-        Request::pending(self, id)
-    }
-
-    /// Completes in post (FIFO) order, like the backends: the deferred
-    /// fingerprint check rounds are themselves collectives on the inner
-    /// communicator, so executing them in post order keeps them lockstep
-    /// across ranks even when user code waits out of order.
-    fn req_wait(&self, id: u64) -> Vec<f64> {
-        loop {
-            if let Some(v) = self.completed.borrow_mut().remove(&id) {
-                return v;
-            }
-            let req = self.pending.borrow_mut().pop_front();
-            let Some(req) = req else {
-                // analyze::allow(panic_surface): an id with no pending entry means a request was completed twice or crossed communicators — an unrecoverable harness bug
-                panic!(
-                    "VerifyComm rank {}: req_wait(id={id}) found no matching \
-                     pending request — a Request was completed twice or used \
-                     with a different communicator",
-                    self.inner.rank()
-                );
-            };
-            let req_id = req.id;
-            let result = self.complete_pending(req);
-            if req_id == id {
-                return result;
-            }
-            self.completed.borrow_mut().insert(req_id, result);
-        }
-    }
-
-    /// Conservative: only reports requests the FIFO progression has already
-    /// completed. Speculatively completing here would run the deferred
-    /// check round — a collective — at a rank-dependent moment, breaking
-    /// the lockstep the verifier itself relies on; `wait` is the completion
-    /// path.
-    fn req_test(&self, id: u64) -> Option<Vec<f64>> {
-        self.completed.borrow_mut().remove(&id)
+        self.validate_frame(framed, from, &ev)
     }
 
     fn barrier(&self) {
@@ -824,63 +649,13 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_matched_streams_pass() {
-        for p in [1usize, 2, 3] {
-            let results = run_verified(p, |comm| {
-                let a = comm.iallreduce_sum(vec![1.0; 4]);
-                let b = comm.iallreduce_sum(vec![2.0; 3]);
-                // Waiting out of post order must still verify: fingerprints
-                // were taken at post, check rounds run in post order.
-                let vb = b.wait();
-                let va = a.wait();
-                (va[0], vb[0])
-            });
-            for (va, vb) in results {
-                assert_eq!(va, p as f64, "p={p}");
-                assert_eq!(vb, 2.0 * p as f64, "p={p}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "len: disagrees across ranks")]
-    fn nonblocking_len_mismatch_is_caught_at_wait() {
+    fn nonblocking_len_mismatch_is_caught_at_post() {
+        // The provided iallreduce_sum runs the checked allreduce_sum at post.
         run_verified(3, |comm| {
             let req = comm.iallreduce_sum(vec![1.0; 4 + comm.rank() % 2]);
             req.wait();
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "kind: disagrees across ranks")]
-    fn nonblocking_vs_blocking_kind_mismatch_is_caught() {
-        // A rank that posts iallreduce_sum where its peer calls the blocking
-        // allreduce_sum has genuinely diverged (the backends route them over
-        // different channels), and the fingerprint kinds differ.
-        run_verified(2, |comm| {
-            if comm.rank() == 0 {
-                comm.iallreduce_sum(vec![1.0; 4]).wait();
-            } else {
-                let mut buf = vec![1.0; 4];
-                comm.allreduce_sum(&mut buf);
-            }
-        });
-    }
-
-    #[test]
-    fn verified_isend_irecv_ring_round_trips() {
-        let p = 4;
-        let results = run_verified(p, |comm| {
-            let next = (comm.rank() + 1) % p;
-            let prev = (comm.rank() + p - 1) % p;
-            let rx = comm.irecv(prev);
-            let tx = comm.isend(next, vec![comm.rank() as f64, 42.0]);
-            tx.wait();
-            rx.wait()
-        });
-        for (r, msg) in results.iter().enumerate() {
-            assert_eq!(msg, &vec![((r + p - 1) % p) as f64, 42.0]);
-        }
     }
 
     #[test]

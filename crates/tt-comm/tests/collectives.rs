@@ -1,8 +1,12 @@
 //! Property tests for the thread-backed collectives: results must match the
 //! sequential reductions exactly for arbitrary rank counts and payloads.
+//!
+//! The nonblocking methods are the trait's provided forms, which complete at
+//! post over the blocking operations; they are exercised on `ThreadComm`
+//! and under `VerifyComm` (`run_verified`).
 
 use proptest::prelude::*;
-use tt_comm::{Communicator, ThreadComm};
+use tt_comm::{run_verified, Communicator, ThreadComm};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -81,55 +85,24 @@ proptest! {
     }
 
     /// Posting an iallreduce and waiting immediately is bitwise identical to
-    /// the blocking allreduce_sum for arbitrary rank counts and payloads.
+    /// the blocking allreduce_sum for arbitrary rank counts and payloads, on
+    /// `ThreadComm` and under `VerifyComm`.
     #[test]
     fn iallreduce_post_then_wait_matches_blocking(p in 1usize..=6, len in 1usize..40, seed in any::<u32>()) {
         let contribution = |rank: usize, i: usize| -> f64 {
             (((seed as usize).wrapping_mul(43) + rank * 97 + i * 11) % 1000) as f64 - 500.0
         };
-        let results = ThreadComm::run(p, |comm| {
+        let both = |comm: &dyn Communicator| {
             let local: Vec<f64> = (0..len).map(|i| contribution(comm.rank(), i)).collect();
             let mut blocking = local.clone();
             comm.allreduce_sum(&mut blocking);
             let nonblocking = comm.iallreduce_sum(local).wait();
             (blocking, nonblocking)
-        });
+        };
+        let mut results = ThreadComm::run(p, |comm| both(&comm));
+        results.extend(run_verified(p, |comm| both(&comm)));
         for (blocking, nonblocking) in results {
-            // Bitwise: the nonblocking path replays the blocking combine order.
             prop_assert_eq!(blocking, nonblocking);
-        }
-    }
-
-    /// Two in-flight iallreduces can be waited in either order and each
-    /// returns its own reduction, unperturbed by the other.
-    #[test]
-    fn out_of_order_waits_return_matching_payloads(
-        p in 2usize..=6,
-        len_a in 1usize..20,
-        len_b in 1usize..20,
-        wait_b_first in any::<bool>(),
-    ) {
-        let expect_a: f64 = (0..p).map(|r| (r + 1) as f64).sum();
-        let expect_b: f64 = (0..p).map(|r| (r * 2) as f64).sum();
-        let results = ThreadComm::run(p, |comm| {
-            let a = comm.iallreduce_sum(vec![(comm.rank() + 1) as f64; len_a]);
-            let b = comm.iallreduce_sum(vec![(comm.rank() * 2) as f64; len_b]);
-            if wait_b_first {
-                let vb = b.wait();
-                (a.wait(), vb)
-            } else {
-                (a.wait(), b.wait())
-            }
-        });
-        for (va, vb) in results {
-            prop_assert_eq!(va.len(), len_a);
-            prop_assert_eq!(vb.len(), len_b);
-            for v in va {
-                prop_assert_eq!(v, expect_a);
-            }
-            for v in vb {
-                prop_assert_eq!(v, expect_b);
-            }
         }
     }
 
@@ -154,13 +127,58 @@ proptest! {
     }
 }
 
+/// A ring of isend/irecv pairs delivers each rank's message to its
+/// successor. `irecv` blocks at post, so every rank posts its send first.
+#[test]
+fn isend_irecv_ring_round_trips() {
+    fn ring(comm: &dyn Communicator) -> Vec<f64> {
+        let p = comm.size();
+        let next = (comm.rank() + 1) % p;
+        let prev = (comm.rank() + p - 1) % p;
+        comm.isend(next, vec![comm.rank() as f64, 0.5]).wait();
+        comm.irecv(prev).wait()
+    }
+    for p in [2usize, 3, 4] {
+        let plain = ThreadComm::run(p, |comm| ring(&comm));
+        let verified = run_verified(p, |comm| ring(&comm));
+        for results in [plain, verified] {
+            for (r, msg) in results.iter().enumerate() {
+                assert_eq!(msg, &vec![((r + p - 1) % p) as f64, 0.5], "p={p}");
+            }
+        }
+    }
+}
+
 /// Letting a `Request` go out of scope without `wait`/`test` is a leaked
-/// rendezvous; the debug drop guard turns it into an immediate panic.
+/// rendezvous; the debug drop guard turns it into an immediate panic on
+/// every backend.
 #[test]
 #[cfg_attr(not(debug_assertions), ignore = "drop check is debug-only")]
-#[should_panic(expected = "Request dropped without wait()")]
 fn dropping_an_unwaited_request_panics_in_debug() {
-    ThreadComm::run(1, |comm| {
+    fn forget(comm: &dyn Communicator) {
         let _forgotten = comm.iallreduce_sum(vec![1.0, 2.0]);
-    });
+    }
+    for p in [2usize, 3, 4] {
+        for verified in [false, true] {
+            let outcome = std::panic::catch_unwind(|| {
+                if verified {
+                    run_verified(p, |comm| forget(&comm));
+                } else {
+                    ThreadComm::run(p, |comm| forget(&comm));
+                }
+            });
+            let Err(payload) = outcome else {
+                panic!("p={p} verified={verified}: dropping an unwaited request did not panic");
+            };
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            assert!(
+                msg.contains("Request dropped without wait()"),
+                "p={p} verified={verified}: {msg}"
+            );
+        }
+    }
 }

@@ -31,22 +31,22 @@ pub fn tsqr(comm: &impl Communicator, a_local: &Matrix) -> (Matrix, Matrix) {
     let n = a_local.cols();
     let p = comm.size();
 
-    // Local QR pads zero rows so every rank contributes an n×n R (zero rows
-    // change neither R nor orthonormality).
-    let leaf_qr = |a: &Matrix| {
+    // Local QR on a zero-padded block so every rank contributes an n×n R
+    // (zero rows change neither R nor orthonormality). The factorization
+    // is dropped as soon as Q and R are formed.
+    let (mut q_local, r_local) = {
         let padded;
-        let work: &Matrix = if a.rows() < n {
-            padded = a.vstack(&Matrix::zeros(n - a.rows(), n));
+        let work: &Matrix = if a_local.rows() < n {
+            padded = a_local.vstack(&Matrix::zeros(n - a_local.rows(), n));
             &padded
         } else {
-            a
+            a_local
         };
         let f = householder_qr(work);
         (f.thin_q(), f.r())
     };
 
     if p == 1 {
-        let (mut q_local, r_local) = leaf_qr(a_local);
         if a_local.rows() < n {
             q_local = q_local.sub_matrix(0, 0, a_local.rows(), n);
         }
@@ -54,63 +54,36 @@ pub fn tsqr(comm: &impl Communicator, a_local: &Matrix) -> (Matrix, Matrix) {
     }
 
     if comm.is_model() {
-        let (q_local, r_local) = leaf_qr(a_local);
         return tsqr_model(comm, a_local, q_local, r_local);
     }
 
     let rank = comm.rank();
-    // The binomial tree's partners depend only on (rank, p): a rank receives
-    // at every mask below its lowest set bit (while a partner exists) and
-    // sends its combined R to `rank - lowbit(rank)`. Post every tree receive
-    // *before* the leaf factorization, so the dominant local QR — and each
-    // combine — runs with the inbound exchanges already in flight; waits then
-    // consume them in post order, keeping the byte stream identical to the
-    // blocking schedule.
-    let mut recv_reqs = Vec::new();
-    {
-        let mut mask = 1usize;
-        while mask < p && rank & mask == 0 {
-            if rank + mask < p {
-                recv_reqs.push((mask, comm.irecv(rank + mask)));
-            }
-            mask <<= 1;
-        }
-    }
-    let parent_req = if rank == 0 {
-        None
-    } else {
-        // lowbit(rank) is where the upsweep send happens; the downsweep T
-        // comes back along the same edge.
-        Some(comm.irecv(rank - (rank & rank.wrapping_neg())))
-    };
-
-    // Leaf QR, overlapped with the pre-posted tree traffic.
-    let (q_local, r_local) = leaf_qr(a_local);
-
     // ---- Upsweep: binomial reduction of R factors to rank 0. ----
-    // Each internal combine stores (mask, combine-Q) for the downsweep.
+    // Each internal combine stores (mask, combine-Q) for the downsweep. A
+    // rank receives at every mask below its lowest set bit (while a partner
+    // exists), then sends its combined R to `rank - lowbit(rank)`.
     let mut r_cur = r_local;
     let mut combines: Vec<(usize, Matrix)> = Vec::new();
-    for (mask, req) in recv_reqs {
-        let r_other = Matrix::from_col_major(n, n, req.wait());
-        let (qc, rc) = qr_stacked_pair(&r_cur, &r_other);
-        combines.push((mask, qc));
-        r_cur = rc;
-    }
-    if rank != 0 {
-        // The payload transmits at post time, so waiting here cannot stall
-        // the tree; the wait only settles this rank's bookkeeping.
-        comm.isend(
-            rank - (rank & rank.wrapping_neg()),
-            r_cur.as_slice().to_vec(),
-        )
-        .wait();
+    let mut mask = 1usize;
+    while mask < p {
+        if rank & mask != 0 {
+            comm.send(rank - mask, r_cur.as_slice());
+            break;
+        } else if rank + mask < p {
+            let r_other = Matrix::from_col_major(n, n, comm.recv(rank + mask));
+            let (qc, rc) = qr_stacked_pair(&r_cur, &r_other);
+            combines.push((mask, qc));
+            r_cur = rc;
+        }
+        mask <<= 1;
     }
 
     // ---- Downsweep: propagate the n×n transformation T down the tree. ----
-    let mut t = match parent_req {
-        None => Matrix::identity(n),
-        Some(req) => Matrix::from_col_major(n, n, req.wait()),
+    // The T for this rank comes back along the edge its R went up.
+    let mut t = if rank == 0 {
+        Matrix::identity(n)
+    } else {
+        Matrix::from_col_major(n, n, comm.recv(rank - (rank & rank.wrapping_neg())))
     };
     for (mask, qc) in combines.into_iter().rev() {
         // qc is 2n×n: the top half transforms our branch, the bottom half
@@ -118,7 +91,7 @@ pub fn tsqr(comm: &impl Communicator, a_local: &Matrix) -> (Matrix, Matrix) {
         let top = qc.sub_matrix(0, 0, n, n);
         let bot = qc.sub_matrix(n, 0, n, n);
         let t_child = gemm(Trans::No, &bot, Trans::No, &t, 1.0);
-        comm.isend(rank + mask, t_child.into_vec()).wait();
+        comm.send(rank + mask, t_child.as_slice());
         t = gemm(Trans::No, &top, Trans::No, &t, 1.0);
     }
 

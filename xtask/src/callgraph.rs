@@ -270,9 +270,7 @@ impl FileSummary {
                     // Method call. (The site below is recorded for a
                     // collective too: `collective_order` reports direct
                     // primitives from the same sites as helper calls.)
-                    if (COLLECTIVES.contains(&t.text.as_str()) || t.text == "iallreduce_sum")
-                        && fs.collective.is_none()
-                    {
+                    if COLLECTIVES.contains(&t.text.as_str()) && fs.collective.is_none() {
                         fs.collective = Some(Evidence {
                             what: format!("`.{}()`", t.text),
                             line,
@@ -519,8 +517,7 @@ impl CallGraph {
                 // Collective primitives are direct evidence, not edges: the
                 // backends *implement* the operation, and propagating
                 // through them would re-derive what the direct fact states.
-                // The nonblocking post is the same primitive surface.
-                if COLLECTIVES.contains(&site.callee.as_str()) || site.callee == "iallreduce_sum" {
+                if COLLECTIVES.contains(&site.callee.as_str()) {
                     node_edges.push(Edge {
                         site: site.clone(),
                         targets: Vec::new(),

@@ -16,7 +16,6 @@ pub mod determinism;
 pub mod float_discipline;
 pub mod p2p_pairing;
 pub mod panic_surface;
-pub mod request_pairing;
 pub mod thread_discipline;
 
 /// One finding of one pass.
@@ -56,7 +55,6 @@ pub trait Pass {
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(p2p_pairing::P2pPairing),
-        Box::new(request_pairing::RequestPairing),
         Box::new(float_discipline::FloatCmp),
         Box::new(float_discipline::NarrowCast),
         Box::new(panic_surface::PanicSurface),

@@ -63,11 +63,6 @@ fn p2p_pairing_fires_on_fixture() {
 }
 
 #[test]
-fn request_pairing_fires_on_fixture() {
-    assert_matches_golden("request_pairing_fires.rs");
-}
-
-#[test]
 fn float_cmp_fires_on_fixture() {
     assert_matches_golden("float_cmp_fires.rs");
 }
@@ -169,7 +164,6 @@ fn whole_fixture_directory_aggregates() {
     let expected_diags: usize = [
         "collective_order_direct_fires.rs",
         "p2p_pairing_fires.rs",
-        "request_pairing_fires.rs",
         "float_cmp_fires.rs",
         "narrow_cast_fires.rs",
         "panic_surface_fires.rs",
