@@ -99,8 +99,8 @@ fn bench_gemm(c: &mut Criterion) {
     });
 
     // Packed engine vs the unpacked register tile on shapes the dispatcher
-    // sends to the packed one: the γ-calibration cubes, the compact-WY
-    // trailing update, and a cookies Krylov Gram (R = 36). Both are
+    // sends to the packed one: the γ-calibration cubes, a tall 8000×32
+    // times 32×96 product, and a cookies Krylov Gram (R = 36). Both are
     // sequential here, and their results are bitwise equal.
     for (ta, m, n, k) in [
         (Trans::No, 256usize, 256usize, 256usize),

@@ -5,8 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use tt_linalg::{
-    blocked_qr, cholesky, eigh, gemm, householder_qr, householder_qr_unblocked, jacobi_svd,
-    pivoted_cholesky, syrk, Matrix, Trans,
+    cholesky, eigh, gemm, householder_qr, jacobi_svd, pivoted_cholesky, syrk, Matrix, Trans,
 };
 
 fn rng() -> rand::rngs::StdRng {
@@ -235,24 +234,17 @@ fn bench_kernels(c: &mut Criterion) {
         bch.iter(|| black_box(tt_linalg::syrk_v(ts.view(), 1.0)));
     });
 
-    // QR on a TSQR-leaf-like panel: one compact-WY panel (with its `T` and
-    // WY thin Q) vs the one-panel reflector kernel.
+    // QR on a TSQR-leaf-like panel: factor, thin Q and R.
     let q_in = Matrix::gaussian(4000, 32, &mut r);
-    group.bench_function(BenchmarkId::new("kernels_qr_blocked", "4000x32"), |bch| {
-        bch.iter(|| {
-            let f = blocked_qr(&q_in, 32);
-            black_box((f.thin_q(), f.r()))
-        });
-    });
     group.bench_function(BenchmarkId::new("kernels_qr_unblocked", "4000x32"), |bch| {
         bch.iter(|| {
-            let f = householder_qr_unblocked(&q_in);
+            let f = householder_qr(&q_in);
             black_box((f.thin_q(), f.r()))
         });
     });
 
-    // The dispatched QR at `round_tall`'s TSQR leaf shape (a 20000×20
-    // unfolding): factor, thin Q and R, as `tsqr` runs them.
+    // The QR at `round_tall`'s TSQR leaf shape (a 20000×20 unfolding):
+    // factor, thin Q and R, as `tsqr` runs them.
     let leaf = Matrix::gaussian(20_000, 20, &mut r);
     group.bench_function(BenchmarkId::new("kernels_qr", "20000x20"), |bch| {
         bch.iter(|| {

@@ -9,9 +9,8 @@
 //! eliminates.
 //!
 //! The leaf factorizations dominate TSQR's arithmetic. They go through
-//! `tt_linalg::householder_qr`, which factors a local block of at most 64
-//! columns (every TT unfolding) with its one-panel reflector kernel and
-//! forms the thin Q without ever building a compact-WY `T`.
+//! `tt_linalg::householder_qr`, which factors each local block with its
+//! reflector kernel and forms the thin Q from the stored reflectors.
 
 use tt_comm::{CollectiveKind, Communicator};
 use tt_linalg::{gemm, householder_qr, qr_stacked_pair, Matrix, Trans};

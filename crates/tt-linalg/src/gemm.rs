@@ -28,7 +28,7 @@
 //!
 //! The primary entry points ([`gemm_v`], [`syrk_v`]) take borrowed
 //! [`MatRef`]/[`MatMut`] views so TT-core buffers can be multiplied under
-//! either unfolding without copying; [`gemm`]/[`gemm_into`]/[`syrk`] are the
+//! either unfolding without copying; [`gemm`]/[`syrk`] are the
 //! owned-[`Matrix`] conveniences.
 
 use crate::block;
@@ -101,19 +101,6 @@ pub fn gemm_alloc(ta: Trans, a: MatRef<'_>, tb: Trans, b: MatRef<'_>, alpha: f64
     let mut c = Matrix::zeros(m, n);
     gemm_v(ta, a, tb, b, alpha, 0.0, c.view_mut());
     c
-}
-
-/// `C = alpha * op(A) * op(B) + beta * C`, writing into `c`.
-pub fn gemm_into(
-    ta: Trans,
-    a: &Matrix,
-    tb: Trans,
-    b: &Matrix,
-    alpha: f64,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    gemm_v(ta, a.view(), tb, b.view(), alpha, beta, c.view_mut());
 }
 
 /// The core entry point: `C = alpha * op(A) * op(B) + beta * C` on views.
@@ -393,7 +380,15 @@ mod tests {
             let b = Matrix::gaussian(k, n, &mut rng);
             let mut c = Matrix::gaussian(m, n, &mut rng);
             let c0 = c.clone();
-            gemm_into(Trans::No, &a, Trans::No, &b, 2.0, 0.5, &mut c);
+            gemm_v(
+                Trans::No,
+                a.view(),
+                Trans::No,
+                b.view(),
+                2.0,
+                0.5,
+                c.view_mut(),
+            );
             let mut expect = naive(Trans::No, &a, Trans::No, &b);
             expect.scale(2.0);
             expect.axpy(0.5, &c0);
@@ -451,7 +446,15 @@ mod tests {
         let a = Matrix::identity(3);
         let b = Matrix::identity(3);
         let mut c = Matrix::identity(3);
-        gemm_into(Trans::No, &a, Trans::No, &b, 0.0, 3.0, &mut c);
+        gemm_v(
+            Trans::No,
+            a.view(),
+            Trans::No,
+            b.view(),
+            0.0,
+            3.0,
+            c.view_mut(),
+        );
         assert_eq!(c[(0, 0)], 3.0);
         assert_eq!(c[(0, 1)], 0.0);
     }
@@ -461,7 +464,15 @@ mod tests {
         let a = Matrix::identity(64);
         let b = Matrix::identity(64);
         let mut c = Matrix::identity(64);
-        gemm_into(Trans::No, &a, Trans::No, &b, 0.0, 3.0, &mut c);
+        gemm_v(
+            Trans::No,
+            a.view(),
+            Trans::No,
+            b.view(),
+            0.0,
+            3.0,
+            c.view_mut(),
+        );
         assert_eq!(c[(0, 0)], 3.0);
         assert_eq!(c[(0, 1)], 0.0);
     }

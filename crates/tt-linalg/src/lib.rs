@@ -10,9 +10,8 @@
 //!   (the workhorses of the Gram-SVD rounding path), dispatched between the
 //!   packed cache-blocked engine in [`block`], the unpacked tall-skinny
 //!   engine in [`skinny`] and the naive-loop oracle in [`reference`],
-//! * [`qr`] — Householder QR (one-panel kernel up to 64 columns, compact-WY
-//!   blocked above) with explicit thin-Q recovery and the stacked-R combine
-//!   step used by TSQR (the workhorse of the baseline rounding path),
+//! * [`qr`] — Householder QR with explicit thin-Q recovery and the stacked-R
+//!   combine step used by TSQR (the workhorse of the baseline rounding path),
 //! * [`eig`] — symmetric eigendecomposition (Householder tridiagonalization +
 //!   implicit-shift QL), used for the Gram eigenproblems,
 //! * [`svd`] — one-sided Jacobi SVD and the ε-truncated TSVD rule used by all
@@ -57,11 +56,10 @@ pub use block::SyrkShape;
 pub use chol::{cholesky, pivoted_cholesky, PivotedCholesky};
 pub use eig::{eigh, EigH};
 pub use gemm::{
-    gemm, gemm_alloc, gemm_flops, gemm_into, gemm_v, kernel_choice, syrk, syrk_nt_v, syrk_v,
-    Kernel, Trans,
+    gemm, gemm_alloc, gemm_flops, gemm_v, kernel_choice, syrk, syrk_nt_v, syrk_v, Kernel, Trans,
 };
 pub use matrix::Matrix;
-pub use qr::{blocked_qr, householder_qr, householder_qr_unblocked, qr_stacked_pair, QrFactors};
+pub use qr::{householder_qr, qr_stacked_pair, QrFactors};
 pub use svd::{jacobi_svd, truncation_rank, tsvd, Svd, TruncatedSvd};
 pub use tri::{solve_upper, tri_invert_upper, trmm_right_lower};
 pub use view::{MatMut, MatRef};
@@ -72,8 +70,6 @@ pub const EPS: f64 = f64::EPSILON;
 /// Errors produced by the factorization kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
-    /// Dimensions of the operands are incompatible with the operation.
-    DimensionMismatch(String),
     /// A matrix that must be (numerically) positive definite is not.
     NotPositiveDefinite { pivot: usize },
     /// An iterative eigen/SVD sweep failed to converge.
@@ -83,7 +79,6 @@ pub enum LinalgError {
 impl std::fmt::Display for LinalgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LinalgError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix not positive definite (pivot {pivot})")
             }

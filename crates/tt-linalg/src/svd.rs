@@ -41,7 +41,7 @@
 //!   `O(ε‖A‖)`.
 
 use crate::matrix::Matrix;
-use crate::qr::{dot, householder_qr_pivoted, householder_qr_unblocked};
+use crate::qr::{dot, householder_qr, householder_qr_pivoted};
 
 /// A full (thin) singular value decomposition `A = U Σ Vᵀ`.
 #[derive(Debug, Clone)]
@@ -302,7 +302,7 @@ fn orthonormal_complement(y: &Matrix, kept: &[bool]) -> Matrix {
         return Matrix::zeros(n, 0);
     }
     let basis = Matrix::from_fn(n, k, |i, j| y.col(cols[j])[i]);
-    let qr = householder_qr_unblocked(&basis);
+    let qr = householder_qr(&basis);
     let mut c = Matrix::from_fn(n, n - k, |i, j| if i == k + j { 1.0 } else { 0.0 });
     qr.apply_q(&mut c);
     c

@@ -360,7 +360,15 @@ fn gemm_zero_alpha_is_exact() {
     let a = gaussian(40, 40, 6);
     let b = gaussian(40, 40, 7);
     let mut c = c0.clone();
-    tt_linalg::gemm_into(Trans::No, &a, Trans::No, &b, 0.0, 2.0, &mut c);
+    tt_linalg::gemm_v(
+        Trans::No,
+        a.view(),
+        Trans::No,
+        b.view(),
+        0.0,
+        2.0,
+        c.view_mut(),
+    );
     for j in 0..40 {
         for i in 0..40 {
             assert_eq!(c[(i, j)], 2.0 * c0[(i, j)]);

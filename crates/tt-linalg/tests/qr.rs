@@ -1,10 +1,11 @@
-//! Property tests for the compact-WY blocked QR: orthogonality and
-//! reconstruction bounds on random and adversarial matrices (rank-deficient,
-//! graded singular values), plus agreement with the unblocked oracle.
+//! Property tests for the Householder QR: orthogonality and reconstruction
+//! bounds on random and adversarial matrices (rank-deficient, graded
+//! singular values), at TT-rank widths and at the formal-rank widths of
+//! QR-rounding a sum.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use tt_linalg::{blocked_qr, gemm, householder_qr, householder_qr_unblocked, Matrix, Trans};
+use tt_linalg::{gemm, householder_qr, Matrix, Trans};
 
 fn gaussian(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -63,16 +64,15 @@ fn with_singular_values(m: usize, n: usize, s: &[f64], seed: u64) -> Matrix {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random shapes across the blocked/unblocked dispatch boundary.
+    /// Random shapes, up to widths past any TT rank (formal-rank sums).
     #[test]
     fn qr_invariants_on_random_matrices(
         m in 1usize..220,
-        n in 1usize..70,
+        n in 1usize..160,
         seed in any::<u64>(),
     ) {
         let a = gaussian(m, n, seed);
-        assert_qr_invariants(&a, &householder_qr(&a), "dispatch");
-        assert_qr_invariants(&a, &blocked_qr(&a, 16), "blocked-nb16");
+        assert_qr_invariants(&a, &householder_qr(&a), "random");
     }
 
     /// Rank-deficient matrices: `A = B·C` with inner rank far below `n`.
@@ -86,11 +86,11 @@ proptest! {
         let b = gaussian(m, rank, seed);
         let c = gaussian(rank, n, seed ^ 0x55);
         let a = gemm(Trans::No, &b, Trans::No, &c, 1.0);
-        assert_qr_invariants(&a, &blocked_qr(&a, 8), "rank-deficient");
+        assert_qr_invariants(&a, &householder_qr(&a), "rank-deficient");
     }
 
-    /// Graded singular values spanning 12 orders of magnitude: the blocked
-    /// panel updates must not destroy orthogonality on ill-conditioned input.
+    /// Graded singular values spanning 12 orders of magnitude: the reflector
+    /// updates must not destroy orthogonality on ill-conditioned input.
     #[test]
     fn qr_invariants_on_graded_spectra(
         m in 40usize..160,
@@ -99,23 +99,7 @@ proptest! {
     ) {
         let s: Vec<f64> = (0..n).map(|i| 10f64.powf(-(12.0 * i as f64) / n as f64)).collect();
         let a = with_singular_values(m, n, &s, seed);
-        assert_qr_invariants(&a, &blocked_qr(&a, 8), "graded");
-    }
-
-    /// Blocked and unblocked produce the same R (they apply the same
-    /// reflectors; only the trailing-update association differs).
-    #[test]
-    fn blocked_r_matches_unblocked(
-        m in 10usize..150,
-        n in 4usize..48,
-        seed in any::<u64>(),
-    ) {
-        let a = gaussian(m, n, seed);
-        let rb = blocked_qr(&a, 16).r();
-        let ru = householder_qr_unblocked(&a).r();
-        let tol = 256.0 * (m as f64) * tt_linalg::EPS * (1.0 + a.max_abs());
-        prop_assert!(rb.max_abs_diff(&ru) <= tol,
-            "{m}x{n}: R differs by {:.3e}", rb.max_abs_diff(&ru));
+        assert_qr_invariants(&a, &householder_qr(&a), "graded");
     }
 }
 
@@ -125,7 +109,7 @@ proptest! {
 fn qr_adversarial_cases() {
     // Zero matrix.
     let z = Matrix::zeros(90, 24);
-    let f = blocked_qr(&z, 8);
+    let f = householder_qr(&z);
     assert!(f.r().max_abs() == 0.0);
     let q = f.thin_q();
     let qtq = gemm(Trans::Yes, &q, Trans::No, &q, 1.0);
@@ -134,30 +118,34 @@ fn qr_adversarial_cases() {
     // All columns identical (rank 1).
     let col = gaussian(80, 1, 3);
     let rep = Matrix::from_fn(80, 20, |i, _| col[(i, 0)]);
-    assert_qr_invariants(&rep, &blocked_qr(&rep, 8), "repeated-columns");
+    assert_qr_invariants(&rep, &householder_qr(&rep), "repeated-columns");
 
-    // Identity: every reflector is trivial (τ = 0 path through build_t).
+    // Identity: every reflector is trivial (τ = 0).
     let id = Matrix::identity(64);
-    assert_qr_invariants(&id, &blocked_qr(&id, 16), "identity");
+    assert_qr_invariants(&id, &householder_qr(&id), "identity");
 
-    // Wide matrix: trailing update extends past k = m.
+    // Wide matrix: reflectors reach columns past k = m.
     let wide = gaussian(24, 100, 4);
-    assert_qr_invariants(&wide, &blocked_qr(&wide, 8), "wide");
+    assert_qr_invariants(&wide, &householder_qr(&wide), "wide");
 }
 
-/// `apply_qt`/`apply_q` agree with the explicit-Q matrix products, both
-/// reflector by reflector (150×40, one panel) and in WY form (its 300×80
-/// twin, past the 64-column dispatch bound).
+/// The unfolding shapes of QR-rounding the cookies TT-GMRES solution
+/// (`tests/gmres_bit_pin.rs`), the widest QRs any caller runs.
 #[test]
-fn wy_applications_match_explicit_q() {
-    for (m, n, blocked, seed) in [(150usize, 40usize, false, 9u64), (300, 80, true, 11)] {
+fn qr_invariants_at_tt_gmres_solution_shapes() {
+    for (m, n, seed) in [(441usize, 144usize, 21u64), (300, 99, 22), (147, 147, 23)] {
+        let a = gaussian(m, n, seed);
+        assert_qr_invariants(&a, &householder_qr(&a), &format!("{m}x{n}"));
+    }
+}
+
+/// `apply_qt`/`apply_q` agree with the explicit-Q matrix products, at a
+/// TT-rank width (150×40) and a formal-rank width (300×80).
+#[test]
+fn applications_match_explicit_q() {
+    for (m, n, seed) in [(150usize, 40usize, 9u64), (300, 80, 11)] {
         let a = gaussian(m, n, seed);
         let f = householder_qr(&a);
-        assert_eq!(
-            f.is_blocked(),
-            blocked,
-            "{m}x{n}: dispatch chose the wrong path"
-        );
         let q = f.thin_q();
         let b = gaussian(m, 6, seed + 1);
 

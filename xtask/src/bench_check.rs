@@ -105,12 +105,6 @@ const GATES: &[GateSpec] = &[
                 slow: "kernels_syrk_reference/40000x20",
                 ..SERIAL_PAIR
             },
-            Pair {
-                label: "qr 4000x32",
-                fast: "kernels_qr_blocked/4000x32",
-                slow: "kernels_qr_unblocked/4000x32",
-                ..SERIAL_PAIR
-            },
         ],
         accuracy: false,
         simd: true,
@@ -751,7 +745,6 @@ mod tests {
             entry("kernels_gemm_reference/256", 240, 200),
             entry("kernels_syrk_blocked/40000x20", 120, 100),
             entry("kernels_syrk_reference/40000x20", 150, 130),
-            entry("kernels_qr_blocked/4000x32", 120, 100),
             entry("kernels_qr_unblocked/4000x32", 130, 110),
         ]
     }
@@ -765,13 +758,13 @@ mod tests {
         let mut slow = current.clone();
         if let Some(e) = slow
             .iter_mut()
-            .find(|e| e.id == "kernels_qr_blocked/4000x32")
+            .find(|e| e.id == "kernels_qr_unblocked/4000x32")
         {
             e.mean_ns = 150;
         }
         let failures = kernels(&slow, Some(&current), false, false, None);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].msg.contains("kernels_qr_blocked/4000x32"));
+        assert!(failures[0].msg.contains("kernels_qr_unblocked/4000x32"));
         // Recording skips the regression gate entirely.
         assert!(kernels(&slow, Some(&current), true, false, None).is_empty());
         // A GEMM speedup below the floor fails even with no baseline.
