@@ -2,6 +2,11 @@
 //! sizes: the `R × R` eigen/SVD problems every bond truncation solves, and
 //! the tall-skinny factorizations of the unfolding kernels.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "a failed unwrap aborts the benchmark run"
+)]
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use tt_linalg::{

@@ -11,7 +11,14 @@
 //!
 //! Usage: `cargo run --release -p tt-bench --bin ablation`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is what this target reports; no result depends on it"
+)]
 use std::time::Instant;
 
 use rand::SeedableRng;

@@ -14,7 +14,10 @@
 //! Default scales are sized for this machine; EXPERIMENTS.md records the
 //! scales used for the reported numbers.
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
 use tt_bench::{
     calibrated_model, fmt_secs, print_model_banner, run_scaling_point, Args, ALL_VARIANTS,
 };

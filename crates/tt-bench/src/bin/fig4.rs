@@ -9,7 +9,10 @@
 //! Usage: `cargo run --release -p tt-bench --bin fig4
 //!           [-- --local 64 --trials n --knee P]`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
 use tt_bench::{
     calibrated_model, fmt_secs, print_model_banner, run_scaling_point_dims, Args, ALL_VARIANTS,
 };

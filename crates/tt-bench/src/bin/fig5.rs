@@ -15,7 +15,10 @@
 //! Usage: `cargo run --release -p tt-bench --bin fig5
 //!           [-- --max-level 2 --samples 20 --tol 1e-5]`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
 use tt_bench::Args;
 use tt_cookies::CookiesProblem;
 use tt_solvers::gmres::TrueResidualMode;

@@ -16,7 +16,10 @@
 //!
 //! Usage: `cargo run --release -p tt-bench --bin fig6 [-- --samples 10]`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
 use tt_bench::Args;
 use tt_cookies::CookiesProblem;
 use tt_solvers::gmres::TrueResidualMode;
@@ -43,8 +46,7 @@ fn main() {
     for (panel, &tol) in tols.iter().enumerate() {
         println!(
             "--- panel ({}) epsilon = {tol:.0e} ---",
-            // analyze::allow(narrow_cast): panel indexes a 3-element tolerance table, so the ASCII label arithmetic cannot overflow
-            (b'a' + panel as u8) as char
+            char::from(b"abc"[panel])
         );
         for method in [RoundingMethod::Qr, RoundingMethod::GramLrl] {
             // Dense true residual is exact but only feasible while ranks are

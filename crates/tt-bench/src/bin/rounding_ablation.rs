@@ -17,7 +17,14 @@
 //! Usage: `cargo run --release -p tt-bench --bin rounding_ablation
 //!         [-- --reps N --json PATH]`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is what this target reports; no result depends on it"
+)]
 
 use std::time::Instant;
 

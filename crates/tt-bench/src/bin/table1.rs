@@ -7,7 +7,10 @@
 //!
 //! Usage: `cargo run --release -p tt-bench --bin table1 [-- --scale 0.01]`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
 use rand::SeedableRng;
 use tt_bench::{Args, ALL_VARIANTS};
 use tt_core::synthetic::{generate_redundant, ModelSpec, TABLE1_RANK, TABLE1_TARGET_RANK};

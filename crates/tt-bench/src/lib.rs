@@ -17,7 +17,14 @@
 //! DESIGN.md §2 for why this preserves the paper's comparisons on a
 //! single-core machine. Every binary prints the machine parameters it used.
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is what this target reports; no result depends on it"
+)]
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
@@ -36,7 +43,10 @@ pub struct Variant {
 
 // The variants keep enum-style names (`Variant::Qr`), the spelling every
 // harness and figure binary uses.
-#[allow(non_upper_case_globals)]
+#[allow(
+    non_upper_case_globals,
+    reason = "the variants keep enum-style names, the spelling every harness uses"
+)]
 impl Variant {
     /// TT-Rounding via orthogonalization (Alg. 2) — the baseline.
     pub const Qr: Variant = Variant {
@@ -136,7 +146,10 @@ pub fn run_scaling_point(
 
 /// Same as [`run_scaling_point`] but with explicit local dimensions (used by
 /// the weak-scaling harnesses).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one scaling point is the full set of harness parameters the figure binaries pass"
+)]
 pub fn run_scaling_point_dims(
     local_dims: &[usize],
     target_rank: usize,
@@ -265,7 +278,7 @@ pub struct Accuracy {
 impl Accuracy {
     /// Whether the error misses its bound; a NaN error does, as in the
     /// `cargo xtask bench-check` accuracy gate.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must count as a miss
+    #[allow(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must count as a miss")]
     pub fn violated(&self) -> bool {
         !(self.rel_err <= self.bound)
     }
@@ -323,6 +336,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
 

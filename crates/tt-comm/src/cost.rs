@@ -166,6 +166,7 @@ impl CostModel {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
 

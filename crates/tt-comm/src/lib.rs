@@ -28,6 +28,11 @@
 //! implements them and tests that TSQR's eager downsweep send reaches it as
 //! a request; see [`Communicator`] (DESIGN.md §14).
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "tt-comm is the rank runtime: its rank threads, lock-built mailboxes and watchdog clock are what the bans keep out of the numeric crates"
+)]
 #![forbid(unsafe_code)]
 
 pub mod cost;
@@ -136,12 +141,15 @@ impl<'a> Request<'a> {
 }
 
 impl Drop for Request<'_> {
+    #[expect(
+        clippy::panic,
+        reason = "dropping an unwaited request silently discards a posted operation's result — a leak this debug panic makes loud"
+    )]
     fn drop(&mut self) {
         if cfg!(debug_assertions)
             && !std::thread::panicking()
             && !matches!(self.state, RequestState::Discharged)
         {
-            // analyze::allow(panic_surface): dropping an unwaited request silently discards a posted operation's result — a leak this debug panic makes loud
             panic!(
                 "Request dropped without wait(): a posted nonblocking operation \
                  was never completed. Every iallreduce_sum/isend/irecv request \
@@ -227,8 +235,11 @@ pub trait Communicator {
     /// Completes the pending request `id`, blocking if necessary (called by
     /// [`Request::wait`]; not part of the user-facing API). Only a decorator
     /// that hands out pending requests reaches this, and it overrides it.
+    #[expect(
+        clippy::panic,
+        reason = "only reachable if a backend hands out Pending requests without overriding completion — a backend implementation bug"
+    )]
     fn req_wait(&self, id: u64) -> Vec<f64> {
-        // analyze::allow(panic_surface): only reachable if a backend hands out Pending requests without overriding completion — a backend implementation bug
         panic!(
             "Communicator::req_wait(id={id}): this backend never returns \
              pending requests, so no request id can reach it"
@@ -294,8 +305,11 @@ impl Communicator for SelfComm {
     fn allgather(&self, send: &[f64]) -> Vec<f64> {
         send.to_vec()
     }
+    #[expect(
+        clippy::panic,
+        reason = "single-rank backend — p2p here is a caller contract violation; the message documents the required size()==1 branch"
+    )]
     fn send(&self, to: usize, buf: &[f64]) {
-        // analyze::allow(panic_surface): single-rank backend — p2p here is a caller contract violation; the message documents the required size()==1 branch
         panic!(
             "SelfComm::send(to={to}, len={}): SelfComm has a single rank, so \
              point-to-point communication is always a caller bug. Algorithms \
@@ -305,8 +319,11 @@ impl Communicator for SelfComm {
             buf.len()
         );
     }
+    #[expect(
+        clippy::panic,
+        reason = "single-rank backend — p2p here is a caller contract violation; the message documents the required size()==1 branch"
+    )]
     fn recv(&self, from: usize) -> Vec<f64> {
-        // analyze::allow(panic_surface): single-rank backend — p2p here is a caller contract violation; the message documents the required size()==1 branch
         panic!(
             "SelfComm::recv(from={from}): SelfComm has a single rank, so \
              point-to-point communication is always a caller bug. Algorithms \
@@ -389,8 +406,11 @@ impl Communicator for ModelComm {
             .borrow_mut()
             .record(CollectiveKind::PointToPoint, buf.len());
     }
+    #[expect(
+        clippy::panic,
+        reason = "model backend cannot materialize peer data — recv is a documented contract violation, not a recoverable error"
+    )]
     fn recv(&self, from: usize) -> Vec<f64> {
-        // analyze::allow(panic_surface): model backend cannot materialize peer data — recv is a documented contract violation, not a recoverable error
         panic!(
             "ModelComm::recv(from={from}): a performance-model backend plays \
              one representative rank and cannot materialize data another rank \

@@ -114,7 +114,10 @@ impl WatchdogBarrier {
         while guard.generation == gen_at_entry {
             let remaining = match timeout.checked_sub(start.elapsed()) {
                 Some(d) if !d.is_zero() => d,
-                // analyze::allow(panic_surface): watchdog abort — turning a silent deadlock into a loud diagnostic is this type's purpose
+                #[expect(
+                    clippy::panic,
+                    reason = "watchdog abort — turning a silent deadlock into a loud diagnostic is this type's purpose"
+                )]
                 _ => panic!("{}", diag(start.elapsed())),
             };
             guard = match self.cv.wait_timeout(guard, remaining) {
@@ -238,9 +241,12 @@ impl ThreadComm {
         self.board.set(self.rank, event);
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "peer death mid-run is unrecoverable for a blocking transport; panic carries the per-rank event board"
+    )]
     fn raw_send(&self, to: usize, buf: &[f64]) {
         if self.senders[to].send(buf.to_vec()).is_err() {
-            // analyze::allow(panic_surface): peer death mid-run is unrecoverable for a blocking transport; panic carries the per-rank event board
             panic!(
                 "ThreadComm rank {}: send(to={to}, len={}) failed: rank {to} has \
                  terminated (its endpoint was dropped). Per-rank last events:\n{}",
@@ -256,7 +262,10 @@ impl ThreadComm {
         loop {
             let remaining = match self.watchdog.checked_sub(start.elapsed()) {
                 Some(d) if !d.is_zero() => d,
-                // analyze::allow(panic_surface): watchdog abort — turning a silent deadlock into a loud diagnostic is this type's purpose
+                #[expect(
+                    clippy::panic,
+                    reason = "watchdog abort — turning a silent deadlock into a loud diagnostic is this type's purpose"
+                )]
                 _ => panic!(
                     "ThreadComm watchdog: rank {} stuck in recv(from={from}) for \
                      {:?} (timeout {:?}). Per-rank last events:\n{}\n\
@@ -273,7 +282,10 @@ impl ThreadComm {
             match self.receivers[from].recv_timeout(remaining) {
                 Ok(msg) => return msg,
                 Err(RecvTimeoutError::Timeout) => continue,
-                // analyze::allow(panic_surface): peer death mid-run is unrecoverable for a blocking transport; panic carries the per-rank event board
+                #[expect(
+                    clippy::panic,
+                    reason = "peer death mid-run is unrecoverable for a blocking transport; panic carries the per-rank event board"
+                )]
                 Err(RecvTimeoutError::Disconnected) => panic!(
                     "ThreadComm rank {}: recv(from={from}) failed: rank {from} has \
                      terminated without sending (its endpoint was dropped). \
@@ -289,10 +301,13 @@ impl ThreadComm {
     /// length is known: a length mismatch means a foreign message (from a
     /// misaligned operation on the peer) was consumed, and is reported as
     /// such rather than silently corrupting the reduction.
+    #[expect(
+        clippy::panic,
+        reason = "consuming a foreign message would silently corrupt the reduction; abort with the divergence report instead"
+    )]
     fn raw_recv_expect(&self, from: usize, expected_len: usize, op: &str) -> Vec<f64> {
         let msg = self.raw_recv(from);
         if msg.len() != expected_len {
-            // analyze::allow(panic_surface): consuming a foreign message would silently corrupt the reduction; abort with the divergence report instead
             panic!(
                 "ThreadComm rank {}: {op} expected a {expected_len}-word message \
                  from rank {from} but received {} words — the ranks' collective \
@@ -377,6 +392,10 @@ impl Communicator for ThreadComm {
         // Broadcast the total length, then the payload.
         let mut len_buf = [gathered.len() as f64];
         self.broadcast_internal(0, &mut len_buf, "allgather");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the length travels as an f64 word holding an exact integer below 2^53"
+        )]
         let total = len_buf[0] as usize;
         gathered.resize(total, 0.0);
         self.broadcast_internal(0, &mut gathered, "allgather");
@@ -476,6 +495,7 @@ impl ThreadComm {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
 

@@ -283,6 +283,10 @@ impl<C: Communicator> VerifyComm<C> {
     /// fingerprint across all ranks through the underlying communicator
     /// before the collective executes; panics with a rank-annotated
     /// diagnostic on the first divergent call.
+    #[expect(
+        clippy::panic,
+        reason = "the verifier's contract is to abort on the first divergent collective with a full fingerprint report"
+    )]
     fn check_collective(&self, ev: &Event) {
         let coll_seq = self.coll_seq.get() + 1;
         self.coll_seq.set(coll_seq);
@@ -314,7 +318,15 @@ impl<C: Communicator> VerifyComm<C> {
         for i in 0..4 {
             let max = check[i];
             let min = -check[i + 4];
+            #[expect(
+                clippy::float_cmp,
+                reason = "fingerprint fields are exact integers in f64 words: any difference is a disagreement"
+            )]
             if max != min {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the kind field is an exact small integer in an f64 word"
+                )]
                 let (lo, hi) = if names[i] == "kind" {
                     (
                         OpKind::from_id(min as u64).to_string(),
@@ -335,7 +347,6 @@ impl<C: Communicator> VerifyComm<C> {
             }
         }
         if !mismatches.is_empty() {
-            // analyze::allow(panic_surface): the verifier's contract is to abort on the first divergent collective with a full fingerprint report
             panic!(
                 "VerifyComm rank {}: SPMD collective stream mismatch at this rank's \
                  operation #{}.\nThis rank called: {}\nDivergent fingerprint \
@@ -351,9 +362,16 @@ impl<C: Communicator> VerifyComm<C> {
     }
 
     /// Validates a fingerprinted point-to-point frame and strips the header.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the frame header's kind, sender and length are exact integers in f64 words"
+    )]
     fn validate_frame(&self, framed: Vec<f64>, from: usize, ev: &Event) -> Vec<f64> {
+        #[expect(
+            clippy::panic,
+            reason = "the verifier's contract is to abort on the first mismatched p2p frame with a full event report"
+        )]
         let fail = |why: String| -> ! {
-            // analyze::allow(panic_surface): the verifier's contract is to abort on the first mismatched p2p frame with a full event report
             panic!(
                 "VerifyComm rank {}: point-to-point mismatch at this rank's \
                  operation #{} ({ev}): {why}\nLast {} events per rank (oldest \
@@ -528,13 +546,16 @@ where
 /// [`VerifyComm::trace`], e.g. separate [`crate::SelfComm`] or
 /// [`crate::ModelComm`] runs) are identical, panicking at the first
 /// divergence with both streams' context.
+#[expect(
+    clippy::panic,
+    reason = "post-run assertion helper — divergent recorded streams must fail the harness loudly"
+)]
 pub fn assert_streams_match(streams: &[Vec<Event>]) {
     let Some((first, rest)) = streams.split_first() else {
         return;
     };
     for (r, stream) in rest.iter().enumerate() {
         if stream.len() != first.len() {
-            // analyze::allow(panic_surface): post-run assertion helper — divergent recorded streams must fail the harness loudly
             panic!(
                 "recorded collective streams diverge: stream 0 has {} events, \
                  stream {} has {}",
@@ -547,7 +568,6 @@ pub fn assert_streams_match(streams: &[Vec<Event>]) {
             // Peer ranks legitimately differ across ranks (tree edges);
             // kind/root/len/seq must not.
             if a.seq != b.seq || a.kind != b.kind || a.root != b.root || a.len != b.len {
-                // analyze::allow(panic_surface): post-run assertion helper — divergent recorded streams must fail the harness loudly
                 panic!(
                     "recorded collective streams diverge at event {i}: stream 0 \
                      has {a}, stream {} has {b}",
@@ -559,6 +579,7 @@ pub fn assert_streams_match(streams: &[Vec<Event>]) {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use crate::{ModelComm, SelfComm};

@@ -5,6 +5,8 @@
 //! post over the blocking operations; they are exercised on `ThreadComm`
 //! and under `VerifyComm` (`run_verified`).
 
+#![allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
+
 use proptest::prelude::*;
 use tt_comm::{run_verified, Communicator, ThreadComm};
 

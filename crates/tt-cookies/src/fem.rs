@@ -63,7 +63,7 @@ pub fn assemble_p1(grid: usize, sigma: impl Fn(f64, f64) -> f64) -> CsrMatrix {
                     (p[0].1 + p[1].1 + p[2].1) / 3.0,
                 );
                 let s = sigma(centroid.0, centroid.1);
-                // analyze::allow(float_cmp): the indicator coefficient is piecewise-constant and returns literal 0.0 outside its disk — exact sparsity skip
+                // the indicator coefficient is piecewise-constant and returns literal 0.0 outside its disk — exact sparsity skip
                 if s == 0.0 {
                     continue;
                 }

@@ -150,7 +150,10 @@ impl CookiesProblem {
             0 => 53,  // 2809 ≈ 2855
             1 => 105, // 11025 ≈ 11141
             2 => 158, // 24964 ≈ 24981
-            // analyze::allow(panic_surface): constructor precondition on a compile-time-small enum of paper levels; a Result would only move the abort to every caller
+            #[expect(
+                clippy::panic,
+                reason = "constructor precondition on a compile-time-small enum of paper levels; a Result would only move the abort to every caller"
+            )]
             _ => panic!("the paper uses 3 refinement levels"),
         };
         Self::new(grid, samples_per_disk)

@@ -188,6 +188,7 @@ impl std::fmt::Debug for TtCore {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use rand::SeedableRng;

@@ -128,7 +128,10 @@ fn apply_pinv_t(a: &Matrix, m: &Matrix) -> Matrix {
     let mtm = syrk(m, 1.0);
     let l = match tt_linalg::cholesky(&mtm) {
         Ok(l) => l,
-        // analyze::allow(panic_surface): full-column-rank is an upstream invariant (truncation removes null columns); violation means corrupted state, not a recoverable input
+        #[expect(
+            clippy::panic,
+            reason = "full-column-rank is an upstream invariant (truncation removes null columns); violation means corrupted state, not a recoverable input"
+        )]
         Err(e) => panic!(
             "apply_pinv_t: Cholesky of MᵀM failed ({e}); M must have full \
              column rank here — the upstream truncation should have removed \
@@ -144,6 +147,10 @@ fn apply_pinv_t(a: &Matrix, m: &Matrix) -> Matrix {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "test exponents are small loop indices"
+)]
 mod tests {
     use super::*;
 

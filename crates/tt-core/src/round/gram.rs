@@ -220,6 +220,7 @@ pub(crate) fn round_gram_sim_dist(
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use crate::round::{round, RoundingMethod};

@@ -156,6 +156,10 @@ fn lead_basis(q: Matrix, r: &Matrix, target: usize) -> Matrix {
 /// `x`: one allreduce of the local mode sizes. The model backend returns one
 /// representative rank's `⌈I/P⌉` share unreduced, so it is scaled by `P` to
 /// a global size whose representative share is exactly the local block.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "mode sizes travel through the allreduce as exact integers in f64 words"
+)]
 fn global_dims(comm: &impl Communicator, x: &TtTensor) -> Vec<usize> {
     let mut dims: Vec<f64> = x.dims().iter().map(|&d| d as f64).collect();
     comm.allreduce_sum(&mut dims);

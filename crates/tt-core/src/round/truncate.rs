@@ -142,7 +142,7 @@ struct Deflation {
     /// δ, the bound on the energy dropped before the TSVD (0 when none).
     delta: f64,
     /// The factorization the bond took (read by the route tests).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), allow(dead_code, reason = "only the route tests read it"))]
     route: Route,
 }
 
@@ -247,7 +247,10 @@ fn evd_pair(
     let r = g_left.rows();
     let eig_or_die = |side: &str, g: &Matrix| match eigh(g) {
         Ok(e) => e.descending(),
-        // analyze::allow(panic_surface): a Gram matrix is symmetric PSD by construction; EVD failure means memory corruption upstream and the message says how to chase it
+        #[expect(
+            clippy::panic,
+            reason = "a Gram matrix is symmetric PSD by construction; EVD failure means memory corruption upstream and the message says how to chase it"
+        )]
         Err(e) => panic!(
             "gram_truncate bond {bond}: EVD of {side} failed ({e}). A Gram \
              matrix is symmetric PSD, so this indicates a corrupted buffer \

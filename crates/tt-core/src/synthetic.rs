@@ -52,7 +52,10 @@ impl ModelSpec {
                 d[0] = 10_000;
                 d
             }
-            // analyze::allow(panic_surface): constructor precondition on the paper's fixed model table; a Result would only move the abort to every caller
+            #[expect(
+                clippy::panic,
+                reason = "constructor precondition on the paper's fixed model table; a Result would only move the abort to every caller"
+            )]
             _ => panic!("Table I defines models 1–4"),
         };
         ModelSpec {
@@ -67,10 +70,13 @@ impl ModelSpec {
     /// machines smaller than a 704-node cluster. Rank structure is kept.
     pub fn scaled(&self, factor: f64) -> ModelSpec {
         assert!(factor > 0.0 && factor <= 1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "deliberate dimension scaling; factor is in (0, 1] so round() stays within usize and the .max(4) floor handles degenerate results"
+        )]
         let dims = self
             .dims
             .iter()
-            // analyze::allow(narrow_cast): deliberate dimension scaling; factor is in (0, 1] so round() stays within usize and the .max(4) floor handles degenerate results
             .map(|&d| (((d as f64) * factor).round() as usize).max(4))
             .collect();
         ModelSpec {

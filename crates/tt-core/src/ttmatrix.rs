@@ -187,7 +187,7 @@ impl TtMatrix {
                         for aa in 0..s0 {
                             for bb in 0..s1 {
                                 let aval = a.at(aa, i, j, bb);
-                                // analyze::allow(float_cmp): sparsity skip — only exactly zero entries may be dropped; a tolerance would silently truncate the operator
+                                // sparsity skip — only exactly zero entries may be dropped; a tolerance would silently truncate the operator
                                 if aval == 0.0 {
                                     continue;
                                 }

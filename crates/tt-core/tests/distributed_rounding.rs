@@ -2,6 +2,11 @@
 //! ranks over the 1-D slice distribution, must represent the same tensor as
 //! its sequential counterpart.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "a failed unwrap in a test helper fails the test"
+)]
+
 use rand::SeedableRng;
 use tt_comm::{run_verified, run_verified_with_timeout, Communicator, ModelComm};
 use tt_core::RoundingMethod::{self, GramLrl, GramRlr, GramSim, Qr};

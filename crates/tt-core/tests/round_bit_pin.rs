@@ -18,6 +18,11 @@
 //!
 //! Scalar builds only: under `simd` + `fma` the microkernels fuse each
 //! multiply-add, which changes the bits by design (DESIGN.md §11).
+
+#![allow(
+    clippy::expect_used,
+    reason = "a failed expect in a test helper fails the test"
+)]
 #![cfg(not(feature = "simd"))]
 
 use tt_comm::{run_verified, SelfComm};

@@ -158,7 +158,10 @@ fn pack_b(tb: Trans, b: &MatRef<'_>, k0: usize, kc: usize, j0: usize, nc: usize,
 /// step-major; the fixed-size array views let the whole accumulator tile
 /// live in registers. Kept unconditionally as the fallback for builds
 /// without the `simd` feature and as a cross-check oracle in tests.
-#[cfg_attr(feature = "simd", allow(dead_code))]
+#[cfg_attr(
+    feature = "simd",
+    allow(dead_code, reason = "the simd build calls it only from tests")
+)]
 #[inline]
 fn microkernel_scalar(pa: &[f64], pb: &[f64], acc: &mut [[f64; MR]; NR]) {
     let (a_steps, _) = pa.as_chunks::<MR>();
@@ -305,7 +308,10 @@ pub fn gemm_accumulate(
 /// With `triangle_only`, the SYRK triangle cut, a register tile lying
 /// entirely in the strict lower triangle (every column index below every
 /// row index) is skipped — the mirror pass fills it.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the inner tile sweep takes both packed panels, their extents and the output block by value; a struct would only rename them"
+)]
 fn multiply_panels(
     pa: &[f64],
     pb: &[f64],
@@ -409,6 +415,7 @@ fn syrk_sweep(ta: Trans, a: MatRef<'_>, tb: Trans, alpha: f64, c: &mut MatMut<'_
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use crate::reference;

@@ -177,6 +177,7 @@ fn swap_sym(w: &mut Matrix, k: usize, p: usize) {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use crate::gemm::{gemm, syrk, Trans};

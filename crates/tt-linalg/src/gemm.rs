@@ -136,6 +136,10 @@ pub fn gemm_v(
         // Applies `beta` with the first depth slice.
         skinny::gemm(ta, a, tb, b, alpha, beta, &mut c);
     } else {
+        #[expect(
+            clippy::float_cmp,
+            reason = "BLAS semantics: beta = 1 exactly means keep C, any other value scales it"
+        )]
         if beta == 0.0 {
             c.fill(0.0);
         } else if beta != 1.0 {
@@ -243,7 +247,14 @@ fn sample_entries_before(
 /// dot products computed directly from the operands — the reference oracle at
 /// O(samples·k) cost. Panics with a kernel-naming diagnostic on mismatch,
 /// including a non-finite result where the oracle's value is finite.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the oracle check needs every GEMM operand and scalar it verifies"
+)]
+#[expect(
+    clippy::panic,
+    reason = "paranoid-mode oracle check — a wrong kernel result must abort, continuing would corrupt every downstream factorization"
+)]
 fn verify_samples(
     ta: Trans,
     a: MatRef<'_>,
@@ -275,7 +286,6 @@ fn verify_samples(
         let tol = (k as f64 + 8.0) * 8.0 * crate::EPS * scale;
         let got = c.as_ref().at(i, j);
         if disagrees(got, expect, tol) {
-            // analyze::allow(panic_surface): paranoid-mode oracle check — a wrong kernel result must abort, continuing would corrupt every downstream factorization
             panic!(
                 "gemm: paranoid check failed: blocked kernel disagrees with the \
                  reference oracle at C[{i},{j}]: blocked {got} vs reference \
@@ -288,6 +298,10 @@ fn verify_samples(
 
 /// SYRK analogue of [`verify_samples`]: checks diagonal-adjacent samples of
 /// the symmetric result against directly computed entries.
+#[expect(
+    clippy::panic,
+    reason = "paranoid-mode oracle check — a wrong kernel result must abort, continuing would corrupt every downstream factorization"
+)]
 fn verify_syrk_samples(kernel: &str, c: &Matrix, entry: impl Fn(usize, usize) -> f64) {
     if !crate::paranoid::enabled() {
         return;
@@ -305,7 +319,6 @@ fn verify_syrk_samples(kernel: &str, c: &Matrix, entry: impl Fn(usize, usize) ->
         let tol = 1e-10 * (1.0 + expect.abs()) + 1e-12;
         let got = c[(i, j)];
         if disagrees(got, expect, tol) {
-            // analyze::allow(panic_surface): paranoid-mode oracle check — a wrong kernel result must abort, continuing would corrupt every downstream factorization
             panic!(
                 "{kernel}: paranoid check failed: blocked kernel disagrees with \
                  the reference oracle at C[{i},{j}]: blocked {got} vs reference \
@@ -324,6 +337,7 @@ fn disagrees(got: f64, expect: f64, tol: f64) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use rand::SeedableRng;

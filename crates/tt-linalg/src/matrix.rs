@@ -261,6 +261,7 @@ impl std::fmt::Debug for Matrix {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
 

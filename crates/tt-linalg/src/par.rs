@@ -13,6 +13,10 @@ pub fn configured_threads() -> usize {
 
 /// Hardware thread count (`std::thread::available_parallelism`), defaulting
 /// to 1 when the platform cannot report it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reported on the benchmark's banner line only; no kernel reads it"
+)]
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

@@ -24,13 +24,16 @@ pub const fn enabled() -> bool {
 /// `kernel` and `operand` name the entry point and argument for the
 /// diagnostic, e.g. `check_finite("gemm", "A", a.as_slice())`.
 #[inline]
+#[expect(
+    clippy::panic,
+    reason = "the paranoid layer's whole job is to abort at the first non-finite value instead of letting NaN propagate"
+)]
 pub fn check_finite(kernel: &str, operand: &str, data: &[f64]) {
     if !enabled() {
         return;
     }
     for (i, &x) in data.iter().enumerate() {
         if !x.is_finite() {
-            // analyze::allow(panic_surface): the paranoid layer's whole job is to abort at the first non-finite value instead of letting NaN propagate
             panic!(
                 "{kernel}: paranoid check failed: non-finite value {x} at flat \
                  index {i} of operand {operand} (len {}) — the buffer was \
@@ -43,9 +46,12 @@ pub fn check_finite(kernel: &str, operand: &str, data: &[f64]) {
 
 /// Asserts a finite scalar parameter (scale factors, tolerances).
 #[inline]
+#[expect(
+    clippy::panic,
+    reason = "the paranoid layer's whole job is to abort at the first non-finite value instead of letting NaN propagate"
+)]
 pub fn check_finite_scalar(kernel: &str, name: &str, value: f64) {
     if enabled() && !value.is_finite() {
-        // analyze::allow(panic_surface): the paranoid layer's whole job is to abort at the first non-finite value instead of letting NaN propagate
         panic!("{kernel}: paranoid check failed: parameter {name} = {value} is not finite");
     }
 }

@@ -238,6 +238,7 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use crate::gemm::{gemm, Trans};

@@ -37,6 +37,10 @@ pub fn gemm_v(
     let (m, k) = ta.dims(&a);
     let (_, n) = tb.dims(&b);
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "BLAS semantics: beta = 1 exactly means keep C, any other value scales it"
+    )]
     if beta == 0.0 {
         c.fill(0.0);
     } else if beta != 1.0 {
@@ -171,6 +175,7 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
     use rand::SeedableRng;

@@ -166,6 +166,10 @@ fn sweep(
     };
     for k0 in (0..k).step_by(KC) {
         let steps = KC.min(k - k0);
+        #[expect(
+            clippy::float_cmp,
+            reason = "BLAS semantics: beta = 1 exactly means keep C, any other value scales it"
+        )]
         let base = if k0 > 0 || beta == 1.0 {
             Base::Keep
         } else if beta == 0.0 {

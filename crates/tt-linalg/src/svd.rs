@@ -235,9 +235,12 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
             }
         }
     }
+    #[expect(
+        clippy::panic,
+        reason = "the paranoid layer's whole job is to abort instead of returning an unconverged factorization as if it were one"
+    )]
     if rotated && crate::paranoid::enabled() {
         let worst = worst_coupling(&bx, n, negligible2);
-        // analyze::allow(panic_surface): the paranoid layer's whole job is to abort instead of returning an unconverged factorization as if it were one
         panic!(
             "jacobi_svd: paranoid check failed: no convergence on a {m}x{n} input \
              after {sweeps} sweeps; worst remaining |apq|/(‖ap‖‖aq‖) = {worst:e} \

@@ -18,6 +18,8 @@
 //! simd job replays every shape/transpose/edge-slab case here against the
 //! same f64 oracle.
 
+#![allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
+
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tt_linalg::block::{self, SyrkShape, KC, MR, NR};
@@ -68,7 +70,10 @@ fn packed(
 
 /// Runs `engine` and checks it entry-by-entry against the reference oracle
 /// under the componentwise k·ε bound.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one conformance case is a full GEMM call plus its engine"
+)]
 fn assert_gemm_conforms(
     engine: Engine,
     m: usize,

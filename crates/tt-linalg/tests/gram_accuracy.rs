@@ -5,6 +5,11 @@
 //! numerical trade-off the whole paper is built around, so we verify it
 //! holds for our kernels exactly as described.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "a failed unwrap in a test helper fails the test"
+)]
+
 use rand::SeedableRng;
 use tt_linalg::{eigh, gemm, householder_qr, jacobi_svd, syrk, Matrix, Trans};
 

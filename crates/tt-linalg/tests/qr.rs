@@ -3,6 +3,8 @@
 //! singular values), at TT-rank widths and at the formal-rank widths of
 //! QR-rounding a sum.
 
+#![allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
+
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tt_linalg::{gemm, householder_qr, Matrix, Trans};

@@ -40,8 +40,11 @@ impl MeanPreconditioner {
     ///
     /// Panics if `mean_matrix` is not SPD (a stiffness matrix always is).
     pub fn new(mean_matrix: &CsrMatrix) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "a stiffness matrix is SPD by construction; factorization failure means corrupted assembly, documented in the message"
+        )]
         let Some(factor) = BandedCholesky::factor(mean_matrix) else {
-            // analyze::allow(panic_surface): a stiffness matrix is SPD by construction; factorization failure means corrupted assembly, documented in the message
             panic!(
                 "MeanPreconditioner::new: the mean matrix is not numerically \
                  SPD; a stiffness matrix always is, so the assembled operator \

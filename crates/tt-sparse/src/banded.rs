@@ -58,7 +58,7 @@ impl BandedCholesky {
             // Rank-1 update of the remaining columns within the band.
             for k in j + 1..top {
                 let ljk = band[(k - j, j)];
-                // analyze::allow(float_cmp): sparsity skip in the rank-1 update — dropping exactly zero multipliers is lossless (LAPACK idiom)
+                // sparsity skip in the rank-1 update — dropping exactly zero multipliers is lossless (LAPACK idiom)
                 if ljk == 0.0 {
                     continue;
                 }

@@ -39,7 +39,7 @@ pub fn conjugate_gradient(
         .collect();
 
     let bnorm = norm(b);
-    // analyze::allow(float_cmp): exactly zero right-hand side has the exact solution x = 0; a tolerance would misclassify tiny-but-valid systems
+    // exactly zero right-hand side has the exact solution x = 0; a tolerance would misclassify tiny-but-valid systems
     if bnorm == 0.0 {
         x.fill(0.0);
         return CgOutcome {

@@ -24,7 +24,7 @@ impl CooBuilder {
     /// Adds `v` at `(i, j)` (accumulating with any existing entry there).
     pub fn add(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
-        // analyze::allow(float_cmp): sparsity-pattern filter — only exactly zero values may be omitted from the assembled matrix
+        // sparsity-pattern filter — only exactly zero values may be omitted from the assembled matrix
         if v != 0.0 {
             self.entries.push((i, j, v));
         }
@@ -240,6 +240,7 @@ impl CsrMatrix {
 }
 
 #[cfg(test)]
+#[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
 

@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example cookies_gmres`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
 use tt_gram_round::cookies::CookiesProblem;
 use tt_gram_round::solvers::gmres::TrueResidualMode;
 use tt_gram_round::solvers::{tt_gmres, GmresOptions, RoundingMethod};

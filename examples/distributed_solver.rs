@@ -5,7 +5,14 @@
 //!
 //! Run with: `cargo run --release --example distributed_solver`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is what this target reports; no result depends on it"
+)]
 use tt_gram_round::comm::ThreadComm;
 use tt_gram_round::cookies::CookiesProblem;
 use tt_gram_round::solvers::gmres::TrueResidualMode;

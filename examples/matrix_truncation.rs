@@ -4,7 +4,14 @@
 //!
 //! Run with: `cargo run --release --example matrix_truncation`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is what this target reports; no result depends on it"
+)]
 use rand::SeedableRng;
 use tt_gram_round::linalg::{gemm, householder_qr, Matrix, Trans};
 use tt_gram_round::tt::matprod::{mat_rounding_qr, tsvd_abt_cholqr, tsvd_abt_gram};
@@ -23,6 +30,7 @@ fn main() {
     let qa = householder_qr(&Matrix::gaussian(m, r, &mut rng)).thin_q();
     let qb = householder_qr(&Matrix::gaussian(k, r, &mut rng)).thin_q();
     let mut a = qa;
+    #[expect(clippy::cast_possible_truncation, reason = "j is below the rank 30")]
     for j in 0..r {
         a.scale_col(j, 0.5f64.powi(j as i32)); // sigma_j = 2^{-j}
     }

@@ -5,7 +5,14 @@
 //!
 //! Run with: `cargo run --release --example randomized_rounding`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is what this target reports; no result depends on it"
+)]
 use rand::SeedableRng;
 use tt_gram_round::comm::SelfComm;
 use tt_gram_round::tt::synthetic::generate_redundant;

@@ -4,7 +4,14 @@
 //!
 //! Run with: `cargo run --release --example scaling_study`
 
-#![allow(clippy::print_stdout)] // user-facing output is this target's job
+#![allow(
+    clippy::print_stdout,
+    reason = "user-facing output is this target's job"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock timing is what this target reports; no result depends on it"
+)]
 use rand::SeedableRng;
 use tt_gram_round::comm::{Communicator, CostModel, ThreadComm};
 use tt_gram_round::tt::synthetic::{generate_redundant, ModelSpec};

@@ -1,5 +1,10 @@
 //! Property-based tests (proptest) over the core invariants.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "probe indices are reduced modulo a mode size"
+)]
+
 use proptest::prelude::*;
 use rand::SeedableRng;
 use tt_gram_round::comm::SelfComm;

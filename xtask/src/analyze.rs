@@ -1,5 +1,5 @@
-//! `cargo xtask analyze` — the SPMD collective-safety and numeric-discipline
-//! static analyzer (DESIGN.md §8 and §10).
+//! `cargo xtask analyze` — the SPMD collective-safety static analyzer
+//! (DESIGN.md §8 and §10).
 //!
 //! One serial run over every library source, in two stages:
 //!
@@ -7,10 +7,10 @@
 //!    run through every per-file [`Pass`], its suppressions parsed, and its
 //!    call-graph [`FileSummary`] extracted.
 //! 2. **Workspace**: the summaries merge into a [`CallGraph`], facts
-//!    propagate to a fixpoint, and the interprocedural [`GraphPass`]es
-//!    (`collective_order`, `determinism`) run over the whole graph. Their
-//!    findings join the per-file ones before suppression reconciliation,
-//!    so one suppression syntax covers both kinds.
+//!    propagate to a fixpoint, and the interprocedural [`GraphPass`]
+//!    (`collective_order`) runs over the whole graph. Its findings join
+//!    the per-file ones before suppression reconciliation, so one
+//!    suppression syntax covers both kinds.
 //!
 //! Suppressions:
 //!
@@ -39,7 +39,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::callgraph::{hot_reachability, propagate, CallGraph, FileSummary};
+use crate::callgraph::{propagate, CallGraph, FileSummary};
 use crate::library_src_files;
 use crate::passes::{all_graph_passes, all_pass_names, all_passes, Diagnostic, GraphContext};
 use crate::scanner::CodeModel;
@@ -141,15 +141,9 @@ pub fn analyze(repo: &Path, args: &[String]) -> ExitCode {
             "--list-passes" => {
                 for p in all_passes() {
                     eprintln!("{:18} {}", p.name(), p.description());
-                    if !p.allowlist().is_empty() {
-                        eprintln!("{:18}   (not run on: {})", "", p.allowlist().join(", "));
-                    }
                 }
                 for p in all_graph_passes() {
                     eprintln!("{:18} [interprocedural] {}", p.name(), p.description());
-                    if !p.allowlist().is_empty() {
-                        eprintln!("{:18}   (not run on: {})", "", p.allowlist().join(", "));
-                    }
                 }
                 return ExitCode::SUCCESS;
             }
@@ -171,6 +165,10 @@ pub fn analyze(repo: &Path, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall time is printed by --stats and never reaches a finding"
+    )]
     let started = std::time::Instant::now();
     let (report, stats) = match analyze_files_with(repo, &files) {
         Ok(r) => r,
@@ -243,8 +241,8 @@ struct FileRecord {
 }
 
 /// Runs the full two-stage analysis over `files` (paths made repo-relative
-/// against `repo` for diagnostics and allowlist matching). This is the
-/// library surface the fixture and property tests drive directly.
+/// against `repo` for diagnostics). This is the library surface the
+/// fixture and property tests drive directly.
 pub fn analyze_files_with(
     repo: &Path,
     files: &[PathBuf],
@@ -262,7 +260,6 @@ pub fn analyze_files_with(
     let summaries: Vec<FileSummary> = records.iter().map(|r| r.summary.clone()).collect();
     let graph = CallGraph::build(summaries);
     let facts = propagate(&graph);
-    let hot = hot_reachability(&graph);
     stats.graph_nodes = graph.nodes.len();
     stats.graph_edges = graph.edge_count();
     stats.resolved_calls = graph.resolved_calls;
@@ -272,16 +269,10 @@ pub fn analyze_files_with(
     let cx = GraphContext {
         graph: &graph,
         facts: &facts,
-        hot: &hot,
     };
     let mut graph_findings: Vec<Diagnostic> = Vec::new();
     for pass in all_graph_passes() {
-        let mut found = Vec::new();
-        pass.run(&cx, &mut found);
-        // Graph passes run once globally; their allowlist is applied by
-        // filtering findings on the file they point into.
-        found.retain(|d| !pass.allowlist().iter().any(|p| d.file.starts_with(p)));
-        graph_findings.append(&mut found);
+        pass.run(&cx, &mut graph_findings);
     }
     // Every graph finding points into a scanned file (nodes come from the
     // records), so the reconciliation below sees all of them.
@@ -347,9 +338,6 @@ fn file_record(repo: &Path, file: &Path) -> Result<FileRecord, std::io::Error> {
 
     let mut findings = Vec::new();
     for pass in all_passes() {
-        if pass.allowlist().iter().any(|p| rel.starts_with(p)) {
-            continue;
-        }
         pass.run(&rel, &model, &mut findings);
     }
     let summary = FileSummary::extract(&rel, &model);
@@ -450,19 +438,20 @@ mod tests {
 
     #[test]
     fn trailing_suppression_targets_its_own_line() {
-        let (sup, errors) =
-            suppressions_of("fn f() {\n    x.unwrap(); // analyze::allow(panic_surface): ok\n}\n");
+        let (sup, errors) = suppressions_of(
+            "fn f() {\n    comm.send(1, &x); // analyze::allow(p2p_pairing): ok\n}\n",
+        );
         assert!(errors.is_empty());
         assert_eq!(sup.len(), 1);
         assert_eq!(sup[0].target_line, 2);
-        assert_eq!(sup[0].pass, "panic_surface");
+        assert_eq!(sup[0].pass, "p2p_pairing");
         assert_eq!(sup[0].reason, "ok");
     }
 
     #[test]
     fn standalone_suppression_targets_next_code_line() {
         let (sup, errors) = suppressions_of(
-            "fn f() {\n    // analyze::allow(float_cmp): exact sentinel\n\n    if x == 0.0 {}\n}\n",
+            "fn f() {\n    // analyze::allow(p2p_pairing): paired by the caller\n\n    comm.send(1, &x);\n}\n",
         );
         assert!(errors.is_empty());
         assert_eq!(sup.len(), 1);
@@ -472,7 +461,7 @@ mod tests {
     #[test]
     fn graph_pass_names_are_valid_suppression_targets() {
         let (sup, errors) = suppressions_of(
-            "// analyze::allow(determinism): partition-only\nfn f() {}\n\
+            "// analyze::allow(collective_order): rank-uniform branch\nfn f() {}\n\
              // analyze::allow(collective_order): uniform\nfn g() {}\n",
         );
         assert!(errors.is_empty(), "errors: {errors:?}");
@@ -482,7 +471,7 @@ mod tests {
     #[test]
     fn missing_reason_and_unknown_pass_are_errors() {
         let (sup, errors) = suppressions_of(
-            "// analyze::allow(panic_surface):\nfn a() {}\n// analyze::allow(bogus): reason\nfn b() {}\n",
+            "// analyze::allow(p2p_pairing):\nfn a() {}\n// analyze::allow(bogus): reason\nfn b() {}\n",
         );
         assert!(sup.is_empty());
         assert_eq!(errors.len(), 2);

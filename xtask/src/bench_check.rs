@@ -406,7 +406,7 @@ fn evaluate(gate: &Gate, mode: Mode, current: &[Entry], verbose: bool) -> Vec<Fa
 
     for cur in current {
         if let (Some(rel_err), Some(bound)) = (cur.rel_err, cur.bound) {
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail the gate
+            #[allow(clippy::neg_cmp_op_on_partial_ord, reason = "NaN must fail the gate")]
             if !(rel_err <= bound) {
                 let msg = format!(
                     "{}: rel error {rel_err:.3e} exceeds its accuracy bound {bound:.3e}",
@@ -483,6 +483,10 @@ fn find<'a>(entries: &'a [Entry], id: &str) -> Option<&'a Entry> {
 /// a row also needs `rel_err` and `bound` (`max_rank` defaults to 0);
 /// without it those fields are ignored.
 fn parse_entries(text: &str, accuracy: bool) -> Vec<Entry> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sample counts and ranks in a baseline file are small integers"
+    )]
     let row = |line: &str| {
         let acc = |key| match accuracy {
             true => extract_f64(line, key).map(Some),

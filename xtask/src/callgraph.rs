@@ -1,61 +1,39 @@
 //! Workspace call graph and interprocedural summary propagation
 //! (DESIGN.md §10).
 //!
-//! The per-file passes (DESIGN.md §8) see one [`CodeModel`] at a time, which
-//! is exactly why a rank-guarded early return in a *helper* or a `HashMap`
-//! iteration three calls below a kernel entry point used to slip through.
-//! This module lifts the analysis to the workspace level in three layers:
+//! A per-file pass (DESIGN.md §8) sees one [`CodeModel`] at a time, which
+//! is exactly why a collective moved into a *helper* behind a rank test used
+//! to slip through. This module lifts the analysis to the workspace level in
+//! three layers:
 //!
 //! 1. **Extraction** — [`FileSummary::extract`] walks a file's `CodeModel`
-//!    once and records, per `fn`: every call site (callee name, `::`-path
-//!    qualifier, method-ness, enclosing rank-conditional /
-//!    rank-guarded-return context) and the function's *direct facts* (issues
-//!    a collective, nondeterminism sources).
+//!    once and records, per `fn`: its `impl` owner, every call site (callee
+//!    name, `::`-path qualifier, method-ness, enclosing rank-conditional /
+//!    rank-guarded-return context) and its *direct fact* (issues a
+//!    collective).
 //! 2. **Resolution** — [`CallGraph::build`] links call sites to `fn`
-//!    definitions by simple name, narrowed by the call's `::` qualifier and
-//!    the calling file's `use` paths, then same-file, then same-crate.
-//!    Resolution is heuristic (the scanner does not type-check), so its
-//!    precision is *auditable*: every call is classified resolved /
-//!    ambiguous (edges to all candidates, over-approximating) / external
-//!    (no workspace definition), and the counts surface in
-//!    `cargo xtask analyze --stats`.
+//!    definitions by simple name. A type-qualified call (`Matrix::zeros(`,
+//!    `Self::helper(`) links only to that type's `impl` fns and is external
+//!    when there is none; other calls are narrowed by the call's `::`
+//!    qualifier and the calling file's `use` paths, then same-file, then
+//!    same-crate. Resolution is heuristic (the scanner does not
+//!    type-check), so its precision is *auditable*: every call is
+//!    classified resolved / ambiguous (edges to all candidates,
+//!    over-approximating) / external (no workspace definition), and the
+//!    counts surface in `cargo xtask analyze --stats`.
 //! 3. **Propagation** — [`propagate`] runs the collective fact to a
 //!    fixpoint over the graph (cycles terminate because facts only ever
 //!    switch on), so "transitively issues a collective" becomes queryable
 //!    per function, with a human-readable call-chain witness for
-//!    diagnostics. The direct nondeterminism sources are read as extracted:
-//!    `determinism` pairs them with the hot-path reachability below.
+//!    diagnostics.
 //!
-//! The interprocedural passes (`collective_order`, `determinism`) are
-//! consumers of this module; see
-//! [`crate::passes::GraphPass`].
+//! The interprocedural pass `collective_order` is the consumer of this
+//! module; see [`crate::passes::GraphPass`].
 
 use std::collections::BTreeMap;
 
 use crate::passes::{rank_conditional_mask, COLLECTIVES};
 use crate::scanner::{CodeModel, TokenKind};
-
-/// Identifier prefixes marking *hot-path entry points*: the kernel and
-/// rounding functions whose transitive callees must uphold the bitwise
-/// determinism contract (DESIGN.md §11).
-/// Matching is by name prefix rather than by path so fixtures and future
-/// crates participate without configuration; the prefixes are chosen to hit
-/// the `tt-linalg` kernel surface and the `tt-core` rounding/orthogonalization
-/// sweeps and nothing else.
-pub const HOT_ROOT_PREFIXES: &[&str] = &[
-    "round_",
-    "gram_sweep",
-    "tsqr",
-    "gemm",
-    "syrk",
-    "householder_qr",
-    "orthogonalize",
-];
-
-/// True if `name` names a hot-path entry point (see [`HOT_ROOT_PREFIXES`]).
-pub fn is_hot_root(name: &str) -> bool {
-    HOT_ROOT_PREFIXES.iter().any(|p| name.starts_with(p))
-}
 
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,8 +59,7 @@ pub struct CallSite {
 /// One piece of direct (intra-function) evidence: what was seen and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evidence {
-    /// Short description of the construct (`"`HashMap` (nondeterministic
-    /// iteration order)"`, `"`.allreduce_sum()`"`, ...).
+    /// Short description of the construct (`"`.allreduce_sum()`"`).
     pub what: String,
     /// 1-based source line.
     pub line: usize,
@@ -97,12 +74,14 @@ pub struct FnSummary {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
+    /// Names a `Name::f(` call reaches this fn by: the self type of its
+    /// `impl` block, then the trait for a trait impl; the trait for a
+    /// default method. Empty for free fns.
+    pub owners: Vec<String>,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
     /// Direct collective issued (method-call form), if any: first one wins.
     pub collective: Option<Evidence>,
-    /// Direct nondeterminism sources (deduplicated per line).
-    pub nondet: Vec<Evidence>,
 }
 
 /// Summary of one source file: its `use`-path import map plus all fn
@@ -119,50 +98,6 @@ pub struct FileSummary {
     pub fns: Vec<FnSummary>,
 }
 
-/// Nondeterminism sources recognized lexically: `(trigger tokens, label)`.
-/// The trigger is either a lone identifier or a `prefix::name` pair.
-const NONDET_SOURCES: &[(&str, Option<&str>, &str)] = &[
-    (
-        "HashMap",
-        None,
-        "`HashMap` (nondeterministic iteration order)",
-    ),
-    (
-        "HashSet",
-        None,
-        "`HashSet` (nondeterministic iteration order)",
-    ),
-    (
-        "now",
-        Some("Instant"),
-        "`Instant::now` (wall-clock dependence)",
-    ),
-    (
-        "now",
-        Some("SystemTime"),
-        "`SystemTime::now` (wall-clock dependence)",
-    ),
-    (
-        "current",
-        Some("thread"),
-        "`thread::current` (thread identity)",
-    ),
-    ("ThreadId", None, "`ThreadId` (thread identity)"),
-    ("var", Some("env"), "`env::var` (environment dependence)"),
-    (
-        "var_os",
-        Some("env"),
-        "`env::var_os` (environment dependence)",
-    ),
-    (
-        "available_parallelism",
-        None,
-        "`available_parallelism` (hardware-shape dependence)",
-    ),
-    ("thread_rng", None, "`thread_rng` (unseeded randomness)"),
-    ("from_entropy", None, "`from_entropy` (unseeded randomness)"),
-];
-
 /// Keywords that can precede a `(` without being a call.
 const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "in", "as", "let", "mut", "ref", "move",
@@ -178,6 +113,7 @@ impl FileSummary {
         let toks = &model.tokens;
         let n = toks.len();
 
+        let blocks = impl_blocks(model);
         let mut out = FileSummary {
             path: path.to_string(),
             uses: extract_uses(model),
@@ -191,12 +127,18 @@ impl FileSummary {
             if model.in_test.get(f.fn_idx).copied().unwrap_or(false) {
                 continue;
             }
+            let owners = blocks
+                .iter()
+                .filter(|(open, close, _)| *open < f.fn_idx && f.fn_idx < *close)
+                .min_by_key(|(open, close, _)| close - open)
+                .map(|(_, _, owners)| owners.clone())
+                .unwrap_or_default();
             let mut fs = FnSummary {
                 name: f.name.clone(),
                 line: f.line,
+                owners,
                 calls: Vec::new(),
                 collective: None,
-                nondet: Vec::new(),
             };
 
             // Rank-guarded early-return regions in this fn: past `end`,
@@ -233,23 +175,6 @@ impl FileSummary {
                     continue;
                 }
                 let line = t.line;
-
-                // Nondeterminism sources (not calls — any occurrence).
-                for (name, prefix, label) in NONDET_SOURCES {
-                    if &t.text != name {
-                        continue;
-                    }
-                    let prefix_ok = match prefix {
-                        None => true,
-                        Some(p) => i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident(p),
-                    };
-                    if prefix_ok && !fs.nondet.iter().any(|e| e.line == line && e.what == *label) {
-                        fs.nondet.push(Evidence {
-                            what: (*label).to_string(),
-                            line,
-                        });
-                    }
-                }
 
                 // Calls: ident followed by `(`.
                 let prev_dot = i > 0 && toks[i - 1].is_punct(".");
@@ -323,6 +248,61 @@ impl FileSummary {
         }
         out
     }
+}
+
+/// `(body open, body close, owners)` of every `impl` and `trait` block, in
+/// token indices; the owners are as documented on [`FnSummary::owners`].
+/// An `impl` in type position (`x: impl Trait`, `-> impl Iterator`) opens
+/// no block.
+fn impl_blocks(model: &CodeModel) -> Vec<(usize, usize, Vec<String>)> {
+    let toks = &model.tokens;
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let is_trait = t.is_ident("trait");
+        if !is_trait && !t.is_ident("impl") {
+            continue;
+        }
+        if i > 0 && ["->", ":", "(", ",", "<", "&", "="].contains(&toks[i - 1].text.as_str()) {
+            continue;
+        }
+        // Header up to the `{` outside angle brackets. The last identifier
+        // at angle depth 0 names the type (`fmt::Display` → `Display`); a
+        // `for` turns the name so far into the trait.
+        let mut angle = 0i64;
+        let mut name: Option<String> = None;
+        let mut trait_name: Option<String> = None;
+        let mut in_where = false;
+        let mut open = None;
+        for (j, u) in toks.iter().enumerate().skip(i + 1) {
+            match u.text.as_str() {
+                "<" => angle += 1,
+                "<<" => angle += 2,
+                ">" => angle -= 1,
+                ">>" => angle -= 2,
+                "{" if angle <= 0 => {
+                    open = Some(j);
+                    break;
+                }
+                ";" | "(" | ")" | "," | "=" if angle <= 0 => break,
+                "where" => in_where = true,
+                "for" if angle <= 0 && !is_trait => trait_name = name.take(),
+                "mut" | "dyn" | "unsafe" => {}
+                // A trait's own name comes first; supertraits follow it.
+                _ if angle <= 0
+                    && !in_where
+                    && u.kind == TokenKind::Ident
+                    && !(is_trait && name.is_some()) =>
+                {
+                    name = Some(u.text.clone());
+                }
+                _ => {}
+            }
+        }
+        let Some(open) = open else { continue };
+        let owners: Vec<String> = name.into_iter().chain(trait_name).collect();
+        out.push((open, model.matching_brace(open), owners));
+    }
+    out
 }
 
 /// Parses `use` declarations into a name → path-segments map. Handles
@@ -527,7 +507,7 @@ impl CallGraph {
                 }
                 let empty: Vec<usize> = Vec::new();
                 let cands = by_name.get(site.callee.as_str()).unwrap_or(&empty);
-                let (targets, resolution) = resolve(&g.nodes, node, file, site, cands);
+                let (targets, resolution) = resolve(&g.files, &g.nodes, node, site, cands);
                 match resolution {
                     Resolution::Resolved => g.resolved_calls += 1,
                     Resolution::Ambiguous => {
@@ -558,15 +538,44 @@ impl CallGraph {
     }
 }
 
+/// The type a `Type::f(` call names: the qualifier's last segment when it
+/// is capitalized or a primitive type, with `Self` read as the caller's own
+/// type. `None` for module paths and unqualified calls.
+fn qualifying_type<'a>(site: &'a CallSite, caller: &'a FnSummary) -> Option<&'a str> {
+    let last = site.qualifier.as_deref()?.rsplit("::").next()?;
+    if last == "Self" {
+        return caller.owners.first().map(String::as_str);
+    }
+    let primitive = matches!(
+        last,
+        "f64" | "f32" | "usize" | "isize" | "u64" | "i64" | "u32" | "i32" | "u8" | "str"
+    );
+    (primitive || last.starts_with(char::is_uppercase)).then_some(last)
+}
+
 /// Narrows `cands` for one call site. See the module docs for the
 /// preference order.
 fn resolve(
+    files: &[FileSummary],
     nodes: &[Node],
     caller: &Node,
-    file: &FileSummary,
     site: &CallSite,
     cands: &[usize],
 ) -> (Vec<usize>, Resolution) {
+    let file = &files[caller.file_idx];
+    let owner = |c: usize| &files[nodes[c].file_idx].fns[nodes[c].fn_idx].owners;
+    if let Some(ty) = qualifying_type(site, &file.fns[caller.fn_idx]) {
+        let owned: Vec<usize> = cands
+            .iter()
+            .copied()
+            .filter(|&c| owner(c).iter().any(|o| o == ty))
+            .collect();
+        return match owned.len() {
+            0 => (Vec::new(), Resolution::External),
+            1 => (owned, Resolution::Resolved),
+            _ => pick_local(caller, nodes, owned),
+        };
+    }
     if cands.is_empty() {
         return (Vec::new(), Resolution::External);
     }
@@ -719,33 +728,6 @@ fn lift(slot: &mut [Option<Witness>], ni: usize, t: usize, callee_name: &str) ->
     true
 }
 
-/// Forward reachability from the hot-path roots ([`is_hot_root`]): for each
-/// node, the name of a witnessing root (`None` = not reachable). Roots
-/// witness themselves.
-pub fn hot_reachability(g: &CallGraph) -> Vec<Option<String>> {
-    let n = g.nodes.len();
-    let mut witness: Vec<Option<String>> = vec![None; n];
-    let mut queue: Vec<usize> = Vec::new();
-    for (ni, w) in witness.iter_mut().enumerate() {
-        if is_hot_root(&g.nodes[ni].name) {
-            *w = Some(g.nodes[ni].name.clone());
-            queue.push(ni);
-        }
-    }
-    while let Some(ni) = queue.pop() {
-        let root = witness[ni].clone();
-        for edge in &g.edges[ni] {
-            for &t in &edge.targets {
-                if witness[t].is_none() {
-                    witness[t] = root.clone();
-                    queue.push(t);
-                }
-            }
-        }
-    }
-    witness
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,11 +784,10 @@ mod tests {
     fn direct_facts_are_extracted() {
         let s = summarize(
             "a.rs",
-            "fn f(comm: &C) {\n    comm.allreduce_sum(&mut [0.0]);\n    let m = HashMap::new();\n}\n",
+            "fn f(comm: &C) {\n    comm.allreduce_sum(&mut [0.0]);\n}\n",
         );
         let f = &s.fns[0];
         assert!(f.collective.as_ref().is_some_and(|e| e.line == 2));
-        assert!(f.nondet.iter().any(|e| e.what.contains("HashMap")));
     }
 
     #[test]
@@ -939,15 +920,45 @@ mod tests {
     }
 
     #[test]
-    fn hot_reachability_walks_edges_from_named_roots() {
+    fn owners_name_the_impl_type_then_the_trait() {
+        let s = summarize(
+            "a.rs",
+            "impl<T> Foo<T> { fn a() {} }\nimpl fmt::Display for Bar<'_> { fn b() {} }\n\
+             trait Baz: Clone { fn c() {} }\n\
+             fn d(x: impl Fn()) -> impl Iterator<Item = f64> { fn e() {} }\n",
+        );
+        let owners = |name: &str| {
+            s.fns
+                .iter()
+                .find(|f| f.name == name)
+                .map(|f| f.owners.clone())
+                .unwrap_or_else(|| panic!("fn {name}"))
+        };
+        assert_eq!(owners("a"), ["Foo"]);
+        assert_eq!(owners("b"), ["Bar", "Display"]);
+        assert_eq!(owners("c"), ["Baz"]);
+        assert!(owners("d").is_empty());
+        assert!(owners("e").is_empty());
+    }
+
+    #[test]
+    fn type_qualified_calls_link_only_to_that_types_impl() {
         let g = graph(&[(
             "crates/a/src/lib.rs",
-            "fn round_entry() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\nfn unrelated() { leaf(); }\n",
+            "impl M {\n    fn new() {}\n    fn zeros() { Self::new(); }\n}\nfn new() {}\n\
+             fn caller() { M::zeros(); Vec::new(); M::new(); }\n",
         )]);
-        let w = hot_reachability(&g);
-        assert_eq!(w[node(&g, "round_entry")].as_deref(), Some("round_entry"));
-        assert_eq!(w[node(&g, "leaf")].as_deref(), Some("round_entry"));
-        assert!(w[node(&g, "unrelated")].is_none());
+        let method_new = g
+            .nodes
+            .iter()
+            .position(|n| n.name == "new" && n.line == 2)
+            .expect("M::new");
+        let caller = node(&g, "caller");
+        let edges = &g.edges[caller];
+        assert_eq!(edges[0].targets, vec![node(&g, "zeros")]);
+        assert_eq!(edges[1].resolution, Resolution::External, "Vec::new");
+        assert_eq!(edges[2].targets, vec![method_new]);
+        assert_eq!(g.edges[node(&g, "zeros")][0].targets, vec![method_new]);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //!
 //! Tasks (dispatched by the thin `main.rs`):
 //!
-//! * [`lint`] — the always-on gate: rustfmt check, clippy deny-list,
-//!   scanner-based unwrap/expect source lint, `forbid(unsafe_code)` audit;
-//! * [`analyze`] — the SPMD collective-safety and numeric-discipline
-//!   analyzer: the [`scanner`] token model, the per-file and
-//!   interprocedural [`passes`] over the [`callgraph`], with in-source
-//!   suppressions (DESIGN.md §8) and [`sarif`] output;
+//! * [`lint`] — the always-on gate: rustfmt check, clippy under the
+//!   workspace lint policy (`[workspace.lints]` in the root `Cargo.toml`,
+//!   bans in `clippy.toml`), `forbid(unsafe_code)` audit;
+//! * [`analyze`] — the SPMD collective-safety analyzer: the [`scanner`]
+//!   token model and its two [`passes`], the per-file `p2p_pairing` and
+//!   the interprocedural `collective_order` over the [`callgraph`], with
+//!   in-source suppressions (DESIGN.md §8) and [`sarif`] output;
 //! * [`bench_check`] — the benchmark regression gates (kernels and the
 //!   rounding ablation) against the recorded `results/BENCH_*.json`
 //!   baselines, one row of its gate table each.
@@ -27,14 +28,18 @@ pub mod scanner;
 use std::path::{Path, PathBuf};
 
 /// Directories holding non-test library sources, relative to the repo root.
-/// `tests/`, `benches/`, and `examples/` trees are exempt from the source
-/// lints; `#[cfg(test)]` regions inside these sources are masked by the
-/// scanner's [`scanner::CodeModel`].
+/// `tests/`, `benches/`, and `examples/` trees are not analyzed;
+/// `#[cfg(test)]` regions inside these sources are masked by the scanner's
+/// [`scanner::CodeModel`].
 pub const LIBRARY_SRC_ROOTS: &[&str] = &["crates", "src", "vendor", "xtask/src"];
 
 /// The repo root, derived from the xtask manifest dir (`cargo xtask` always
 /// runs with the manifest dir set to `<repo>/xtask`).
 pub fn repo_root() -> PathBuf {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cargo sets the manifest dir; it locates the repo and feeds no result"
+    )]
     let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".to_string());
     let path = PathBuf::from(&manifest);
     path.parent().map(Path::to_path_buf).unwrap_or(path)
@@ -59,7 +64,7 @@ pub fn crate_roots(repo: &Path) -> Vec<PathBuf> {
 }
 
 /// Every non-test library source under [`LIBRARY_SRC_ROOTS`], sorted: the
-/// file set `cargo xtask analyze` and the source lints scan.
+/// file set `cargo xtask analyze` scans.
 pub fn library_src_files(repo: &Path) -> Result<Vec<PathBuf>, std::io::Error> {
     let mut files = Vec::new();
     for root in LIBRARY_SRC_ROOTS {

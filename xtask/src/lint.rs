@@ -1,32 +1,20 @@
 //! `cargo xtask lint` — the repo's fast static gate (DESIGN.md §7):
 //!
 //! 1. `cargo fmt --all -- --check` — formatting drift fails the build;
-//! 2. `cargo clippy --workspace --all-targets` with a curated deny-list;
-//! 3. a custom source lint forbidding `.unwrap()` / `.expect(` in non-test
-//!    library code, built on the shared [`crate::scanner`] (so multi-line
-//!    `/* */` comments and raw strings are classified correctly, which the
-//!    original per-line sanitizer got wrong);
-//! 4. an audit that every crate root opts into `#![forbid(unsafe_code)]`.
+//! 2. `cargo clippy --workspace --all-targets -- -D warnings`, under the lint
+//!    policy of the root `Cargo.toml`'s `[workspace.lints]` and the bans of
+//!    `clippy.toml` (panic surface, exact float comparison, truncating
+//!    casts, threads, locks, clocks, environment reads, hash-ordered
+//!    collections);
+//! 3. an audit that every crate root opts into `#![forbid(unsafe_code)]`.
 //!
-//! The deeper SPMD/numeric heuristics live in `cargo xtask analyze`
+//! The SPMD protocol heuristics live in `cargo xtask analyze`
 //! ([`crate::analyze`]); `lint` stays the quick always-on gate.
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
-use crate::passes::is_unwrap_call;
-use crate::scanner::CodeModel;
-use crate::{crate_roots, library_src_files};
-
-/// Clippy lints promoted to errors. Curated rather than `-D warnings` so a
-/// new toolchain's fresh lints do not brick the gate; extend deliberately.
-const CLIPPY_DENY: &[&str] = &[
-    "warnings",
-    "clippy::dbg_macro",
-    "clippy::todo",
-    "clippy::unimplemented",
-    "clippy::print_stdout",
-];
+use crate::crate_roots;
 
 /// CLI entry point for `cargo xtask lint`.
 pub fn lint(repo: &Path) -> ExitCode {
@@ -38,23 +26,22 @@ pub fn lint(repo: &Path) -> ExitCode {
         Command::new("cargo").args(["fmt", "--all", "--", "--check"]),
     );
 
-    let mut clippy = Command::new("cargo");
-    clippy.args(["clippy", "--workspace", "--all-targets", "--quiet", "--"]);
-    for lint in CLIPPY_DENY {
-        clippy.arg("-D").arg(lint);
-    }
-    // Targets whose job is user-facing stdout (tt-bench bins, examples, the
-    // criterion shim) carry `#![allow(clippy::print_stdout)]` inline; the
-    // deny stays meaningful for every library crate.
-    run_step(&mut failures, "clippy", &mut clippy);
-
-    match unwrap_lint(repo) {
-        Ok(0) => eprintln!("lint: unwrap/expect source lint .......... ok"),
-        Ok(n) => failures.push(format!(
-            "{n} unwrap()/expect() uses in non-test library code"
-        )),
-        Err(e) => failures.push(format!("unwrap/expect lint could not run: {e}")),
-    }
+    // The lint set is configuration, not code: `[workspace.lints]` and
+    // `clippy.toml`. `-D warnings` makes every warning, a new toolchain's
+    // included, fail the gate.
+    run_step(
+        &mut failures,
+        "clippy",
+        Command::new("cargo").args([
+            "clippy",
+            "--workspace",
+            "--all-targets",
+            "--quiet",
+            "--",
+            "-D",
+            "warnings",
+        ]),
+    );
 
     match unsafe_audit(repo) {
         Ok(()) => eprintln!("lint: forbid(unsafe_code) audit ......... ok"),
@@ -88,41 +75,6 @@ fn run_step(failures: &mut Vec<String>, name: &str, cmd: &mut Command) {
     }
 }
 
-/// Scans non-test library sources for `.unwrap()` / `.expect(` via the
-/// shared token scanner. Returns the violation count.
-fn unwrap_lint(repo: &Path) -> Result<usize, std::io::Error> {
-    let files = library_src_files(repo)?;
-    let mut violations = 0usize;
-    for file in files {
-        let text = std::fs::read_to_string(&file)?;
-        for line in unwrap_findings(&text) {
-            violations += 1;
-            eprintln!(
-                "lint: {}:{}: unwrap()/expect() in non-test library code",
-                file.strip_prefix(repo).unwrap_or(&file).display(),
-                line,
-            );
-        }
-    }
-    Ok(violations)
-}
-
-/// Lines (1-based) of `.unwrap()` / `.expect(` calls outside `#[cfg(test)]`
-/// regions.
-pub fn unwrap_findings(src: &str) -> Vec<usize> {
-    let model = CodeModel::build(src);
-    let mut out = Vec::new();
-    for i in 0..model.tokens.len() {
-        if model.in_test[i] {
-            continue;
-        }
-        if is_unwrap_call(&model, i) {
-            out.push(model.tokens[i].line);
-        }
-    }
-    out
-}
-
 fn unsafe_audit(repo: &Path) -> Result<(), Vec<String>> {
     let mut missing = Vec::new();
     for root in crate_roots(repo) {
@@ -142,39 +94,5 @@ fn unsafe_audit(repo: &Path) -> Result<(), Vec<String>> {
         Ok(())
     } else {
         Err(missing)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fires_on_library_code_and_skips_tests() {
-        let src = "fn a() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn b() { y.unwrap(); }\n}\nfn c() { z.expect(\"m\"); }\n";
-        assert_eq!(unwrap_findings(src), vec![1, 6]);
-    }
-
-    #[test]
-    fn multi_line_block_comments_do_not_fire() {
-        // The old per-line sanitizer only understood `//`: a block comment
-        // spanning lines left `.unwrap()` visible and tripped the lint.
-        let src = "/* a block comment\n   mentioning x.unwrap() inside\n */\nfn a() {}\n";
-        assert_eq!(unwrap_findings(src), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn raw_strings_do_not_fire() {
-        // Likewise `r#"..."#` bodies (the old sanitizer had no raw-string
-        // handling at all).
-        let src = "fn a() -> &'static str {\n    r#\"say .unwrap() with \"quotes\"\"#\n}\n";
-        assert_eq!(unwrap_findings(src), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn multi_line_string_then_code_still_fires() {
-        let src =
-            "const S: &str = \"line one\n.unwrap() in a string\n\";\nfn a() { q.unwrap(); }\n";
-        assert_eq!(unwrap_findings(src), vec![4]);
     }
 }

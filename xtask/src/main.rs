@@ -29,9 +29,9 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage: cargo xtask <task>\n\ntasks:\n  \
-         lint                   rustfmt check, clippy deny-list, unwrap/expect source lint, forbid(unsafe_code) audit\n  \
-         analyze [flags]        SPMD collective-safety + numeric-discipline passes over library sources,\n                         \
-         including the interprocedural call-graph passes (collective_order, determinism)\n                         \
+         lint                   rustfmt check, clippy under [workspace.lints] + clippy.toml, forbid(unsafe_code) audit\n  \
+         analyze [flags]        SPMD collective-safety passes over library sources: p2p_pairing and the\n                         \
+         interprocedural call-graph pass collective_order\n                         \
          (--format text|sarif, --no-check-suppressions, --stats, --list-passes;\n                         \
          suppress with `// analyze::allow(<pass>): reason`)\n  \
          bench-check [--record] [--simd]\n                         \

@@ -1,22 +1,20 @@
 //! The `cargo xtask analyze` pass framework (DESIGN.md §8).
 //!
-//! Each pass is a lexical heuristic over the [`crate::scanner::CodeModel`]
-//! of one source file. Passes never see test code: `tests/`, `benches/`,
-//! and `examples/` trees are not collected, and `#[cfg(test)]` regions are
-//! masked out by the model. False positives are expected and handled by the
-//! suppression syntax (`// analyze::allow(<pass>): reason`, see
-//! [`crate::analyze`]) — the reason string is mandatory, so every accepted
-//! finding is documented at the call site.
+//! Two passes guard the SPMD protocol, which no off-the-shelf lint checks:
+//! the per-file [`p2p_pairing`] and the interprocedural
+//! [`collective_order`]. Both are lexical heuristics over the
+//! [`crate::scanner::CodeModel`]. Passes never see test code: `tests/`,
+//! `benches/`, and `examples/` trees are not collected, and `#[cfg(test)]`
+//! regions are masked out by the model. False positives are expected and
+//! handled by the suppression syntax (`// analyze::allow(<pass>): reason`,
+//! see [`crate::analyze`]) — the reason string is mandatory, so every
+//! accepted finding is documented at the call site.
 
 use crate::callgraph::{CallGraph, Facts};
 use crate::scanner::{CodeModel, TokenKind};
 
 pub mod collective_order;
-pub mod determinism;
-pub mod float_discipline;
 pub mod p2p_pairing;
-pub mod panic_surface;
-pub mod thread_discipline;
 
 /// One finding of one pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,13 +37,6 @@ pub trait Pass {
     /// One-line description for `--list-passes` and docs.
     fn description(&self) -> &'static str;
 
-    /// Repo-relative path prefixes this pass does not run on. Allowlists
-    /// are part of a pass's *rule* (e.g. LAPACK-style kernels legitimately
-    /// compare floats exactly), documented in DESIGN.md §8.
-    fn allowlist(&self) -> &'static [&'static str] {
-        &[]
-    }
-
     /// Runs the pass over `model`, appending findings to `out`. `file` is
     /// the repo-relative path used in diagnostics.
     fn run(&self, file: &str, model: &CodeModel, out: &mut Vec<Diagnostic>);
@@ -53,33 +44,22 @@ pub trait Pass {
 
 /// The full registry, in reporting order.
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(p2p_pairing::P2pPairing),
-        Box::new(float_discipline::FloatCmp),
-        Box::new(float_discipline::NarrowCast),
-        Box::new(panic_surface::PanicSurface),
-        Box::new(thread_discipline::ThreadDiscipline),
-    ]
+    vec![Box::new(p2p_pairing::P2pPairing)]
 }
 
-/// Everything an interprocedural pass sees: the workspace call graph, the
-/// propagated transitive facts, and the hot-path reachability witness per
-/// node (`Some(root_name)` when the node is in the forward closure of a
-/// [`crate::callgraph::HOT_ROOT_PREFIXES`] entry point).
+/// Everything an interprocedural pass sees: the workspace call graph and
+/// the propagated transitive facts.
 pub struct GraphContext<'a> {
     /// The workspace call graph (DESIGN.md §10).
     pub graph: &'a CallGraph,
     /// The transitive collective fact (the one `collective_order` reads).
     pub facts: &'a Facts,
-    /// Per-node hot-path witness root, indexed like `graph.nodes`.
-    pub hot: &'a [Option<String>],
 }
 
 /// An interprocedural pass over the whole workspace (DESIGN.md §10). Unlike
 /// [`Pass`], a `GraphPass` runs once per analysis, after every file's
 /// summary has been merged into the call graph; its diagnostics carry the
-/// file they point into, and the driver applies the allowlist by filtering
-/// on that path.
+/// file they point into.
 pub trait GraphPass {
     /// Stable name, used in diagnostics and `analyze::allow(...)`.
     fn name(&self) -> &'static str;
@@ -87,22 +67,13 @@ pub trait GraphPass {
     /// One-line description for `--list-passes` and docs.
     fn description(&self) -> &'static str;
 
-    /// Repo-relative path prefixes whose findings this pass drops (same
-    /// contract as [`Pass::allowlist`], applied post hoc by the driver).
-    fn allowlist(&self) -> &'static [&'static str] {
-        &[]
-    }
-
     /// Runs the pass over the whole graph, appending findings to `out`.
     fn run(&self, cx: &GraphContext<'_>, out: &mut Vec<Diagnostic>);
 }
 
 /// The interprocedural registry, in reporting order.
 pub fn all_graph_passes() -> Vec<Box<dyn GraphPass>> {
-    vec![
-        Box::new(collective_order::CollectiveOrder),
-        Box::new(determinism::Determinism),
-    ]
+    vec![Box::new(collective_order::CollectiveOrder)]
 }
 
 /// Every pass name — per-file and interprocedural — for suppression
@@ -128,13 +99,6 @@ pub const COLLECTIVES: &[&str] = &[
 /// `my_rank`, ...).
 fn is_rank_ident(text: &str) -> bool {
     text == "rank" || text.ends_with("rank")
-}
-
-/// True if token `i` is a `.unwrap()` or `.expect(` method call (shared
-/// with the `cargo xtask lint` unwrap lint, which predates the pass
-/// framework and stays in the always-on gate).
-pub(crate) fn is_unwrap_call(model: &CodeModel, i: usize) -> bool {
-    is_method_call(model, i, "unwrap") || is_method_call(model, i, "expect")
 }
 
 /// True if token `i` is a method call `.name(`.

@@ -150,7 +150,7 @@ mod tests {
             }],
             suppressed: 1,
             errors: vec!["x.rs:1: malformed suppression".to_string()],
-            unused: vec!["y.rs:2: analyze::allow(determinism)".to_string()],
+            unused: vec!["y.rs:2: analyze::allow(collective_order)".to_string()],
             files: 3,
         }
     }

@@ -18,28 +18,14 @@ fn guarded_exchange(comm: &C, rank: usize) {
     }
 }
 
-fn tolerance_compare(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-12
-}
-
-fn widening_cast(n: u32) -> u64 {
-    n as u64
-}
-
-fn contracts(n: usize) -> usize {
-    assert!(n > 0, "asserts are allowed: contract checks are the point");
-    match n {
-        0 => unreachable!("unreachable! marks impossible branches"),
-        k => k,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn test_code_is_exempt() {
-        let x: Option<f64> = Some(0.0);
-        assert!(x.unwrap() == 0.0);
-        panic!("even this is fine in tests");
+        let comm = C::new();
+        if comm.rank() == 0 {
+            comm.barrier();
+        }
+        comm.send(1, &[1.0]);
     }
 }

@@ -1,9 +1,8 @@
-//! Interprocedural clean fixture: hot paths that do everything right stay
-//! silent under every graph pass.
+//! Interprocedural clean fixture: code that does everything right stays
+//! silent under the graph pass.
 //!
 //! * collectives issued unconditionally on every rank (no rank-divergent
 //!   control flow above them);
-//! * no nondeterminism source anywhere on the hot path;
 //! * a communicator backend branching on rank inside its own collective
 //!   (that is the collective, not a call site).
 

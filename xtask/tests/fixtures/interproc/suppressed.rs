@@ -1,9 +1,11 @@
 //! Suppression fixture for the graph passes: the finding below is real (it
 //! fires without the annotation) and the annotation must be consumed.
 
-pub fn round_suppressed(acc: f64) -> f64 {
-    // analyze::allow(determinism): fixture — wall-clock read feeds a report
-    // string, never a numeric result.
-    let t = std::time::Instant::now();
-    acc + t.elapsed().as_secs_f64()
+pub fn round_suppressed(comm: &Communicator, rank: usize, x: f64) -> f64 {
+    if rank == 0 {
+        // analyze::allow(collective_order): fixture — the caller runs this on
+        // a one-rank communicator.
+        return deep_reduce(comm, x);
+    }
+    x
 }

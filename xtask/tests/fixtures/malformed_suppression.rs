@@ -1,6 +1,6 @@
 //! Fixture: malformed suppressions (missing reason, unknown pass) error out.
 
-// analyze::allow(panic_surface):
+// analyze::allow(p2p_pairing):
 fn a() {}
 
 // analyze::allow(no_such_pass): the pass name does not exist

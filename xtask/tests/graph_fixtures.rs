@@ -1,11 +1,15 @@
-//! Golden-diagnostic tests for the interprocedural graph passes
-//! (`collective_order`, `determinism`) over the
-//! `fixtures/interproc/` corpus.
+//! Golden-diagnostic tests for the interprocedural graph pass
+//! (`collective_order`) over the `fixtures/interproc/` corpus.
 //!
 //! Unlike the per-file fixtures, these are analyzed as one *directory* —
 //! cross-file call resolution (helpers.rs) is part of what is under test —
 //! and the fixture repo root is the corpus directory itself so relative
-//! paths are bare filenames, outside every pass allowlist.
+//! paths are bare filenames.
+
+#![allow(
+    clippy::expect_used,
+    reason = "a failed expect in a test helper fails the test"
+)]
 
 use std::path::{Path, PathBuf};
 
@@ -71,11 +75,13 @@ fn collective_order_fires_on_fixture() {
 }
 
 #[test]
-fn determinism_fires_on_fixture() {
+fn type_qualified_calls_link_only_to_that_types_impl() {
+    // `Vec::new(` inside a rank branch once linked by bare name to the
+    // fixture's collective-issuing `Reducer::new` and fired.
     let report = run_corpus();
     assert_eq!(
-        diags_for(&report, "determinism_fires.rs"),
-        golden("determinism_fires.rs")
+        diags_for(&report, "type_qualified_calls.rs"),
+        golden("type_qualified_calls.rs")
     );
 }
 
@@ -119,13 +125,13 @@ fn graph_pass_suppressions_are_consumed_and_unused_reported() {
 fn corpus_totals_are_stable() {
     let report = run_corpus();
     assert_eq!(report.files, corpus_files().len());
-    let expected: usize = ["collective_order_fires.rs", "determinism_fires.rs"]
+    let expected: usize = ["collective_order_fires.rs", "type_qualified_calls.rs"]
         .iter()
         .map(|f| golden(f).len())
         .sum();
-    // 5 collective_order + 2 determinism findings, pinned so that growing
-    // or shrinking the corpus is a visible edit.
-    assert_eq!(expected, 7);
+    // 5 + 1 collective_order findings, pinned so that growing or shrinking
+    // the corpus is a visible edit.
+    assert_eq!(expected, 6);
     assert_eq!(report.diagnostics.len(), expected);
     assert!(
         !report.is_clean(true),

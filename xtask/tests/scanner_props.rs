@@ -63,8 +63,8 @@ const FRAGMENTS: &[&str] = &[
     "#",
     "\\",
     "r#fn",
-    "analyze::allow(float_cmp): soup",
-    "// analyze::allow(panic_surface): soup",
+    "analyze::allow(p2p_pairing): soup",
+    "// analyze::allow(collective_order): soup",
     "// analyze::allow(bogus)",
     "\u{7f}",
     "é",
@@ -78,6 +78,11 @@ const FRAGMENTS: &[&str] = &[
     "loop {",
     "Vec::new()",
     "Vec::with_capacity(",
+    "impl<T> Foo<T> {",
+    "impl fmt::Display for Bar {",
+    "trait Baz: Clone {",
+    "-> impl Iterator<Item = f64>",
+    "Self::new(",
     "vec![0.0; 4]",
     ".collect::<Vec<_>>()",
     ".to_vec()",
