@@ -18,8 +18,8 @@
 //! default [`ThreadComm::DEFAULT_WATCHDOG`]), the rank panics with a
 //! diagnostic that names the stuck operation and dumps every rank's last
 //! communication event, instead of hanging forever. Cross-rank *semantic*
-//! checking (catching the mismatch before it deadlocks) is layered on top by
-//! [`crate::verify::VerifyComm`].
+//! checking (catching the mismatch before it deadlocks) is layered on top:
+//! run under [`crate::run_verified`].
 
 use std::cell::RefCell;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -197,7 +197,7 @@ impl ThreadComm {
     /// Runs `f` as an SPMD program on `p` ranks (threads), returning each
     /// rank's result in rank order.
     ///
-    /// If a rank panics (including watchdog and [`crate::verify::VerifyComm`]
+    /// If a rank panics (including watchdog and [`crate::run_verified`]
     /// diagnostics), the panic is re-raised on the caller's thread after all
     /// ranks have terminated, preserving the original message.
     pub fn run<R, F>(p: usize, f: F) -> Vec<R>
@@ -270,9 +270,8 @@ impl ThreadComm {
                     "ThreadComm watchdog: rank {} stuck in recv(from={from}) for \
                      {:?} (timeout {:?}). Per-rank last events:\n{}\n\
                      This usually means ranks issued mismatched or reordered \
-                     collectives; wrap the communicator in \
-                     tt_comm::verify::VerifyComm to pinpoint the first divergent \
-                     call.",
+                     collectives; run under tt_comm::run_verified to pinpoint \
+                     the first divergent call.",
                     self.rank,
                     start.elapsed(),
                     self.watchdog,

@@ -7,28 +7,24 @@
 //! assumption — the classic MPI bug class that verifiers like MUST exist to
 //! catch — otherwise surface as wrong numbers or a hung test.
 //!
-//! [`VerifyComm`] is a decorator over any [`Communicator`] that makes the
-//! assumption machine-checked:
+//! [`VerifyComm`] is a decorator over [`ThreadComm`], built for every rank
+//! by [`run_verified`], that makes the assumption machine-checked:
 //!
 //! * every operation gets a per-rank **sequence number** and a **call
 //!   fingerprint** (collective position, operation kind, root, buffer
 //!   length) — point-to-point ops are traced but excluded from the
 //!   cross-checked collective position, since tree algorithms legitimately
 //!   issue different send/recv counts per rank;
-//! * for real multi-rank backends ([`crate::ThreadComm`]) the fingerprint is
-//!   **piggybacked through the underlying communicator** (one small
-//!   `allreduce_max` check round per collective) and cross-checked across all
-//!   ranks *before* the real operation executes, so a mismatched or
-//!   reordered collective panics with a rank-annotated diagnostic instead of
-//!   deadlocking or corrupting data;
+//! * with more than one rank, the fingerprint is **piggybacked through the
+//!   underlying communicator** (one small `allreduce_max` check round per
+//!   collective) and cross-checked across all ranks *before* the real
+//!   operation executes, so a mismatched or reordered collective panics with
+//!   a rank-annotated diagnostic instead of deadlocking or corrupting data;
 //! * point-to-point messages carry a fingerprint header checked on receive;
 //! * the nonblocking trait methods keep their provided forms, which run the
-//!   blocking operation at post, so they are checked as that operation;
-//! * for single-rank and model backends ([`crate::SelfComm`],
-//!   [`crate::ModelComm`]) the stream is **recorded locally** ([`VerifyComm::trace`])
-//!   so separate runs can be diffed with [`assert_streams_match`].
+//!   blocking operation at post, so they are checked as that operation.
 //!
-//! The decorator holds the last [`TRACE_CAPACITY`] events of every rank in a
+//! The decorator holds the last `TRACE_CAPACITY` events of every rank in a
 //! shared ring, and dumps all of them on any mismatch. Overhead is one
 //! 8-word allreduce per collective — negligible for a validation backend,
 //! and exactly zero for production paths that do not opt in.
@@ -36,26 +32,25 @@
 //! Layering: [`VerifyComm`] catches *semantic* divergence before it
 //! deadlocks; the [`crate::ThreadComm`] watchdog catches whatever still
 //! hangs (e.g. one rank exiting early) by aborting the stuck operation with
-//! a per-rank event dump. Use both in tests:
-//! [`run_verified`] wraps every rank of a [`crate::ThreadComm`] job.
+//! a per-rank event dump. [`run_verified`] gives a test both.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::cost::{CollectiveKind, CommStats};
+use crate::cost::CommStats;
 use crate::{Communicator, ThreadComm};
 
 /// Number of per-rank events retained for mismatch diagnostics.
-pub const TRACE_CAPACITY: usize = 16;
+const TRACE_CAPACITY: usize = 16;
 
 /// Magic word marking a fingerprinted point-to-point message.
 const P2P_MAGIC: f64 = -(0x7EAC0DE as f64);
 
 /// The kind of a fingerprinted communication operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
+enum OpKind {
     /// [`Communicator::allreduce_sum`].
     AllreduceSum,
     /// [`Communicator::allreduce_max`].
@@ -107,18 +102,18 @@ impl std::fmt::Display for OpKind {
 
 /// One fingerprinted communication event of one rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
+struct Event {
     /// Position in this rank's operation stream (1-based).
-    pub seq: u64,
+    seq: u64,
     /// Operation kind.
-    pub kind: OpKind,
+    kind: OpKind,
     /// Root rank (broadcast) — 0 for rootless operations.
-    pub root: usize,
+    root: usize,
     /// Buffer length in `f64` words (0 where lengths may legitimately
     /// differ per rank, i.e. allgather, or are not defined, i.e. barrier).
-    pub len: usize,
+    len: usize,
     /// Peer rank for point-to-point operations.
-    pub peer: Option<usize>,
+    peer: Option<usize>,
 }
 
 impl std::fmt::Display for Event {
@@ -165,14 +160,6 @@ impl TraceRegistry {
         ring.push_back(ev);
     }
 
-    fn trace_of(&self, rank: usize) -> Vec<Event> {
-        let rings = match self.rings.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        rings[rank].iter().cloned().collect()
-    }
-
     fn render(&self) -> String {
         let rings = match self.rings.lock() {
             Ok(g) => g,
@@ -197,9 +184,9 @@ impl TraceRegistry {
     }
 }
 
-/// A verifying decorator over any [`Communicator`]; see the module docs.
-pub struct VerifyComm<C: Communicator> {
-    inner: C,
+/// A verifying decorator over one [`ThreadComm`] rank; see the module docs.
+pub struct VerifyComm {
+    inner: ThreadComm,
     seq: Cell<u64>,
     /// Number of *collectives* issued — the cross-checked position. Kept
     /// separate from `seq` because point-to-point patterns are legitimately
@@ -209,62 +196,11 @@ pub struct VerifyComm<C: Communicator> {
     coll_seq: Cell<u64>,
     traces: Arc<TraceRegistry>,
     /// Whether fingerprints are cross-checked through the underlying
-    /// communicator (true for real multi-rank backends).
+    /// communicator (false for a one-rank group, which has no peer).
     piggyback: bool,
 }
 
-impl<C: Communicator> VerifyComm<C> {
-    /// Wraps a single communicator endpoint.
-    ///
-    /// For multi-rank non-model backends the fingerprint check rounds are
-    /// enabled; [`crate::SelfComm`] and [`crate::ModelComm`] get local-stream
-    /// recording only (their collective streams can be diffed across runs
-    /// with [`assert_streams_match`]).
-    pub fn new(inner: C) -> Self {
-        let piggyback = inner.size() > 1 && !inner.is_model();
-        let traces = TraceRegistry::new(inner.size());
-        VerifyComm {
-            seq: Cell::new(0),
-            coll_seq: Cell::new(0),
-            traces,
-            piggyback,
-            inner,
-        }
-    }
-
-    /// Wraps every endpoint of a communicator group so that all ranks share
-    /// one event-trace registry: any mismatch diagnostic then includes the
-    /// last [`TRACE_CAPACITY`] events of *every* rank, not just the
-    /// panicking one.
-    pub fn wrap_all(comms: Vec<C>) -> Vec<VerifyComm<C>> {
-        let p = comms.len();
-        let traces = TraceRegistry::new(p);
-        comms
-            .into_iter()
-            .map(|inner| {
-                let piggyback = inner.size() > 1 && !inner.is_model();
-                VerifyComm {
-                    seq: Cell::new(0),
-                    coll_seq: Cell::new(0),
-                    traces: Arc::clone(&traces),
-                    piggyback,
-                    inner,
-                }
-            })
-            .collect()
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// This rank's recorded event stream (oldest of the retained events
-    /// first; at most [`TRACE_CAPACITY`] events are retained).
-    pub fn trace(&self) -> Vec<Event> {
-        self.traces.trace_of(self.inner.rank())
-    }
-
+impl VerifyComm {
     fn record(&self, kind: OpKind, root: usize, len: usize, peer: Option<usize>) -> Event {
         let seq = self.seq.get() + 1;
         self.seq.set(seq);
@@ -415,7 +351,7 @@ impl<C: Communicator> VerifyComm<C> {
     }
 }
 
-impl<C: Communicator> Communicator for VerifyComm<C> {
+impl Communicator for VerifyComm {
     fn rank(&self) -> usize {
         self.inner.rank()
     }
@@ -493,14 +429,6 @@ impl<C: Communicator> Communicator for VerifyComm<C> {
     fn reset_stats(&self) {
         self.inner.reset_stats()
     }
-
-    fn is_model(&self) -> bool {
-        self.inner.is_model()
-    }
-
-    fn record_event(&self, kind: CollectiveKind, words: usize) {
-        self.inner.record_event(kind, words)
-    }
 }
 
 /// Runs `f` as an SPMD program on `p` verified thread-backed ranks: every
@@ -510,7 +438,7 @@ impl<C: Communicator> Communicator for VerifyComm<C> {
 pub fn run_verified<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(VerifyComm<ThreadComm>) -> R + Sync,
+    F: Fn(VerifyComm) -> R + Sync,
 {
     run_verified_with_timeout(p, ThreadComm::DEFAULT_WATCHDOG, f)
 }
@@ -519,70 +447,26 @@ where
 pub fn run_verified_with_timeout<R, F>(p: usize, watchdog: Duration, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(VerifyComm<ThreadComm>) -> R + Sync,
+    F: Fn(VerifyComm) -> R + Sync,
 {
-    let comms = ThreadComm::create_with_timeout(p, watchdog);
-    let verified = VerifyComm::wrap_all(comms);
-    let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = verified
-            .into_iter()
-            .map(|comm| {
-                let f = &f;
-                scope.spawn(move || f(comm))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    results
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
+    // One trace registry for the whole group, so a mismatch diagnostic
+    // shows the last events of every rank, not just the panicking one.
+    let traces = TraceRegistry::new(p);
+    ThreadComm::run_with_timeout(p, watchdog, |inner| {
+        f(VerifyComm {
+            seq: Cell::new(0),
+            coll_seq: Cell::new(0),
+            traces: Arc::clone(&traces),
+            piggyback: p > 1,
+            inner,
         })
-        .collect()
-}
-
-/// Asserts that independently recorded per-rank event streams (from
-/// [`VerifyComm::trace`], e.g. separate [`crate::SelfComm`] or
-/// [`crate::ModelComm`] runs) are identical, panicking at the first
-/// divergence with both streams' context.
-#[expect(
-    clippy::panic,
-    reason = "post-run assertion helper — divergent recorded streams must fail the harness loudly"
-)]
-pub fn assert_streams_match(streams: &[Vec<Event>]) {
-    let Some((first, rest)) = streams.split_first() else {
-        return;
-    };
-    for (r, stream) in rest.iter().enumerate() {
-        if stream.len() != first.len() {
-            panic!(
-                "recorded collective streams diverge: stream 0 has {} events, \
-                 stream {} has {}",
-                first.len(),
-                r + 1,
-                stream.len()
-            );
-        }
-        for (i, (a, b)) in first.iter().zip(stream.iter()).enumerate() {
-            // Peer ranks legitimately differ across ranks (tree edges);
-            // kind/root/len/seq must not.
-            if a.seq != b.seq || a.kind != b.kind || a.root != b.root || a.len != b.len {
-                panic!(
-                    "recorded collective streams diverge at event {i}: stream 0 \
-                     has {a}, stream {} has {b}",
-                    r + 1
-                );
-            }
-        }
-    }
+    })
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
-    use crate::{ModelComm, SelfComm};
 
     #[test]
     fn matched_streams_pass_and_compute_correctly() {
@@ -680,70 +564,42 @@ mod tests {
     }
 
     #[test]
-    fn self_comm_records_stream_locally() {
-        let comm = VerifyComm::new(SelfComm::new());
-        let mut buf = vec![1.0, 2.0];
-        comm.allreduce_sum(&mut buf);
-        comm.broadcast(0, &mut buf);
-        comm.barrier();
-        assert_eq!(buf, vec![1.0, 2.0], "SelfComm ops must stay no-ops");
-        let trace = comm.trace();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].kind, OpKind::AllreduceSum);
-        assert_eq!(trace[1].kind, OpKind::Broadcast);
-        assert_eq!(trace[2].kind, OpKind::Barrier);
-    }
-
-    #[test]
-    fn model_comm_records_stream_and_stats() {
-        let comm = VerifyComm::new(ModelComm::new(8));
-        let mut buf = vec![0.0; 10];
-        comm.allreduce_sum(&mut buf);
-        comm.allreduce_sum(&mut buf);
-        assert_eq!(comm.stats().count(CollectiveKind::Allreduce), 2);
-        assert_eq!(comm.trace().len(), 2);
-        assert!(comm.is_model());
-    }
-
-    #[test]
-    fn identical_recorded_streams_match() {
-        let run = |scale: f64| {
-            let comm = VerifyComm::new(SelfComm::new());
-            let mut buf = vec![scale; 4];
-            comm.allreduce_sum(&mut buf);
-            comm.broadcast(0, &mut buf);
-            comm.trace()
-        };
-        assert_streams_match(&[run(1.0), run(2.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "streams diverge at event 1")]
-    fn divergent_recorded_streams_panic() {
-        let a = {
-            let comm = VerifyComm::new(SelfComm::new());
-            comm.allreduce_sum(&mut [0.0; 4]);
-            comm.broadcast(0, &mut [0.0; 4]);
-            comm.trace()
-        };
-        let b = {
-            let comm = VerifyComm::new(SelfComm::new());
-            comm.allreduce_sum(&mut [0.0; 4]);
-            comm.allreduce_sum(&mut [0.0; 4]);
-            comm.trace()
-        };
-        assert_streams_match(&[a, b]);
-    }
-
-    #[test]
     fn trace_ring_is_bounded() {
-        let comm = VerifyComm::new(SelfComm::new());
-        for _ in 0..(TRACE_CAPACITY + 9) {
-            comm.barrier();
+        // 24 matched barriers, then a kind mismatch as operation #25: the
+        // dump must show each rank's newest TRACE_CAPACITY events, #10..#25.
+        let ops = TRACE_CAPACITY + 9;
+        let caught = std::panic::catch_unwind(|| {
+            run_verified(2, |comm| {
+                for _ in 1..ops {
+                    comm.barrier();
+                }
+                if comm.rank() == 0 {
+                    comm.barrier();
+                } else {
+                    comm.allreduce_sum(&mut [0.0]);
+                }
+            })
+        });
+        let payload = caught.expect_err("the kind mismatch must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the mismatch diagnostic is a formatted message");
+        assert!(
+            message.contains("SPMD collective stream mismatch"),
+            "{message}"
+        );
+        for rank in 0..2 {
+            let line = message
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("  rank {rank}: ")))
+                .unwrap_or_else(|| panic!("no dump line for rank {rank}: {message}"));
+            let events: Vec<&str> = line.split("; ").collect();
+            assert_eq!(events.len(), TRACE_CAPACITY, "rank {rank}: {line}");
+            assert!(events[0].starts_with("#10 "), "rank {rank}: {line}");
+            assert!(
+                events[TRACE_CAPACITY - 1].starts_with(&format!("#{ops} ")),
+                "rank {rank}: {line}"
+            );
         }
-        let trace = comm.trace();
-        assert_eq!(trace.len(), TRACE_CAPACITY);
-        assert_eq!(trace[0].seq, 10, "ring must keep the newest events");
-        assert_eq!(trace[TRACE_CAPACITY - 1].seq, (TRACE_CAPACITY + 9) as u64);
     }
 }

@@ -26,8 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fem;
-
 use tt_core::{TtCore, TtTensor};
 use tt_linalg::Matrix;
 use tt_solvers::{KroneckerSumOperator, MeanPreconditioner, ModeFactor};
@@ -46,10 +44,6 @@ pub struct Disk {
 
 impl Disk {
     /// Whether `(x, y)` lies inside the disk.
-    pub fn contains_point(&self, x: f64, y: f64) -> bool {
-        self.contains(x, y)
-    }
-
     fn contains(&self, x: f64, y: f64) -> bool {
         let dx = x - self.cx;
         let dy = y - self.cy;
@@ -111,28 +105,6 @@ impl CookiesProblem {
         let a_disks = disks
             .iter()
             .map(|d| assemble_flux(grid, |x, y| if d.contains(x, y) { 1.0 } else { 0.0 }))
-            .collect();
-        CookiesProblem {
-            grid,
-            disks,
-            samples,
-            a0,
-            a_disks,
-        }
-    }
-
-    /// Assembles with P1 finite elements on the structured triangulation
-    /// ([`fem::assemble_p1`]) instead of the finite-difference flux stencil —
-    /// the discretization family the paper actually used. The operator keeps
-    /// the identical `A₀ + Σ ρ_i A_i` affine structure (note the FEM blocks
-    /// carry no `1/h²` scaling; the solve is the same up to rhs scaling).
-    pub fn with_disks_fem(grid: usize, disks: Vec<Disk>, samples_per_disk: usize) -> Self {
-        assert!(grid >= 2);
-        let samples = vec![log_spaced_samples(samples_per_disk); disks.len()];
-        let a0 = fem::assemble_p1(grid, |_, _| 1.0);
-        let a_disks = disks
-            .iter()
-            .map(|d| fem::assemble_p1(grid, |x, y| if d.contains(x, y) { 1.0 } else { 0.0 }))
             .collect();
         CookiesProblem {
             grid,
@@ -247,10 +219,6 @@ impl CookiesProblem {
 /// 5-point flux discretization of `−div(σ∇·)` on the interior grid of
 /// `(−1,1)²` with homogeneous Dirichlet boundary, σ evaluated at face
 /// midpoints. Scaled by `1/h²`.
-pub fn assemble_flux_public(grid: usize, sigma: impl Fn(f64, f64) -> f64) -> CsrMatrix {
-    assemble_flux(grid, sigma)
-}
-
 fn assemble_flux(grid: usize, sigma: impl Fn(f64, f64) -> f64) -> CsrMatrix {
     let n = grid * grid;
     let h = 2.0 / (grid as f64 + 1.0);
@@ -448,28 +416,5 @@ mod tests {
         // The preconditioner leaves ranks unchanged per application.
         let x = f.clone();
         assert_eq!(pre.apply(&x).ranks(), x.ranks());
-    }
-
-    #[test]
-    fn fem_discretization_solves_through_gmres() {
-        // The full pipeline on the paper's actual discretization family:
-        // P1 FEM blocks, mean preconditioner, TT-GMRES.
-        let disks = default_disks();
-        let p = CookiesProblem::with_disks_fem(10, disks, 3);
-        assert!(p.a0.is_symmetric(1e-12));
-        let op = p.operator();
-        let f = p.rhs();
-        let pre = p.mean_preconditioner();
-        let opts = GmresOptions {
-            tolerance: 1e-5,
-            max_iters: 40,
-            rounding: RoundingMethod::GramLrl,
-            true_residual: tt_solvers::gmres::TrueResidualMode::Dense,
-            stagnation_window: 5,
-            restart: None,
-        };
-        let (_, trace) = tt_gmres(&op, &pre, &f, &opts);
-        assert!(trace.converged, "{:?}", trace.computed_relative_residual);
-        assert!(trace.true_relative_residual < 1e-3);
     }
 }

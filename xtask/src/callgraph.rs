@@ -1,10 +1,9 @@
 //! Workspace call graph and interprocedural summary propagation
 //! (DESIGN.md §10).
 //!
-//! A per-file pass (DESIGN.md §8) sees one [`CodeModel`] at a time, which
-//! is exactly why a collective moved into a *helper* behind a rank test used
-//! to slip through. This module lifts the analysis to the workspace level in
-//! three layers:
+//! One [`CodeModel`] shows a single file, which is exactly why a collective
+//! moved into a *helper* behind a rank test used to slip through. This
+//! module lifts the analysis to the workspace level in three layers:
 //!
 //! 1. **Extraction** — [`FileSummary::extract`] walks a file's `CodeModel`
 //!    once and records, per `fn`: its `impl` owner, every call site (callee
@@ -27,12 +26,11 @@
 //!    per function, with a human-readable call-chain witness for
 //!    diagnostics.
 //!
-//! The interprocedural pass `collective_order` is the consumer of this
-//! module; see [`crate::passes::GraphPass`].
+//! The check [`crate::collective_order`] is the consumer of this module.
 
 use std::collections::BTreeMap;
 
-use crate::passes::{rank_conditional_mask, COLLECTIVES};
+use crate::collective_order::{rank_conditional_mask, COLLECTIVES};
 use crate::scanner::{CodeModel, TokenKind};
 
 /// One call site inside a function body.

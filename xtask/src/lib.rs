@@ -8,9 +8,8 @@
 //!   workspace lint policy (`[workspace.lints]` in the root `Cargo.toml`,
 //!   bans in `clippy.toml`), `forbid(unsafe_code)` audit;
 //! * [`analyze`] — the SPMD collective-safety analyzer: the [`scanner`]
-//!   token model and its two [`passes`], the per-file `p2p_pairing` and
-//!   the interprocedural `collective_order` over the [`callgraph`], with
-//!   in-source suppressions (DESIGN.md §8) and [`sarif`] output;
+//!   token model, the workspace [`callgraph`] and the one check over it,
+//!   [`collective_order`] (DESIGN.md §8 and §10), with [`sarif`] output;
 //! * [`bench_check`] — the benchmark regression gates (kernels and the
 //!   rounding ablation) against the recorded `results/BENCH_*.json`
 //!   baselines, one row of its gate table each.
@@ -20,8 +19,8 @@
 pub mod analyze;
 pub mod bench_check;
 pub mod callgraph;
+pub mod collective_order;
 pub mod lint;
-pub mod passes;
 pub mod sarif;
 pub mod scanner;
 

@@ -8,7 +8,7 @@
 //!    collections);
 //! 3. an audit that every crate root opts into `#![forbid(unsafe_code)]`.
 //!
-//! The SPMD protocol heuristics live in `cargo xtask analyze`
+//! The SPMD protocol check lives in `cargo xtask analyze`
 //! ([`crate::analyze`]); `lint` stays the quick always-on gate.
 
 use std::path::Path;

@@ -30,10 +30,9 @@ fn usage() {
     eprintln!(
         "usage: cargo xtask <task>\n\ntasks:\n  \
          lint                   rustfmt check, clippy under [workspace.lints] + clippy.toml, forbid(unsafe_code) audit\n  \
-         analyze [flags]        SPMD collective-safety passes over library sources: p2p_pairing and the\n                         \
-         interprocedural call-graph pass collective_order\n                         \
-         (--format text|sarif, --no-check-suppressions, --stats, --list-passes;\n                         \
-         suppress with `// analyze::allow(<pass>): reason`)\n  \
+         analyze [--format text|sarif] [--stats]\n                         \
+         SPMD collective-safety check over library sources: collective_order,\n                         \
+         collectives reached from rank-dependent control flow through the call graph\n  \
          bench-check [--record] [--simd]\n                         \
          run the gates of the GATES table in xtask/src/bench_check.rs (kernels,\n                         \
          rounding ablation) against results/BENCH_*.json; --record rewrites the\n                         \

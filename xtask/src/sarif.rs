@@ -7,22 +7,18 @@
 //! opening the job log.
 //!
 //! The writer is hand-rolled JSON over [`json_str`] (no serde in-tree) and
-//! emits the minimal conforming document: one run, the tool driver with one reporting rule
-//! per registered pass (per-file and interprocedural), one `result` per
-//! unsuppressed diagnostic, and suppression errors / unused suppressions as
-//! tool-execution notifications so they surface in the code-scanning UI
-//! rather than vanishing.
+//! emits the minimal conforming document: one run, the tool driver with the
+//! one reporting rule, `collective_order`, and one `result` per diagnostic.
 
 use std::fmt::Write as _;
 
-use crate::analyze::Report;
-use crate::passes::{all_graph_passes, all_passes};
+use crate::collective_order::{Diagnostic, DESCRIPTION, RULE};
 
 /// Schema the document declares (code scanning validates against it).
 const SARIF_SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 
-/// Renders `report` as one SARIF 2.1.0 document.
-pub fn report_to_sarif(report: &Report, check_suppressions: bool) -> String {
+/// Renders `diagnostics` as one SARIF 2.1.0 document.
+pub fn to_sarif(diagnostics: &[Diagnostic]) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
@@ -30,28 +26,20 @@ pub fn report_to_sarif(report: &Report, check_suppressions: bool) -> String {
         json_str(SARIF_SCHEMA)
     );
 
-    // Tool driver + rule metadata (one rule per pass, stable order).
-    s.push_str("\"tool\":{\"driver\":{\"name\":\"xtask-analyze\",");
-    s.push_str("\"informationUri\":\"DESIGN.md\",\"rules\":[");
-    let mut first = true;
-    for (name, desc) in rule_table() {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(
-            s,
-            "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\
-             \"defaultConfiguration\":{{\"level\":\"error\"}}}}",
-            json_str(name),
-            json_str(desc)
-        );
-    }
-    s.push_str("]}},");
+    // Tool driver + rule metadata.
+    let _ = write!(
+        s,
+        "\"tool\":{{\"driver\":{{\"name\":\"xtask-analyze\",\
+         \"informationUri\":\"DESIGN.md\",\"rules\":[{{\"id\":{},\
+         \"shortDescription\":{{\"text\":{}}},\
+         \"defaultConfiguration\":{{\"level\":\"error\"}}}}]}}}},",
+        json_str(RULE),
+        json_str(DESCRIPTION)
+    );
 
-    // One result per unsuppressed diagnostic.
+    // One result per diagnostic.
     s.push_str("\"results\":[");
-    for (i, d) in report.diagnostics.iter().enumerate() {
+    for (i, d) in diagnostics.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -61,41 +49,17 @@ pub fn report_to_sarif(report: &Report, check_suppressions: bool) -> String {
              \"locations\":[{{\"physicalLocation\":{{\
              \"artifactLocation\":{{\"uri\":{}}},\
              \"region\":{{\"startLine\":{}}}}}}}]}}",
-            json_str(d.pass),
+            json_str(RULE),
             json_str(&d.message),
             json_str(&d.file),
             d.line.max(1)
         );
     }
-    s.push_str("],");
-
-    // Suppression problems travel as invocation notifications: they are
-    // run-level defects (annotations, not code lines the diff UI can pin).
-    let mut notes: Vec<String> = report.errors.clone();
-    if check_suppressions {
-        notes.extend(
-            report
-                .unused
-                .iter()
-                .map(|u| format!("{u}: suppression matches no diagnostic — remove it")),
-        );
-    }
     let _ = write!(
         s,
-        "\"invocations\":[{{\"executionSuccessful\":{},\"toolExecutionNotifications\":[",
-        report.is_clean(check_suppressions)
+        "],\"invocations\":[{{\"executionSuccessful\":{}}}]}}]}}",
+        diagnostics.is_empty()
     );
-    for (i, e) in notes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"level\":\"error\",\"message\":{{\"text\":{}}}}}",
-            json_str(e)
-        );
-    }
-    s.push_str("]}]}]}");
     s
 }
 
@@ -121,39 +85,9 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// `(id, description)` for every registered pass.
-fn rule_table() -> Vec<(&'static str, &'static str)> {
-    let mut out: Vec<(&'static str, &'static str)> = all_passes()
-        .iter()
-        .map(|p| (p.name(), p.description()))
-        .collect();
-    out.extend(
-        all_graph_passes()
-            .iter()
-            .map(|p| (p.name(), p.description())),
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::Diagnostic;
-
-    fn sample_report() -> Report {
-        Report {
-            diagnostics: vec![Diagnostic {
-                pass: "collective_order",
-                file: "crates/tt-core/src/round/gram.rs".to_string(),
-                line: 42,
-                message: "call to `helper` with \"quotes\"".to_string(),
-            }],
-            suppressed: 1,
-            errors: vec!["x.rs:1: malformed suppression".to_string()],
-            unused: vec!["y.rs:2: analyze::allow(collective_order)".to_string()],
-            files: 3,
-        }
-    }
 
     #[test]
     fn json_escaping_is_valid() {
@@ -162,32 +96,23 @@ mod tests {
 
     #[test]
     fn sarif_document_has_required_shape() {
-        let s = report_to_sarif(&sample_report(), true);
+        let s = to_sarif(&[Diagnostic {
+            file: "crates/tt-core/src/round/gram.rs".to_string(),
+            line: 42,
+            message: "call to `helper` with \"quotes\"".to_string(),
+        }]);
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("\"name\":\"xtask-analyze\""));
         assert!(s.contains("\"ruleId\":\"collective_order\""));
         assert!(s.contains("\"startLine\":42"));
         assert!(s.contains("\"uri\":\"crates/tt-core/src/round/gram.rs\""));
         assert!(s.contains("\"executionSuccessful\":false"));
-        // Both notification channels present.
-        assert!(s.contains("malformed suppression"));
-        assert!(s.contains("matches no diagnostic"));
-    }
-
-    #[test]
-    fn every_pass_has_a_rule_entry() {
-        let s = report_to_sarif(&Report::default(), true);
-        for name in crate::passes::all_pass_names() {
-            assert!(
-                s.contains(&format!("\"id\":\"{name}\"")),
-                "missing rule for pass {name}"
-            );
-        }
     }
 
     #[test]
     fn clean_report_is_successful_and_valid() {
-        let s = report_to_sarif(&Report::default(), true);
+        let s = to_sarif(&[]);
+        assert!(s.contains("\"id\":\"collective_order\""));
         assert!(s.contains("\"executionSuccessful\":true"));
         assert!(s.contains("\"results\":[]"));
         assert!(s.ends_with("]}"));

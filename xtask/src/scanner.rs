@@ -1,17 +1,15 @@
-//! Shared Rust token scanner for the source-level static analyses.
+//! The Rust token scanner behind `cargo xtask analyze` (DESIGN.md §8).
 //!
-//! The original `cargo xtask lint` sanitizer worked line-by-line
-//! (`strip_comments_and_strings`), which mis-handled exactly the constructs
-//! a lexical analyzer must get right: multi-line `/* */` block comments,
-//! raw string literals (`r#"..."#`), and strings spanning lines. This module
-//! replaces it with a small real scanner shared by the lint and by every
-//! `cargo xtask analyze` pass (DESIGN.md §8):
+//! A line-by-line sanitizer (`strip_comments_and_strings`) once did this
+//! job and mis-handled exactly the constructs a lexical analyzer must get
+//! right: multi-line `/* */` block comments, raw string literals
+//! (`r#"..."#`), and strings spanning lines. This module is a small real
+//! scanner instead:
 //!
 //! * [`scan`] tokenizes source text into [`Token`]s — identifiers, numeric
 //!   literals (with float classification), string/raw-string/char literals,
 //!   lifetimes, punctuation (compound operators like `==`/`!=` kept as one
-//!   token), and comments (retained, so suppression comments stay visible
-//!   to the analysis driver);
+//!   token), and comments;
 //! * [`CodeModel`] layers structure over the token stream: brace-nesting
 //!   depth per token, `#[cfg(test)]` item regions, and `fn` item boundaries.
 //!
@@ -19,9 +17,9 @@
 //! (arbitrary byte soup must scan without panicking — there is a property
 //! test asserting exactly that) and every analysis built on it is a
 //! heuristic over token patterns, not a type-aware proof. That trade-off is
-//! the point: the passes run in milliseconds on every push and catch the
-//! bug classes that matter *before* any rank executes (the runtime
-//! counterpart is `tt-comm::verify::VerifyComm`).
+//! the point: the analysis runs in milliseconds on every push and catches
+//! the bug class that matters *before* any rank executes (the runtime
+//! counterpart is `tt_comm::run_verified`).
 
 /// Lexical class of a [`Token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +43,8 @@ pub enum TokenKind {
     /// Punctuation; compound operators (`==`, `!=`, `->`, `::`, ...) are a
     /// single token.
     Punct,
-    /// Comment (`// ...` or `/* ... */`, nesting handled); retained so the
-    /// analysis driver can read suppression annotations.
+    /// Comment (`// ...` or `/* ... */`, nesting handled); [`CodeModel`]
+    /// drops these.
     Comment {
         /// True for `/* */` block comments (which may span lines).
         block: bool,
@@ -262,7 +260,7 @@ pub fn scan(src: &str) -> Vec<Token> {
             continue;
         }
 
-        // Punctuation; keep the compound operators the passes care about
+        // Punctuation; keep the compound operators the analysis cares about
         // as single tokens.
         const COMPOUND: &[&str] = &[
             "==", "!=", "<=", ">=", "->", "=>", "::", "..", "&&", "||", "+=", "-=", "*=", "/=",
@@ -466,8 +464,6 @@ impl FnInfo {
 pub struct CodeModel {
     /// Code tokens (comments stripped).
     pub tokens: Vec<Token>,
-    /// Comment tokens, in source order (suppression annotations live here).
-    pub comments: Vec<Token>,
     /// Brace-nesting depth of each code token (the `{`/`}` tokens
     /// themselves carry the depth of the region they delimit).
     pub depth: Vec<usize>,
@@ -480,16 +476,10 @@ pub struct CodeModel {
 impl CodeModel {
     /// Scans `src` and builds the structured view.
     pub fn build(src: &str) -> CodeModel {
-        let all = scan(src);
-        let mut tokens = Vec::with_capacity(all.len());
-        let mut comments = Vec::new();
-        for t in all {
-            if matches!(t.kind, TokenKind::Comment { .. }) {
-                comments.push(t);
-            } else {
-                tokens.push(t);
-            }
-        }
+        let tokens: Vec<Token> = scan(src)
+            .into_iter()
+            .filter(|t| !matches!(t.kind, TokenKind::Comment { .. }))
+            .collect();
 
         // Brace depth.
         let mut depth = Vec::with_capacity(tokens.len());
@@ -510,7 +500,6 @@ impl CodeModel {
         let fns = find_fns(&tokens);
         CodeModel {
             tokens,
-            comments,
             depth,
             in_test,
             fns,

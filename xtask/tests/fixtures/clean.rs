@@ -1,4 +1,4 @@
-//! Fixture: every pass must stay silent on these correct idioms.
+//! Fixture: `collective_order` must stay silent on these correct idioms.
 
 fn rank_uniform_collective(comm: &C) -> f64 {
     let rank = comm.rank();
@@ -15,6 +15,14 @@ fn guarded_exchange(comm: &C, rank: usize) {
     } else {
         let _ = comm.recv(0);
         comm.send(0, &[1.0]);
+    }
+}
+
+/// `max_rank` is a TT-rank cap, the same on every rank: only rank ids
+/// (`rank`, `vrank`) make a branch rank-dependent.
+pub fn seeded_cap(comm: &C, max_rank: usize) {
+    if max_rank > 3 {
+        comm.barrier();
     }
 }
 

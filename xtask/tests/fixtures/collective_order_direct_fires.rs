@@ -13,3 +13,11 @@ fn collective_after_guarded_return(comm: &C) {
     }
     comm.barrier();
 }
+
+/// Next to the clean fixture's `max_rank > 3` branch: a rank id makes the
+/// same barrier rank-dependent.
+fn rank_zero_barrier(comm: &C) {
+    if comm.rank() == 0 {
+        comm.barrier();
+    }
+}

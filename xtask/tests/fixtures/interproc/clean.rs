@@ -1,5 +1,5 @@
 //! Interprocedural clean fixture: code that does everything right stays
-//! silent under the graph pass.
+//! silent under `collective_order`.
 //!
 //! * collectives issued unconditionally on every rank (no rank-divergent
 //!   control flow above them);

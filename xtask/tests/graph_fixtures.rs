@@ -1,7 +1,7 @@
-//! Golden-diagnostic tests for the interprocedural graph pass
-//! (`collective_order`) over the `fixtures/interproc/` corpus.
+//! Golden-diagnostic tests for `collective_order` through the call graph,
+//! over the `fixtures/interproc/` corpus.
 //!
-//! Unlike the per-file fixtures, these are analyzed as one *directory* —
+//! Unlike the top-level fixtures, these are analyzed as one *directory* —
 //! cross-file call resolution (helpers.rs) is part of what is under test —
 //! and the fixture repo root is the corpus directory itself so relative
 //! paths are bare filenames.
@@ -13,7 +13,8 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::analyze::{analyze_files_with, Report};
+use xtask::analyze::analyze_files_with;
+use xtask::collective_order::{Diagnostic, RULE};
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/interproc")
@@ -31,7 +32,7 @@ fn corpus_files() -> Vec<PathBuf> {
 }
 
 /// One full-corpus run: every test slices this report per file.
-fn run_corpus() -> Report {
+fn run_corpus() -> Vec<Diagnostic> {
     analyze_files_with(&corpus_dir(), &corpus_files())
         .expect("fixtures readable")
         .0
@@ -56,12 +57,11 @@ fn golden(fixture: &str) -> Vec<(usize, String)> {
         .collect()
 }
 
-fn diags_for(report: &Report, fixture: &str) -> Vec<(usize, String)> {
+fn diags_for(report: &[Diagnostic], fixture: &str) -> Vec<(usize, String)> {
     report
-        .diagnostics
         .iter()
         .filter(|d| d.file == fixture)
-        .map(|d| (d.line, d.pass.to_string()))
+        .map(|d| (d.line, RULE.to_string()))
         .collect()
 }
 
@@ -91,7 +91,6 @@ fn cross_file_witness_chain_is_spelled_out() {
     // reader can audit the propagation without re-deriving it.
     let report = run_corpus();
     let d = report
-        .diagnostics
         .iter()
         .find(|d| d.file == "collective_order_fires.rs" && d.line == 24)
         .expect("cross-file finding present");
@@ -111,20 +110,11 @@ fn helpers_and_clean_fixtures_are_silent() {
 }
 
 #[test]
-fn graph_pass_suppressions_are_consumed_and_unused_reported() {
-    let report = run_corpus();
-    assert_eq!(diags_for(&report, "suppressed.rs"), vec![]);
-    assert_eq!(report.suppressed, 1, "the suppressed.rs annotation");
-    assert_eq!(report.unused.len(), 1, "unused: {:?}", report.unused);
-    assert!(report.unused[0].contains("unused.rs"));
-    assert!(report.unused[0].contains("collective_order"));
-    assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
-}
-
-#[test]
 fn corpus_totals_are_stable() {
-    let report = run_corpus();
-    assert_eq!(report.files, corpus_files().len());
+    let dir = corpus_dir();
+    let files = corpus_files();
+    let (report, stats) = analyze_files_with(&dir, &files).expect("fixtures readable");
+    assert_eq!(stats.files, files.len());
     let expected: usize = ["collective_order_fires.rs", "type_qualified_calls.rs"]
         .iter()
         .map(|f| golden(f).len())
@@ -132,9 +122,5 @@ fn corpus_totals_are_stable() {
     // 5 + 1 collective_order findings, pinned so that growing or shrinking
     // the corpus is a visible edit.
     assert_eq!(expected, 6);
-    assert_eq!(report.diagnostics.len(), expected);
-    assert!(
-        !report.is_clean(true),
-        "corpus has findings by construction"
-    );
+    assert_eq!(report.len(), expected);
 }

@@ -1,11 +1,11 @@
-//! Property tests: the scanner and every pass must be total — no panic and
-//! no unbounded loop — on arbitrary input, because `cargo xtask analyze`
-//! runs over whatever source text the repo contains, including files that
-//! do not parse.
+//! Property tests: the scanner, the call-graph extraction and
+//! `collective_order` must be total — no panic and no unbounded loop — on
+//! arbitrary input, because `cargo xtask analyze` runs over whatever source
+//! text the repo contains, including files that do not parse.
 
 use proptest::prelude::*;
-use xtask::callgraph::FileSummary;
-use xtask::passes::all_passes;
+use xtask::callgraph::{propagate, CallGraph, FileSummary};
+use xtask::collective_order::collective_order;
 use xtask::scanner::CodeModel;
 
 /// Syntax fragments whose concatenations hit the scanner's hard cases:
@@ -92,7 +92,7 @@ const FRAGMENTS: &[&str] = &[
     "pool.take(",
     "if rank == 0 { return; }",
     // Communication shapes: peer expressions, loop structure, and the
-    // p2p/collective ops the communication passes read.
+    // p2p/collective ops the analysis reads.
     "comm.rank()",
     "comm.size()",
     "comm.send(rank + 1, buf)",
@@ -140,12 +140,9 @@ proptest! {
             .join(" ");
         let model = CodeModel::build(&src);
         prop_assert_eq!(model.tokens.len(), model.in_test.len());
-        // Every pass must also survive the malformed token stream.
-        let mut out = Vec::new();
-        for pass in all_passes() {
-            pass.run("soup.rs", &model, &mut out);
-        }
-        for d in &out {
+        // The check must also survive the malformed token stream.
+        let graph = CallGraph::build(vec![FileSummary::extract("soup.rs", &model)]);
+        for d in &collective_order(&graph, &propagate(&graph)) {
             prop_assert!(d.line >= 1);
         }
     }
