@@ -10,7 +10,11 @@
 //!   algorithms use), with
 //!   * [`ThreadComm`]: a real shared-memory backend executing `P` ranks as
 //!     OS threads with binomial-tree collectives, used to validate that the
-//!     distributed algorithms compute exactly what the sequential ones do;
+//!     distributed algorithms compute exactly what the sequential ones do.
+//!     It checks every message it delivers against the operation the
+//!     receiving rank is in, so a run whose ranks issue different
+//!     communication streams fails with a per-rank diagnostic instead of
+//!     hanging or corrupting data (see [`thread`]);
 //!   * [`SelfComm`]: the trivial single-rank communicator;
 //!   * [`ModelComm`]: a single-thread "rank 0 of P" harness backend that
 //!     executes one representative rank's local work for performance
@@ -31,17 +35,15 @@
 #![allow(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "tt-comm is the rank runtime: its rank threads, lock-built mailboxes and watchdog clock are what the bans keep out of the numeric crates"
+    reason = "tt-comm is the rank runtime: its rank threads and the locks of its shared event rings are what the bans keep out of the numeric crates"
 )]
 #![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod thread;
-pub mod verify;
 
 pub use cost::{CollectiveKind, CommStats, CostModel};
 pub use thread::ThreadComm;
-pub use verify::{run_verified, run_verified_with_timeout, VerifyComm};
 
 /// A handle to a nonblocking operation (MPI_Request analog).
 ///

@@ -1,4 +1,5 @@
-//! Thread-backed communicator: `P` ranks as OS threads.
+//! Thread-backed communicator: `P` ranks as OS threads, with every message
+//! checked against the SPMD contract as it is delivered.
 //!
 //! This backend exists to *validate* the distributed algorithms — the
 //! binomial reduce/broadcast trees perform the same data movement an MPI
@@ -7,165 +8,271 @@
 //! (On a multi-core machine it also yields real speedup; scaling *studies*
 //! use the analytic model in [`crate::cost`] instead, see DESIGN.md.)
 //!
-//! # Deadlock watchdog
+//! # Checked delivery
 //!
-//! The classic failure mode of SPMD code is ranks issuing mismatched or
-//! reordered collectives, which under a blocking runtime surfaces as a hung
-//! test suite. Every blocking operation here (point-to-point receive, the
-//! internal tree receives of the collectives, and [`Communicator::barrier`])
-//! is therefore guarded by a watchdog: if the operation does not complete
-//! within the communicator's timeout ([`ThreadComm::create_with_timeout`],
-//! default [`ThreadComm::DEFAULT_WATCHDOG`]), the rank panics with a
-//! diagnostic that names the stuck operation and dumps every rank's last
-//! communication event, instead of hanging forever. Cross-rank *semantic*
-//! checking (catching the mismatch before it deadlocks) is layered on top:
-//! run under [`crate::run_verified`].
+//! The distributed algorithms are correct only if every rank issues the
+//! same stream of operations. Every message therefore carries a five-word
+//! trailer: the operation kind, the sender's collective position, the
+//! root, the payload length and the sender. Every receive compares the
+//! trailer with the operation the receiving rank is in before the payload
+//! is combined or returned, and a mismatched, reordered or skipped
+//! operation panics with `SPMD collective stream mismatch`, naming both
+//! sides' operations and dumping the last `TRACE_CAPACITY` events of every
+//! rank. A point-to-point receive checks only that a `send` made the
+//! message: an eager send may legally cross a collective.
+//!
+//! Two failures have no receive to catch them:
+//! * a message that no rank receives (a one-way send, or broadcasts whose
+//!   ranks disagree on the root): [`ThreadComm::run`] fails once every rank
+//!   has returned, naming the sender, the receiver and the trailer;
+//! * a receive cycle, where each rank waits on the next: the watchdog ends
+//!   a receive that waits longer than the timeout
+//!   ([`ThreadComm::run_with_timeout`], default
+//!   [`ThreadComm::DEFAULT_WATCHDOG`]) with the same event dump.
+//!
+//! That receive is the one place a rank blocks: the barrier is an
+//! empty-payload reduce and broadcast through the collective trees.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use crate::cost::{CollectiveKind, CommStats};
 use crate::Communicator;
 
-/// Shared per-rank "last event" table used for watchdog diagnostics.
-#[derive(Debug)]
-struct StatusBoard {
-    entries: Mutex<Vec<String>>,
+/// Number of per-rank events kept for diagnostics.
+const TRACE_CAPACITY: usize = 16;
+
+/// The kind of a communication operation, as traced and as carried in a
+/// message trailer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    AllreduceSum,
+    AllreduceMax,
+    Broadcast,
+    Allgather,
+    Barrier,
+    Send,
+    Recv,
 }
 
-impl StatusBoard {
-    fn new(p: usize) -> Self {
-        StatusBoard {
-            entries: Mutex::new(vec!["<no events yet>".to_string(); p]),
-        }
+/// Every [`OpKind`] in declaration order, so `KINDS[kind as usize] == kind`.
+const KINDS: [OpKind; 7] = [
+    OpKind::AllreduceSum,
+    OpKind::AllreduceMax,
+    OpKind::Broadcast,
+    OpKind::Allgather,
+    OpKind::Barrier,
+    OpKind::Send,
+    OpKind::Recv,
+];
+
+impl fmt::Display for OpKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            OpKind::AllreduceSum => "allreduce_sum",
+            OpKind::AllreduceMax => "allreduce_max",
+            OpKind::Broadcast => "broadcast",
+            OpKind::Allgather => "allgather",
+            OpKind::Barrier => "barrier",
+            OpKind::Send => "send",
+            OpKind::Recv => "recv",
+        })
+    }
+}
+
+/// The words appended to every message, describing the operation that
+/// sent it.
+#[derive(Debug, Clone, Copy)]
+struct Trailer {
+    kind: OpKind,
+    /// For a collective's messages, the collective's 1-based position in
+    /// the sender's stream; for a `send`, the collectives issued before it.
+    position: u64,
+    root: usize,
+    /// Payload length in `f64` words.
+    len: usize,
+    sender: usize,
+}
+
+impl Trailer {
+    const WORDS: usize = 5;
+
+    fn append_to(self, msg: &mut Vec<f64>) {
+        msg.extend_from_slice(&[
+            self.kind as usize as f64,
+            self.position as f64,
+            self.root as f64,
+            self.len as f64,
+            self.sender as f64,
+        ]);
     }
 
-    fn set(&self, rank: usize, event: String) {
-        match self.entries.lock() {
-            Ok(mut e) => e[rank] = event,
-            // A poisoned board means another rank already panicked while
-            // holding the lock; diagnostics are best-effort at that point.
-            Err(poisoned) => poisoned.into_inner()[rank] = event,
+    /// Splits the trailer off `msg`, leaving the payload.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "trailer words are exact integers below 2^53, written by `append_to`"
+    )]
+    fn strip(msg: &mut Vec<f64>) -> Trailer {
+        let at = msg.len() - Self::WORDS;
+        let w = &msg[at..];
+        let trailer = Trailer {
+            kind: KINDS[w[0] as usize],
+            position: w[1] as u64,
+            root: w[2] as usize,
+            len: w[3] as usize,
+            sender: w[4] as usize,
+        };
+        msg.truncate(at);
+        trailer
+    }
+}
+
+impl fmt::Display for Trailer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            OpKind::Send => write!(
+                f,
+                "send(len={}) after collective #{}",
+                self.len, self.position
+            ),
+            kind => write!(
+                f,
+                "{kind} #{} (root={}, len={})",
+                self.position, self.root, self.len
+            ),
         }
     }
+}
 
-    fn snapshot(&self) -> Vec<String> {
-        match self.entries.lock() {
-            Ok(e) => e.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
+/// One traced operation of one rank.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    /// Position in this rank's operation stream (1-based).
+    seq: u64,
+    kind: OpKind,
+    root: usize,
+    len: usize,
+    /// The peer of a `send` or `recv`.
+    peer: usize,
+}
+
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let seq = self.seq;
+        match self.kind {
+            OpKind::Send => write!(f, "#{seq} send(to={}, len={})", self.peer, self.len),
+            OpKind::Recv => write!(f, "#{seq} recv(from={})", self.peer),
+            OpKind::Broadcast => {
+                write!(f, "#{seq} broadcast(root={}, len={})", self.root, self.len)
+            }
+            OpKind::Allgather => write!(f, "#{seq} allgather(local_len={})", self.len),
+            OpKind::Barrier => write!(f, "#{seq} barrier"),
+            kind => write!(f, "#{seq} {kind}(len={})", self.len),
         }
     }
+}
 
-    fn render(&self) -> String {
-        self.snapshot()
+/// One rank's incoming channels, indexed by sender.
+type Mailbox = Vec<Receiver<Vec<f64>>>;
+
+/// Locks `m`, ignoring poisoning: diagnostics stay best-effort once a rank
+/// has panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// State shared by the ranks of one run.
+struct Shared {
+    /// `traces[r]`: rank `r`'s last `TRACE_CAPACITY` events.
+    traces: Vec<Mutex<VecDeque<Event>>>,
+    /// `followed[r]`: rank `r` panicked only because a peer ended first.
+    followed: Vec<AtomicBool>,
+    /// The mailbox of every ended rank, drained by `run` for messages that
+    /// were never received.
+    mailboxes: Mutex<Vec<(usize, Mailbox)>>,
+}
+
+impl Shared {
+    fn dump(&self) -> String {
+        let lines: Vec<String> = self
+            .traces
             .iter()
             .enumerate()
-            .map(|(r, e)| format!("  rank {r}: {e}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
-/// A reusable barrier whose `wait` panics with a diagnostic instead of
-/// blocking forever when some rank never arrives.
-#[derive(Debug)]
-struct WatchdogBarrier {
-    size: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-}
-
-impl WatchdogBarrier {
-    fn new(size: usize) -> Self {
-        WatchdogBarrier {
-            size,
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-            }),
-            cv: Condvar::new(),
-        }
+            .map(|(r, ring)| {
+                let ring = lock(ring);
+                let events: Vec<String> = ring.iter().map(Event::to_string).collect();
+                format!("  rank {r}: {}", events.join("; "))
+            })
+            .collect();
+        format!(
+            "Last {TRACE_CAPACITY} events per rank (oldest first):\n{}",
+            lines.join("\n")
+        )
     }
 
-    /// Blocks until all ranks arrive or `timeout` elapses; on timeout calls
-    /// `diag` for a panic message.
-    fn wait(&self, timeout: Duration, diag: impl FnOnce(Duration) -> String) {
-        let mut guard = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.arrived += 1;
-        if guard.arrived == self.size {
-            guard.arrived = 0;
-            guard.generation = guard.generation.wrapping_add(1);
-            self.cv.notify_all();
-            return;
+    /// Fails the run if any message was sent but never received.
+    #[expect(
+        clippy::panic,
+        reason = "an unreceived message means the ranks' streams diverged; the run must not report success"
+    )]
+    fn assert_all_received(&self) {
+        let mut mailboxes = lock(&self.mailboxes);
+        mailboxes.sort_by_key(|(rank, _)| *rank);
+        let mut lost = Vec::new();
+        for (to, mailbox) in mailboxes.iter() {
+            for mut msg in mailbox.iter().flat_map(Receiver::try_iter) {
+                let trailer = Trailer::strip(&mut msg);
+                lost.push(format!("  rank {} to rank {to}: {trailer}", trailer.sender));
+            }
         }
-        let gen_at_entry = guard.generation;
-        let start = Instant::now();
-        while guard.generation == gen_at_entry {
-            let remaining = match timeout.checked_sub(start.elapsed()) {
-                Some(d) if !d.is_zero() => d,
-                #[expect(
-                    clippy::panic,
-                    reason = "watchdog abort — turning a silent deadlock into a loud diagnostic is this type's purpose"
-                )]
-                _ => panic!("{}", diag(start.elapsed())),
-            };
-            guard = match self.cv.wait_timeout(guard, remaining) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+        if !lost.is_empty() {
+            panic!(
+                "ThreadComm: every rank returned, but {} message(s) were never \
+                 received (a one-way send, or ranks that disagree on a \
+                 broadcast root):\n{}\n{}",
+                lost.len(),
+                lost.join("\n"),
+                self.dump()
+            );
         }
     }
 }
 
-/// One rank's endpoint of a `P`-rank thread communicator.
-///
-/// Handles are created in bulk with [`ThreadComm::create`] and moved into
-/// their threads; [`ThreadComm::run`] wraps the whole spawn/join dance.
+/// One rank's endpoint of a `P`-rank thread communicator, handed to each
+/// rank's closure by [`ThreadComm::run`].
 pub struct ThreadComm {
     rank: usize,
     size: usize,
     /// `senders[to]` feeds rank `to`'s mailbox for messages from us.
     senders: Vec<Sender<Vec<f64>>>,
     /// `receivers[from]` drains our mailbox for messages from `from`.
-    receivers: Vec<Receiver<Vec<f64>>>,
-    barrier: Arc<WatchdogBarrier>,
-    board: Arc<StatusBoard>,
+    receivers: Mailbox,
+    shared: Arc<Shared>,
     watchdog: Duration,
+    /// Operations issued so far (the traced sequence number).
+    ops: Cell<u64>,
+    /// Collectives issued so far (the trailer's collective position).
+    collectives: Cell<u64>,
     stats: RefCell<CommStats>,
 }
 
 impl ThreadComm {
-    /// Default watchdog timeout for [`ThreadComm::create`]/[`ThreadComm::run`]:
-    /// generous enough for any legitimate collective in the test suite, small
-    /// enough that a deadlocked test fails rather than hanging CI.
+    /// Default watchdog timeout for [`ThreadComm::run`]: generous enough
+    /// for any legitimate receive in the test suite, small enough that a
+    /// deadlocked test fails rather than hanging CI.
     pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
-    /// Creates the `p` connected endpoints of a new communicator with the
-    /// default watchdog timeout.
-    pub fn create(p: usize) -> Vec<ThreadComm> {
-        Self::create_with_timeout(p, Self::DEFAULT_WATCHDOG)
-    }
-
-    /// Creates the `p` connected endpoints with a custom watchdog timeout:
-    /// any blocking receive or barrier that exceeds `watchdog` panics with a
-    /// per-rank event dump instead of hanging.
-    pub fn create_with_timeout(p: usize, watchdog: Duration) -> Vec<ThreadComm> {
+    /// Creates the `p` connected endpoints of a new communicator.
+    fn create(p: usize, watchdog: Duration) -> (Vec<ThreadComm>, Arc<Shared>) {
         assert!(p >= 1);
         // mesh[from][to]
         let mut senders_by_from: Vec<Vec<Sender<Vec<f64>>>> = Vec::with_capacity(p);
-        let mut receivers_by_to: Vec<Vec<Receiver<Vec<f64>>>> =
-            (0..p).map(|_| Vec::new()).collect();
+        let mut receivers_by_to: Vec<Mailbox> = (0..p).map(|_| Vec::new()).collect();
         for _from in 0..p {
             let mut row = Vec::with_capacity(p);
             for inbox in receivers_by_to.iter_mut() {
@@ -175,9 +282,14 @@ impl ThreadComm {
             }
             senders_by_from.push(row);
         }
-        let barrier = Arc::new(WatchdogBarrier::new(p));
-        let board = Arc::new(StatusBoard::new(p));
-        senders_by_from
+        let shared = Arc::new(Shared {
+            traces: (0..p)
+                .map(|_| Mutex::new(VecDeque::with_capacity(TRACE_CAPACITY)))
+                .collect(),
+            followed: (0..p).map(|_| AtomicBool::new(false)).collect(),
+            mailboxes: Mutex::new(Vec::with_capacity(p)),
+        });
+        let comms = senders_by_from
             .into_iter()
             .zip(receivers_by_to)
             .enumerate()
@@ -186,20 +298,25 @@ impl ThreadComm {
                 size: p,
                 senders,
                 receivers,
-                barrier: Arc::clone(&barrier),
-                board: Arc::clone(&board),
+                shared: Arc::clone(&shared),
                 watchdog,
+                ops: Cell::new(0),
+                collectives: Cell::new(0),
                 stats: RefCell::new(CommStats::default()),
             })
-            .collect()
+            .collect();
+        (comms, shared)
     }
 
     /// Runs `f` as an SPMD program on `p` ranks (threads), returning each
     /// rank's result in rank order.
     ///
-    /// If a rank panics (including watchdog and [`crate::run_verified`]
-    /// diagnostics), the panic is re-raised on the caller's thread after all
-    /// ranks have terminated, preserving the original message.
+    /// If a rank panics (a stream mismatch, the watchdog, or the closure's
+    /// own panic), the panic is re-raised on the caller's thread after all
+    /// ranks have terminated, preserving the original message. A rank's
+    /// own panic is re-raised in preference to a peer's resulting
+    /// disconnect. If no rank panics, the run still fails when a message
+    /// was sent but never received.
     pub fn run<R, F>(p: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -208,13 +325,14 @@ impl ThreadComm {
         Self::run_with_timeout(p, Self::DEFAULT_WATCHDOG, f)
     }
 
-    /// [`ThreadComm::run`] with a custom watchdog timeout.
+    /// [`ThreadComm::run`] with a custom watchdog timeout: a receive that
+    /// waits longer than `watchdog` panics with a per-rank event dump.
     pub fn run_with_timeout<R, F>(p: usize, watchdog: Duration, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(ThreadComm) -> R + Sync,
     {
-        let comms = ThreadComm::create_with_timeout(p, watchdog);
+        let (comms, shared) = ThreadComm::create(p, watchdog);
         // Join every rank before propagating any panic: resuming a panic
         // while sibling ranks are still running would make the scope's
         // implicit join panic during unwinding and abort the process.
@@ -228,96 +346,223 @@ impl ThreadComm {
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
         });
-        results
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    }
-
-    fn note(&self, event: String) {
-        self.board.set(self.rank, event);
-    }
-
-    #[expect(
-        clippy::panic,
-        reason = "peer death mid-run is unrecoverable for a blocking transport; panic carries the per-rank event board"
-    )]
-    fn raw_send(&self, to: usize, buf: &[f64]) {
-        if self.senders[to].send(buf.to_vec()).is_err() {
-            panic!(
-                "ThreadComm rank {}: send(to={to}, len={}) failed: rank {to} has \
-                 terminated (its endpoint was dropped). Per-rank last events:\n{}",
-                self.rank,
-                buf.len(),
-                self.board.render()
-            );
-        }
-    }
-
-    fn raw_recv(&self, from: usize) -> Vec<f64> {
-        let start = Instant::now();
-        loop {
-            let remaining = match self.watchdog.checked_sub(start.elapsed()) {
-                Some(d) if !d.is_zero() => d,
-                #[expect(
-                    clippy::panic,
-                    reason = "watchdog abort — turning a silent deadlock into a loud diagnostic is this type's purpose"
-                )]
-                _ => panic!(
-                    "ThreadComm watchdog: rank {} stuck in recv(from={from}) for \
-                     {:?} (timeout {:?}). Per-rank last events:\n{}\n\
-                     This usually means ranks issued mismatched or reordered \
-                     collectives; run under tt_comm::run_verified to pinpoint \
-                     the first divergent call.",
-                    self.rank,
-                    start.elapsed(),
-                    self.watchdog,
-                    self.board.render()
-                ),
-            };
-            match self.receivers[from].recv_timeout(remaining) {
-                Ok(msg) => return msg,
-                Err(RecvTimeoutError::Timeout) => continue,
-                #[expect(
-                    clippy::panic,
-                    reason = "peer death mid-run is unrecoverable for a blocking transport; panic carries the per-rank event board"
-                )]
-                Err(RecvTimeoutError::Disconnected) => panic!(
-                    "ThreadComm rank {}: recv(from={from}) failed: rank {from} has \
-                     terminated without sending (its endpoint was dropped). \
-                     Per-rank last events:\n{}",
-                    self.rank,
-                    self.board.render()
-                ),
+        let mut values = Vec::with_capacity(p);
+        // (the panicking rank followed a peer, its payload)
+        let mut failure = None;
+        for (rank, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(v) => values.push(v),
+                Err(payload) => {
+                    let followed = shared.followed[rank].load(Ordering::Relaxed);
+                    if failure.as_ref().is_none_or(|(f, _)| *f && !followed) {
+                        failure = Some((followed, payload));
+                    }
+                }
             }
         }
+        if let Some((_, payload)) = failure {
+            std::panic::resume_unwind(payload);
+        }
+        shared.assert_all_received();
+        values
     }
 
-    /// Receive for the internal collective trees, where the expected payload
-    /// length is known: a length mismatch means a foreign message (from a
-    /// misaligned operation on the peer) was consumed, and is reported as
-    /// such rather than silently corrupting the reduction.
+    /// Traces an operation; a collective also takes the next collective
+    /// position.
+    fn begin(&self, kind: OpKind, root: usize, len: usize, peer: usize) {
+        let seq = self.ops.get() + 1;
+        self.ops.set(seq);
+        if !matches!(kind, OpKind::Send | OpKind::Recv) {
+            self.collectives.set(self.collectives.get() + 1);
+        }
+        let mut ring = lock(&self.shared.traces[self.rank]);
+        if ring.len() == TRACE_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(Event {
+            seq,
+            kind,
+            root,
+            len,
+            peer,
+        });
+    }
+
+    fn raw_send(&self, to: usize, buf: &[f64], kind: OpKind, root: usize) {
+        let mut msg = Vec::with_capacity(buf.len() + Trailer::WORDS);
+        msg.extend_from_slice(buf);
+        Trailer {
+            kind,
+            position: self.collectives.get(),
+            root,
+            len: buf.len(),
+            sender: self.rank,
+        }
+        .append_to(&mut msg);
+        // Mailboxes outlive their ranks (see `Drop`), so this cannot fail
+        // during a run; a message nobody receives is reported by `run`.
+        let _ = self.senders[to].send(msg);
+    }
+
+    /// Blocks for the next message from `from`, checks its trailer against
+    /// the operation this rank is in (`kind` at `root`, with payload length
+    /// `len` where ranks must agree on it), and returns its payload.
     #[expect(
         clippy::panic,
-        reason = "consuming a foreign message would silently corrupt the reduction; abort with the divergence report instead"
+        reason = "a blocking transport cannot recover from a hung or departed peer; the panic carries the per-rank event dump"
     )]
-    fn raw_recv_expect(&self, from: usize, expected_len: usize, op: &str) -> Vec<f64> {
-        let msg = self.raw_recv(from);
-        if msg.len() != expected_len {
-            panic!(
-                "ThreadComm rank {}: {op} expected a {expected_len}-word message \
-                 from rank {from} but received {} words — the ranks' collective \
-                 streams have diverged (mismatched or reordered operations). \
-                 Per-rank last events:\n{}",
+    fn raw_recv(&self, from: usize, kind: OpKind, root: usize, len: Option<usize>) -> Vec<f64> {
+        let mut msg = match self.receivers[from].recv_timeout(self.watchdog) {
+            Ok(msg) => msg,
+            Err(RecvTimeoutError::Timeout) => panic!(
+                "ThreadComm watchdog: rank {} stuck in {} waiting {:?} for a \
+                 message from rank {from}. The ranks wait on each other in a \
+                 receive cycle, or rank {from} never sends.\n{}",
                 self.rank,
-                msg.len(),
-                self.board.render()
-            );
-        }
+                kind,
+                self.watchdog,
+                self.shared.dump()
+            ),
+            Err(RecvTimeoutError::Disconnected) => {
+                self.shared.followed[self.rank].store(true, Ordering::Relaxed);
+                panic!(
+                    "ThreadComm rank {}: {} waiting for rank {from} failed: rank \
+                     {from} has terminated without sending (its endpoint was \
+                     dropped).\n{}",
+                    self.rank,
+                    kind,
+                    self.shared.dump()
+                )
+            }
+        };
+        let got = Trailer::strip(&mut msg);
+        self.check(from, kind, root, len, got);
         msg
+    }
+
+    /// Panics unless the message `got` from `from` belongs to the operation
+    /// this rank is in: a `recv` takes a `send`'s message, a collective one
+    /// of its own kind, position and root, and of length `len` if given.
+    #[expect(
+        clippy::panic,
+        reason = "combining a foreign message would silently corrupt the result; abort with the divergence report instead"
+    )]
+    fn check(&self, from: usize, kind: OpKind, root: usize, len: Option<usize>, got: Trailer) {
+        let position = self.collectives.get();
+        let sent_by = match kind {
+            OpKind::Recv => OpKind::Send,
+            kind => kind,
+        };
+        let mut fields = Vec::new();
+        let mut field = |name: &str, mine: String, theirs: String| {
+            fields.push(format!(
+                "  {name}: disagrees across ranks (rank {}: {mine}, rank {from}: {theirs})",
+                self.rank
+            ));
+        };
+        if got.kind != sent_by {
+            field("kind", kind.to_string(), got.kind.to_string());
+        } else if kind != OpKind::Recv {
+            if got.position != position {
+                field("position", position.to_string(), got.position.to_string());
+            }
+            if got.root != root {
+                field("root", root.to_string(), got.root.to_string());
+            }
+            if let Some(len) = len.filter(|&len| len != got.len) {
+                field("len", len.to_string(), got.len.to_string());
+            }
+        }
+        if fields.is_empty() {
+            return;
+        }
+        let mine = match kind {
+            OpKind::Recv => "recv".to_string(),
+            kind => {
+                let len = len.map_or(String::new(), |len| format!(", len={len}"));
+                format!("{kind} #{position} (root={root}{len})")
+            }
+        };
+        panic!(
+            "ThreadComm rank {}: SPMD collective stream mismatch: this rank is \
+             in {mine} and received from rank {from} a message of {got}.\n\
+             Divergent fields:\n{}\n{}",
+            self.rank,
+            fields.join("\n"),
+            self.shared.dump()
+        );
+    }
+
+    /// Binomial-tree reduction to rank 0 with a custom combiner.
+    fn reduce_with(&self, buf: &mut [f64], kind: OpKind, combine: impl Fn(&mut [f64], &[f64])) {
+        let p = self.size;
+        let rank = self.rank;
+        let mut mask = 1;
+        while mask < p {
+            if rank & mask != 0 {
+                self.raw_send(rank - mask, buf, kind, 0);
+                break;
+            } else if rank + mask < p {
+                let inc = self.raw_recv(rank + mask, kind, 0, Some(buf.len()));
+                combine(buf, &inc);
+            }
+            mask <<= 1;
+        }
+    }
+
+    /// Binomial-tree broadcast from `root` (standard MPICH virtual-rank
+    /// formulation), without recording a stats event.
+    fn broadcast_internal(&self, root: usize, buf: &mut [f64], kind: OpKind) {
+        let p = self.size;
+        if p == 1 {
+            return;
+        }
+        let vrank = (self.rank + p - root) % p;
+        let mut mask = 1usize;
+        while mask < p {
+            if vrank & mask != 0 {
+                let vsrc = vrank - mask;
+                let src = (vsrc + root) % p;
+                let data = self.raw_recv(src, kind, root, Some(buf.len()));
+                buf.copy_from_slice(&data);
+                break;
+            }
+            mask <<= 1;
+        }
+        mask >>= 1;
+        while mask > 0 {
+            if vrank & (mask - 1) == 0 && vrank & mask == 0 && vrank + mask < p {
+                let vdst = vrank + mask;
+                let dst = (vdst + root) % p;
+                self.raw_send(dst, buf, kind, root);
+            }
+            mask >>= 1;
+        }
+    }
+
+    /// Reduce-then-broadcast allreduce with the elementwise `combine`.
+    fn allreduce_with(&self, buf: &mut [f64], kind: OpKind, combine: impl Fn(&mut f64, f64)) {
+        self.begin(kind, 0, buf.len(), 0);
+        self.reduce_with(buf, kind, |acc, inc| {
+            for (a, &b) in acc.iter_mut().zip(inc) {
+                combine(a, b);
+            }
+        });
+        self.broadcast_internal(0, buf, kind);
+        self.stats
+            .borrow_mut()
+            .record(CollectiveKind::Allreduce, buf.len());
+    }
+}
+
+impl Drop for ThreadComm {
+    /// Parks this rank's mailbox with the run, so a message sent to an
+    /// ended rank is still delivered and then reported as unreceived. The
+    /// senders drop after this, so a peer blocked on this rank sees the
+    /// disconnect.
+    fn drop(&mut self) {
+        let mailbox = std::mem::take(&mut self.receivers);
+        lock(&self.shared.mailboxes).push((self.rank, mailbox));
     }
 }
 
@@ -333,106 +578,74 @@ impl Communicator for ThreadComm {
     /// Binomial-tree reduce to rank 0 followed by a binomial broadcast —
     /// the same `O(log P)` data movement an MPI allreduce performs.
     fn allreduce_sum(&self, buf: &mut [f64]) {
-        self.note(format!("in allreduce_sum(len={})", buf.len()));
-        self.reduce_with(buf, "allreduce_sum", |acc, inc| {
-            for (a, b) in acc.iter_mut().zip(inc.iter()) {
-                *a += b;
-            }
-        });
-        self.broadcast_internal(0, buf, "allreduce_sum");
-        self.stats
-            .borrow_mut()
-            .record(CollectiveKind::Allreduce, buf.len());
-        self.note(format!("after allreduce_sum(len={})", buf.len()));
+        self.allreduce_with(buf, OpKind::AllreduceSum, |a, b| *a += b);
     }
 
     fn allreduce_max(&self, buf: &mut [f64]) {
-        self.note(format!("in allreduce_max(len={})", buf.len()));
-        self.reduce_with(buf, "allreduce_max", |acc, inc| {
-            for (a, b) in acc.iter_mut().zip(inc.iter()) {
-                if *b > *a {
-                    *a = *b;
-                }
+        self.allreduce_with(buf, OpKind::AllreduceMax, |a, b| {
+            if b > *a {
+                *a = b;
             }
         });
-        self.broadcast_internal(0, buf, "allreduce_max");
-        self.stats
-            .borrow_mut()
-            .record(CollectiveKind::Allreduce, buf.len());
-        self.note(format!("after allreduce_max(len={})", buf.len()));
     }
 
     fn broadcast(&self, root: usize, buf: &mut [f64]) {
-        self.note(format!("in broadcast(root={root}, len={})", buf.len()));
-        self.broadcast_internal(root, buf, "broadcast");
+        self.begin(OpKind::Broadcast, root, buf.len(), 0);
+        self.broadcast_internal(root, buf, OpKind::Broadcast);
         self.stats
             .borrow_mut()
             .record(CollectiveKind::Broadcast, buf.len());
-        self.note(format!("after broadcast(root={root}, len={})", buf.len()));
     }
 
     /// Gather-to-root + broadcast (binomial trees on both legs), supporting
     /// per-rank payload lengths (MPI_Allgatherv semantics).
     fn allgather(&self, send: &[f64]) -> Vec<f64> {
-        self.note(format!("in allgather(local_len={})", send.len()));
-        let p = self.size;
-        let mut gathered: Vec<f64>;
-        if self.rank == 0 {
-            let mut parts: Vec<Vec<f64>> = Vec::with_capacity(p);
-            parts.push(send.to_vec());
-            for from in 1..p {
-                parts.push(self.raw_recv(from));
+        let kind = OpKind::Allgather;
+        self.begin(kind, 0, send.len(), 0);
+        let mut gathered = if self.rank == 0 {
+            let mut gathered = send.to_vec();
+            for from in 1..self.size {
+                gathered.extend(self.raw_recv(from, kind, 0, None));
             }
-            gathered = parts.concat();
+            gathered
         } else {
-            self.raw_send(0, send);
-            gathered = Vec::new();
-        }
+            self.raw_send(0, send, kind, 0);
+            Vec::new()
+        };
         // Broadcast the total length, then the payload.
         let mut len_buf = [gathered.len() as f64];
-        self.broadcast_internal(0, &mut len_buf, "allgather");
+        self.broadcast_internal(0, &mut len_buf, kind);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "the length travels as an f64 word holding an exact integer below 2^53"
         )]
         let total = len_buf[0] as usize;
         gathered.resize(total, 0.0);
-        self.broadcast_internal(0, &mut gathered, "allgather");
+        self.broadcast_internal(0, &mut gathered, kind);
         self.stats
             .borrow_mut()
             .record(CollectiveKind::Allgather, total);
-        self.note(format!("after allgather(local_len={})", send.len()));
         gathered
     }
 
     fn send(&self, to: usize, buf: &[f64]) {
-        self.note(format!("in send(to={to}, len={})", buf.len()));
+        self.begin(OpKind::Send, 0, buf.len(), to);
         self.stats
             .borrow_mut()
             .record(CollectiveKind::PointToPoint, buf.len());
-        self.raw_send(to, buf);
-        self.note(format!("after send(to={to}, len={})", buf.len()));
+        self.raw_send(to, buf, OpKind::Send, 0);
     }
 
     fn recv(&self, from: usize) -> Vec<f64> {
-        self.note(format!("in recv(from={from})"));
-        let msg = self.raw_recv(from);
-        self.note(format!("after recv(from={from}, len={})", msg.len()));
-        msg
+        self.begin(OpKind::Recv, 0, 0, from);
+        self.raw_recv(from, OpKind::Recv, 0, None)
     }
 
+    /// An empty-payload reduce and broadcast through the collective trees.
     fn barrier(&self) {
-        self.note("in barrier".to_string());
-        let rank = self.rank;
-        let board = Arc::clone(&self.board);
-        self.barrier.wait(self.watchdog, move |elapsed| {
-            format!(
-                "ThreadComm watchdog: rank {rank} stuck in barrier for {elapsed:?}: \
-                 some rank never arrived. Per-rank last events:\n{}",
-                board.render()
-            )
-        });
-        self.note("after barrier".to_string());
+        self.begin(OpKind::Barrier, 0, 0, 0);
+        self.reduce_with(&mut [], OpKind::Barrier, |_, _| {});
+        self.broadcast_internal(0, &mut [], OpKind::Barrier);
     }
 
     fn stats(&self) -> CommStats {
@@ -444,59 +657,21 @@ impl Communicator for ThreadComm {
     }
 }
 
-impl ThreadComm {
-    /// Binomial-tree reduction to rank 0 with a custom combiner.
-    fn reduce_with(&self, buf: &mut [f64], op: &str, combine: impl Fn(&mut [f64], &[f64])) {
-        let p = self.size;
-        let rank = self.rank;
-        let mut mask = 1;
-        while mask < p {
-            if rank & mask != 0 {
-                self.raw_send(rank - mask, buf);
-                break;
-            } else if rank + mask < p {
-                let inc = self.raw_recv_expect(rank + mask, buf.len(), op);
-                combine(buf, &inc);
-            }
-            mask <<= 1;
-        }
-    }
-
-    /// Binomial-tree broadcast from `root` (standard MPICH virtual-rank
-    /// formulation), without recording a stats event.
-    fn broadcast_internal(&self, root: usize, buf: &mut [f64], op: &str) {
-        let p = self.size;
-        if p == 1 {
-            return;
-        }
-        let vrank = (self.rank + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let vsrc = vrank - mask;
-                let src = (vsrc + root) % p;
-                let data = self.raw_recv_expect(src, buf.len(), op);
-                buf.copy_from_slice(&data);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank & (mask - 1) == 0 && vrank & mask == 0 && vrank + mask < p {
-                let vdst = vrank + mask;
-                let dst = (vdst + root) % p;
-                self.raw_send(dst, buf);
-            }
-            mask >>= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 mod tests {
     use super::*;
+
+    /// The panic message of a run that must fail.
+    fn failure_of<R>(run: impl FnOnce() -> R + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(run)
+            .err()
+            .expect("the run must panic");
+        payload
+            .downcast_ref::<String>()
+            .expect("ThreadComm diagnostics are formatted messages")
+            .clone()
+    }
 
     #[test]
     fn allreduce_sums_across_ranks() {
@@ -638,33 +813,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "collective streams have diverged")]
-    fn length_mismatch_in_tree_is_reported() {
-        // Both ranks enter "allreduce_sum" but with different buffer lengths:
-        // the internal tree detects the foreign message length.
-        ThreadComm::run_with_timeout(2, Duration::from_secs(5), |comm| {
-            let mut buf = vec![1.0; if comm.rank() == 0 { 4 } else { 7 }];
-            comm.allreduce_sum(&mut buf);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "ThreadComm watchdog")]
+    #[should_panic(expected = "SPMD collective stream mismatch")]
     fn watchdog_diagnoses_mismatched_collectives() {
         // The canonical mismatched-collective deadlock: rank 0 broadcasts
-        // while rank 1 allreduces. The 4-word reduce message rank 1 sends is
-        // consumed by rank 0's broadcast receive (the length matches, so the
-        // structural check cannot see the divergence); rank 0 completes and
-        // idles while rank 1 blocks forever waiting for the result broadcast.
-        // The watchdog must convert that silent hang into a diagnostic panic
-        // naming the stuck receive and dumping every rank's last event.
+        // while rank 1 allreduces. The 4-word reduce message rank 1 sends
+        // reaches rank 0's broadcast receive, whose trailer check rejects
+        // it at once, long before the watchdog would end rank 1's wait for
+        // the result broadcast.
         ThreadComm::run_with_timeout(2, Duration::from_millis(300), |comm| {
             let mut buf = vec![1.0; 4];
             if comm.rank() == 0 {
                 comm.broadcast(1, &mut buf);
-                // Stay alive past the timeout so rank 1's failure is the
-                // watchdog, not a disconnect.
-                std::thread::sleep(Duration::from_millis(900));
             } else {
                 comm.allreduce_sum(&mut buf);
             }
@@ -687,5 +846,179 @@ mod tests {
         for r in &results[1..] {
             assert_eq!(*r, results[0]);
         }
+    }
+
+    #[test]
+    fn matched_streams_pass_and_compute_correctly() {
+        for p in [1usize, 2, 3, 5] {
+            let results = ThreadComm::run(p, |comm| {
+                let mut buf = vec![comm.rank() as f64 + 1.0; 4];
+                comm.allreduce_sum(&mut buf);
+                let mut maxb = vec![comm.rank() as f64];
+                comm.allreduce_max(&mut maxb);
+                let mut b = vec![if comm.rank() == 0 { 7.0 } else { 0.0 }; 3];
+                comm.broadcast(0, &mut b);
+                comm.barrier();
+                let g = comm.allgather(&[comm.rank() as f64; 2]);
+                (buf[0], maxb[0], b[2], g.len())
+            });
+            let sum: f64 = (1..=p).map(|r| r as f64).sum();
+            for (s, m, b, g) in results {
+                assert_eq!(s, sum, "p={p}");
+                assert_eq!(m, (p - 1) as f64);
+                assert_eq!(b, 7.0);
+                assert_eq!(g, 2 * p);
+            }
+        }
+    }
+
+    #[test]
+    fn verified_p2p_round_trips() {
+        let p = 4;
+        let results = ThreadComm::run(p, |comm| {
+            let next = (comm.rank() + 1) % p;
+            let prev = (comm.rank() + p - 1) % p;
+            comm.send(next, &[comm.rank() as f64, 42.0]);
+            comm.recv(prev)
+        });
+        for (r, msg) in results.iter().enumerate() {
+            assert_eq!(msg, &vec![((r + p - 1) % p) as f64, 42.0]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SPMD collective stream mismatch")]
+    fn wrong_collective_kind_is_caught() {
+        ThreadComm::run(2, |comm| {
+            let mut buf = vec![1.0; 4];
+            if comm.rank() == 0 {
+                comm.allreduce_sum(&mut buf);
+            } else {
+                comm.allreduce_max(&mut buf);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "len: disagrees across ranks")]
+    fn wrong_length_is_caught() {
+        ThreadComm::run(3, |comm| {
+            let mut buf = vec![1.0; 4 + comm.rank() % 2];
+            comm.allreduce_sum(&mut buf);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "never received")]
+    fn wrong_root_is_caught() {
+        // Each rank roots its own broadcast, so each sends to the other and
+        // neither receives: no receive can compare the roots, and the run
+        // fails on the two unreceived messages once both ranks return.
+        ThreadComm::run(2, |comm| {
+            let mut buf = vec![1.0; 4];
+            comm.broadcast(comm.rank(), &mut buf);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "kind: disagrees across ranks")]
+    fn skipped_collective_is_caught() {
+        // Rank 1 forgets a barrier, so rank 0's barrier receives rank 1's
+        // allreduce_sum message.
+        ThreadComm::run(2, |comm| {
+            let mut buf = vec![1.0; 4];
+            if comm.rank() == 0 {
+                comm.barrier();
+            }
+            comm.allreduce_sum(&mut buf);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "len: disagrees across ranks")]
+    fn nonblocking_len_mismatch_is_caught_at_post() {
+        // The provided iallreduce_sum runs the checked allreduce_sum at post.
+        ThreadComm::run(3, |comm| {
+            let req = comm.iallreduce_sum(vec![1.0; 4 + comm.rank() % 2]);
+            req.wait();
+        });
+    }
+
+    #[test]
+    fn trace_ring_is_bounded() {
+        // 24 matched barriers, then a kind mismatch as operation #25: the
+        // dump must show each rank's newest TRACE_CAPACITY events, #10..#25.
+        let ops = TRACE_CAPACITY + 9;
+        let message = failure_of(|| {
+            ThreadComm::run(2, |comm| {
+                for _ in 1..ops {
+                    comm.barrier();
+                }
+                if comm.rank() == 0 {
+                    comm.barrier();
+                } else {
+                    comm.allreduce_sum(&mut [0.0]);
+                }
+            })
+        });
+        assert!(
+            message.contains("SPMD collective stream mismatch"),
+            "{message}"
+        );
+        for rank in 0..2 {
+            let line = message
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("  rank {rank}: ")))
+                .unwrap_or_else(|| panic!("no dump line for rank {rank}: {message}"));
+            let events: Vec<&str> = line.split("; ").collect();
+            assert_eq!(events.len(), TRACE_CAPACITY, "rank {rank}: {line}");
+            assert!(events[0].starts_with("#10 "), "rank {rank}: {line}");
+            assert!(
+                events[TRACE_CAPACITY - 1].starts_with(&format!("#{ops} ")),
+                "rank {rank}: {line}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_way_send_fails_the_run() {
+        let message = failure_of(|| {
+            ThreadComm::run(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, &[1.0, 2.0, 3.0]);
+                }
+            })
+        });
+        assert!(message.contains("never received"), "{message}");
+        assert!(
+            message.contains("rank 0 to rank 1: send(len=3)"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn the_diagnosing_rank_is_reraised_not_a_disconnect() {
+        // At p = 4, rank 2 receives rank 3's reduce message, so it is rank 2
+        // that meets rank 3's allreduce_max while rank 0, having taken rank
+        // 1's message, is blocked on rank 2. Rank 2's panic then disconnects
+        // rank 0 and, through rank 0, ranks 1 and 3.
+        let message = failure_of(|| {
+            ThreadComm::run(4, |comm| {
+                let mut buf = vec![1.0; 4];
+                if comm.rank() == 3 {
+                    comm.allreduce_max(&mut buf);
+                } else {
+                    comm.allreduce_sum(&mut buf);
+                }
+            })
+        });
+        assert!(
+            message.starts_with("ThreadComm rank 2: SPMD collective stream mismatch"),
+            "{message}"
+        );
+        assert!(
+            message.contains("kind: disagrees across ranks"),
+            "{message}"
+        );
     }
 }

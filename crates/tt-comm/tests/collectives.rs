@@ -2,13 +2,13 @@
 //! sequential reductions exactly for arbitrary rank counts and payloads.
 //!
 //! The nonblocking methods are the trait's provided forms, which complete at
-//! post over the blocking operations; they are exercised on `ThreadComm`
-//! and under `VerifyComm` (`run_verified`).
+//! post over the blocking operations, so on `ThreadComm` they pass the same
+//! per-message checks as the blocking ones.
 
 #![allow(clippy::float_cmp, reason = "tests compare exact values on purpose")]
 
 use proptest::prelude::*;
-use tt_comm::{run_verified, Communicator, ThreadComm};
+use tt_comm::{Communicator, ThreadComm};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -87,8 +87,7 @@ proptest! {
     }
 
     /// Posting an iallreduce and waiting immediately is bitwise identical to
-    /// the blocking allreduce_sum for arbitrary rank counts and payloads, on
-    /// `ThreadComm` and under `VerifyComm`.
+    /// the blocking allreduce_sum for arbitrary rank counts and payloads.
     #[test]
     fn iallreduce_post_then_wait_matches_blocking(p in 1usize..=6, len in 1usize..40, seed in any::<u32>()) {
         let contribution = |rank: usize, i: usize| -> f64 {
@@ -101,8 +100,7 @@ proptest! {
             let nonblocking = comm.iallreduce_sum(local).wait();
             (blocking, nonblocking)
         };
-        let mut results = ThreadComm::run(p, |comm| both(&comm));
-        results.extend(run_verified(p, |comm| both(&comm)));
+        let results = ThreadComm::run(p, |comm| both(&comm));
         for (blocking, nonblocking) in results {
             prop_assert_eq!(blocking, nonblocking);
         }
@@ -141,12 +139,9 @@ fn isend_irecv_ring_round_trips() {
         comm.irecv(prev).wait()
     }
     for p in [2usize, 3, 4] {
-        let plain = ThreadComm::run(p, |comm| ring(&comm));
-        let verified = run_verified(p, |comm| ring(&comm));
-        for results in [plain, verified] {
-            for (r, msg) in results.iter().enumerate() {
-                assert_eq!(msg, &vec![((r + p - 1) % p) as f64, 0.5], "p={p}");
-            }
+        let results = ThreadComm::run(p, |comm| ring(&comm));
+        for (r, msg) in results.iter().enumerate() {
+            assert_eq!(msg, &vec![((r + p - 1) % p) as f64, 0.5], "p={p}");
         }
     }
 }
@@ -161,26 +156,20 @@ fn dropping_an_unwaited_request_panics_in_debug() {
         let _forgotten = comm.iallreduce_sum(vec![1.0, 2.0]);
     }
     for p in [2usize, 3, 4] {
-        for verified in [false, true] {
-            let outcome = std::panic::catch_unwind(|| {
-                if verified {
-                    run_verified(p, |comm| forget(&comm));
-                } else {
-                    ThreadComm::run(p, |comm| forget(&comm));
-                }
-            });
-            let Err(payload) = outcome else {
-                panic!("p={p} verified={verified}: dropping an unwaited request did not panic");
-            };
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            assert!(
-                msg.contains("Request dropped without wait()"),
-                "p={p} verified={verified}: {msg}"
-            );
-        }
+        let outcome = std::panic::catch_unwind(|| {
+            ThreadComm::run(p, |comm| forget(&comm));
+        });
+        let Err(payload) = outcome else {
+            panic!("p={p}: dropping an unwaited request did not panic");
+        };
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(
+            msg.contains("Request dropped without wait()"),
+            "p={p}: {msg}"
+        );
     }
 }

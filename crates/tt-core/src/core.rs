@@ -243,7 +243,8 @@ mod tests {
     fn from_h_matches_layout() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let c = TtCore::gaussian(3, 4, 2, &mut rng);
-        let h_owned = c.h().to_matrix();
+        let h = c.h();
+        let h_owned = Matrix::from_col_major(h.rows(), h.cols(), h.as_slice().to_vec());
         let back = TtCore::from_h(h_owned, 3, 4, 2);
         assert_eq!(back, c);
     }

@@ -1,6 +1,6 @@
 //! 1-D distribution of TT tensors and distributed primitives.
 //!
-//! Following the paper (§II-D, [25]), every TT core is distributed across
+//! Following the paper (§II-D, \[25\]), every TT core is distributed across
 //! all `P` ranks along its physical mode: rank `p` owns the slice block
 //! [`block_range`]`(I_k, P, p)` of core `k`. Core-times-small-matrix
 //! operations are then embarrassingly parallel, and core–core contractions
@@ -149,7 +149,7 @@ mod tests {
         let full = TtTensor::random(&[6, 5, 8], &[3, 2], &mut rng);
         for p in [1usize, 2, 3, 4] {
             let f = full.clone();
-            let gathered = tt_comm::run_verified(p, |comm| {
+            let gathered = tt_comm::ThreadComm::run(p, |comm| {
                 let local = scatter_tensor(&f, &comm);
                 gather_tensor(&local, &[6, 5, 8], &comm)
             });
@@ -167,7 +167,7 @@ mod tests {
         let seq = inner_local(&SelfComm::new(), &x, &y);
         for p in [2usize, 3, 5] {
             let (x, y) = (x.clone(), y.clone());
-            let vals = tt_comm::run_verified(p, |comm| {
+            let vals = tt_comm::ThreadComm::run(p, |comm| {
                 let xl = scatter_tensor(&x, &comm);
                 let yl = scatter_tensor(&y, &comm);
                 inner_local(&comm, &xl, &yl)
@@ -187,7 +187,7 @@ mod tests {
         let x = TtTensor::random(&[5, 6, 4], &[2, 3], &mut rng);
         let dense_norm = x.to_dense().fro_norm();
         let xc = x.clone();
-        let vals = tt_comm::run_verified(3, |comm| {
+        let vals = tt_comm::ThreadComm::run(3, |comm| {
             let xl = scatter_tensor(&xc, &comm);
             norm_local(&comm, &xl)
         });
@@ -202,7 +202,7 @@ mod tests {
         let x = TtTensor::random(&[2, 3, 2], &[2, 2], &mut rng);
         let seq = inner_local(&SelfComm::new(), &x, &x);
         let xc = x.clone();
-        let vals = tt_comm::run_verified(5, |comm| {
+        let vals = tt_comm::ThreadComm::run(5, |comm| {
             let xl = scatter_tensor(&xc, &comm);
             inner_local(&comm, &xl, &xl)
         });

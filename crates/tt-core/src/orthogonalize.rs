@@ -123,7 +123,7 @@ mod tests {
         for p in [2usize, 3] {
             let xs = x.clone();
             let dims2 = dims.clone();
-            let results = tt_comm::run_verified(p, |comm| {
+            let results = tt_comm::ThreadComm::run(p, |comm| {
                 let local = crate::dist::scatter_tensor(&xs, &comm);
                 let y = orthogonalize_left(&comm, &local);
                 let defect = left_orthogonality_defect(&comm, &y);

@@ -4,7 +4,7 @@
 //! [`RoundingMethod`]:
 //!
 //! * `qr` — the baseline: TT-Rounding via orthogonalization (Alg. 2),
-//!   parallelized with TSQR exactly as in Al Daas–Ballard–Benner [25].
+//!   parallelized with TSQR exactly as in Al Daas–Ballard–Benner \[25\].
 //! * `gram` — the paper's contribution: TT-Rounding via Gram SVD, in the
 //!   *simultaneous* (Alg. 5) and *sequence* (Alg. 6) variants, the latter in
 //!   both RLR (right-to-left Gram sweep, left-to-right truncation) and LRL

@@ -249,7 +249,7 @@ mod tests {
         let (m, opts) = (method(4, 7), capped(3));
         let seq = round_seq(&x, m, &opts).0;
         for p in [2usize, 3] {
-            let gathered = tt_comm::run_verified(p, |comm| {
+            let gathered = tt_comm::ThreadComm::run(p, |comm| {
                 let local = crate::dist::scatter_tensor(&x, &comm);
                 let (y, _) = round(&comm, local, m, &opts);
                 crate::dist::gather_tensor(&y, &dims, &comm)

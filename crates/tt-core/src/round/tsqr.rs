@@ -1,7 +1,7 @@
 //! Tall-Skinny QR with explicit thin-Q reconstruction.
 //!
 //! The baseline rounding algorithm orthogonalizes row-distributed unfoldings
-//! with the communication-avoiding TSQR of Demmel et al. [35]: local
+//! with the communication-avoiding TSQR of Demmel et al. \[35\]: local
 //! Householder QRs, a binomial combine tree over the `R` factors (upsweep),
 //! and a reverse tree propagating the per-rank `R × R` transformation that
 //! turns each local `Q` into its block of the global thin `Q` (downsweep).
@@ -177,7 +177,7 @@ mod tests {
         let a = Matrix::gaussian(m, n, &mut rng);
         for p in [2usize, 3, 4, 7] {
             let a = a.clone();
-            let results = tt_comm::run_verified(p, |comm| {
+            let results = tt_comm::ThreadComm::run(p, |comm| {
                 let range = block_range(m, p, comm.rank());
                 let local = a.sub_matrix(range.start, 0, range.len(), n);
                 tsqr(&comm, &local)
@@ -210,7 +210,7 @@ mod tests {
         let a = Matrix::gaussian(m, n, &mut rng);
         let s_expect = jacobi_svd(&a).singular_values;
         let a2 = a.clone();
-        let results = tt_comm::run_verified(4, move |comm| {
+        let results = tt_comm::ThreadComm::run(4, move |comm| {
             let range = block_range(m, 4, comm.rank());
             let local = a2.sub_matrix(range.start, 0, range.len(), n);
             tsqr(&comm, &local).1
@@ -229,7 +229,7 @@ mod tests {
         let n = 4;
         let a = Matrix::gaussian(m, n, &mut rng);
         let a2 = a.clone();
-        let results = tt_comm::run_verified(8, move |comm| {
+        let results = tt_comm::ThreadComm::run(8, move |comm| {
             let range = block_range(m, 8, comm.rank());
             let local = a2.sub_matrix(range.start, 0, range.len(), n);
             tsqr(&comm, &local)

@@ -9,7 +9,7 @@
 //! | 3     | 30    | 2M × … × 2M                        | 45 GB  |
 //! | 4     | 10    | 10K × 20 × … × 20                  | 930 KB |
 //!
-//! Models 1–3 mimic Gaussian-random-field / UQ problems [27]; model 4 has
+//! Models 1–3 mimic Gaussian-random-field / UQ problems \[27\]; model 4 has
 //! the shape of the cookies problem solved in §V-D. The redundant-rank
 //! construction (`X + X`, formal ranks doubled) is the standard way to
 //! produce a tensor whose rounding is exact and predictable.

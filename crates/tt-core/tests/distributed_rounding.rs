@@ -8,7 +8,7 @@
 )]
 
 use rand::SeedableRng;
-use tt_comm::{run_verified, run_verified_with_timeout, Communicator, ModelComm};
+use tt_comm::{Communicator, ModelComm, ThreadComm};
 use tt_core::RoundingMethod::{self, GramLrl, GramRlr, GramSim, Qr};
 use tt_core::{block_range, gather_tensor, round, scatter_tensor, RoundingOptions, TtTensor};
 
@@ -20,12 +20,12 @@ fn redundant(dims: &[usize], rank_half: usize, seed: u64) -> TtTensor {
 /// Runs one distributed rounding variant on `p` ranks and returns the
 /// gathered result (identical on all ranks; rank 0's copy returned).
 ///
-/// Every rank's communicator is wrapped in `VerifyComm`, so these agreement
-/// tests additionally certify that all variants issue well-matched SPMD
-/// collective streams.
+/// Every receive of `ThreadComm` checks the operation that sent its
+/// message, so these agreement tests additionally certify that all variants
+/// issue well-matched SPMD collective streams.
 fn run_dist(x: &TtTensor, p: usize, opts: &RoundingOptions, method: RoundingMethod) -> TtTensor {
     let dims = x.dims();
-    let results = run_verified(p, |comm| {
+    let results = ThreadComm::run(p, |comm| {
         let local = scatter_tensor(x, &comm);
         let (rounded, _report) = round(&comm, local, method, opts);
         gather_tensor(&rounded, &dims, &comm)
@@ -82,7 +82,7 @@ fn one_core_train_comes_back_unchanged() {
     let opts = RoundingOptions::with_tolerance(1e-9);
     for method in [GramRlr, GramLrl, GramSim, Qr, RoundingMethod::randomized()] {
         for p in [2usize, 3, 4] {
-            let runs = run_verified(p, |comm| {
+            let runs = ThreadComm::run(p, |comm| {
                 let local = scatter_tensor(&x, &comm);
                 let (rounded, report) = round(&comm, local.clone(), method, &opts);
                 (local, rounded, report.norm)
@@ -148,17 +148,17 @@ fn rank_capped_distributed_rounding() {
     }
 }
 
-/// The acceptance scenario for the verification layer: a deliberately
+/// The acceptance scenario for the run-time stream check: a deliberately
 /// mis-sequenced distributed rounding run — rank 0 slips one extra
 /// collective in front of the sweep, the classic SPMD divergence bug —
-/// must fail with the rank-annotated fingerprint diagnostic instead of
+/// must fail with the rank-annotated mismatch diagnostic instead of
 /// deadlocking or silently producing garbage.
 #[test]
 #[should_panic(expected = "SPMD collective stream mismatch")]
 fn mis_sequenced_distributed_rounding_is_diagnosed() {
     let x = redundant(&[8, 6, 9, 7], 3, 42);
     let opts = RoundingOptions::with_tolerance(1e-9);
-    run_verified_with_timeout(2, std::time::Duration::from_secs(10), |comm| {
+    ThreadComm::run_with_timeout(2, std::time::Duration::from_secs(10), |comm| {
         let local = scatter_tensor(&x, &comm);
         if comm.rank() == 0 {
             // Only rank 0 "helpfully" reduces a scalar first; from here on
@@ -171,6 +171,34 @@ fn mis_sequenced_distributed_rounding_is_diagnosed() {
         let (rounded, _report) = round(&comm, local, GramRlr, &opts);
         rounded.ranks()
     });
+}
+
+/// DESIGN.md §13's M5: rank 0 alone calls `barrier` before a QR rounding.
+/// Its barrier receives TSQR's upsweep `send`, and the trailer check fails
+/// the run at once; the watchdog would end it after one second with a
+/// different message.
+#[test]
+fn rank_zero_only_barrier_before_tsqr_is_diagnosed() {
+    let x = redundant(&[8, 6, 9, 7], 3, 42);
+    let opts = RoundingOptions::with_tolerance(1e-9);
+    for p in [2usize, 3, 4] {
+        let outcome = std::panic::catch_unwind(|| {
+            ThreadComm::run_with_timeout(p, std::time::Duration::from_secs(1), |comm| {
+                let local = scatter_tensor(&x, &comm);
+                if comm.rank() == 0 {
+                    comm.barrier();
+                }
+                round(&comm, local, Qr, &opts).0.ranks()
+            })
+        });
+        let payload = outcome.expect_err("the unmatched barrier must fail the run");
+        let message = payload.downcast_ref::<String>().unwrap();
+        assert!(
+            message.contains("SPMD collective stream mismatch")
+                && message.contains("kind: disagrees across ranks (rank 0: barrier, rank 1: send)"),
+            "p={p}: {message}"
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Sequential ≡ distributed agreement for randomized rounding.
 //!
-//! Every run goes through [`tt_comm::run_verified`], so each test
-//! additionally certifies (via `VerifyComm` fingerprinting) that all ranks
-//! issue identical collective streams.
+//! Every run goes through [`tt_comm::ThreadComm::run`], whose receives
+//! check each message's operation, so each test additionally certifies
+//! that all ranks issue identical collective streams.
 //!
 //! Bitwise scope: at `p = 1` the distributed run must equal the sequential
 //! run *bit for bit* (same arithmetic, allreduce over one rank is the
@@ -57,7 +57,7 @@ fn assert_tensors_bitwise_eq(a: &TtTensor, b: &TtTensor, what: &str) {
 /// rank's gathered copy.
 fn run_dist(x: &TtTensor, p: usize, run: &(RoundingMethod, RoundingOptions)) -> Vec<TtTensor> {
     let dims = x.dims();
-    tt_comm::run_verified(p, |comm| {
+    tt_comm::ThreadComm::run(p, |comm| {
         let local = scatter_tensor(x, &comm);
         let (rounded, _) = round(&comm, local, run.0, &run.1);
         gather_tensor(&rounded, &dims, &comm)

@@ -7,7 +7,7 @@
 //! against committed constants, so a change that moves any rounding bit
 //! of QR, Gram-RLR/LRL/Sim or randomized rounding fails here.
 //!
-//! The same sum is also rounded at p ∈ {2, 3, 4} under `run_verified` with
+//! The same sum is also rounded at p ∈ {2, 3, 4} under `ThreadComm::run` with
 //! QR and Gram-RLR, pinning every rank's local cores and the gathered train:
 //! a change to the TSQR tree or to the Gram sweep's reductions that moves a
 //! bit on some rank fails there.
@@ -25,7 +25,7 @@
 )]
 #![cfg(not(feature = "simd"))]
 
-use tt_comm::{run_verified, SelfComm};
+use tt_comm::{SelfComm, ThreadComm};
 use tt_core::{
     gather_tensor, round, scatter_tensor, RoundingMethod, RoundingOptions, TtCore, TtTensor,
 };
@@ -185,7 +185,7 @@ fn distributed_rounding_bits_are_pinned_per_rank() {
         ),
     ];
     for (method, p, expect) in cases {
-        let per_rank = run_verified(p, |comm| {
+        let per_rank = ThreadComm::run(p, |comm| {
             let local = scatter_tensor(&x, &comm);
             let (y, _) = round(&comm, local, method, &opts);
             let gathered = gather_tensor(&y, &dims, &comm);

@@ -31,7 +31,7 @@ fn every_method_fills_the_shared_report() {
     let opts = RoundingOptions::with_tolerance(1e-9).max_rank(3);
     for (method, sketch_only) in METHODS {
         for p in [1usize, 2] {
-            let runs: Vec<(TtTensor, RoundReport)> = tt_comm::run_verified(p, |comm| {
+            let runs: Vec<(TtTensor, RoundReport)> = tt_comm::ThreadComm::run(p, |comm| {
                 let local = scatter_tensor(&x, &comm);
                 let (y, report) = round(&comm, local, method, &opts);
                 (gather_tensor(&y, &dims, &comm), report)

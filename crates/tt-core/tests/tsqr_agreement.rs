@@ -3,13 +3,13 @@
 //! the per-row sign ambiguity of the QR factorization, and its distributed
 //! `Q` blocks must assemble into an orthonormal factor reconstructing `A`.
 //!
-//! Runs under `run_verified` (every rank's communicator wrapped in
-//! `VerifyComm`), so it also certifies that the TSQR combine tree issues a
+//! Runs under `ThreadComm::run` (every receive checks the operation that
+//! sent its message), so it also certifies that the TSQR combine tree issues a
 //! well-matched SPMD collective stream, with leaves of TT-rank widths and
 //! of formal-rank widths up to 80 columns.
 
 use rand::SeedableRng;
-use tt_comm::{run_verified, Communicator};
+use tt_comm::{Communicator, ThreadComm};
 use tt_core::block_range;
 use tt_core::round::tsqr::tsqr;
 use tt_linalg::{gemm, householder_qr, Matrix, Trans};
@@ -32,7 +32,7 @@ fn check_tsqr_agreement(m: usize, n: usize, p: usize, seed: u64) {
     let r_seq = normalize_row_signs(&householder_qr(&a).r());
 
     // Distributed: each rank factors its contiguous row block.
-    let results = run_verified(p, |comm| {
+    let results = ThreadComm::run(p, |comm| {
         let range = block_range(m, comm.size(), comm.rank());
         let local = a.sub_matrix(range.start, 0, range.end - range.start, n);
         tsqr(&comm, &local)

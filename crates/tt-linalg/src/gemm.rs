@@ -450,7 +450,7 @@ mod tests {
         let m = Matrix::from_col_major(4, 3, (1..=12).map(f64::from).collect());
         let h = m.view_as(2, 6); // zero-copy "horizontal unfolding"
         let hh = gemm_alloc(Trans::No, h, Trans::Yes, h, 1.0);
-        let explicit = h.to_matrix();
+        let explicit = Matrix::from_col_major(2, 6, h.as_slice().to_vec());
         let expect = naive(Trans::No, &explicit, Trans::Yes, &explicit);
         assert!(hh.max_abs_diff(&expect) < 1e-12);
     }

@@ -6,10 +6,10 @@
 //! provides from-scratch, pure-Rust implementations of exactly the kernels the
 //! TT algorithms need, on a single column-major [`Matrix`] type:
 //!
-//! * [`gemm`]/[`syrk`] — general and symmetric matrix multiplication
+//! * [`fn@gemm`]/[`syrk`] — general and symmetric matrix multiplication
 //!   (the workhorses of the Gram-SVD rounding path), dispatched between the
 //!   packed cache-blocked engine in [`block`], the unpacked tall-skinny
-//!   engine in [`skinny`] and the naive-loop oracle in [`reference`],
+//!   engine in [`skinny`] and the naive-loop oracle in [`mod@reference`],
 //! * [`qr`] — Householder QR with explicit thin-Q recovery and the stacked-R
 //!   combine step used by TSQR (the workhorse of the baseline rounding path),
 //! * [`eig`] — symmetric eigendecomposition (Householder tridiagonalization +
@@ -28,7 +28,7 @@
 //! a nightly feature, hence the gate — the default build stays on stable).
 //! The cache blocking is a set of compile-time constants ([`block::KC`]
 //! and friends), so results are bitwise reproducible per (feature set,
-//! target flags) configuration on every machine; [`reference`] is the
+//! target flags) configuration on every machine; [`mod@reference`] is the
 //! conformance oracle for both.
 //!
 //! Every kernel runs on its caller's thread: parallelism is one rank per

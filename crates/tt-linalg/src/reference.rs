@@ -1,14 +1,14 @@
 //! Reference (naive-loop) multiplication kernels: the conformance oracle.
 //!
 //! These are the original straightforward cache-aware column-major loops that
-//! used to back [`crate::gemm`]. They are retained verbatim behind this
+//! used to back [`fn@crate::gemm`]. They are retained verbatim behind this
 //! module for three jobs:
 //!
 //! 1. **Conformance oracle** — the blocked engine in [`crate::block`] is
 //!    property-tested against these loops over random shapes and all
 //!    transpose combinations (`tests/conformance.rs`);
 //! 2. **Paranoid cross-check** — under the `paranoid` feature the dispatcher
-//!    in [`crate::gemm`] spot-verifies sampled output entries of the blocked
+//!    in [`fn@crate::gemm`] spot-verifies sampled output entries of the blocked
 //!    kernels against directly computed dot products;
 //! 3. **Small-size fast path** — below the blocking threshold the packing
 //!    overhead of the blocked engine does not pay and the dispatcher routes

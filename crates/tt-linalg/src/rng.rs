@@ -19,11 +19,6 @@ pub fn fill_standard_normal(out: &mut [f64], rng: &mut impl Rng) {
     }
 }
 
-/// One standard-normal sample.
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
-    box_muller_pair(rng).0
-}
-
 fn box_muller_pair(rng: &mut impl Rng) -> (f64, f64) {
     // u1 in (0, 1] so the log is finite.
     let u1: f64 = 1.0 - rng.gen::<f64>();

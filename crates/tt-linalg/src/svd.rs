@@ -139,7 +139,7 @@ const CANCELLATION: f64 = 1.0 / 16.0;
 /// column-pivoted QR (see the module docs).
 ///
 /// Stops after the first sweep that rotates no pair. A pair is skipped when
-/// it is orthogonal to [`TOL`] or when either column is negligible
+/// it is orthogonal to `TOL` or when either column is negligible
 /// (`≤ ε·‖A‖_F`, see the module docs). The input is prescaled by a power of
 /// two, so the result does not depend on the scale of `A`:
 /// `jacobi_svd(2ᵏ·A)` is `2ᵏ·σ` with the same `U` and `V`.

@@ -62,11 +62,6 @@ impl<'a> MatRef<'a> {
         self.data
     }
 
-    /// Owned copy.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_col_major(self.rows, self.cols, self.data.to_vec())
-    }
-
     /// Owned transpose.
     pub fn transposed(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.at(j, i))

@@ -189,7 +189,7 @@ mod tests {
         let seq = op.apply(&f);
         for p in [1usize, 2, 3] {
             let (op2, f2, dims2) = (op.clone(), f.clone(), dims.clone());
-            let gathered = tt_comm::run_verified(p, |comm| {
+            let gathered = tt_comm::ThreadComm::run(p, |comm| {
                 let dop = DistKroneckerOperator::new(&comm, &op2, &dims2);
                 let local = scatter_tensor(&f2, &comm);
                 let y = dop.apply(&local);
@@ -208,7 +208,7 @@ mod tests {
         let seq = MeanPreconditioner::new(&mean).apply(&f);
         for p in [2usize, 4] {
             let (f2, mean2, dims2) = (f.clone(), mean.clone(), dims.clone());
-            let gathered = tt_comm::run_verified(p, |comm| {
+            let gathered = tt_comm::ThreadComm::run(p, |comm| {
                 let pre = DistMeanPreconditioner::new(&comm, &mean2);
                 let local = scatter_tensor(&f2, &comm);
                 let y = pre.apply(&local);
@@ -244,7 +244,7 @@ mod tests {
                     dims.clone(),
                     opts.clone(),
                 );
-                let results = tt_comm::run_verified(p, |comm| {
+                let results = tt_comm::ThreadComm::run(p, |comm| {
                     let dop = DistKroneckerOperator::new(&comm, &op2, &dims2);
                     let pre = DistMeanPreconditioner::new(&comm, &mean2);
                     let local = scatter_tensor(&f2, &comm);

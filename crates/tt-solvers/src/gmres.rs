@@ -1,4 +1,4 @@
-//! TT-GMRES — Algorithm 1 of the paper (Dolgov [8]).
+//! TT-GMRES — Algorithm 1 of the paper (Dolgov \[8\]).
 //!
 //! A full-orthogonalization GMRES over TT vectors in which every Krylov
 //! vector is compressed by TT-Rounding with an adaptive tolerance

@@ -1,10 +1,10 @@
 //! TT-structured linear solvers.
 //!
-//! Implements TT-GMRES (Dolgov [8], Algorithm 1 of the paper) with pluggable
+//! Implements TT-GMRES (Dolgov \[8\], Algorithm 1 of the paper) with pluggable
 //! TT-Rounding — the application through which the paper evaluates its
 //! Gram-SVD rounding end-to-end (§V-D) — together with the low-operator-rank
 //! Kronecker-sum operators of parametrized PDEs and the rank-one *mean
-//! preconditioner* of Kressner–Tobler [26].
+//! preconditioner* of Kressner–Tobler \[26\].
 
 #![forbid(unsafe_code)]
 

@@ -1,6 +1,6 @@
 //! Preconditioners for TT-GMRES.
 //!
-//! The *mean preconditioner* of Kressner–Tobler [26] is the paper's choice
+//! The *mean preconditioner* of Kressner–Tobler \[26\] is the paper's choice
 //! for the cookies problem: the operator-rank-one approximation
 //! `M = Ḡ ⊗ I ⊗ … ⊗ I`, where `Ḡ` is the spatial operator evaluated at the
 //! parameter means. Applying `M⁻¹` to a TT vector is a single direct solve

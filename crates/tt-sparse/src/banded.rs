@@ -211,7 +211,11 @@ mod tests {
 
     #[test]
     fn diagonal_matrix_solve_is_division() {
-        let d = CsrMatrix::from_diagonal(&[2.0, 4.0, 8.0]);
+        let mut b = CooBuilder::new(3, 3);
+        for (i, v) in [2.0, 4.0, 8.0].into_iter().enumerate() {
+            b.add(i, i, v);
+        }
+        let d = b.build();
         let f = BandedCholesky::factor(&d).unwrap();
         let mut x = vec![2.0, 4.0, 8.0];
         f.solve_in_place(&mut x);

@@ -88,11 +88,6 @@ impl CsrMatrix {
         self.cols
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
     /// The `n × n` identity in CSR form.
     pub fn identity(n: usize) -> CsrMatrix {
         CsrMatrix {
@@ -101,18 +96,6 @@ impl CsrMatrix {
             row_ptr: (0..=n).collect(),
             col_idx: (0..n).collect(),
             vals: vec![1.0; n],
-        }
-    }
-
-    /// A diagonal matrix from its diagonal entries.
-    pub fn from_diagonal(d: &[f64]) -> CsrMatrix {
-        let n = d.len();
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            vals: d.to_vec(),
         }
     }
 
@@ -185,22 +168,6 @@ impl CsrMatrix {
         m
     }
 
-    /// Checks structural+numerical symmetry to within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                let vt = self.get(j, i);
-                if (v - vt).abs() > tol * (1.0 + v.abs()) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Entry lookup (binary search within the row).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let lo = self.row_ptr[i];
@@ -260,7 +227,7 @@ mod tests {
     #[test]
     fn build_and_lookup() {
         let a = sample();
-        assert_eq!(a.nnz(), 5);
+        assert_eq!(a.vals.len(), 5);
         assert_eq!(a.get(0, 0), 2.0);
         assert_eq!(a.get(0, 1), 0.0);
         assert_eq!(a.get(2, 2), 4.0);
@@ -274,7 +241,7 @@ mod tests {
         b.add(1, 0, 1.0);
         let a = b.build();
         assert_eq!(a.get(0, 0), 3.5);
-        assert_eq!(a.nnz(), 2);
+        assert_eq!(a.vals.len(), 2);
     }
 
     #[test]
@@ -294,14 +261,6 @@ mod tests {
         let mut col0 = vec![0.0; 3];
         a.matvec(&[1., 2., 3.], &mut col0);
         assert_eq!(y.col(0), &col0[..]);
-    }
-
-    #[test]
-    fn symmetry_check() {
-        assert!(sample().is_symmetric(1e-14));
-        let mut b = CooBuilder::new(2, 2);
-        b.add(0, 1, 1.0);
-        assert!(!b.build().is_symmetric(1e-14));
     }
 
     #[test]

@@ -183,7 +183,7 @@ proptest! {
         let y = build(&dims, &ranks, seed.wrapping_add(9));
         let (dx, dy) = (x.to_dense(), y.to_dense());
         let expect: f64 = dx.as_slice().iter().zip(dy.as_slice()).map(|(a, b)| a * b).sum();
-        let vals = tt_comm::run_verified(p, |comm| {
+        let vals = tt_comm::ThreadComm::run(p, |comm| {
             let xl = scatter_tensor(&x, &comm);
             let yl = scatter_tensor(&y, &comm);
             tt_gram_round::tt::dist::inner_local(&comm, &xl, &yl)
@@ -276,7 +276,7 @@ proptest! {
             ("sim", RoundingMethod::GramSim, &opts),
             ("rand", rand_method, &rand_opts),
         ] {
-            let gathered = tt_comm::run_verified(p, |comm| {
+            let gathered = tt_comm::ThreadComm::run(p, |comm| {
                 let local = scatter_tensor(&x, &comm);
                 let (rounded, _report) = round(&comm, local, method, opts);
                 tt_gram_round::tt::gather_tensor(&rounded, &dims, &comm)

@@ -1,8 +1,8 @@
 //! `cargo xtask bench-check [--record] [--simd]`: the benchmark regression
-//! gates. Each gate is one row of [`GATES`] (command, baseline, floors,
-//! accuracy, `--simd`), and every gate goes through the same [`evaluate`]:
+//! gates. Each gate is one row of `GATES` (command, baseline, floors,
+//! accuracy, `--simd`), and every gate goes through the same `evaluate`:
 //!
-//! 1. **Floors** — each [`Pair`]'s best-time ratio must clear its minimum.
+//! 1. **Floors** — each `Pair`'s best-time ratio must clear its minimum.
 //!    Best (`min_ns`) times estimate capability with scheduler noise
 //!    stripped.
 //! 2. **Accuracy** — `rel_err ≤ bound`, NaN failing, even under `--record`.
@@ -14,8 +14,8 @@
 //!    so CI records instead of gating on another machine's numbers.
 //!
 //! `--simd` builds with the nightly-only `simd` feature and gates
-//! `_simd`-suffixed baselines. While every failure is [`Kind::Timing`], a
-//! gate re-runs its command (up to [`MAX_ATTEMPTS`] runs) and keeps each
+//! `_simd`-suffixed baselines. While every failure is `Kind::Timing`, a
+//! gate re-runs its command (up to `MAX_ATTEMPTS` runs) and keeps each
 //! row's best times, so host noise passes on retry and a real regression
 //! fails every attempt.
 

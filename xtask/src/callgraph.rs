@@ -441,9 +441,6 @@ pub struct CallGraph {
     pub ambiguous_calls: usize,
     /// Calls with no workspace definition.
     pub external_calls: usize,
-    /// Ambiguous callee names with their occurrence counts, for the
-    /// precision audit in `--stats`.
-    pub ambiguous_names: BTreeMap<String, usize>,
 }
 
 /// Crate key of a repo-relative path: second component under `crates/` or
@@ -508,10 +505,7 @@ impl CallGraph {
                 let (targets, resolution) = resolve(&g.files, &g.nodes, node, site, cands);
                 match resolution {
                     Resolution::Resolved => g.resolved_calls += 1,
-                    Resolution::Ambiguous => {
-                        g.ambiguous_calls += 1;
-                        *g.ambiguous_names.entry(site.callee.clone()).or_insert(0) += 1;
-                    }
+                    Resolution::Ambiguous => g.ambiguous_calls += 1,
                     Resolution::External => g.external_calls += 1,
                 }
                 node_edges.push(Edge {
@@ -894,7 +888,6 @@ mod tests {
         assert_eq!(g.edges[caller][0].targets.len(), 2);
         assert_eq!(g.edges[caller][0].resolution, Resolution::Ambiguous);
         assert_eq!(g.ambiguous_calls, 1);
-        assert_eq!(g.ambiguous_names.get("dup"), Some(&1));
     }
 
     #[test]

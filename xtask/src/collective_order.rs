@@ -7,9 +7,9 @@
 //! move an `allreduce`/`broadcast` into an `if rank == 0 { .. }` block (or
 //! behind a rank-guarded early `return`) — every rank but one then skips
 //! the collective, and the job deadlocks or silently corrupts data. The
-//! runtime counterpart, `tt_comm::run_verified`, catches this only on
-//! schedules a test happens to execute; this check flags the shape at lint
-//! time, before any rank runs.
+//! runtime counterpart, `tt_comm::ThreadComm`'s checked receives, catches
+//! this only on schedules a test happens to execute; this check flags the
+//! shape at lint time, before any rank runs.
 //!
 //! [`collective_order`] walks every call site of the workspace call graph
 //! and flags one that

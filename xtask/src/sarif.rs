@@ -6,7 +6,7 @@
 //! rank-dependent conditional" on the line that introduced it, without
 //! opening the job log.
 //!
-//! The writer is hand-rolled JSON over [`json_str`] (no serde in-tree) and
+//! The writer is hand-rolled JSON over `json_str` (no serde in-tree) and
 //! emits the minimal conforming document: one run, the tool driver with the
 //! one reporting rule, `collective_order`, and one `result` per diagnostic.
 

@@ -19,7 +19,8 @@
 //! heuristic over token patterns, not a type-aware proof. That trade-off is
 //! the point: the analysis runs in milliseconds on every push and catches
 //! the bug class that matters *before* any rank executes (the runtime
-//! counterpart is `tt_comm::run_verified`).
+//! counterpart is `tt_comm::ThreadComm`, which checks every message it
+//! delivers).
 
 /// Lexical class of a [`Token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
