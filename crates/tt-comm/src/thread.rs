@@ -11,24 +11,29 @@
 //! # Checked delivery
 //!
 //! The distributed algorithms are correct only if every rank issues the
-//! same stream of operations. Every message therefore carries a five-word
-//! trailer: the operation kind, the sender's collective position, the
-//! root, the payload length and the sender. Every receive compares the
-//! trailer with the operation the receiving rank is in before the payload
-//! is combined or returned, and a mismatched, reordered or skipped
-//! operation panics with `SPMD collective stream mismatch`, naming both
-//! sides' operations and dumping the last `TRACE_CAPACITY` events of every
-//! rank. A point-to-point receive checks only that a `send` made the
-//! message: an eager send may legally cross a collective.
+//! same stream of operations. Every message therefore travels with the
+//! record of the operation that sent it: its kind, the sender's collective
+//! position and the root. Every receive compares that record and the
+//! payload length with the operation the receiving rank is in before the
+//! payload is combined or returned. A mismatched, reordered or skipped
+//! operation whose message reaches the wrong receive panics with
+//! `SPMD collective stream mismatch`, naming both sides' operations and
+//! dumping the last `TRACE_CAPACITY` operations of every rank. A
+//! point-to-point receive checks only that a `send` made the message: an
+//! eager send may legally cross a collective.
 //!
 //! Two failures have no receive to catch them:
 //! * a message that no rank receives (a one-way send, or broadcasts whose
 //!   ranks disagree on the root): [`ThreadComm::run`] fails once every rank
-//!   has returned, naming the sender, the receiver and the trailer;
+//!   has returned, naming the sender, the receiver and the operation;
 //! * a receive cycle, where each rank waits on the next: the watchdog ends
 //!   a receive that waits longer than the timeout
 //!   ([`ThreadComm::run_with_timeout`], default
-//!   [`ThreadComm::DEFAULT_WATCHDOG`]) with the same event dump.
+//!   [`ThreadComm::DEFAULT_WATCHDOG`]) with the same dump. A mismatch
+//!   whose first receives point at each other is such a cycle: at p = 2,
+//!   rank 0 in a `barrier` that rank 1 skipped waits for rank 1's reduce
+//!   message, while rank 1 in the following `broadcast` from rank 0 waits
+//!   for rank 0. No message crosses, so only the watchdog ends it.
 //!
 //! That receive is the one place a rank blocks: the barrier is an
 //! empty-payload reduce and broadcast through the collective trees.
@@ -44,11 +49,10 @@ use std::time::Duration;
 use crate::cost::{CollectiveKind, CommStats};
 use crate::Communicator;
 
-/// Number of per-rank events kept for diagnostics.
+/// Number of per-rank operations kept for diagnostics.
 const TRACE_CAPACITY: usize = 16;
 
-/// The kind of a communication operation, as traced and as carried in a
-/// message trailer.
+/// The kind of a communication operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
     AllreduceSum,
@@ -59,17 +63,6 @@ enum OpKind {
     Send,
     Recv,
 }
-
-/// Every [`OpKind`] in declaration order, so `KINDS[kind as usize] == kind`.
-const KINDS: [OpKind; 7] = [
-    OpKind::AllreduceSum,
-    OpKind::AllreduceMax,
-    OpKind::Broadcast,
-    OpKind::Allgather,
-    OpKind::Barrier,
-    OpKind::Send,
-    OpKind::Recv,
-];
 
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -85,100 +78,46 @@ impl fmt::Display for OpKind {
     }
 }
 
-/// The words appended to every message, describing the operation that
-/// sent it.
+/// One operation as a rank issued it: traced in the rank's ring, and
+/// carried with every message it sends.
 #[derive(Debug, Clone, Copy)]
-struct Trailer {
+struct Op {
     kind: OpKind,
-    /// For a collective's messages, the collective's 1-based position in
-    /// the sender's stream; for a `send`, the collectives issued before it.
+    /// For a collective, its 1-based position in the rank's stream of
+    /// collectives; for a `send` or `recv`, the collectives issued before it.
     position: u64,
     root: usize,
-    /// Payload length in `f64` words.
-    len: usize,
-    sender: usize,
-}
-
-impl Trailer {
-    const WORDS: usize = 5;
-
-    fn append_to(self, msg: &mut Vec<f64>) {
-        msg.extend_from_slice(&[
-            self.kind as usize as f64,
-            self.position as f64,
-            self.root as f64,
-            self.len as f64,
-            self.sender as f64,
-        ]);
-    }
-
-    /// Splits the trailer off `msg`, leaving the payload.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "trailer words are exact integers below 2^53, written by `append_to`"
-    )]
-    fn strip(msg: &mut Vec<f64>) -> Trailer {
-        let at = msg.len() - Self::WORDS;
-        let w = &msg[at..];
-        let trailer = Trailer {
-            kind: KINDS[w[0] as usize],
-            position: w[1] as u64,
-            root: w[2] as usize,
-            len: w[3] as usize,
-            sender: w[4] as usize,
-        };
-        msg.truncate(at);
-        trailer
-    }
-}
-
-impl fmt::Display for Trailer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            OpKind::Send => write!(
-                f,
-                "send(len={}) after collective #{}",
-                self.len, self.position
-            ),
-            kind => write!(
-                f,
-                "{kind} #{} (root={}, len={})",
-                self.position, self.root, self.len
-            ),
-        }
-    }
-}
-
-/// One traced operation of one rank.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    /// Position in this rank's operation stream (1-based).
-    seq: u64,
-    kind: OpKind,
-    root: usize,
+    /// Payload length in `f64` words (an allgather's local part).
     len: usize,
     /// The peer of a `send` or `recv`.
     peer: usize,
 }
 
-impl fmt::Display for Event {
+impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let seq = self.seq;
-        match self.kind {
-            OpKind::Send => write!(f, "#{seq} send(to={}, len={})", self.peer, self.len),
-            OpKind::Recv => write!(f, "#{seq} recv(from={})", self.peer),
-            OpKind::Broadcast => {
-                write!(f, "#{seq} broadcast(root={}, len={})", self.root, self.len)
-            }
-            OpKind::Allgather => write!(f, "#{seq} allgather(local_len={})", self.len),
-            OpKind::Barrier => write!(f, "#{seq} barrier"),
-            kind => write!(f, "#{seq} {kind}(len={})", self.len),
+        let Op {
+            kind,
+            position,
+            root,
+            len,
+            peer,
+        } = *self;
+        match kind {
+            OpKind::Send => write!(f, "send(to={peer}, len={len}) after collective #{position}"),
+            OpKind::Recv => write!(f, "recv(from={peer}) after collective #{position}"),
+            OpKind::Broadcast => write!(f, "#{position} broadcast(root={root}, len={len})"),
+            OpKind::Allgather => write!(f, "#{position} allgather(local_len={len})"),
+            OpKind::Barrier => write!(f, "#{position} barrier"),
+            kind => write!(f, "#{position} {kind}(len={len})"),
         }
     }
 }
 
+/// A message: the operation that sent it, and its payload.
+type Message = (Op, Vec<f64>);
+
 /// One rank's incoming channels, indexed by sender.
-type Mailbox = Vec<Receiver<Vec<f64>>>;
+type Mailbox = Vec<Receiver<Message>>;
 
 /// Locks `m`, ignoring poisoning: diagnostics stay best-effort once a rank
 /// has panicked.
@@ -188,8 +127,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// State shared by the ranks of one run.
 struct Shared {
-    /// `traces[r]`: rank `r`'s last `TRACE_CAPACITY` events.
-    traces: Vec<Mutex<VecDeque<Event>>>,
+    /// `traces[r]`: rank `r`'s last `TRACE_CAPACITY` operations.
+    traces: Vec<Mutex<VecDeque<Op>>>,
     /// `followed[r]`: rank `r` panicked only because a peer ended first.
     followed: Vec<AtomicBool>,
     /// The mailbox of every ended rank, drained by `run` for messages that
@@ -205,12 +144,12 @@ impl Shared {
             .enumerate()
             .map(|(r, ring)| {
                 let ring = lock(ring);
-                let events: Vec<String> = ring.iter().map(Event::to_string).collect();
-                format!("  rank {r}: {}", events.join("; "))
+                let ops: Vec<String> = ring.iter().map(Op::to_string).collect();
+                format!("  rank {r}: {}", ops.join("; "))
             })
             .collect();
         format!(
-            "Last {TRACE_CAPACITY} events per rank (oldest first):\n{}",
+            "Last {TRACE_CAPACITY} operations per rank (oldest first):\n{}",
             lines.join("\n")
         )
     }
@@ -225,9 +164,10 @@ impl Shared {
         mailboxes.sort_by_key(|(rank, _)| *rank);
         let mut lost = Vec::new();
         for (to, mailbox) in mailboxes.iter() {
-            for mut msg in mailbox.iter().flat_map(Receiver::try_iter) {
-                let trailer = Trailer::strip(&mut msg);
-                lost.push(format!("  rank {} to rank {to}: {trailer}", trailer.sender));
+            for (from, inbox) in mailbox.iter().enumerate() {
+                for (op, _) in inbox.try_iter() {
+                    lost.push(format!("  rank {from} to rank {to}: {op}"));
+                }
             }
         }
         if !lost.is_empty() {
@@ -249,14 +189,12 @@ pub struct ThreadComm {
     rank: usize,
     size: usize,
     /// `senders[to]` feeds rank `to`'s mailbox for messages from us.
-    senders: Vec<Sender<Vec<f64>>>,
+    senders: Vec<Sender<Message>>,
     /// `receivers[from]` drains our mailbox for messages from `from`.
     receivers: Mailbox,
     shared: Arc<Shared>,
     watchdog: Duration,
-    /// Operations issued so far (the traced sequence number).
-    ops: Cell<u64>,
-    /// Collectives issued so far (the trailer's collective position).
+    /// Collectives issued so far.
     collectives: Cell<u64>,
     stats: RefCell<CommStats>,
 }
@@ -271,7 +209,7 @@ impl ThreadComm {
     fn create(p: usize, watchdog: Duration) -> (Vec<ThreadComm>, Arc<Shared>) {
         assert!(p >= 1);
         // mesh[from][to]
-        let mut senders_by_from: Vec<Vec<Sender<Vec<f64>>>> = Vec::with_capacity(p);
+        let mut senders_by_from: Vec<Vec<Sender<Message>>> = Vec::with_capacity(p);
         let mut receivers_by_to: Vec<Mailbox> = (0..p).map(|_| Vec::new()).collect();
         for _from in 0..p {
             let mut row = Vec::with_capacity(p);
@@ -300,7 +238,6 @@ impl ThreadComm {
                 receivers,
                 shared: Arc::clone(&shared),
                 watchdog,
-                ops: Cell::new(0),
                 collectives: Cell::new(0),
                 stats: RefCell::new(CommStats::default()),
             })
@@ -326,7 +263,7 @@ impl ThreadComm {
     }
 
     /// [`ThreadComm::run`] with a custom watchdog timeout: a receive that
-    /// waits longer than `watchdog` panics with a per-rank event dump.
+    /// waits longer than `watchdog` panics with a per-rank operation dump.
     pub fn run_with_timeout<R, F>(p: usize, watchdog: Duration, f: F) -> Vec<R>
     where
         R: Send,
@@ -367,59 +304,52 @@ impl ThreadComm {
         values
     }
 
-    /// Traces an operation; a collective also takes the next collective
-    /// position.
-    fn begin(&self, kind: OpKind, root: usize, len: usize, peer: usize) {
-        let seq = self.ops.get() + 1;
-        self.ops.set(seq);
+    /// Traces an operation and returns it; a collective takes the next
+    /// collective position.
+    fn begin(&self, kind: OpKind, root: usize, len: usize, peer: usize) -> Op {
+        let mut position = self.collectives.get();
         if !matches!(kind, OpKind::Send | OpKind::Recv) {
-            self.collectives.set(self.collectives.get() + 1);
+            position += 1;
+            self.collectives.set(position);
         }
+        let op = Op {
+            kind,
+            position,
+            root,
+            len,
+            peer,
+        };
         let mut ring = lock(&self.shared.traces[self.rank]);
         if ring.len() == TRACE_CAPACITY {
             ring.pop_front();
         }
-        ring.push_back(Event {
-            seq,
-            kind,
-            root,
-            len,
-            peer,
-        });
+        ring.push_back(op);
+        op
     }
 
-    fn raw_send(&self, to: usize, buf: &[f64], kind: OpKind, root: usize) {
-        let mut msg = Vec::with_capacity(buf.len() + Trailer::WORDS);
-        msg.extend_from_slice(buf);
-        Trailer {
-            kind,
-            position: self.collectives.get(),
-            root,
-            len: buf.len(),
-            sender: self.rank,
-        }
-        .append_to(&mut msg);
+    fn raw_send(&self, to: usize, buf: &[f64], op: Op) {
         // Mailboxes outlive their ranks (see `Drop`), so this cannot fail
         // during a run; a message nobody receives is reported by `run`.
-        let _ = self.senders[to].send(msg);
+        let _ = self.senders[to].send((op, buf.to_vec()));
     }
 
-    /// Blocks for the next message from `from`, checks its trailer against
-    /// the operation this rank is in (`kind` at `root`, with payload length
-    /// `len` where ranks must agree on it), and returns its payload.
+    /// Blocks for the next message from `from`, checks it against `op`,
+    /// the operation this rank is in (and against payload length `len`
+    /// where ranks must agree on it), and returns its payload.
     #[expect(
         clippy::panic,
-        reason = "a blocking transport cannot recover from a hung or departed peer; the panic carries the per-rank event dump"
+        reason = "a blocking transport cannot recover from a hung or departed peer; the panic carries the per-rank operation dump"
     )]
-    fn raw_recv(&self, from: usize, kind: OpKind, root: usize, len: Option<usize>) -> Vec<f64> {
-        let mut msg = match self.receivers[from].recv_timeout(self.watchdog) {
+    fn raw_recv(&self, from: usize, op: Op, len: Option<usize>) -> Vec<f64> {
+        let (got, payload) = match self.receivers[from].recv_timeout(self.watchdog) {
             Ok(msg) => msg,
             Err(RecvTimeoutError::Timeout) => panic!(
                 "ThreadComm watchdog: rank {} stuck in {} waiting {:?} for a \
                  message from rank {from}. The ranks wait on each other in a \
-                 receive cycle, or rank {from} never sends.\n{}",
+                 receive cycle (ranks that issue different operations can \
+                 too), or rank {from} never sends.\n{}",
                 self.rank,
-                kind,
+                op.kind,
                 self.watchdog,
                 self.shared.dump()
             ),
@@ -430,26 +360,25 @@ impl ThreadComm {
                      {from} has terminated without sending (its endpoint was \
                      dropped).\n{}",
                     self.rank,
-                    kind,
+                    op.kind,
                     self.shared.dump()
                 )
             }
         };
-        let got = Trailer::strip(&mut msg);
-        self.check(from, kind, root, len, got);
-        msg
+        self.check(from, op, len, got, payload.len());
+        payload
     }
 
-    /// Panics unless the message `got` from `from` belongs to the operation
-    /// this rank is in: a `recv` takes a `send`'s message, a collective one
-    /// of its own kind, position and root, and of length `len` if given.
+    /// Panics unless the message `got` from `from`, with `got_len` payload
+    /// words, belongs to `op`: a `recv` takes a `send`'s message, a
+    /// collective one of its own kind, position and root, and of length
+    /// `len` if given.
     #[expect(
         clippy::panic,
         reason = "combining a foreign message would silently corrupt the result; abort with the divergence report instead"
     )]
-    fn check(&self, from: usize, kind: OpKind, root: usize, len: Option<usize>, got: Trailer) {
-        let position = self.collectives.get();
-        let sent_by = match kind {
+    fn check(&self, from: usize, op: Op, len: Option<usize>, got: Op, got_len: usize) {
+        let sent_by = match op.kind {
             OpKind::Recv => OpKind::Send,
             kind => kind,
         };
@@ -461,31 +390,28 @@ impl ThreadComm {
             ));
         };
         if got.kind != sent_by {
-            field("kind", kind.to_string(), got.kind.to_string());
-        } else if kind != OpKind::Recv {
-            if got.position != position {
-                field("position", position.to_string(), got.position.to_string());
+            field("kind", op.kind.to_string(), got.kind.to_string());
+        } else if op.kind != OpKind::Recv {
+            if got.position != op.position {
+                field(
+                    "position",
+                    op.position.to_string(),
+                    got.position.to_string(),
+                );
             }
-            if got.root != root {
-                field("root", root.to_string(), got.root.to_string());
+            if got.root != op.root {
+                field("root", op.root.to_string(), got.root.to_string());
             }
-            if let Some(len) = len.filter(|&len| len != got.len) {
-                field("len", len.to_string(), got.len.to_string());
+            if let Some(len) = len.filter(|&len| len != got_len) {
+                field("len", len.to_string(), got_len.to_string());
             }
         }
         if fields.is_empty() {
             return;
         }
-        let mine = match kind {
-            OpKind::Recv => "recv".to_string(),
-            kind => {
-                let len = len.map_or(String::new(), |len| format!(", len={len}"));
-                format!("{kind} #{position} (root={root}{len})")
-            }
-        };
         panic!(
             "ThreadComm rank {}: SPMD collective stream mismatch: this rank is \
-             in {mine} and received from rank {from} a message of {got}.\n\
+             in {op} and received from rank {from} a message of {got}.\n\
              Divergent fields:\n{}\n{}",
             self.rank,
             fields.join("\n"),
@@ -494,36 +420,37 @@ impl ThreadComm {
     }
 
     /// Binomial-tree reduction to rank 0 with a custom combiner.
-    fn reduce_with(&self, buf: &mut [f64], kind: OpKind, combine: impl Fn(&mut [f64], &[f64])) {
+    fn reduce_with(&self, buf: &mut [f64], op: Op, combine: impl Fn(&mut [f64], &[f64])) {
         let p = self.size;
         let rank = self.rank;
         let mut mask = 1;
         while mask < p {
             if rank & mask != 0 {
-                self.raw_send(rank - mask, buf, kind, 0);
+                self.raw_send(rank - mask, buf, op);
                 break;
             } else if rank + mask < p {
-                let inc = self.raw_recv(rank + mask, kind, 0, Some(buf.len()));
+                let inc = self.raw_recv(rank + mask, op, Some(buf.len()));
                 combine(buf, &inc);
             }
             mask <<= 1;
         }
     }
 
-    /// Binomial-tree broadcast from `root` (standard MPICH virtual-rank
+    /// Binomial-tree broadcast from `op.root` (standard MPICH virtual-rank
     /// formulation), without recording a stats event.
-    fn broadcast_internal(&self, root: usize, buf: &mut [f64], kind: OpKind) {
+    fn broadcast_internal(&self, buf: &mut [f64], op: Op) {
         let p = self.size;
         if p == 1 {
             return;
         }
+        let root = op.root;
         let vrank = (self.rank + p - root) % p;
         let mut mask = 1usize;
         while mask < p {
             if vrank & mask != 0 {
                 let vsrc = vrank - mask;
                 let src = (vsrc + root) % p;
-                let data = self.raw_recv(src, kind, root, Some(buf.len()));
+                let data = self.raw_recv(src, op, Some(buf.len()));
                 buf.copy_from_slice(&data);
                 break;
             }
@@ -534,7 +461,7 @@ impl ThreadComm {
             if vrank & (mask - 1) == 0 && vrank & mask == 0 && vrank + mask < p {
                 let vdst = vrank + mask;
                 let dst = (vdst + root) % p;
-                self.raw_send(dst, buf, kind, root);
+                self.raw_send(dst, buf, op);
             }
             mask >>= 1;
         }
@@ -542,13 +469,13 @@ impl ThreadComm {
 
     /// Reduce-then-broadcast allreduce with the elementwise `combine`.
     fn allreduce_with(&self, buf: &mut [f64], kind: OpKind, combine: impl Fn(&mut f64, f64)) {
-        self.begin(kind, 0, buf.len(), 0);
-        self.reduce_with(buf, kind, |acc, inc| {
+        let op = self.begin(kind, 0, buf.len(), 0);
+        self.reduce_with(buf, op, |acc, inc| {
             for (a, &b) in acc.iter_mut().zip(inc) {
                 combine(a, b);
             }
         });
-        self.broadcast_internal(0, buf, kind);
+        self.broadcast_internal(buf, op);
         self.stats
             .borrow_mut()
             .record(CollectiveKind::Allreduce, buf.len());
@@ -590,8 +517,8 @@ impl Communicator for ThreadComm {
     }
 
     fn broadcast(&self, root: usize, buf: &mut [f64]) {
-        self.begin(OpKind::Broadcast, root, buf.len(), 0);
-        self.broadcast_internal(root, buf, OpKind::Broadcast);
+        let op = self.begin(OpKind::Broadcast, root, buf.len(), 0);
+        self.broadcast_internal(buf, op);
         self.stats
             .borrow_mut()
             .record(CollectiveKind::Broadcast, buf.len());
@@ -600,28 +527,27 @@ impl Communicator for ThreadComm {
     /// Gather-to-root + broadcast (binomial trees on both legs), supporting
     /// per-rank payload lengths (MPI_Allgatherv semantics).
     fn allgather(&self, send: &[f64]) -> Vec<f64> {
-        let kind = OpKind::Allgather;
-        self.begin(kind, 0, send.len(), 0);
+        let op = self.begin(OpKind::Allgather, 0, send.len(), 0);
         let mut gathered = if self.rank == 0 {
             let mut gathered = send.to_vec();
             for from in 1..self.size {
-                gathered.extend(self.raw_recv(from, kind, 0, None));
+                gathered.extend(self.raw_recv(from, op, None));
             }
             gathered
         } else {
-            self.raw_send(0, send, kind, 0);
+            self.raw_send(0, send, op);
             Vec::new()
         };
         // Broadcast the total length, then the payload.
         let mut len_buf = [gathered.len() as f64];
-        self.broadcast_internal(0, &mut len_buf, kind);
+        self.broadcast_internal(&mut len_buf, op);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "the length travels as an f64 word holding an exact integer below 2^53"
         )]
         let total = len_buf[0] as usize;
         gathered.resize(total, 0.0);
-        self.broadcast_internal(0, &mut gathered, kind);
+        self.broadcast_internal(&mut gathered, op);
         self.stats
             .borrow_mut()
             .record(CollectiveKind::Allgather, total);
@@ -629,23 +555,23 @@ impl Communicator for ThreadComm {
     }
 
     fn send(&self, to: usize, buf: &[f64]) {
-        self.begin(OpKind::Send, 0, buf.len(), to);
+        let op = self.begin(OpKind::Send, 0, buf.len(), to);
         self.stats
             .borrow_mut()
             .record(CollectiveKind::PointToPoint, buf.len());
-        self.raw_send(to, buf, OpKind::Send, 0);
+        self.raw_send(to, buf, op);
     }
 
     fn recv(&self, from: usize) -> Vec<f64> {
-        self.begin(OpKind::Recv, 0, 0, from);
-        self.raw_recv(from, OpKind::Recv, 0, None)
+        let op = self.begin(OpKind::Recv, 0, 0, from);
+        self.raw_recv(from, op, None)
     }
 
     /// An empty-payload reduce and broadcast through the collective trees.
     fn barrier(&self) {
-        self.begin(OpKind::Barrier, 0, 0, 0);
-        self.reduce_with(&mut [], OpKind::Barrier, |_, _| {});
-        self.broadcast_internal(0, &mut [], OpKind::Barrier);
+        let op = self.begin(OpKind::Barrier, 0, 0, 0);
+        self.reduce_with(&mut [], op, |_, _| {});
+        self.broadcast_internal(&mut [], op);
     }
 
     fn stats(&self) -> CommStats {
@@ -813,11 +739,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "len: disagrees across ranks")]
+    fn length_mismatch_in_tree_is_reported() {
+        // Both ranks enter "allreduce_sum" but with different buffer lengths:
+        // the internal tree detects the foreign message length.
+        ThreadComm::run_with_timeout(2, Duration::from_secs(5), |comm| {
+            let mut buf = vec![1.0; if comm.rank() == 0 { 4 } else { 7 }];
+            comm.allreduce_sum(&mut buf);
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "SPMD collective stream mismatch")]
     fn watchdog_diagnoses_mismatched_collectives() {
         // The canonical mismatched-collective deadlock: rank 0 broadcasts
         // while rank 1 allreduces. The 4-word reduce message rank 1 sends
-        // reaches rank 0's broadcast receive, whose trailer check rejects
+        // reaches rank 0's broadcast receive, whose message check rejects
         // it at once, long before the watchdog would end rank 1's wait for
         // the result broadcast.
         ThreadComm::run_with_timeout(2, Duration::from_millis(300), |comm| {
@@ -827,6 +764,21 @@ mod tests {
             } else {
                 comm.allreduce_sum(&mut buf);
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ThreadComm watchdog")]
+    fn skipped_barrier_before_a_broadcast_is_a_receive_cycle() {
+        // Rank 1 skips the barrier rank 0 runs before a broadcast from rank
+        // 0: rank 0's barrier waits for rank 1's reduce message, and rank
+        // 1's broadcast waits for rank 0. No message crosses, so no check
+        // can fire and only the watchdog ends the run.
+        ThreadComm::run_with_timeout(2, Duration::from_millis(200), |comm| {
+            if comm.rank() == 0 {
+                comm.barrier();
+            }
+            comm.broadcast(0, &mut [0.0]);
         });
     }
 
@@ -991,7 +943,7 @@ mod tests {
         });
         assert!(message.contains("never received"), "{message}");
         assert!(
-            message.contains("rank 0 to rank 1: send(len=3)"),
+            message.contains("rank 0 to rank 1: send(to=1, len=3)"),
             "{message}"
         );
     }

@@ -293,26 +293,14 @@ mod tests {
         }
     }
 
-    /// Structural and numerical symmetry to within `tol`.
-    fn is_symmetric(a: &CsrMatrix, tol: f64) -> bool {
-        a.rows() == a.cols()
-            && (0..a.rows()).all(|i| {
-                a.row(i)
-                    .all(|(j, v)| (v - a.get(j, i)).abs() <= tol * (1.0 + v.abs()))
-            })
-    }
-
     #[test]
     fn stiffness_blocks_are_symmetric() {
         let p = CookiesProblem::new(12, 3);
-        assert!(is_symmetric(&p.a0, 1e-12));
+        assert!(p.a0.is_symmetric(1e-12));
         for a in &p.a_disks {
-            assert!(is_symmetric(a, 1e-12));
+            assert!(a.is_symmetric(1e-12));
         }
-        assert!(is_symmetric(&p.mean_matrix(), 1e-12));
-        let mut b = tt_sparse::CooBuilder::new(2, 2);
-        b.add(0, 1, 1.0);
-        assert!(!is_symmetric(&b.build(), 1e-14));
+        assert!(p.mean_matrix().is_symmetric(1e-12));
     }
 
     #[test]

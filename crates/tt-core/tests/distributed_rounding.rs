@@ -174,7 +174,7 @@ fn mis_sequenced_distributed_rounding_is_diagnosed() {
 }
 
 /// DESIGN.md §13's M5: rank 0 alone calls `barrier` before a QR rounding.
-/// Its barrier receives TSQR's upsweep `send`, and the trailer check fails
+/// Its barrier receives TSQR's upsweep `send`, and the message check fails
 /// the run at once; the watchdog would end it after one second with a
 /// different message.
 #[test]

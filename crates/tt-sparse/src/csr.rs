@@ -168,6 +168,22 @@ impl CsrMatrix {
         m
     }
 
+    /// Checks structural+numerical symmetry to within `tol`.
+    pub fn is_symmetric(&self, tol: f64) -> bool {
+        if self.rows != self.cols {
+            return false;
+        }
+        for i in 0..self.rows {
+            for (j, v) in self.row(i) {
+                let vt = self.get(j, i);
+                if (v - vt).abs() > tol * (1.0 + v.abs()) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     /// Entry lookup (binary search within the row).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let lo = self.row_ptr[i];
@@ -261,6 +277,14 @@ mod tests {
         let mut col0 = vec![0.0; 3];
         a.matvec(&[1., 2., 3.], &mut col0);
         assert_eq!(y.col(0), &col0[..]);
+    }
+
+    #[test]
+    fn symmetry_check() {
+        assert!(sample().is_symmetric(1e-14));
+        let mut b = CooBuilder::new(2, 2);
+        b.add(0, 1, 1.0);
+        assert!(!b.build().is_symmetric(1e-14));
     }
 
     #[test]
