@@ -10,7 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use tt_linalg::{
-    cholesky, eigh, gemm, householder_qr, jacobi_svd, pivoted_cholesky, syrk, Matrix, Trans,
+    cholesky, eigh, gemm, householder_qr, jacobi_svd, pivoted_cholesky, syrk, tsvd, Matrix, Trans,
 };
 
 fn rng() -> rand::rngs::StdRng {
@@ -56,6 +56,12 @@ fn sim_gram_pair_m(r: usize, kl: usize, kr: usize, rng: &mut rand::rngs::StdRng)
         }
     }
     m
+}
+
+/// The TSVD threshold of a bond matrix `M` in a TT-GMRES solve at
+/// tolerance 1e-5 on a 4-mode train: `ε₀ = ε·‖M‖_F/√(N − 1)`.
+fn krylov_budget(m: &Matrix) -> f64 {
+    1e-5 * m.fro_norm() / 3f64.sqrt()
 }
 
 fn bench_eigh(c: &mut Criterion) {
@@ -125,6 +131,9 @@ fn bench_svd(c: &mut Criterion) {
     group.bench_function("jacobi_rank_deficient_r_108x36", |b| {
         b.iter(|| jacobi_svd(&rd));
     });
+    group.bench_function("tsvd_rank_deficient_r_108x36", |b| {
+        b.iter(|| tsvd(&rd, krylov_budget(&rd)));
+    });
     let leaf = Matrix::gaussian(9, 36, &mut r).vstack(&Matrix::zeros(27, 36));
     let rp = householder_qr(&leaf).r();
     group.bench_function("jacobi_padded_leaf_r_9x36", |b| {
@@ -136,6 +145,9 @@ fn bench_svd(c: &mut Criterion) {
         let m = sim_gram_pair_m(n, kl, kr, &mut r);
         group.bench_with_input(BenchmarkId::new("jacobi_sim_gram_pair_m", n), &m, |b, m| {
             b.iter(|| jacobi_svd(m));
+        });
+        group.bench_with_input(BenchmarkId::new("tsvd_sim_gram_pair_m", n), &m, |b, m| {
+            b.iter(|| tsvd(m, krylov_budget(m)));
         });
     }
     group.finish();

@@ -14,8 +14,9 @@
 //!   combine step used by TSQR (the workhorse of the baseline rounding path),
 //! * [`eig`] — symmetric eigendecomposition (Householder tridiagonalization +
 //!   implicit-shift QL), used for the Gram eigenproblems,
-//! * [`svd`] — one-sided Jacobi SVD and the ε-truncated TSVD rule used by all
-//!   rounding variants,
+//! * [`svd`] — QR-preconditioned one-sided Jacobi SVD, and the ε-truncated
+//!   TSVD used by all rounding variants, whose preconditioner stops once
+//!   the rows it has not factored fit in a sliver of the truncation budget,
 //! * [`chol`] — Cholesky and diagonally-pivoted Cholesky (§III-B1 variant),
 //! * [`tri`] — triangular multiply/solve/invert helpers.
 //!

@@ -50,10 +50,15 @@ pub fn householder_qr(a: &Matrix) -> QrFactors {
 /// `j` first moves the remaining column of largest norm below row `j` to
 /// position `j`, so `|r₀₀| ≥ |r₁₁| ≥ …` and the rows of `R` are graded.
 /// The trailing norms are downdated after each reflector and recomputed
-/// once cancellation has eaten half their digits. Returns the factors and
-/// the permutation: column `j` of `A·P` is column `perm[j]` of
-/// `A`.
-pub(crate) fn householder_qr_pivoted(a: Matrix) -> (QrFactors, Vec<usize>) {
+/// once cancellation has eaten half their digits.
+///
+/// With an energy cap the factorization stops after the first `k ≥ 1`
+/// steps whose trailing block `R₂₂ = f[k.., k..]` has Frobenius norm²
+/// `≤ cap`: `A·P = Q·[R_top; R₂₂]` with `R_top` the leading `k` rows. The
+/// downdated norms only nominate a step; the block's energy is summed
+/// exactly before the factorization stops on it. A negative cap never
+/// stops, and the steps before a stop are those of the uncapped run.
+pub(crate) fn householder_qr_pivoted(a: Matrix, cap: f64) -> PivotedQr {
     let mut f = a;
     let (m, n) = f.shape();
     let k = m.min(n);
@@ -63,6 +68,7 @@ pub(crate) fn householder_qr_pivoted(a: Matrix) -> (QrFactors, Vec<usize>) {
     let mut norms: Vec<f64> = (0..n).map(|j| dot(f.col(j), f.col(j)).sqrt()).collect();
     let mut exact = norms.clone();
     let recompute = f64::EPSILON.sqrt();
+    let (mut steps, mut trailing2) = (k, 0.0);
     for j in 0..k {
         let p = (j..n).fold(j, |best, c| if norms[c] > norms[best] { c } else { best });
         if p != j {
@@ -87,8 +93,40 @@ pub(crate) fn householder_qr_pivoted(a: Matrix) -> (QrFactors, Vec<usize>) {
                 norms[c] *= left.sqrt();
             }
         }
+        if j + 1 < k && norms[j + 1..].iter().map(|x| x * x).sum::<f64>() <= cap {
+            let block2: f64 = (j + 1..n)
+                .map(|c| {
+                    let tail = &f.col(c)[j + 1..];
+                    dot(tail, tail)
+                })
+                .sum();
+            if block2 <= cap {
+                (steps, trailing2) = (j + 1, block2);
+                break;
+            }
+        }
     }
-    (QrFactors { factors: f, tau }, perm)
+    PivotedQr {
+        qr: QrFactors { factors: f, tau },
+        perm,
+        steps,
+        trailing2,
+    }
+}
+
+/// The result of [`householder_qr_pivoted`].
+pub(crate) struct PivotedQr {
+    /// The reflectors of the steps taken (`τ = 0`, the identity, for the
+    /// rest); the leading `steps` rows of the factors hold `R_top`, and
+    /// below them `R₂₂` is left as it was.
+    pub(crate) qr: QrFactors,
+    /// Column `j` of `A·P` is column `perm[j]` of `A`.
+    pub(crate) perm: Vec<usize>,
+    /// `k`: the number of steps taken, `min(m, n)` unless the cap stopped
+    /// the factorization.
+    pub(crate) steps: usize,
+    /// `‖R₂₂‖_F²`, summed exactly (0 when the factorization ran out).
+    pub(crate) trailing2: f64,
 }
 
 impl QrFactors {

@@ -20,6 +20,17 @@
 //!    largest remaining column to the front of each row of pairs.
 //! 3. `U = Q·X` and `V = P·Y`.
 //!
+//! [`tsvd`] runs the same kernel told its truncation budget `t`. The
+//! pivoted QR stops after `k` steps once the block `R₂₂` it has not
+//! factored has Frobenius norm `δ ≤ 2⁻¹⁰·t`, checked exactly, so step 2
+//! runs on the `n × k` matrix `R_topᵀ` (`n·k²` a sweep instead of `n³`)
+//! and step 3 forms only the columns the truncation keeps. `δ` is charged
+//! to the budget: the singular values are truncated within `√(t² − δ²)`
+//! and the discarded norm is `hypot(tail, δ)`, which is still
+//! `‖A − UΣVᵀ‖_F`. Gram-Sim's `M` carries whole blocks at the `ε·σ_max`
+//! clamp level and rank-deficient R factors a noise block, so on both the
+//! QR stops well short of `n`. [`jacobi_svd`] never stops early.
+//!
 //! Two rules keep the Jacobi iteration finite and exact over the whole f64
 //! range:
 //!
@@ -41,7 +52,7 @@
 //!   `O(ε‖A‖)`.
 
 use crate::matrix::Matrix;
-use crate::qr::{dot, householder_qr, householder_qr_pivoted};
+use crate::qr::{dot, householder_qr, householder_qr_pivoted, PivotedQr};
 
 /// A full (thin) singular value decomposition `A = U Σ Vᵀ`.
 #[derive(Debug, Clone)]
@@ -135,6 +146,24 @@ const TOL: f64 = 1e-15;
 /// cancellation and is recomputed from the column.
 const CANCELLATION: f64 = 1.0 / 16.0;
 
+/// The share of a [`tsvd`] threshold `t` that its preconditioner may drop
+/// outright: the pivoted QR stops once its trailing block has Frobenius
+/// norm `≤ SHARE·t`. A dropped block of norm `δ` shrinks the budget of the
+/// singular-value tail to `√(t² − δ²) ≥ t·√(1 − SHARE²)` (a relative
+/// `2⁻²¹`) and moves a kept `σ` by at most `δ²/σ`, so the rank and the
+/// kept singular values are the full SVD's up to that perturbation. The
+/// share must still cover the `ε·σ_max` blocks of Gram-Sim's `M`: at
+/// `2⁻²⁰` the QR of the `R = 36` test matrix no longer stops at
+/// `t = 1e-8·‖M‖_F`. Larger shares are not free: at `1/16` and
+/// `1/64` the distributed and sequential residual histories of tt-solvers'
+/// `distributed_gmres_matches_sequential` drifted `1.9e-4` apart
+/// (relative; its bound is `1e-4`), at `1/256` `2.8e-5`, at `2⁻¹⁰`
+/// `1.1e-5`, and with no stop `1.5e-5`.
+const SHARE: f64 = 1.0 / 1024.0;
+
+/// The energy cap of [`householder_qr_pivoted`] that never stops it.
+const NO_STOP: f64 = -1.0;
+
 /// One-sided Jacobi SVD of an arbitrary dense matrix, preconditioned by a
 /// column-pivoted QR (see the module docs).
 ///
@@ -161,22 +190,129 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
         };
         return (svd, sweeps);
     }
+    let (w, exp) = prescale(a);
+    let jac = jacobi(w, NO_STOP);
+    let (u, singular_values, v) = jac.factors(n, exp);
+    let svd = Svd {
+        u,
+        singular_values,
+        v,
+    };
+    (svd, jac.sweeps)
+}
 
+/// ε-truncated SVD under the tail-energy rule of [`truncation_rank`]: the
+/// minimal rank `L ≥ 1` whose discarded energy is at most `threshold`.
+///
+/// The kernel is [`jacobi_svd`]'s, told the budget. Its pivoted QR stops
+/// once the trailing block `R₂₂` it has not factored has norm
+/// `δ ≤ SHARE·threshold` (`SHARE = 2⁻¹⁰`), so the Jacobi iteration runs on
+/// the `k` leading rows only and costs `n·k²` instead of `n³` a sweep.
+/// The singular values are then truncated within `√(threshold² − δ²)` and
+/// [`TruncatedSvd::discarded_norm`] is `hypot(tail, δ)`, which is
+/// `‖A − UΣVᵀ‖_F`. `U` and `V` are formed for the kept columns only. A
+/// threshold that is not finite and positive never stops the QR. The
+/// threshold is prescaled with `A`, so `tsvd(2ᵏ·A, 2ᵏ·t)` is `2ᵏ·tsvd(A, t)`
+/// bit for bit.
+pub fn tsvd(a: &Matrix, threshold: f64) -> TruncatedSvd {
+    crate::paranoid::check_finite_scalar("tsvd", "threshold", threshold);
+    tsvd_steps(a, threshold).0
+}
+
+/// [`tsvd`] together with the number of pivoted-QR steps it took.
+fn tsvd_steps(a: &Matrix, threshold: f64) -> (TruncatedSvd, usize) {
+    crate::paranoid::check_finite("tsvd", "A", a.as_slice());
+    let (m, n) = a.shape();
+    if m < n {
+        let (t, steps) = tsvd_steps(&a.transpose(), threshold);
+        let trunc = TruncatedSvd {
+            u: t.v,
+            singular_values: t.singular_values,
+            v: t.u,
+            discarded_norm: t.discarded_norm,
+        };
+        return (trunc, steps);
+    }
+    let (w, exp) = prescale(a);
+    let t = scale_pow2(threshold, -exp);
+    let jac = jacobi(w, stop_cap(t));
+    let delta = jac.pqr.trailing2.sqrt();
+    let budget = if delta > 0.0 {
+        t * (1.0 - (delta / t).powi(2)).sqrt()
+    } else {
+        t
+    };
+    let sorted: Vec<f64> = jac.order.iter().map(|&j| jac.sigma[j]).collect();
+    let (rank, tail) = truncation_rank(&sorted, budget);
+    let (u, singular_values, v) = jac.factors(rank, exp);
+    let trunc = TruncatedSvd {
+        u,
+        singular_values,
+        v,
+        discarded_norm: scale_pow2(tail.hypot(delta), exp),
+    };
+    (trunc, jac.pqr.steps)
+}
+
+/// The energy cap [`tsvd`] gives its pivoted QR for the prescaled
+/// threshold `t`: `(SHARE·t)²`, or [`NO_STOP`] unless `t` is positive and
+/// the cap finite (squaring would turn a negative threshold into a
+/// positive cap).
+fn stop_cap(t: f64) -> f64 {
+    let cap = (SHARE * t) * (SHARE * t);
+    if t > 0.0 && cap.is_finite() {
+        cap
+    } else {
+        NO_STOP
+    }
+}
+
+/// `A / 2ᵉ` with the `e` that brings `max |aᵢⱼ|` into `[0.5, 1)` (0 for
+/// the zero matrix), and `e`. Exact.
+fn prescale(a: &Matrix) -> (Matrix, i64) {
     let amax = a.max_abs();
     let exp = if amax > 0.0 { exponent(amax) } else { 0 };
     let mut w = a.clone();
     for x in w.as_mut_slice() {
         *x = scale_pow2(*x, -exp);
     }
+    (w, exp)
+}
+
+/// The converged iteration of [`jacobi`], before `U` and `V` are formed.
+struct Jacobi {
+    /// `W·P = Q·[R_top; R₂₂]`, stopped after `k` steps.
+    pqr: PivotedQr,
+    /// `[Y; X]`, `(n + k) × k`: `R_topᵀ·X = Y·Σ` with the kept columns of
+    /// `Y` normalized.
+    bx: Matrix,
+    /// `σ` of each column, prescaled.
+    sigma: Vec<f64>,
+    /// Whether a column's `σ` is above the negligible level.
+    kept: Vec<bool>,
+    /// The columns of `bx` by descending `σ`.
+    order: Vec<usize>,
+    /// The `V` directions of the negligible columns, in `order`.
+    complement: Matrix,
+    /// The number of sweeps the iteration ran.
+    sweeps: usize,
+}
+
+/// The preconditioned Jacobi iteration on a prescaled `m × n` matrix `W`
+/// (`m ≥ n`): `W·P = Q·R` by pivoted QR with energy cap `cap`, then
+/// one-sided Jacobi on the columns of `B = R_topᵀ`.
+fn jacobi(w: Matrix, cap: f64) -> Jacobi {
+    let (m, n) = w.shape();
     let fro2: f64 = w.as_slice().iter().map(|x| x * x).sum();
     let negligible2 = f64::EPSILON * f64::EPSILON * fro2;
 
-    // W·P = Q·R, then one-sided Jacobi on the columns of B = Rᵀ:
-    // Rᵀ·X = B with X orthogonal, so W·P = (Q·X)·Bᵀ. B and X are stacked
-    // as one `2n × n` matrix, so a rotation is one pass over both.
-    let (qr, perm) = householder_qr_pivoted(w);
-    let r = qr.r();
-    let mut bx = Matrix::from_fn(2 * n, n, |i, j| {
+    // R_topᵀ·X = B with X orthogonal, so W·P = (Q·[X; 0])·Bᵀ up to
+    // R₂₂. B and X are stacked as one `(n + k) × k` matrix, so a
+    // rotation is one pass over both.
+    let pqr = householder_qr_pivoted(w, cap);
+    let k = pqr.steps;
+    let r = pqr.qr.r();
+    let mut bx = Matrix::from_fn(n + k, k, |i, j| {
         if i < n {
             r[(j, i)]
         } else if i - n == j {
@@ -185,7 +321,7 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
             0.0
         }
     });
-    let mut norms2 = vec![0.0; n];
+    let mut norms2 = vec![0.0; k];
 
     let mut sweeps = 0;
     let mut rotated = true;
@@ -197,15 +333,15 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
         for (j, s) in norms2.iter_mut().enumerate() {
             *s = norm2(&bx, n, j);
         }
-        for p in 0..n {
+        for p in 0..k {
             // de Rijk's pivoting: the largest remaining column goes first.
-            let big = (p..n).fold(p, |best, c| if norms2[c] > norms2[best] { c } else { best });
+            let big = (p..k).fold(p, |best, c| if norms2[c] > norms2[best] { c } else { best });
             if big != p {
                 let (cp, cb) = bx.cols_mut_pair(p, big);
                 cp.swap_with_slice(cb);
                 norms2.swap(p, big);
             }
-            for q in p + 1..n {
+            for q in p + 1..k {
                 let (app, aqq) = (norms2[p], norms2[q]);
                 if app <= negligible2 || aqq <= negligible2 {
                     continue;
@@ -252,61 +388,71 @@ fn jacobi_svd_sweeps(a: &Matrix) -> (Svd, usize) {
     // normalized columns; the negligible columns were never orthogonalized,
     // so their directions are replaced by an orthonormal complement of the
     // others.
-    let sigma: Vec<f64> = (0..n).map(|j| norm2(&bx, n, j).sqrt()).collect();
+    let sigma: Vec<f64> = (0..k).map(|j| norm2(&bx, n, j).sqrt()).collect();
     let kept: Vec<bool> = sigma.iter().map(|s| s * s > negligible2).collect();
-    for j in (0..n).filter(|&j| kept[j]) {
+    for j in (0..k).filter(|&j| kept[j]) {
         let inv = 1.0 / sigma[j];
         for y in &mut bx.col_mut(j)[..n] {
             *y *= inv;
         }
     }
-    let complement = orthonormal_complement(&bx, &kept);
-    let mut order: Vec<usize> = (0..n).collect();
+    let complement = orthonormal_complement(&bx, n, &kept);
+    let mut order: Vec<usize> = (0..k).collect();
     order.sort_by(|&i, &j| sigma[j].total_cmp(&sigma[i]));
-
-    // U = Q·X (every column orthonormal), V = P·Y.
-    let mut u = Matrix::zeros(m, n);
-    let mut vs = Matrix::zeros(n, n);
-    let mut svals = vec![0.0; n];
-    let mut next = 0;
-    for (dst, &src) in order.iter().enumerate() {
-        svals[dst] = scale_pow2(sigma[src], exp);
-        let (y, x) = bx.col(src).split_at(n);
-        u.col_mut(dst)[..n].copy_from_slice(x);
-        let y = if kept[src] {
-            y
-        } else {
-            next += 1;
-            complement.col(next - 1)
-        };
-        let vcol = vs.col_mut(dst);
-        for (&row, &yi) in perm.iter().zip(y) {
-            vcol[row] = yi;
-        }
+    Jacobi {
+        pqr,
+        bx,
+        sigma,
+        kept,
+        order,
+        complement,
+        sweeps,
     }
-    qr.apply_q(&mut u);
-
-    let svd = Svd {
-        u,
-        singular_values: svals,
-        v: vs,
-    };
-    (svd, sweeps)
 }
 
-/// An orthonormal basis (`n × (n − k)`) of the orthogonal complement of
-/// the `k` orthonormal vectors `y.col(j)[..n]` with `kept[j]`: the trailing
-/// columns of the full `Q` of their Householder QR.
-fn orthonormal_complement(y: &Matrix, kept: &[bool]) -> Matrix {
-    let n = y.cols();
-    let cols: Vec<usize> = (0..n).filter(|&j| kept[j]).collect();
+impl Jacobi {
+    /// The leading `cols` singular triplets, `σ` scaled back by `2^exp`:
+    /// `U = Q·[X; 0]` (every column orthonormal) and `V = P·Y`.
+    fn factors(&self, cols: usize, exp: i64) -> (Matrix, Vec<f64>, Matrix) {
+        let qr = &self.pqr.qr;
+        let (m, n, k) = (qr.rows(), qr.cols(), self.pqr.steps);
+        let mut u = Matrix::zeros(m, cols);
+        let mut vs = Matrix::zeros(n, cols);
+        let mut svals = vec![0.0; cols];
+        let mut next = 0;
+        for (dst, &src) in self.order[..cols].iter().enumerate() {
+            svals[dst] = scale_pow2(self.sigma[src], exp);
+            let (y, x) = self.bx.col(src).split_at(n);
+            u.col_mut(dst)[..k].copy_from_slice(x);
+            let y = if self.kept[src] {
+                y
+            } else {
+                next += 1;
+                self.complement.col(next - 1)
+            };
+            let vcol = vs.col_mut(dst);
+            for (&row, &yi) in self.pqr.perm.iter().zip(y) {
+                vcol[row] = yi;
+            }
+        }
+        qr.apply_q(&mut u);
+        (u, svals, vs)
+    }
+}
+
+/// An orthonormal basis of the orthogonal complement of the orthonormal
+/// vectors `y.col(j)[..n]` with `kept[j]`, one column per `j` without: the
+/// columns of the full `Q` of their Householder QR that follow them.
+fn orthonormal_complement(y: &Matrix, n: usize, kept: &[bool]) -> Matrix {
+    let cols: Vec<usize> = (0..kept.len()).filter(|&j| kept[j]).collect();
     let k = cols.len();
-    if k == n {
+    let missing = kept.len() - k;
+    if missing == 0 {
         return Matrix::zeros(n, 0);
     }
     let basis = Matrix::from_fn(n, k, |i, j| y.col(cols[j])[i]);
     let qr = householder_qr(&basis);
-    let mut c = Matrix::from_fn(n, n - k, |i, j| if i == k + j { 1.0 } else { 0.0 });
+    let mut c = Matrix::from_fn(n, missing, |i, j| if i == k + j { 1.0 } else { 0.0 });
     qr.apply_q(&mut c);
     c
 }
@@ -321,10 +467,11 @@ fn norm2(bx: &Matrix, n: usize, j: usize) -> f64 {
 /// columns of the `B` block of `bx`: how far an unconverged iterate is
 /// from orthogonal.
 fn worst_coupling(bx: &Matrix, n: usize, negligible2: f64) -> f64 {
-    let norms2: Vec<f64> = (0..n).map(|j| norm2(bx, n, j)).collect();
+    let k = bx.cols();
+    let norms2: Vec<f64> = (0..k).map(|j| norm2(bx, n, j)).collect();
     let mut worst = 0.0f64;
-    for p in 0..n {
-        for q in p + 1..n {
+    for p in 0..k {
+        for q in p + 1..k {
             if norms2[p] > negligible2 && norms2[q] > negligible2 {
                 let apq = dot(&bx.col(p)[..n], &bx.col(q)[..n]);
                 worst = worst.max(apq.abs() / (norms2[p].sqrt() * norms2[q].sqrt()));
@@ -396,20 +543,6 @@ pub fn truncation_rank(singular_values: &[f64], threshold: f64) -> (usize, f64) 
     (rank, discarded)
 }
 
-/// ε-truncated SVD: full Jacobi SVD followed by the tail-energy truncation
-/// rule of [`truncation_rank`].
-pub fn tsvd(a: &Matrix, threshold: f64) -> TruncatedSvd {
-    crate::paranoid::check_finite_scalar("tsvd", "threshold", threshold);
-    let full = jacobi_svd(a);
-    let (rank, discarded) = truncation_rank(&full.singular_values, threshold);
-    TruncatedSvd {
-        u: full.u.truncate_cols(rank),
-        singular_values: full.singular_values[..rank].to_vec(),
-        v: full.v.truncate_cols(rank),
-        discarded_norm: discarded,
-    }
-}
-
 fn rotate_cols(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     let (cp, cq) = m.cols_mut_pair(p, q);
     for (x, y) in cp.iter_mut().zip(cq.iter_mut()) {
@@ -431,6 +564,17 @@ mod tests {
             us.scale_col(j, s);
         }
         gemm(Trans::No, &us, Trans::Yes, &svd.v, 1.0)
+    }
+
+    /// `‖A − UΣVᵀ‖_F` of a truncated SVD.
+    fn truncation_error(a: &Matrix, t: &TruncatedSvd) -> f64 {
+        let mut us = t.u.clone();
+        for (j, &s) in t.singular_values.iter().enumerate() {
+            us.scale_col(j, s);
+        }
+        let mut diff = gemm(Trans::No, &us, Trans::Yes, &t.v, 1.0);
+        diff.axpy(-1.0, a);
+        diff.fro_norm()
     }
 
     fn check(m: usize, n: usize, seed: u64) {
@@ -617,7 +761,10 @@ mod tests {
     /// the bond rank of an operator-applied Krylov vector (36) and of the
     /// final solution assembly (~100): few sweeps, an accurate and
     /// orthonormal factorization, and the truncation ranks the
-    /// unpreconditioned kernel found on the same matrices.
+    /// unpreconditioned kernel found on the same matrices. `tsvd` stops
+    /// its QR well short of `r` on them, reports its truncation error as
+    /// the discarded norm, within the threshold, and keeps the singular
+    /// values of the full SVD.
     #[test]
     fn sim_gram_pair_matrices() {
         // (r, kl, kr, tsvd ranks at ε₀ = {1e-5, 1e-8, 1e-10}·‖M‖_F)
@@ -640,9 +787,41 @@ mod tests {
                 let err = ftf.max_abs_diff(&Matrix::identity(r));
                 assert!(err <= 1e-13, "r = {r}: {name}ᵀ{name} - I = {err:e}");
             }
-            let got = [1e-5, 1e-8, 1e-10].map(|e| tsvd(&m, e * fro).rank());
+            let smax = s.singular_values[0];
+            let got = [1e-5, 1e-8, 1e-10].map(|e| {
+                let t = e * fro;
+                let (trunc, steps) = tsvd_steps(&m, t);
+                assert!(steps < r, "r = {r}, ε₀ = {t:e}: no early stop");
+                let err = truncation_error(&m, &trunc);
+                assert!(
+                    (trunc.discarded_norm - err).abs() <= 1e-8 * err && trunc.discarded_norm <= t,
+                    "r = {r}, ε₀ = {t:e}: discarded {:e}, error {err:e}",
+                    trunc.discarded_norm
+                );
+                for (x, y) in trunc.singular_values.iter().zip(&s.singular_values) {
+                    assert!((x - y).abs() <= 1e-12 * smax, "r = {r}: σ {x:e} vs {y:e}");
+                }
+                trunc.rank()
+            });
             assert_eq!(got, ranks, "r = {r}: tsvd ranks");
         }
+    }
+
+    /// A threshold that is not positive and finite never stops the QR,
+    /// although a positive one of the same size does.
+    #[test]
+    fn non_positive_threshold_never_stops_early() {
+        let m = sim_gram_pair_m(36, 12, 15, 36);
+        let t = 1e-5 * m.fro_norm();
+        assert!(tsvd_steps(&m, t).1 < 36);
+        for bad in [0.0, -0.0, -t, -f64::MIN_POSITIVE] {
+            let (trunc, steps) = tsvd_steps(&m, bad);
+            assert_eq!((steps, trunc.rank()), (36, 36), "threshold {bad:e}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -t, f64::MAX] {
+            assert!(stop_cap(bad) < 0.0, "threshold {bad:e}");
+        }
+        assert!(stop_cap(t) > 0.0);
     }
 
     #[test]
@@ -668,13 +847,6 @@ mod tests {
         assert!(t.discarded_norm <= 1.0 + 1e-12);
         // Error of the truncated reconstruction equals the tail energy
         // in Frobenius norm.
-        let mut us = t.u.clone();
-        for (j, &s) in t.singular_values.iter().enumerate() {
-            us.scale_col(j, s);
-        }
-        let approx = gemm(Trans::No, &us, Trans::Yes, &t.v, 1.0);
-        let mut diff = approx.clone();
-        diff.axpy(-1.0, &a);
-        assert!((diff.fro_norm() - t.discarded_norm).abs() < 1e-9);
+        assert!((truncation_error(&a, &t) - t.discarded_norm).abs() < 1e-9);
     }
 }

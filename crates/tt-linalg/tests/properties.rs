@@ -76,6 +76,48 @@ proptest! {
         }
     }
 
+    /// TSVD across the f64 range: scaling A and the threshold by 2ᵏ scales
+    /// σ and the discarded norm by exactly 2ᵏ and leaves the rank, U and V
+    /// bit for bit unchanged. The rank-deficient A's pivoted QR stops
+    /// early, so the budget-aware path is covered too.
+    #[test]
+    fn tsvd_is_exact_under_power_of_two_scaling(rows in 1usize..16, cols in 1usize..16,
+                                                rank in 1usize..16, k in -1000i32..1001,
+                                                frac in 1e-6f64..0.9, seed in any::<u64>()) {
+        let rank = rank.min(rows).min(cols);
+        let low_rank = gemm(
+            Trans::No,
+            &gaussian(rows, rank, seed),
+            Trans::No,
+            &gaussian(rank, cols, seed.wrapping_add(1)),
+            1.0,
+        );
+        let scale = 2f64.powi(k);
+        for a in [gaussian(rows, cols, seed), low_rank] {
+            let t = frac * a.fro_norm();
+            let mut scaled = a.clone();
+            scaled.scale(scale);
+            // Both inputs must be exact: skip the rare draw with an entry
+            // or threshold that 2ᵏ makes subnormal.
+            let exact = |x: f64| x == 0.0 || x.is_normal();
+            if !exact(t * scale) || !scaled.as_slice().iter().all(|&x| exact(x)) {
+                continue;
+            }
+            let s = tsvd(&a, t);
+            let u = tsvd(&scaled, t * scale);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let expect: Vec<f64> = s.singular_values.iter().map(|v| v * scale).collect();
+            prop_assert_eq!(bits(&u.singular_values), bits(&expect), "sigma at k = {}", k);
+            prop_assert_eq!(
+                u.discarded_norm.to_bits(),
+                (s.discarded_norm * scale).to_bits(),
+                "discarded norm at k = {}", k
+            );
+            prop_assert_eq!(bits(u.u.as_slice()), bits(s.u.as_slice()), "U at k = {}", k);
+            prop_assert_eq!(bits(u.v.as_slice()), bits(s.v.as_slice()), "V at k = {}", k);
+        }
+    }
+
     /// Symmetric EVD on Gram matrices: nonnegative spectrum, reconstruction.
     #[test]
     fn eigh_on_gram(rows in 2usize..30, cols in 1usize..10, seed in any::<u64>()) {

@@ -26,14 +26,14 @@ use RoundingMethod::{GramLrl, GramRlr, GramSim, Qr};
 
 /// `(method, tolerance, solution hash, residual-history hash)`.
 const PINS: [(RoundingMethod, f64, u64, u64); 8] = [
-    (Qr, 1e-5, 0xdcafc41023ca5f5c, 0x7982f3a606995bdf),
-    (GramRlr, 1e-5, 0x7fbdee8ed0b02cd4, 0x561a37fe263a6548),
-    (GramLrl, 1e-5, 0xce21381a7bc0730d, 0x90e66aa3cad03549),
-    (GramSim, 1e-5, 0x142dbebb0d6abc9b, 0x911243898d6e261c),
-    (Qr, 1e-8, 0x03da9a478528741d, 0xcae7f63bd1600b8e),
-    (GramRlr, 1e-8, 0xdb11188400a38bc8, 0xbb1c50ae9ec2972c),
-    (GramLrl, 1e-8, 0x745e6a625d7d8b1b, 0x2e0c435daa0893f9),
-    (GramSim, 1e-8, 0xbac71f2640128000, 0xaef734e93317a18a),
+    (Qr, 1e-5, 0x864e08e49571df2f, 0xb189cea508a0ed45),
+    (GramRlr, 1e-5, 0xe3dd3683a8c18ca6, 0x6054d3c9933dc0c7),
+    (GramLrl, 1e-5, 0x390a45f11d955166, 0x79896800dcef4b8f),
+    (GramSim, 1e-5, 0xb16c27833198633a, 0xf2bbb6a2f8d12c34),
+    (Qr, 1e-8, 0x4301052fc7f7b84c, 0xe720b379d49a7347),
+    (GramRlr, 1e-8, 0x3ecc928e6478c5bc, 0x98acafc37bbbb1bf),
+    (GramLrl, 1e-8, 0x8d675580d36f5742, 0xd4775d76765decb8),
+    (GramSim, 1e-8, 0x4ee10717ccfc0993, 0xdaf7d8534df7c8fa),
 ];
 
 /// FNV-1a over a stream of 64-bit words, little-endian.
