@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the dense-LA substrate at TT-rank-typical
-//! sizes: the `R × R` eigen/SVD problems every bond truncation solves, and
-//! the tall-skinny factorizations of the unfolding kernels.
+//! sizes: the `R × R` factorizations and SVDs every bond truncation solves,
+//! whole bond truncations, and the tall-skinny factorizations of the
+//! unfolding kernels.
 
 #![allow(
     clippy::unwrap_used,
@@ -9,6 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
+use tt_core::round::truncate::{gram_truncate, SingularSide};
 use tt_linalg::{
     cholesky, eigh, gemm, householder_qr, jacobi_svd, pivoted_cholesky, syrk, tsvd, Matrix, Trans,
 };
@@ -37,9 +39,10 @@ fn bond_gram(r: usize, k: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
     syrk(&a, 1.0)
 }
 
-/// The Gram-Sim truncation matrix `M = Λ_L^{1/2} V_Lᵀ V_R Λ_R^{1/2}` of a
-/// bond of rank `r` whose Gram pair has true ranks `kl` and `kr`, with the
-/// eigenvalues clamped at `λ_max·ε` as the rounding clamps them.
+/// The EVD route's truncation matrix `M = Λ_L^{1/2} V_Lᵀ V_R Λ_R^{1/2}` of
+/// a bond of rank `r` whose Gram pair has true ranks `kl` and `kr`, with
+/// the eigenvalues clamped at `λ_max·ε` as that route clamps them (a
+/// Gram-RLR/LRL bond whose Cholesky certificate misses).
 fn sim_gram_pair_m(r: usize, kl: usize, kr: usize, rng: &mut rand::rngs::StdRng) -> Matrix {
     let mut side = |k: usize| {
         let e = eigh(&bond_gram(r, k, rng)).unwrap().descending();
@@ -62,6 +65,42 @@ fn sim_gram_pair_m(r: usize, kl: usize, kr: usize, rng: &mut rand::rngs::StdRng)
 /// tolerance 1e-5 on a 4-mode train: `ε₀ = ε·‖M‖_F/√(N − 1)`.
 fn krylov_budget(m: &Matrix) -> f64 {
     1e-5 * m.fro_norm() / 3f64.sqrt()
+}
+
+/// A whole Gram-Sim bond truncation, `Split` side, on a `bond_gram` pair
+/// of size `r` with true ranks `kl` and `kr` at the Krylov budget of the
+/// bond product `X`, `‖X‖_F² = tr(G_L G_R)`: the Gram factorizations, the
+/// TSVD of `M` and the update matrices together.
+fn bench_gram_truncate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gram_truncate");
+    let mut r = rng();
+    for (n, kl, kr) in [(36usize, 27usize, 9usize), (100, 28, 10)] {
+        let (gl, gr) = (bond_gram(n, kl, &mut r), bond_gram(n, kr, &mut r));
+        let x_norm = gl
+            .as_slice()
+            .iter()
+            .zip(gr.as_slice())
+            .map(|(a, b)| a * b)
+            .sum::<f64>()
+            .sqrt();
+        let budget = 1e-5 * x_norm / 3f64.sqrt();
+        group.bench_function(
+            BenchmarkId::new("gram_truncate", format!("split_{n}")),
+            |b| {
+                b.iter(|| {
+                    gram_truncate(
+                        0,
+                        black_box(&gl),
+                        black_box(&gr),
+                        budget,
+                        None,
+                        SingularSide::Split,
+                    )
+                });
+            },
+        );
+    }
+    group.finish();
 }
 
 fn bench_eigh(c: &mut Criterion) {
@@ -139,7 +178,7 @@ fn bench_svd(c: &mut Criterion) {
     group.bench_function("jacobi_padded_leaf_r_9x36", |b| {
         b.iter(|| jacobi_svd(&rp));
     });
-    // The Gram-Sim truncation matrix at the same two bond ranks as the
+    // The EVD route's truncation matrix at the same two bond ranks as the
     // `eigh` group's Gram rows.
     for (n, kl, kr) in [(36usize, 12usize, 15usize), (100, 30, 40)] {
         let m = sim_gram_pair_m(n, kl, kr, &mut r);
@@ -272,5 +311,12 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_eigh, bench_svd, bench_qr, bench_kernels);
+criterion_group!(
+    benches,
+    bench_eigh,
+    bench_svd,
+    bench_gram_truncate,
+    bench_qr,
+    bench_kernels
+);
 criterion_main!(benches);

@@ -5,8 +5,10 @@
 //!
 //! * [`mat_rounding_qr`] — Algorithm 3: QR-orthogonalize both factors, SVD
 //!   the small `R_A R_Bᵀ` (numerically accurate, the baseline);
-//! * [`tsvd_abt_gram`] — Algorithm 4: Gram matrices + EVDs + small SVD
-//!   (the paper's method — cheaper, all `gemm`, accuracy limited to `√ε`);
+//! * [`tsvd_abt_gram`] — Algorithm 4: Gram matrices + small SVD (the
+//!   paper's method — cheaper, all `gemm`, accuracy limited to `√ε`), with
+//!   each Gram factored by pivoted Cholesky completed to a square factor
+//!   where the paper takes an EVD;
 //! * [`tsvd_abt_cholqr`] — the §III-B1 pivoted-Cholesky-QR variant, which
 //!   truncates *sharply* at `√ε` per factor (the robustness limitation the
 //!   Gram-SVD route avoids).
@@ -58,7 +60,8 @@ pub fn mat_rounding_qr(a: &Matrix, b: &Matrix, threshold: f64) -> ProductTruncat
 /// Algorithm 4: truncated SVD of `A Bᵀ` via Gram SVDs of the factors.
 ///
 /// All heavy operations are `gemm`/`syrk` on the tall factors; only `R × R`
-/// eigen/SVD problems are solved.
+/// factorizations and SVDs are solved. Each Gram's EVD in the paper is the
+/// completed pivoted Cholesky of [`gram_truncate`]'s `Split` side here.
 pub fn tsvd_abt_gram(a: &Matrix, b: &Matrix, threshold: f64) -> ProductTruncation {
     assert_eq!(a.cols(), b.cols(), "A and B must share the rank dimension");
     let ga = syrk(a, 1.0);

@@ -16,22 +16,24 @@
 //! factor, or split evenly, depending on the algorithm variant
 //! ([`SingularSide`]). Two factorizations feed that tail:
 //!
-//! - **Pivoted Cholesky** (§III-B1), `Pᵀ G P ≈ L Lᵀ`: `F = P L` and
-//!   `T = P[:, :k] L₁₁⁻ᵀ`, where `k` is the rank at which the
-//!   factorization stopped. The sequence variants take it whenever a
-//!   certificate bounds the energy its early stop drops within half the
+//! - **Pivoted Cholesky** (§III-B1), `Pᵀ G P ≈ L Lᵀ`, stopped at rank `k`
+//!   by the relative pivot tolerance `R·ε`. The simultaneous variant
+//!   completes it to the square `F = P·[L₁₁ 0; L₂₁ √f·I_{R−k}]` at the
+//!   floor `f = ε·maxᵢ Gᵢᵢ`, with `T = F⁻ᵀ`. The sequence variants keep
+//!   its `k` columns, `F = P L` and `T = P[:, :k] L₁₁⁻ᵀ`, whenever a
+//!   certificate bounds the energy the early stop drops within half the
 //!   bond budget.
-//! - **EVD**, `G = V Λ Vᵀ`: `F = V Λ^{1/2}` and `T = V Λ^{-1/2}`. The
-//!   simultaneous variant always takes it, and so does a sequence-variant
-//!   bond whose Cholesky certificate misses its budget.
+//! - **EVD**, `G = V Λ Vᵀ`: `F = V Λ^{1/2}` and `T = V Λ^{-1/2}`, with the
+//!   eigenvalues clamped from below at `λ_max·ε`. A sequence-variant bond
+//!   whose Cholesky certificate misses its budget takes it.
 //!
-//! Eigenvalues below `λ_max·ε` sit at a clamp floor: the Gram route cannot
-//! resolve those directions (§II-B). On the EVD route the sequence
-//! variants drop them before the TSVD when their share of `M` fits in half
-//! the bond budget, so the small SVD runs on the `k_L × k_R` block of
-//! resolved directions and `W_L`/`W_R` are built from the leading
-//! `k_L`/`k_R` eigenvectors. The simultaneous variant always keeps all `R`
-//! directions. See [`gram_truncate`].
+//! Both floors mark the directions the Gram route cannot resolve (§II-B).
+//! On the EVD route the sequence variants drop them before the TSVD when
+//! their share of `M` fits in half the bond budget, so the small SVD runs
+//! on the `k_L × k_R` block of resolved directions and `W_L`/`W_R` are
+//! built from the leading `k_L`/`k_R` eigenvectors. The simultaneous
+//! variant keeps all `R` directions: its completion replaces what the
+//! Cholesky stop left by the floor, it drops nothing. See [`gram_truncate`].
 
 use tt_linalg::{eigh, gemm, pivoted_cholesky, tsvd, Matrix, PivotedCholesky, Trans};
 
@@ -111,10 +113,18 @@ const DEFLATION_SHARE: f64 = 0.5;
 /// if the entries of `M` in their rows and columns have Frobenius norm
 /// δ ≤ ε₀/2, they are dropped before the TSVD, under the same budget rule.
 /// A direction the other side amplifies makes δ exceed the budget, and the
-/// bond keeps its full `r × r` TSVD. [`SingularSide::Split`] takes only
-/// the EVD route and never deflates: the simultaneous variant truncates
-/// every bond from the original Grams, so each `W_L·W_R` must act as the
-/// identity on both of its interfaces.
+/// bond keeps its full `r × r` TSVD.
+///
+/// [`SingularSide::Split`] never deflates: the simultaneous variant
+/// truncates every bond from the original Grams, so each `W_L·W_R` must act
+/// as the identity on both of its interfaces. It factors both Grams by the
+/// same pivoted Cholesky and completes each factor to the square
+/// `F = P·[L₁₁ 0; L₂₁ √f·I_{R−k}]`, replacing the Schur complement the stop
+/// left by `f·I` with the floor `f = ε·maxᵢ Gᵢᵢ` (the smallest positive
+/// double for an all-zero Gram), as the EVD route's clamp replaces the
+/// eigenvalues below `λ_max·ε`. `F` is invertible and `T = F⁻ᵀ`, so
+/// `W_L·W_R = T_L M T_Rᵀ = I` whenever the TSVD keeps everything, and the
+/// TSVD runs on the full `r × r` matrix `M = F_Lᵀ F_R` with nothing dropped.
 pub fn gram_truncate(
     bond: usize,
     g_left: &Matrix,
@@ -123,8 +133,7 @@ pub fn gram_truncate(
     max_rank: Option<usize>,
     side: SingularSide,
 ) -> BondUpdate {
-    let deflate = side != SingularSide::Split;
-    truncate_bond(bond, g_left, g_right, threshold, max_rank, side, deflate).0
+    truncate_bond(bond, g_left, g_right, threshold, max_rank, side, true).0
 }
 
 /// Which factorization of the Gram pair [`truncate_bond`] used.
@@ -147,8 +156,10 @@ struct Deflation {
 }
 
 /// [`gram_truncate`] with the deflation switch exposed, also reporting
-/// what was dropped. `deflate` allows both the Cholesky route and the EVD
-/// route's deflation; without it the bond takes the full EVD route.
+/// what was dropped. On the sequence sides `deflate` allows both the
+/// Cholesky route and the EVD route's deflation; without it the bond takes
+/// the full EVD route. [`SingularSide::Split`] never deflates and ignores
+/// it.
 fn truncate_bond(
     bond: usize,
     g_left: &Matrix,
@@ -170,10 +181,10 @@ fn truncate_bond(
     tt_linalg::paranoid::check_finite("gram_truncate", "G_R", g_right.as_slice());
     tt_linalg::paranoid::check_finite_scalar("gram_truncate", "threshold", threshold);
 
-    let pair = if deflate {
-        cholesky_pair(g_left, g_right, threshold)
-    } else {
-        None
+    let pair = match side {
+        SingularSide::Split => cholesky_pair(g_left, g_right, None),
+        _ if deflate => cholesky_pair(g_left, g_right, Some(threshold)),
+        _ => None,
     };
     let (m, deflation, left, right) =
         pair.unwrap_or_else(|| evd_pair(bond, g_left, g_right, threshold, deflate));
@@ -312,42 +323,106 @@ fn evd_pair(
     (block, deflation, left, right)
 }
 
-/// The Cholesky route's factor pair and `M = F_Lᵀ F_R`, or `None` when
-/// the bond must take the EVD route: a factor stopped at rank 0 (an
-/// all-zero Gram), or the certificate δ on the energy the early stops
+/// The Cholesky route's factor pair and `M = F_Lᵀ F_R`.
+///
+/// With no `budget` ([`SingularSide::Split`]) each factor is completed to a
+/// square `F`, nothing is dropped and this always returns the pair. With
+/// `Some(threshold)` each factor keeps its `k` columns, and the result is
+/// `None` when the bond must take the EVD route: a factor stopped at rank 0
+/// (an all-zero Gram), or the certificate δ on the energy the early stops
 /// dropped misses `DEFLATION_SHARE · threshold`.
-fn cholesky_pair(g_left: &Matrix, g_right: &Matrix, threshold: f64) -> Option<BondFactors> {
-    let tol = g_left.rows() as f64 * f64::EPSILON;
+fn cholesky_pair(g_left: &Matrix, g_right: &Matrix, budget: Option<f64>) -> Option<BondFactors> {
+    let r = g_left.rows();
+    let tol = r as f64 * f64::EPSILON;
     let pl = pivoted_cholesky(g_left, tol);
     let pr = pivoted_cholesky(g_right, tol);
-    if pl.rank == 0 || pr.rank == 0 {
-        return None;
-    }
-    let delta =
-        (pl.residual_trace * g_right.fro_norm() + pr.residual_trace * g_left.fro_norm()).sqrt();
-    // False for a NaN or overflowed certificate, which takes the EVD route.
-    let fits = delta <= DEFLATION_SHARE * threshold;
-    if !fits {
-        return None;
-    }
-    let m = gemm(
-        Trans::Yes,
-        &pl.factor_unpivoted(),
-        Trans::No,
-        &pr.factor_unpivoted(),
-        1.0,
-    );
+    let (root_l, root_r) = (completion_root(g_left), completion_root(g_right));
+    let (m, block, delta) = match budget {
+        None => {
+            let m = completed_product(&pl, root_l, &pr, root_r);
+            (m, (r, r), 0.0)
+        }
+        Some(threshold) => {
+            if pl.rank == 0 || pr.rank == 0 {
+                return None;
+            }
+            let delta = (pl.residual_trace * g_right.fro_norm()
+                + pr.residual_trace * g_left.fro_norm())
+            .sqrt();
+            // False for a NaN or overflowed certificate, which takes the EVD
+            // route.
+            let fits = delta <= DEFLATION_SHARE * threshold;
+            if !fits {
+                return None;
+            }
+            let m = gemm(
+                Trans::Yes,
+                &pl.factor_unpivoted(),
+                Trans::No,
+                &pr.factor_unpivoted(),
+                1.0,
+            );
+            (m, (pl.rank, pr.rank), delta)
+        }
+    };
     let deflation = Deflation {
-        block: (pl.rank, pr.rank),
+        block,
         delta,
         route: Route::Cholesky,
     };
-    Some((
-        m,
-        deflation,
-        GramFactor::Cholesky(pl),
-        GramFactor::Cholesky(pr),
-    ))
+    let left = GramFactor::Cholesky {
+        pc: pl,
+        root_floor: root_l,
+    };
+    let right = GramFactor::Cholesky {
+        pc: pr,
+        root_floor: root_r,
+    };
+    Some((m, deflation, left, right))
+}
+
+/// `√f` for the completion floor `f = ε·maxᵢ Gᵢᵢ` of a Gram, or for the
+/// smallest positive double when the Gram is all zero.
+fn completion_root(g: &Matrix) -> f64 {
+    let max_diag = (0..g.rows()).fold(0.0_f64, |m, i| m.max(g[(i, i)]));
+    (f64::EPSILON * max_diag).max(f64::MIN_POSITIVE).sqrt()
+}
+
+/// `M = F_Lᵀ F_R` for the square factors `F = P·[L₁₁ 0; L₂₁ √f·I_{R−k}]`
+/// completing each pivoted Cholesky `Pᵀ G P ≈ L Lᵀ` stopped at rank `k`
+/// (`F Fᵀ` is `G` with the Schur complement the stop left replaced by
+/// `f·I`), without forming them: one GEMM of the `P L` columns gives the
+/// leading `k_L × k_R` block, and each completion column `√f·e_perm[i]`,
+/// `i ≥ k`, picks one row of the other side's `P L` or one completion
+/// entry.
+fn completed_product(
+    pl: &PivotedCholesky,
+    root_l: f64,
+    pr: &PivotedCholesky,
+    root_r: f64,
+) -> Matrix {
+    let n = pl.l.rows();
+    let (kl, kr) = (pl.rank, pr.rank);
+    let (al, ar) = (pl.factor_unpivoted(), pr.factor_unpivoted());
+    let lead = gemm(Trans::Yes, &al, Trans::No, &ar, 1.0);
+    let mut m = Matrix::zeros(n, n);
+    for j in 0..kr {
+        let col = m.col_mut(j);
+        col[..kl].copy_from_slice(lead.col(j));
+        for (x, &p) in col[kl..].iter_mut().zip(&pl.perm[kl..]) {
+            *x = root_l * ar[(p, j)];
+        }
+    }
+    for (j, &p) in pr.perm.iter().enumerate().skip(kr) {
+        let col = m.col_mut(j);
+        for (i, x) in col[..kl].iter_mut().enumerate() {
+            *x = al[(p, i)] * root_r;
+        }
+        if let Some(i) = pl.perm[kl..].iter().position(|&q| q == p) {
+            col[kl + i] = root_l * root_r;
+        }
+    }
+    m
 }
 
 /// One side's factor `F` of its Gram matrix, `G ≈ F Fᵀ` with `F` of width
@@ -355,8 +430,14 @@ fn cholesky_pair(g_left: &Matrix, g_right: &Matrix, threshold: f64) -> Option<Bo
 enum GramFactor {
     /// `T = V Λ^{-1/2}` over the leading `k` (clamped) eigenpairs.
     Evd { vectors: Matrix, lam: Vec<f64> },
-    /// `T = P[:, :k] L₁₁⁻ᵀ`.
-    Cholesky(PivotedCholesky),
+    /// From `Pᵀ G P ≈ L Lᵀ` stopped at `pc.rank`: the completed square
+    /// `F = P·[L₁₁ 0; L₂₁ √f·I]` with `T = F⁻ᵀ`, or its leading `pc.rank`
+    /// columns `P L` with `T = P[:, :pc.rank] L₁₁⁻ᵀ`.
+    Cholesky {
+        pc: PivotedCholesky,
+        /// `√f`, the completion rows' diagonal.
+        root_floor: f64,
+    },
 }
 
 impl GramFactor {
@@ -372,16 +453,20 @@ impl GramFactor {
                 }
                 gemm(Trans::No, vectors, Trans::No, &y, 1.0)
             }
-            GramFactor::Cholesky(pc) => {
-                // Back substitution with L₁₁ᵀ, reading L₁₁'s columns, then
+            GramFactor::Cholesky { pc, root_floor } => {
+                // T Y = P·[L₁₁ 0; L₂₁ √f·I]⁻ᵀ Y: divide the completion rows
+                // (a `pc.rank`-row Y has none) by √f, back-substitute with
+                // L₁₁ᵀ and the L₂₁ᵀ terms, reading L's columns, then
                 // scatter row i to row perm[i].
                 let (k, l) = (pc.rank, &pc.l);
                 let mut t = Matrix::zeros(l.rows(), y.cols());
                 for j in 0..y.cols() {
                     let z = y.col_mut(j);
+                    for x in z.iter_mut().skip(k) {
+                        *x /= root_floor;
+                    }
                     for i in (0..k).rev() {
-                        let below = &l.col(i)[i + 1..k];
-                        let s = below
+                        let s = l.col(i)[i + 1..]
                             .iter()
                             .zip(&z[i + 1..])
                             .map(|(a, b)| a * b)
@@ -632,16 +717,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn amplified_direction_is_not_deflated() {
-        // The §III-B2 construction (see `matprod`): A has a direction of
-        // size ~√ε, at the clamp floor of G_L, that B amplifies by 1e7.
+    /// The §III-B2 construction (see `matprod`): A has a direction of size
+    /// ~√ε, at the clamp floor of G_L, that B amplifies by 1e7.
+    fn amplified_pair() -> (Matrix, Matrix) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let r = 4;
         let mut a = tt_linalg::householder_qr(&Matrix::gaussian(40, r, &mut rng)).thin_q();
         let mut b = tt_linalg::householder_qr(&Matrix::gaussian(40, r, &mut rng)).thin_q();
         a.scale_col(r - 1, 1e-8);
         b.scale_col(r - 1, 1e7);
+        (a, b)
+    }
+
+    #[test]
+    fn amplified_direction_is_not_deflated() {
+        let (a, b) = amplified_pair();
+        let r = a.cols();
         let x = gemm(Trans::No, &a, Trans::Yes, &b, 1.0);
         let (ga, gb) = (syrk(&a, 1.0), syrk(&b, 1.0));
         let thr = 1e-6 * x.fro_norm();
@@ -669,14 +760,161 @@ mod tests {
         let x = gemm(Trans::No, &a, Trans::Yes, &b, 1.0);
         let (ga, gb) = (syrk(&a, 1.0), syrk(&b, 1.0));
         let thr = 1e-8 * x.fro_norm();
-        // The pair would deflate if Split allowed it ...
-        let (_, defl) = truncate_bond(1, &ga, &gb, thr, None, SingularSide::Split, true);
+        // The pair deflates on a sequence side ...
+        let (_, defl) = truncate_bond(1, &ga, &gb, thr, None, SingularSide::Right, true);
         assert_ne!(defl.block, (6, 6));
-        // ... but the public entry point keeps the full r × r TSVD.
+        // ... but Split completes both rank-3 factors and keeps the full
+        // r × r TSVD, whether or not deflation is allowed.
         let public = gram_truncate(1, &ga, &gb, thr, None, SingularSide::Split);
-        let (full, defl) = truncate_bond(1, &ga, &gb, thr, None, SingularSide::Split, false);
-        assert_eq!(defl.block, (6, 6));
-        assert!(same_bits(&public.w_left, &full.w_left));
-        assert!(same_bits(&public.w_right, &full.w_right));
+        for deflate in [true, false] {
+            let (full, defl) = truncate_bond(1, &ga, &gb, thr, None, SingularSide::Split, deflate);
+            assert_eq!(defl.route, Route::Cholesky);
+            assert_eq!(defl.block, (6, 6));
+            assert_eq!(defl.delta.to_bits(), 0.0_f64.to_bits());
+            assert!(same_bits(&public.w_left, &full.w_left));
+            assert!(same_bits(&public.w_right, &full.w_right));
+        }
+        assert_eq!(public.info.rank_after, 3);
+        let err = x.max_abs_diff(&reconstruct(&a, &b, &public));
+        assert!(err <= thr, "error {err} over threshold {thr}");
+    }
+
+    /// A Gram of size `r` and true rank `k`: `CᵀC` for a `3r × r` product
+    /// of Gaussian factors through rank `k` (all zero at `k = 0`).
+    fn gram_of_rank(r: usize, k: usize, seed: u64) -> Matrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let c = gemm(
+            Trans::No,
+            &Matrix::gaussian(3 * r, k, &mut rng),
+            Trans::No,
+            &Matrix::gaussian(k, r, &mut rng),
+            1.0,
+        );
+        syrk(&c, 1.0)
+    }
+
+    /// The square factor `F = P·[L₁₁ 0; L₂₁ √f·I]`, formed.
+    fn completed_factor(pc: &PivotedCholesky, root_floor: f64) -> Matrix {
+        let n = pc.l.rows();
+        let mut f = Matrix::zeros(n, n);
+        for (i, &p) in pc.perm.iter().enumerate() {
+            for j in 0..pc.rank {
+                f[(p, j)] = pc.l[(i, j)];
+            }
+            if i >= pc.rank {
+                f[(p, i)] = root_floor;
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn completed_factor_is_inverted_by_its_left_inverse() {
+        for r in [6, 36] {
+            for k in [0, 3, 9, r].into_iter().filter(|&k| k <= r) {
+                let g = gram_of_rank(r, k, 20 + k as u64);
+                let pc = pivoted_cholesky(&g, r as f64 * f64::EPSILON);
+                let root_floor = completion_root(&g);
+                let f = completed_factor(&pc, root_floor);
+                let t =
+                    GramFactor::Cholesky { pc, root_floor }.apply_left_inverse(Matrix::identity(r));
+                let ft = gemm(Trans::Yes, &f, Trans::No, &t, 1.0);
+                let err = ft.max_abs_diff(&Matrix::identity(r));
+                // To rounding: F's completion makes it as ill-conditioned
+                // as 1/√ε, so the bound carries the entries' sizes.
+                let bound = r as f64 * f64::EPSILON * f.max_abs() * t.max_abs();
+                assert!(
+                    err <= bound,
+                    "R = {r}, rank {k}: ‖FᵀT − I‖_max = {err} > {bound}"
+                );
+                // F Fᵀ is G up to the floor the completion put in.
+                let gap = syrk(&f.transpose(), 1.0).max_abs_diff(&g);
+                let scale = (0..r).fold(0.0_f64, |m, i| m.max(g[(i, i)]));
+                assert!(
+                    gap <= 4.0 * r as f64 * f64::EPSILON * scale + f64::MIN_POSITIVE,
+                    "R = {r}, rank {k}: ‖FFᵀ − G‖_max = {gap}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn completed_product_is_the_product_of_the_completed_factors() {
+        for r in [6, 36] {
+            let sides: Vec<_> = [0, 3, 9, r]
+                .into_iter()
+                .filter(|&k| k <= r)
+                .map(|k| {
+                    let g = gram_of_rank(r, k, 40 + k as u64);
+                    let pc = pivoted_cholesky(&g, r as f64 * f64::EPSILON);
+                    let root = completion_root(&g);
+                    (completed_factor(&pc, root), pc, root)
+                })
+                .collect();
+            for (fl, pl, root_l) in &sides {
+                for (fr, pr, root_r) in &sides {
+                    let m = completed_product(pl, *root_l, pr, *root_r);
+                    let dense = gemm(Trans::Yes, fl, Trans::No, fr, 1.0);
+                    let err = m.max_abs_diff(&dense);
+                    let bound = r as f64 * f64::EPSILON * dense.max_abs();
+                    assert!(
+                        err <= bound,
+                        "R = {r}, ranks ({}, {}): {err} > {bound}",
+                        pl.rank,
+                        pr.rank
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_keeps_the_amplified_direction() {
+        let (a, b) = amplified_pair();
+        let x = gemm(Trans::No, &a, Trans::Yes, &b, 1.0);
+        let (ga, gb) = (syrk(&a, 1.0), syrk(&b, 1.0));
+        let thr = 1e-6 * x.fro_norm();
+        let r = a.cols();
+        let (upd, defl) = truncate_bond(1, &ga, &gb, thr, None, SingularSide::Split, true);
+        assert_eq!(defl.block, (r, r));
+        assert_eq!(upd.info.rank_after, r);
+        let mut diff = reconstruct(&a, &b, &upd);
+        diff.axpy(-1.0, &x);
+        let err = diff.fro_norm();
+        assert!(err <= thr, "error {err} over threshold {thr}");
+    }
+
+    /// Scaling both Grams and the threshold by 4ᵏ scales every step of the
+    /// Split route by an exact power of two (pivoted Cholesky, the floor's
+    /// square root, the GEMM, `tsvd`, the back substitution), so `W_L` and
+    /// `W_R` keep their bits.
+    #[test]
+    fn split_is_exact_under_power_of_two_scaling() {
+        for (r, kl, kr) in [(12, 4, 9), (12, 12, 3), (7, 7, 7)] {
+            let (gl, gr) = (gram_of_rank(r, kl, 30), gram_of_rank(r, kr, 31));
+            let thr = 1e-6 * gemm(Trans::No, &gl, Trans::No, &gr, 1.0).fro_norm().sqrt();
+            let base = gram_truncate(1, &gl, &gr, thr, None, SingularSide::Split);
+            for k in -200..=200 {
+                let scale = 4f64.powi(k);
+                let (mut sl, mut sr) = (gl.clone(), gr.clone());
+                sl.scale(scale);
+                sr.scale(scale);
+                // Skip a draw whose inputs 4ᵏ makes subnormal.
+                let exact = |x: &f64| *x == 0.0 || x.is_normal();
+                if !(sl.as_slice().iter().chain(sr.as_slice()).all(exact) && exact(&(thr * scale)))
+                {
+                    continue;
+                }
+                let got = gram_truncate(1, &sl, &sr, thr * scale, None, SingularSide::Split);
+                assert!(
+                    same_bits(&got.w_left, &base.w_left),
+                    "W_L at ({r}, {kl}, {kr}), k = {k}"
+                );
+                assert!(
+                    same_bits(&got.w_right, &base.w_right),
+                    "W_R at ({r}, {kl}, {kr}), k = {k}"
+                );
+            }
+        }
     }
 }

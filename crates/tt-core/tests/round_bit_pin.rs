@@ -105,7 +105,7 @@ fn rounding_bits_are_pinned_per_method() {
         (RoundingMethod::Qr, 0xff91_d881_d7d2_c2bdu64),
         (RoundingMethod::GramRlr, 0x4730_865c_3c73_750f),
         (RoundingMethod::GramLrl, 0x4bfb_4e43_4af0_5c4d),
-        (RoundingMethod::GramSim, 0x8921_5d90_bf64_e87a),
+        (RoundingMethod::GramSim, 0xb3a1_5f3a_3c45_0af1),
         (RoundingMethod::randomized(), 0x2893_4151_222d_8757),
     ];
     for (method, expect) in cases {

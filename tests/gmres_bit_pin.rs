@@ -29,11 +29,11 @@ const PINS: [(RoundingMethod, f64, u64, u64); 8] = [
     (Qr, 1e-5, 0x864e08e49571df2f, 0xb189cea508a0ed45),
     (GramRlr, 1e-5, 0xe3dd3683a8c18ca6, 0x6054d3c9933dc0c7),
     (GramLrl, 1e-5, 0x390a45f11d955166, 0x79896800dcef4b8f),
-    (GramSim, 1e-5, 0xb16c27833198633a, 0xf2bbb6a2f8d12c34),
+    (GramSim, 1e-5, 0x14f12093e6e175a4, 0x779c25d41fb13f09),
     (Qr, 1e-8, 0x4301052fc7f7b84c, 0xe720b379d49a7347),
     (GramRlr, 1e-8, 0x3ecc928e6478c5bc, 0x98acafc37bbbb1bf),
     (GramLrl, 1e-8, 0x8d675580d36f5742, 0xd4775d76765decb8),
-    (GramSim, 1e-8, 0x4ee10717ccfc0993, 0xdaf7d8534df7c8fa),
+    (GramSim, 1e-8, 0x0e5058c746aac4a5, 0xf4797dbb3de0d488),
 ];
 
 /// FNV-1a over a stream of 64-bit words, little-endian.
