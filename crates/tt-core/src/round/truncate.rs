@@ -917,4 +917,68 @@ mod tests {
             }
         }
     }
+
+    /// The sequence sides under Grams and threshold scaled by 4ᵏ: every
+    /// step of the Cholesky route (the pivoted factors, the certificate,
+    /// the GEMM, `tsvd`, the back substitution) and of the full EVD route
+    /// (`eigh`, the clamp, `Λ^{±1/2}`) scales by an exact power of two, so
+    /// the side that absorbs `Σ̂` comes back times `2ᵏ` and the other times
+    /// `2⁻ᵏ`, bit for bit, and every bond takes the route it took unscaled.
+    #[test]
+    fn sequence_sides_are_exact_under_power_of_two_scaling() {
+        let mut pairs: Vec<(Matrix, Matrix)> = [(12, 4, 9), (12, 12, 3), (7, 7, 7)]
+            .into_iter()
+            .map(|(r, kl, kr)| (gram_of_rank(r, kl, 30), gram_of_rank(r, kr, 31)))
+            .collect();
+        let (a, b) = redundant_pair();
+        pairs.push((syrk(&a, 1.0), syrk(&b, 1.0)));
+        let times = |m: &Matrix, s: f64| {
+            let mut m = m.clone();
+            m.scale(s);
+            m
+        };
+        let mut cholesky_bonds = 0;
+        for (gl, gr) in &pairs {
+            let norm = gemm(Trans::No, gl, Trans::No, gr, 1.0).fro_norm().sqrt();
+            for thr in [1e-5 * norm, 1e-10 * norm] {
+                for side in [SingularSide::Left, SingularSide::Right] {
+                    // `deflate = false` forces the full EVD route.
+                    for deflate in [true, false] {
+                        let (base, defl) = truncate_bond(1, gl, gr, thr, None, side, deflate);
+                        let route = defl.route;
+                        cholesky_bonds += usize::from(route == Route::Cholesky);
+                        for k in -200..=200 {
+                            let scale = 4f64.powi(k);
+                            let (sl, sr) = (times(gl, scale), times(gr, scale));
+                            // Skip a draw whose inputs 4ᵏ makes subnormal.
+                            let exact = |x: &f64| *x == 0.0 || x.is_normal();
+                            if !(sl.as_slice().iter().chain(sr.as_slice()).all(exact)
+                                && exact(&(thr * scale)))
+                            {
+                                continue;
+                            }
+                            let (got, defl) =
+                                truncate_bond(1, &sl, &sr, thr * scale, None, side, deflate);
+                            let case = format!("{side:?}, {route:?}, R = {}, k = {k}", gl.rows());
+                            assert_eq!(defl.route, route, "{case}");
+                            let (up, down) = (2f64.powi(k), 2f64.powi(-k));
+                            let (left_scale, right_scale) = match side {
+                                SingularSide::Left => (up, down),
+                                _ => (down, up),
+                            };
+                            assert!(
+                                same_bits(&got.w_left, &times(&base.w_left, left_scale)),
+                                "W_L at {case}"
+                            );
+                            assert!(
+                                same_bits(&got.w_right, &times(&base.w_right, right_scale)),
+                                "W_R at {case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cholesky_bonds > 0, "no bond took the Cholesky route");
+    }
 }
